@@ -91,8 +91,20 @@ def _greedy_modulator(g: Graph) -> list[int]:
         removed |= {rest.old_of[v] for v in hole.vertices}
 
 
+def _rejects_forced(instance: InstanceFile, command: str) -> bool:
+    """Report and refuse forced pairs, which ``command`` cannot honour."""
+    if not instance.forced:
+        return False
+    print(f"error: {command} cannot honour forced pairs ('f' lines); "
+          "use 'chvd solve' for instances with forced pairs",
+          file=sys.stderr)
+    return True
+
+
 def cmd_kernelize(args) -> int:
     instance = parse(_read(args.input))
+    if _rejects_forced(instance, "kernelize"):
+        return EXIT_VALIDATION
     g = instance.graph()
     modulator = list(instance.modulator)
     if not modulator and not is_chordal(g):
@@ -132,6 +144,8 @@ def cmd_kernelize(args) -> int:
 
 def cmd_approx(args) -> int:
     instance = parse(_read(args.input))
+    if _rejects_forced(instance, "approx"):
+        return EXIT_VALIDATION
     g = instance.graph()
     got = approximate(g, instance.k, tolerance=args.tolerance,
                       max_iters=args.max_iters)

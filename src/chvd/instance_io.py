@@ -93,6 +93,8 @@ def parse(text: str) -> InstanceFile:
             n, m, k = ints(lineno, rest[1:], 3)
             if n < 0 or m < 0:
                 fail(lineno, "negative size in header")
+            if k < 0:
+                fail(lineno, "negative budget in header")
             header = (n, m, k)
         elif tag == "e":
             if header is None:

@@ -2,13 +2,17 @@
 
 Everything here is deliberately naive: subset enumeration, exhaustive
 cycle checks, path enumeration.  These routines never call the library
-code paths they are used to verify.
+code paths they are used to verify.  ``ref_separate_chvd`` is the
+exception in kind, not in spirit: it is the straightforward per-triple
+hole separator, kept as the reference the batched one must reproduce
+byte for byte; it shares only the hole helpers of ``chvd.graphs``.
 """
 from __future__ import annotations
 
+import heapq
 from itertools import combinations
 
-from chvd.graphs import Graph, DiGraph
+from chvd.graphs import Graph, DiGraph, Hole, shortcut_walk, verify_hole
 
 
 def bf_is_induced_cycle(g: Graph, subset: tuple[int, ...]) -> bool:
@@ -159,3 +163,57 @@ def bf_all_simple_di_paths(d: DiGraph, s: int, t: int) -> list[list[int]]:
 
     extend([s])
     return out
+
+
+def _ref_dijkstra(g: Graph, source: int, weight, allowed: set[int]):
+    """Vertex-weighted Dijkstra from one source inside ``allowed``."""
+    dist = {source: weight(source)}
+    prev = {source: source}
+    heap = [(dist[source], source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist.get(u, float("inf")):
+            continue
+        for w in g.neighbors(u):
+            if w not in allowed:
+                continue
+            nd = d + weight(w)
+            if nd < dist.get(w, float("inf")) - 1e-15:
+                dist[w] = nd
+                prev[w] = u
+                heapq.heappush(heap, (nd, w))
+    return dist, prev
+
+
+def ref_separate_chvd(g: Graph, x) -> Hole | None:
+    """Per-triple hole separation: one full Dijkstra per (v1, v2, v3).
+
+    For each consecutive triple of a potential hole, the cheapest v1-v3
+    path avoiding N[v2]; the cheapest violated cycle found is shortcut to
+    an induced one.  ``x`` is a ``FractionalSolution``.
+    """
+    best = None
+    best_weight = 1.0 - x.tolerance
+    for v2 in g.vertices():
+        nbrs = g.neighbors(v2)
+        allowed = set(g.vertices()) - g.closed_neighborhood(v2)
+        for i, v1 in enumerate(nbrs):
+            for v3 in nbrs[i + 1:]:
+                if g.has_edge(v1, v3):
+                    continue
+                dist, prev = _ref_dijkstra(g, v1, x.value,
+                                           allowed | {v1, v3})
+                if v3 not in dist:
+                    continue
+                if dist[v3] + x.value(v2) < best_weight - 1e-12:
+                    path = [v3]
+                    while prev[path[-1]] != path[-1]:
+                        path.append(prev[path[-1]])
+                    path = shortcut_walk(g, path[::-1])
+                    hole = Hole(tuple([v2] + path)).canonical()
+                    assert verify_hole(g, hole)
+                    w = x.mass(hole.vertices)
+                    if w < best_weight - 1e-12:
+                        best = hole
+                        best_weight = w
+    return best

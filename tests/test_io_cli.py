@@ -63,6 +63,7 @@ def test_round_trip_fuzzed_instances():
     ("p chvd 2 0 0\nm 7\n", "outside range"),
     ("p chvd 2 0 0\nz 1\n", "unknown line tag"),
     ("p chvd 1 0 0\np chvd 1 0 0\n", "duplicate header"),
+    ("p chvd 4 4 -1\ne 0 1\ne 1 2\ne 2 3\ne 0 3\n", "negative budget"),
 ])
 def test_parse_rejects_malformed(text, fragment):
     with pytest.raises(InstanceFormatError) as err:
@@ -133,6 +134,43 @@ def test_cli_no_instance_exit_code(tmp_path):
     assert main(["kernelize", str(inst_path), "-o", str(out_path)]) == 1
     assert main(["approx", str(inst_path), "-o", str(out_path)]) == 1
     assert main(["solve", str(inst_path), "-o", str(out_path)]) == 1
+
+
+def test_cli_rejects_negative_budget(tmp_path, capsys):
+    inst_path = tmp_path / "negative.chvd"
+    inst_path.write_text("p chvd 4 4 -1\ne 0 1\ne 1 2\ne 2 3\ne 0 3\n")
+    for command in ("solve", "approx", "kernelize"):
+        assert main([command, str(inst_path)]) == 2
+        assert "negative budget" in capsys.readouterr().err
+
+
+FORCED_P3 = "p chvd 3 2 0\ne 0 1\ne 1 2\nf 0 1\n"
+
+
+def test_cli_approx_and_kernelize_reject_forced_pairs(tmp_path, capsys):
+    inst_path = tmp_path / "forced.chvd"
+    inst_path.write_text(FORCED_P3)
+    out_path = tmp_path / "out.txt"
+    for command in ("approx", "kernelize"):
+        assert main([command, str(inst_path), "-o", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert "forced pairs" in err and "chvd solve" in err
+        assert not out_path.exists()
+
+
+def test_cli_solve_and_check_honour_forced_pairs(tmp_path):
+    inst_path = tmp_path / "forced.chvd"
+    inst_path.write_text(FORCED_P3)
+    sol_path = tmp_path / "sol.txt"
+    # the pair needs one deletion and k = 0, so there is no solution
+    assert main(["solve", str(inst_path), "-o", str(sol_path)]) == 1
+    assert sol_path.read_text() == "c no solution within budget\n"
+    sol_path.write_text(emit_solution([]))
+    assert main(["check", str(inst_path), "--solution", str(sol_path)]) == 2
+    inst_path.write_text(FORCED_P3.replace("p chvd 3 2 0", "p chvd 3 2 1"))
+    assert main(["solve", str(inst_path), "-o", str(sol_path)]) == 0
+    assert len(parse_solution(sol_path.read_text())) == 1
+    assert main(["check", str(inst_path), "--solution", str(sol_path)]) == 0
 
 
 def test_cli_approx_with_oracle(tmp_path):

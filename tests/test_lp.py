@@ -1,5 +1,6 @@
 """Cutting-plane LP, simplex, and separation oracles."""
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,9 +17,10 @@ from chvd.lp import (
     simplex_min_cover,
     solve_fractional,
 )
-from chvd.generate import random_dag, random_gnp
+from chvd import lp
+from chvd.generate import GeneratorSpec, generate, random_dag, random_gnp
 from chvd.oracle import exact_chvd
-from bruteforce import bf_all_holes
+from bruteforce import bf_all_holes, ref_separate_chvd
 
 
 def cycle_graph(n):
@@ -91,6 +93,64 @@ def test_separate_chvd_matches_enumeration():
         assert (got is not None) == bool(violated)
         if got is not None:
             assert x.mass(got.vertices) < 1 - 1e-6
+
+
+def ladder_instance_n44():
+    g, _, _ = generate(GeneratorSpec(seed=3, core_vertices=40, tree_nodes=13,
+                                     planted=4, noise_edges=1))
+    return g
+
+
+def test_separate_chvd_matches_reference_on_random_graphs():
+    rng = random.Random(109)
+    for trial in range(40):
+        g = random_gnp(rng, rng.randint(5, 16), rng.choice([0.2, 0.3, 0.45]))
+        # the light weights put holes near the threshold, where the
+        # search cutoff acts
+        for weights in ([0.0, 0.1, 0.25, 0.5, 1.0], [0.1, 0.15, 0.2, 0.25]):
+            x = FractionalSolution({v: rng.choice(weights)
+                                    for v in g.vertices()})
+            assert separate_chvd(g, x) == ref_separate_chvd(g, x)
+
+
+@dataclass(frozen=True)
+class BothSeparators:
+    """A ChvdProblem that runs both separators and asserts they agree."""
+
+    g: Graph
+    rounds: list
+
+    @property
+    def n(self) -> int:
+        return self.g.n
+
+    def separate(self, x):
+        hole = separate_chvd(self.g, x)
+        assert hole == ref_separate_chvd(self.g, x)
+        self.rounds.append(hole)
+        return None if hole is None else hole.vertex_set()
+
+
+def test_separate_chvd_matches_reference_every_cutting_plane_round():
+    g = ladder_instance_n44()
+    problem = BothSeparators(g, [])
+    solve_fractional(problem)
+    assert len(problem.rounds) > 1 and problem.rounds[-1] is None
+
+
+def test_separate_chvd_runs_one_search_per_vertex_neighbour_pair(monkeypatch):
+    g = ladder_instance_n44()
+    calls = []
+    search = lp._dijkstra_vertex_weights
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "_dijkstra_vertex_weights", counting)
+    zero = FractionalSolution({v: 0.0 for v in g.vertices()})
+    assert separate_chvd(g, zero) is not None
+    assert 0 < len(calls) <= sum(g.degree(v) for v in g.vertices())
 
 
 def test_separate_multicut_basic():
