@@ -9,7 +9,8 @@ from .lp import ChvdProblem, FractionalSolution, MulticutProblem, \
 from .multicut import DownwardInstance, MulticutInstance, SkewInstance, \
     build_downward, downward_multicut, min_vertex_cut, skew_multicut
 from .approx import NO_INSTANCE, NoInstance, approximate
-from .oracle import ExactResult, exact_chvd, exact_chvd_forced, exact_multicut
+from .oracle import ExactResult, SearchBudgetExceeded, exact_chvd, \
+    exact_chvd_forced, exact_multicut
 
 __all__ = [
     "AChvdInstance",
@@ -29,6 +30,7 @@ __all__ = [
     "NO_INSTANCE",
     "NoInstance",
     "PEO",
+    "SearchBudgetExceeded",
     "SkewInstance",
     "approximate",
     "build_clique_tree",

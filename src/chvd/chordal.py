@@ -9,7 +9,7 @@ distances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import AbstractSet, Iterable, Optional
 
 from .graphs import (
     Graph,
@@ -226,6 +226,10 @@ class CliqueTree:
         while self.parent[path[-1]] is not None:
             path.append(self.parent[path[-1]])
         return path
+
+    def first_bag_containing(self, s: AbstractSet[int]) -> Optional[int]:
+        """The first node, in node order, whose bag contains s; None if none."""
+        return next((q for q in self.nodes() if s <= self.bags[q]), None)
 
     def subtree_nodes(self, node: int) -> set[int]:
         out = {node}

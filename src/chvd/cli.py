@@ -3,7 +3,7 @@
 Subcommands: gen, kernelize, approx, solve, check, bench.  Same seed and
 flags produce byte-identical outputs.  Exit codes: 0 ok, 1 the result is
 a certified no-instance, 2 input validation failure, 3 internal invariant
-breach.
+breach, 4 the exact search exceeded its node budget.
 """
 from __future__ import annotations
 
@@ -28,12 +28,13 @@ from .instance_io import (
     parse_solution,
 )
 from .kernel import KernelResult, ReductionEvent, kernelize, replay_trace
-from .oracle import exact_chvd, exact_chvd_forced
+from .oracle import SearchBudgetExceeded, exact_chvd, exact_chvd_forced
 
 EXIT_OK = 0
 EXIT_NO_INSTANCE = 1
 EXIT_VALIDATION = 2
 EXIT_INTERNAL = 3
+EXIT_BUDGET = 4
 
 
 def _write(path: str | None, text: str) -> None:
@@ -354,6 +355,9 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"internal invariant breached: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except SearchBudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

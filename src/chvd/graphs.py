@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import deque
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -27,9 +28,11 @@ class Graph:
     """Simple undirected graph on vertex ids 0..n-1.
 
     Adjacency is stored as one sorted tuple per vertex, which gives
-    deterministic iteration order (several marking rules depend on it)
-    and O(log d) membership via binary search -- in practice we keep a
-    parallel frozenset per vertex for O(1) membership.
+    deterministic iteration order (several marking rules depend on it).
+    A parallel frozenset per vertex gives O(1) membership; the sets are
+    built on the first membership query (``neighbor_set``, ``has_edge``,
+    ``closed_neighborhood``), so graphs that are only emitted, compared
+    or iterated never pay for them.
     """
 
     __slots__ = ("_adj", "_adjset", "_m")
@@ -48,8 +51,13 @@ class Graph:
             adj[v].add(u)
             m += 1
         self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in adj)
-        self._adjset: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
         self._m = m
+
+    def _build_sets(self) -> tuple[frozenset[int], ...]:
+        # frozenset(set(...)) sizes the hash tables like the set it copies,
+        # smaller than a frozenset built straight from a tuple.
+        self._adjset = tuple(frozenset(set(a)) for a in self._adj)
+        return self._adjset
 
     @property
     def n(self) -> int:
@@ -66,16 +74,22 @@ class Graph:
         return self._adj[v]
 
     def neighbor_set(self, v: int) -> frozenset[int]:
-        return self._adjset[v]
+        try:
+            return self._adjset[v]
+        except AttributeError:
+            return self._build_sets()[v]
 
     def closed_neighborhood(self, v: int) -> frozenset[int]:
-        return self._adjset[v] | {v}
+        return self.neighbor_set(v) | {v}
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adjset[u]
+        try:
+            return v in self._adjset[u]
+        except AttributeError:
+            return v in self._build_sets()[u]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
@@ -100,23 +114,25 @@ class Graph:
 class Subgraph:
     """An induced subgraph together with its id remapping.
 
-    ``old_of[new_id]`` is the id the vertex had in the parent graph.
+    ``old_of[new_id]`` is the id the vertex had in the parent graph.  The
+    reverse index (``new_of``, ``to_sub``) is built once, on first use.
     """
 
     graph: Graph
     old_of: tuple[int, ...]
 
-    def new_of(self, old_id: int) -> int:
-        return self._index()[old_id]
-
+    @cached_property
     def _index(self) -> dict[int, int]:
         return {old: new for new, old in enumerate(self.old_of)}
+
+    def new_of(self, old_id: int) -> int:
+        return self._index[old_id]
 
     def to_parent(self, new_ids: Iterable[int]) -> set[int]:
         return {self.old_of[v] for v in new_ids}
 
     def to_sub(self, old_ids: Iterable[int]) -> set[int]:
-        idx = self._index()
+        idx = self._index
         return {idx[v] for v in old_ids}
 
 

@@ -21,7 +21,8 @@ this against the exact oracle per event.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Optional, Union
 
 from .graphs import (
@@ -195,30 +196,35 @@ def template_toughness(
     inst: AChvdInstance, separator: frozenset[int], label: str, witness: tuple
 ) -> Optional[tuple[AChvdInstance, ReductionEvent]]:
     """Mark components reachable between separator pairs; delete one
-    unmarked component.  Sound for any separator containing the modulator."""
+    unmarked component.  Sound for any separator containing the modulator.
+
+    A pair x, y can mark a component C only if both lie in its contact
+    N(C) & S, so each pair's candidates are read off the contacts, in
+    component order; the first k + 2 of them (x, y nonadjacent), or the
+    first k + 1 with an xy-path inside C avoiding N(x) & N(y) (x, y
+    adjacent), are marked.
+    """
     check(inst.modulator <= separator, "template separator must contain M")
-    comps = components_within(inst.g, set(inst.g.vertices()) - separator)
+    g = inst.g
+    comps = components_within(g, set(g.vertices()) - separator)
     if not comps:
         return None
+    candidates: dict[tuple[int, int], list[int]] = {}
+    for idx, comp in enumerate(comps):
+        contact = sorted({w for v in comp for w in g.neighbors(v)} - comp)
+        for i, x in enumerate(contact):
+            for y in contact[i + 1 :]:
+                candidates.setdefault((x, y), []).append(idx)
     marked: set[int] = set()
-    sep = sorted(separator)
-    for i, x in enumerate(sep):
-        for y in sep[i + 1 :]:
-            if not inst.g.has_edge(x, y):
-                budget = inst.k + 2
-                eligible = [
-                    idx for idx, comp in enumerate(comps)
-                    if (inst.g.neighbor_set(x) & comp)
-                    and (inst.g.neighbor_set(y) & comp)
-                ]
-            else:
-                budget = inst.k + 1
-                eligible = [
-                    idx for idx, comp in enumerate(comps)
-                    if _has_avoiding_path(inst.g, comp, x, y)
-                ]
-            for idx in eligible[:budget]:
-                marked.add(idx)
+    for (x, y), idxs in candidates.items():
+        if marked.issuperset(idxs):
+            continue
+        if g.has_edge(x, y):
+            eligible = (idx for idx in idxs
+                        if _has_avoiding_path(g, comps[idx], x, y))
+            marked.update(islice(eligible, inst.k + 1))
+        else:
+            marked.update(idxs[: inst.k + 2])
     for idx, comp in enumerate(comps):
         if idx not in marked:
             event = ReductionEvent(
@@ -239,32 +245,43 @@ def _has_avoiding_path(g: Graph, comp: frozenset[int], x: int, y: int) -> bool:
     return False
 
 
+# Per clique-tree node, the distinct modulator contacts of the components
+# below it (see _subtree_contacts).
+Contacts = list[frozenset[frozenset[int]]]
+
+
+def _subtree_contacts(
+    inst: AChvdInstance, core: Subgraph, tree: CliqueTree
+) -> Contacts:
+    """Per node q, the modulator contacts N(C) & M of the components C of
+    the core vertices whose topmost bag lies in the subtree of q."""
+    below: list[set[int]] = [set() for _ in tree.nodes()]
+    for v in core.graph.vertices():
+        below[tree.top(v)].add(core.old_of[v])
+    for q in sorted(tree.nodes(), key=tree.depth, reverse=True):
+        if tree.parent[q] is not None:
+            below[tree.parent[q]] |= below[q]
+    g, m = inst.g, inst.modulator
+    return [
+        frozenset(
+            frozenset(w for v in part for w in g.neighbors(v) if w in m)
+            for part in components_within(g, inside)
+        )
+        for inside in below
+    ]
+
+
 def _xy_good_bottommost(
-    inst: AChvdInstance, core: Subgraph, tree: CliqueTree, x: int, y: int
+    tree: CliqueTree, contacts: Contacts, x: int, y: int
 ) -> list[int]:
     """Maximally bottommost nodes q admitting an xy-path whose interior
-    stays in core vertices represented only inside the subtree of q."""
-    top_of = {v: tree.top(v) for v in core.graph.vertices()}
-    nx = inst.g.neighbor_set(x)
-    ny = inst.g.neighbor_set(y)
-    good: dict[int, bool] = {}
-    for q in tree.nodes():
-        allowed_nodes = tree.subtree_nodes(q)
-        inside = {
-            core.old_of[v]
-            for v in core.graph.vertices()
-            if top_of[v] in allowed_nodes
-        }
-        ok = False
-        for part in components_within(inst.g, inside):
-            if (nx & part) and (ny & part):
-                ok = True
-                break
-        good[q] = ok
-    return sorted(
+    stays in core vertices represented only inside the subtree of q;
+    ``contacts`` is ``_subtree_contacts`` of the same tree."""
+    good = [any(x in c and y in c for c in cs) for cs in contacts]
+    return [
         q for q in tree.nodes()
         if good[q] and not any(good[c] for c in tree.children(q))
-    )
+    ]
 
 
 def rule2_xy_good(
@@ -272,13 +289,19 @@ def rule2_xy_good(
     core: Optional[Subgraph] = None,
     tree: Optional[CliqueTree] = None,
     label: str = "rule2",
+    contacts: Optional[Contacts] = None,
 ) -> Optional[tuple[AChvdInstance, ReductionEvent]]:
-    """Force xy when k + 2 maximally bottommost nodes carry xy-paths."""
+    """Force xy when k + 2 maximally bottommost nodes carry xy-paths.
+
+    ``contacts``, when given, is ``_subtree_contacts(inst, core, tree)``.
+    """
     if core is None:
         core = inst.core()
         tree = clique_tree_of(core.graph)
+    if contacts is None:
+        contacts = _subtree_contacts(inst, core, tree)
     for x, y in _modulator_pairs(inst, adjacent=False):
-        nodes = _xy_good_bottommost(inst, core, tree, x, y)
+        nodes = _xy_good_bottommost(tree, contacts, x, y)
         if len(nodes) >= inst.k + 2:
             event = ReductionEvent(
                 rule=label,
@@ -309,13 +332,12 @@ def rule3_reduce_clique(
     core = inst.core()
     base = clique_tree_of(core.graph)
     clique_core = frozenset(core.to_sub(clique))
-    root = next(
-        (node for node in base.nodes() if clique_core <= base.bags[node]), None
-    )
+    root = base.first_bag_containing(clique_core)
     check(root is not None, "oversized clique not contained in any bag")
     tree = base.reroot(root)
+    contacts = _subtree_contacts(inst, core, tree)
 
-    forced = rule2_xy_good(inst, core, tree, label="rule2")
+    forced = rule2_xy_good(inst, core, tree, label="rule2", contacts=contacts)
     if forced is not None:
         return forced
 
@@ -334,7 +356,7 @@ def rule3_reduce_clique(
                 _mark_up_to(cands, k + 1, marked)
     # point (b): per nonadjacent pair and bottommost node, farthest first
     for x1, y1 in _modulator_pairs(inst, adjacent=False):
-        nodes = _xy_good_bottommost(inst, core, tree, x1, y1)
+        nodes = _xy_good_bottommost(tree, contacts, x1, y1)
         common = clique & inst.selector([x1, y1])
         for q in nodes:
             cands = sorted(common, key=lambda v: (-dist_to_node(v, q), v))
@@ -357,9 +379,7 @@ def rule3_reduce_clique(
             if w not in inst.modulator and w not in comp
         )
         nbhd_core = frozenset(core.to_sub(nbhd))
-        node = next(
-            (q for q in tree.nodes() if nbhd_core <= tree.bags[q]), None
-        )
+        node = tree.first_bag_containing(nbhd_core)
         check(node is not None, "component boundary is not inside a bag")
         boundary_node[y] = node
     for x in ms:
@@ -411,6 +431,9 @@ def rule4_components(
     """
     params = KernelParams.of(inst)
     ms = sorted(inst.modulator)
+    # A template that fires returns at once, so a separator seen before
+    # already came back empty.
+    tried: set[frozenset[int]] = set()
     for x in ms:
         comps_x = inst.nonneighbor_components(x)
         for y in ms:
@@ -423,6 +446,9 @@ def rule4_components(
                         boundary.update(inst.g.neighbors(v))
                     boundary -= comp
             separator = frozenset(boundary) | inst.modulator
+            if separator in tried:
+                continue
+            tried.add(separator)
             fired = template_toughness(inst, separator, "template4", (x, y))
             if fired is not None:
                 return fired
@@ -506,18 +532,14 @@ def build_separator(inst: AChvdInstance) -> SeparatorSet:
             if not bag:
                 continue
             lifted = frozenset(core.to_sub(sub.old_of[v] for v in bag))
-            node = next(
-                (q for q in tree.nodes() if lifted <= tree.bags[q]), None
-            )
+            node = tree.first_bag_containing(lifted)
             check(node is not None, "selector clique not inside a bag")
             q0.add(node)
     for x in sorted(inst.modulator):
         for comp in inst.nonneighbor_components(x):
             nbhd = _core_neighborhood(inst, comp)
             lifted = frozenset(core.to_sub(nbhd))
-            node = next(
-                (q for q in tree.nodes() if lifted <= tree.bags[q]), None
-            )
+            node = tree.first_bag_containing(lifted)
             check(node is not None, "component boundary not inside a bag")
             q0.add(node)
     closed = set(q0) | {tree.root}
@@ -905,7 +927,6 @@ class KernelResult:
     k: int
     verdict: str                    # "reduced" | "yes" | "no"
     trace: tuple[ReductionEvent, ...]
-    annotated: Optional[AChvdInstance] = None
 
 
 def kernelize(g: Graph, k: int, modulator: Iterable[int]) -> KernelResult:
@@ -923,12 +944,10 @@ def kernelize(g: Graph, k: int, modulator: Iterable[int]) -> KernelResult:
     inst2, more = kernelize_annotated(inst)
     trace = trace + more
     if more and more[-1].rule == "trivial-yes":
-        return KernelResult(inst2.g, inst2.k, "yes", tuple(trace),
-                            annotated=inst2)
+        return KernelResult(inst2.g, inst2.k, "yes", tuple(trace))
     out_graph, out_k, event = gadgetize(inst2)
     trace.append(event)
-    return KernelResult(out_graph, out_k, "reduced", tuple(trace),
-                        annotated=inst2)
+    return KernelResult(out_graph, out_k, "reduced", tuple(trace))
 
 
 def replay_trace(g: Graph, k: int,

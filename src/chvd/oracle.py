@@ -69,22 +69,59 @@ def _bfs(g: Graph, s: int, t: int, allowed: set[int]) -> Optional[list[int]]:
     return None
 
 
-class _Budgeted:
-    """Depth-first hole branching with a visited-set memo per budget."""
+class SearchBudgetExceeded(RuntimeError):
+    """An exact search explored more nodes than its node budget allows."""
 
-    def __init__(self, g: Graph, forced_pairs: tuple[tuple[int, int], ...] = (),
-                 forbidden: frozenset[int] = frozenset()):
-        self.g = g
-        self.forced = forced_pairs
-        self.forbidden = forbidden
+    def __init__(self, node_budget: int):
+        super().__init__(
+            f"exact search exceeded its node budget of {node_budget}")
+        self.node_budget = node_budget
+
+
+class _Search:
+    """Depth-first branching with a visited-set memo per budget and a node
+    budget enforced while the search runs."""
+
+    def __init__(self, node_budget: int):
+        self.node_budget = node_budget
         self.nodes = 0
         self.seen: dict[frozenset[int], int] = {}
 
-    def solve(self, deleted: frozenset[int], budget: int) -> Optional[frozenset[int]]:
+    def _visit(self, deleted: frozenset[int], budget: int) -> bool:
+        """Count a new node; False if deleted was explored with this budget."""
         if self.seen.get(deleted, -1) >= budget:
-            return None
+            return False
         self.seen[deleted] = budget
         self.nodes += 1
+        if self.nodes > self.node_budget:
+            raise SearchBudgetExceeded(self.node_budget)
+        return True
+
+    def minimum(self, k: int) -> Optional[ExactResult]:
+        """Try budgets 0..k in order; the first success is a minimum."""
+        if k < 0:
+            return None
+        for budget in range(k + 1):
+            res = self.solve(frozenset(), budget)
+            if res is not None:
+                return ExactResult(len(res), res, self.nodes)
+        return None
+
+
+class _Budgeted(_Search):
+    """Hole branching, honouring forced pairs and forbidden vertices."""
+
+    def __init__(self, g: Graph, node_budget: int,
+                 forced_pairs: tuple[tuple[int, int], ...] = (),
+                 forbidden: frozenset[int] = frozenset()):
+        super().__init__(node_budget)
+        self.g = g
+        self.forced = forced_pairs
+        self.forbidden = forbidden
+
+    def solve(self, deleted: frozenset[int], budget: int) -> Optional[frozenset[int]]:
+        if not self._visit(deleted, budget):
+            return None
         for x, y in self.forced:
             if x not in deleted and y not in deleted:
                 if budget == 0:
@@ -114,17 +151,10 @@ def exact_chvd(g: Graph, k: int, node_budget: int = 2_000_000) -> Optional[Exact
     """Minimum chordal deletion set of size <= k, or None (no solution within k).
 
     Optimality is certified by trying budgets 0..k in order; the first
-    success is a minimum.
+    success is a minimum.  Raises SearchBudgetExceeded as soon as the
+    search explores more than ``node_budget`` nodes.
     """
-    if k < 0:
-        return None
-    solver = _Budgeted(g)
-    for budget in range(k + 1):
-        res = solver.solve(frozenset(), budget)
-        check(solver.nodes <= node_budget, "exact search exceeded its node budget")
-        if res is not None:
-            return ExactResult(len(res), res, solver.nodes)
-    return None
+    return _Budgeted(g, node_budget).minimum(k)
 
 
 def exact_chvd_avoiding(
@@ -132,15 +162,8 @@ def exact_chvd_avoiding(
     node_budget: int = 2_000_000,
 ) -> Optional[ExactResult]:
     """Minimum hole-hitting set of size <= k avoiding the forbidden set."""
-    if k < 0:
-        return None
-    solver = _Budgeted(g, forbidden=frozenset(forbidden))
-    for budget in range(k + 1):
-        res = solver.solve(frozenset(), budget)
-        check(solver.nodes <= node_budget, "exact search exceeded its node budget")
-        if res is not None:
-            return ExactResult(len(res), res, solver.nodes)
-    return None
+    return _Budgeted(g, node_budget,
+                     forbidden=frozenset(forbidden)).minimum(k)
 
 
 def exact_chvd_forced(
@@ -151,15 +174,7 @@ def exact_chvd_forced(
 ) -> Optional[ExactResult]:
     """Like exact_chvd with additional constraints: every forced pair must
     lose at least one endpoint."""
-    if k < 0:
-        return None
-    solver = _Budgeted(g, tuple(forced_pairs))
-    for budget in range(k + 1):
-        res = solver.solve(frozenset(), budget)
-        check(solver.nodes <= node_budget, "exact search exceeded its node budget")
-        if res is not None:
-            return ExactResult(len(res), res, solver.nodes)
-    return None
+    return _Budgeted(g, node_budget, tuple(forced_pairs)).minimum(k)
 
 
 def _shortest_surviving_path(
@@ -190,18 +205,18 @@ def _shortest_surviving_path(
     return best
 
 
-class _MulticutBudgeted:
-    def __init__(self, d: DiGraph, pairs: list[tuple[int, int]]):
+class _MulticutBudgeted(_Search):
+    """Terminal-path branching for directed multicut."""
+
+    def __init__(self, d: DiGraph, pairs: list[tuple[int, int]],
+                 node_budget: int):
+        super().__init__(node_budget)
         self.d = d
         self.pairs = pairs
-        self.nodes = 0
-        self.seen: dict[frozenset[int], int] = {}
 
     def solve(self, deleted: frozenset[int], budget: int) -> Optional[frozenset[int]]:
-        if self.seen.get(deleted, -1) >= budget:
+        if not self._visit(deleted, budget):
             return None
-        self.seen[deleted] = budget
-        self.nodes += 1
         path = _shortest_surviving_path(self.d, self.pairs, deleted)
         if path is None:
             return deleted
@@ -220,12 +235,4 @@ def exact_multicut(
     node_budget: int = 2_000_000,
 ) -> Optional[ExactResult]:
     """Minimum vertex multicut of size <= k (terminals deletable), or None."""
-    if k < 0:
-        return None
-    solver = _MulticutBudgeted(d, list(pairs))
-    for budget in range(k + 1):
-        res = solver.solve(frozenset(), budget)
-        check(solver.nodes <= node_budget, "exact search exceeded its node budget")
-        if res is not None:
-            return ExactResult(len(res), res, solver.nodes)
-    return None
+    return _MulticutBudgeted(d, list(pairs), node_budget).minimum(k)

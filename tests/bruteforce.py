@@ -2,17 +2,24 @@
 
 Everything here is deliberately naive: subset enumeration, exhaustive
 cycle checks, path enumeration.  These routines never call the library
-code paths they are used to verify.  ``ref_separate_chvd`` is the
-exception in kind, not in spirit: it is the straightforward per-triple
-hole separator, kept as the reference the batched one must reproduce
-byte for byte; it shares only the hole helpers of ``chvd.graphs``.
+code paths they are used to verify.  The ``ref_`` routines are the
+exception in kind, not in spirit: each is the straightforward version of
+a library routine that was later restructured for speed, kept as the
+reference the fast one must reproduce byte for byte.
+``ref_separate_chvd`` is the per-triple hole separator and shares only
+the hole helpers of ``chvd.graphs``.  ``ref_template_toughness`` tests
+every separator pair against every component, and
+``ref_xy_good_bottommost`` recomputes every subtree for every pair; they
+share ``components_within`` and the event plumbing of ``chvd.kernel``.
 """
 from __future__ import annotations
 
 import heapq
 from itertools import combinations
 
-from chvd.graphs import Graph, DiGraph, Hole, shortcut_walk, verify_hole
+from chvd.graphs import Graph, DiGraph, Hole, components_within, \
+    shortcut_walk, verify_hole
+from chvd.kernel import ReductionEvent, _finish
 
 
 def bf_is_induced_cycle(g: Graph, subset: tuple[int, ...]) -> bool:
@@ -217,3 +224,67 @@ def ref_separate_chvd(g: Graph, x) -> Hole | None:
                         best = hole
                         best_weight = w
     return best
+
+
+def _ref_has_avoiding_path(g: Graph, comp, x: int, y: int) -> bool:
+    """A path inside comp from N(x) to N(y) avoiding N(x) & N(y)."""
+    shared = g.neighbor_set(x) & g.neighbor_set(y)
+    for part in components_within(g, comp - shared):
+        if (g.neighbor_set(x) & part) and (g.neighbor_set(y) & part):
+            return True
+    return False
+
+
+def ref_template_toughness(inst, separator, label: str, witness: tuple):
+    """Toughness template, testing every separator pair on every component."""
+    assert inst.modulator <= separator
+    comps = components_within(inst.g, set(inst.g.vertices()) - separator)
+    if not comps:
+        return None
+    marked: set[int] = set()
+    sep = sorted(separator)
+    for i, x in enumerate(sep):
+        for y in sep[i + 1:]:
+            if not inst.g.has_edge(x, y):
+                budget = inst.k + 2
+                eligible = [
+                    idx for idx, comp in enumerate(comps)
+                    if (inst.g.neighbor_set(x) & comp)
+                    and (inst.g.neighbor_set(y) & comp)
+                ]
+            else:
+                budget = inst.k + 1
+                eligible = [
+                    idx for idx, comp in enumerate(comps)
+                    if _ref_has_avoiding_path(inst.g, comp, x, y)
+                ]
+            marked.update(eligible[:budget])
+    for idx, comp in enumerate(comps):
+        if idx not in marked:
+            return _finish(inst, ReductionEvent(
+                rule=label,
+                witness=witness + (min(comp),),
+                deleted=tuple(sorted(comp)),
+            ))
+    return None
+
+
+def ref_xy_good_bottommost(inst, core, tree, x: int, y: int) -> list[int]:
+    """Maximally bottommost xy-good nodes, recomputing every subtree."""
+    top_of = {v: tree.top(v) for v in core.graph.vertices()}
+    nx = inst.g.neighbor_set(x)
+    ny = inst.g.neighbor_set(y)
+    good: dict[int, bool] = {}
+    for q in tree.nodes():
+        allowed_nodes = tree.subtree_nodes(q)
+        inside = {
+            core.old_of[v]
+            for v in core.graph.vertices()
+            if top_of[v] in allowed_nodes
+        }
+        good[q] = any((nx & part) and (ny & part)
+                      for part in components_within(inst.g, inside))
+    return sorted(
+        q for q in tree.nodes()
+        if good[q] and not any(good[c] for c in tree.children(q))
+    )

@@ -313,3 +313,16 @@ def test_maximal_cliques_small_and_oracle():
 def test_is_chordal_wrapper():
     assert is_chordal(complete_graph(4))
     assert not is_chordal(cycle_graph(6))
+
+
+def test_first_bag_containing_returns_first_match_in_node_order():
+    rng = random.Random(23)
+    for _ in range(20):
+        g = random_chordal(rng, 12, 5, 2)
+        t = clique_tree_of(g)
+        for node in t.nodes():
+            for s in (t.bags[node], frozenset(sorted(t.bags[node])[:1])):
+                expected = next(q for q in t.nodes() if s <= t.bags[q])
+                assert t.first_bag_containing(s) == expected
+        assert t.first_bag_containing(frozenset(g.vertices())) is None \
+            or len(t.bags) == 1

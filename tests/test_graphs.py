@@ -1,4 +1,6 @@
 """Graph-core operations against brute-force checks."""
+import copy
+import pickle
 import random
 
 import pytest
@@ -159,3 +161,31 @@ def test_digraph_basics_and_acyclicity():
     assert di_bfs_path(d, [0], [2]) == [0, 1, 2]
     assert di_bfs_path(d, [2], [0]) is None
     assert di_bfs_path(d, [0], [2], removed=[1]) is None
+
+
+def test_graph_copies_compare_and_hash_before_first_membership_query():
+    def fresh():
+        return Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+
+    g = fresh()
+    assert not hasattr(g, "_adjset")
+    clones = [pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)]
+    assert g == fresh() and hash(g) == hash(fresh())
+    assert not hasattr(g, "_adjset")
+    for clone in clones:
+        assert clone == g and hash(clone) == hash(g)
+        assert clone.has_edge(0, 4) and not clone.has_edge(0, 2)
+        assert clone.neighbor_set(1) == frozenset({0, 2})
+        assert clone.closed_neighborhood(1) == frozenset({0, 1, 2})
+    built = fresh()
+    built.has_edge(0, 1)
+    assert pickle.loads(pickle.dumps(built)) == built == g
+
+
+def test_subgraph_index_matches_old_of():
+    g = random_gnp(random.Random(5), 12, 0.3)
+    sub = delete_vertices(g, [0, 3, 7])
+    assert [sub.new_of(old) for old in sub.old_of] == list(range(sub.graph.n))
+    assert sub.to_sub(sub.old_of) == set(sub.graph.vertices())
+    with pytest.raises(KeyError):
+        sub.new_of(3)

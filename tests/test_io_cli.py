@@ -14,8 +14,10 @@ from chvd.instance_io import (
     parse,
     parse_solution,
 )
+from chvd import cli
 from chvd.cli import main, trace_text
 from chvd.kernel import kernelize
+from chvd.oracle import exact_chvd_forced
 
 
 def test_parse_minimal_empty_instance():
@@ -142,6 +144,22 @@ def test_cli_rejects_negative_budget(tmp_path, capsys):
     for command in ("solve", "approx", "kernelize"):
         assert main([command, str(inst_path)]) == 2
         assert "negative budget" in capsys.readouterr().err
+
+
+def test_cli_solve_node_budget_exit_code(tmp_path, capsys, monkeypatch):
+    inst_path = tmp_path / "c4s.chvd"
+    g = Graph(12, [(4 * c + i, 4 * c + (i + 1) % 4)
+                   for c in range(3) for i in range(4)])
+    inst_path.write_text(emit(InstanceFile.from_graph(g, 3)))
+    out_path = tmp_path / "sol.txt"
+    assert main(["solve", str(inst_path), "-o", str(out_path)]) == 0
+    assert len(parse_solution(out_path.read_text())) == 3
+    out_path.unlink()
+    monkeypatch.setattr(cli, "exact_chvd_forced",
+                        lambda *a: exact_chvd_forced(*a, node_budget=2))
+    assert main(["solve", str(inst_path), "-o", str(out_path)]) == 4
+    assert "node budget" in capsys.readouterr().err
+    assert not out_path.exists()
 
 
 FORCED_P3 = "p chvd 3 2 0\ne 0 1\ne 1 2\nf 0 1\n"

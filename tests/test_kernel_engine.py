@@ -1,0 +1,155 @@
+"""The kernel engine against its straightforward references and pinned traces."""
+import hashlib
+import random
+
+from chvd import kernel
+from chvd.chordal import clique_tree_of
+from chvd.generate import GeneratorSpec, generate, kernel_instance_pool
+from chvd.kernel import (
+    _modulator_pairs,
+    _subtree_contacts,
+    _xy_good_bottommost,
+    annotate,
+    apply_event,
+    kernelize,
+    kernelize_annotated,
+    rule4_components,
+    template_toughness,
+)
+from bruteforce import ref_template_toughness, ref_xy_good_bottommost
+
+
+def kernel_digest(res) -> str:
+    """Digest of a kernel: verdict, budget, output graph and full trace."""
+    edges = tuple(res.graph.edges())
+    blob = repr((res.verdict, res.k, res.graph.n, edges, res.trace))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+# Recorded with the per-pair template and per-pair rule 2 engine.
+POOL_DIGESTS = {
+    0: "57eb297e11c7f105", 1: "2b27e60874afa44b", 2: "e1f1a7a7fc6f73ec",
+    3: "9384dc63ca6d1cb8", 4: "d6ad11d5b03401ad", 5: "bac6a0d32b58efe9",
+    6: "f962f2146bf317b9", 7: "43756eb6191d118d", 8: "04c97cc945f09615",
+    9: "6d9502b1446dd963", 10: "f78299a37168bbc6", 11: "e284f2b61773e39e",
+    12: "4f860ebf8fe7b406", 13: "5fe9f4fae2ffddc2", 14: "88568b4e3e18a214",
+    15: "2975cc83f12be03f", 16: "018c13afb1c0f6ed", 17: "4f860ebf8fe7b406",
+    18: "04c97cc945f09615", 19: "88568b4e3e18a214", 20: "c398d7b5e6911e7d",
+    21: "f962f2146bf317b9", 22: "e1f1a7a7fc6f73ec", 23: "71b9efd60876927a",
+    24: "6d9502b1446dd963", 25: "fca8013e7f32dd1d", 26: "cd459d1e57003b30",
+    27: "4f860ebf8fe7b406", 28: "9384dc63ca6d1cb8", 29: "2e9effe11f5754a1",
+}
+LADDER_DIGEST = "7cb7388e8318dad0"     # seed 1, n = 103: 13 events, n = 38
+
+
+def test_kernel_pool_traces_are_pinned():
+    for seed, expected in POOL_DIGESTS.items():
+        g, k, modulator = kernel_instance_pool(seed)
+        assert kernel_digest(kernelize(g, k, modulator)) == expected, seed
+
+
+def test_planted_ladder_trace_is_pinned():
+    g, k, planted = generate(GeneratorSpec(seed=1, core_vertices=99,
+                                           tree_nodes=33, planted=4,
+                                           noise_edges=1))
+    res = kernelize(g, k, sorted(planted))
+    assert (len(res.trace), res.graph.n) == (13, 38)
+    assert kernel_digest(res) == LADDER_DIGEST
+
+
+def small_instances(seeds):
+    """Small planted instances, then the kernel pool's shapes."""
+    for seed in seeds:
+        g, k, planted = generate(GeneratorSpec(
+            seed=seed, core_vertices=16, tree_nodes=5, planted=3,
+            noise_edges=1))
+        yield g, k, sorted(planted)
+    for seed in seeds:
+        yield kernel_instance_pool(seed)
+
+
+def annotated_states(seeds):
+    """Every intermediate instance of kernelizing small instances."""
+    for g, k, modulator in small_instances(seeds):
+        res = annotate(g, k, modulator)
+        if res is None or res[0].k >= len(res[0].modulator):
+            continue
+        inst = res[0]
+        yield inst
+        _, events = kernelize_annotated(inst)
+        for event in events:
+            inst = apply_event(inst, event)
+            yield inst
+
+
+def rule4_separators(inst):
+    """The per-pair boundary separators rule 4 hands to the template."""
+    ms = sorted(inst.modulator)
+    for x in ms:
+        comps_x = inst.nonneighbor_components(x)
+        for y in ms:
+            if y == x:
+                continue
+            boundary = set()
+            for comp in comps_x:
+                if inst.g.neighbor_set(y) & comp:
+                    for v in comp:
+                        boundary.update(inst.g.neighbors(v))
+                    boundary -= comp
+            yield frozenset(boundary) | inst.modulator
+
+
+def test_template_matches_reference():
+    rng = random.Random(17)
+    outcomes = {True: 0, False: 0}
+    for inst in annotated_states(range(12)):
+        rest = sorted(set(inst.g.vertices()) - inst.modulator)
+        separators = set(rule4_separators(inst))
+        separators.add(inst.modulator)
+        for p in (0.2, 0.4, 0.6):
+            separators.add(inst.modulator
+                           | frozenset(v for v in rest if rng.random() < p))
+        for sep in sorted(separators, key=sorted):
+            got = template_toughness(inst, sep, "t", (0,))
+            assert got == ref_template_toughness(inst, sep, "t", (0,))
+            outcomes[got is not None] += 1
+    # both outcomes must be exercised for the comparison to mean anything
+    assert outcomes[True] >= 10 and outcomes[False] >= 10
+
+
+def test_xy_good_bottommost_matches_reference_on_rerooted_trees():
+    pairs_with_nodes = 0
+    for inst in annotated_states(range(8)):
+        core = inst.core()
+        if core.graph.n == 0:
+            continue
+        base = clique_tree_of(core.graph)
+        for root in base.nodes():
+            tree = base.reroot(root)
+            contacts = _subtree_contacts(inst, core, tree)
+            for x, y in _modulator_pairs(inst, adjacent=False):
+                got = _xy_good_bottommost(tree, contacts, x, y)
+                assert got == ref_xy_good_bottommost(inst, core, tree, x, y)
+                pairs_with_nodes += bool(got)
+    assert pairs_with_nodes >= 10
+
+
+def test_rule4_runs_the_template_once_per_separator(monkeypatch):
+    original = kernel.template_toughness
+    separators = []
+
+    def recording(inst, separator, label, witness):
+        separators.append(separator)
+        return original(inst, separator, label, witness)
+
+    monkeypatch.setattr(kernel, "template_toughness", recording)
+    for seed in range(3):
+        g, k, planted = generate(GeneratorSpec(
+            seed=seed, core_vertices=16, tree_nodes=5, planted=3,
+            noise_edges=1))
+        inst, _ = annotate(g, k, sorted(planted))
+        reduced, _ = kernelize_annotated(inst)
+        separators.clear()
+        assert rule4_components(reduced) is None
+        m = len(reduced.modulator)
+        assert len(separators) == len(set(separators)) < m * (m - 1)

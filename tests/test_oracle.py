@@ -1,8 +1,12 @@
 """Exact solvers against subset enumeration."""
 import random
 
+import pytest
+
 from chvd.graphs import Graph, DiGraph
-from chvd.oracle import exact_chvd, exact_chvd_forced, exact_multicut
+from chvd import oracle
+from chvd.oracle import SearchBudgetExceeded, exact_chvd, exact_chvd_forced, \
+    exact_multicut
 from chvd.generate import GeneratorSpec, generate, random_dag, random_gnp
 from bruteforce import (
     bf_chordal_after_delete,
@@ -107,3 +111,38 @@ def test_exact_multicut_agrees_with_enumeration():
         assert res is not None and res.optimum == expected
         assert all(not bf_di_connected(d, s, t, set(res.solution))
                    for s, t in pairs)
+
+
+def test_node_budget_is_enforced_during_the_search(monkeypatch):
+    # four disjoint C4s: the minimum (4) is found only at budget level 4
+    g = Graph(16, [(4 * c + i, 4 * c + (i + 1) % 4)
+                   for c in range(4) for i in range(4)])
+    needed = exact_chvd(g, 4).nodes_explored
+    assert exact_chvd(g, 4, node_budget=needed).optimum == 4
+    with pytest.raises(SearchBudgetExceeded):
+        exact_chvd(g, 4, node_budget=needed - 1)
+
+    searched = []
+    original = oracle.shortest_hole_avoiding
+
+    def counting(graph, deleted):
+        searched.append(deleted)
+        return original(graph, deleted)
+
+    monkeypatch.setattr(oracle, "shortest_hole_avoiding", counting)
+    for solve in (lambda: exact_chvd(g, 4, node_budget=3),
+                  lambda: exact_chvd_forced(g, 4, ((0, 4),), node_budget=3)):
+        searched.clear()
+        with pytest.raises(SearchBudgetExceeded) as info:
+            solve()
+        assert info.value.node_budget == 3
+        # the search stops at the fourth node, inside the first level that
+        # needs it, instead of finishing that level first
+        assert len(searched) <= 3
+
+
+def test_multicut_node_budget_is_enforced():
+    d = DiGraph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    assert exact_multicut(d, [(0, 2), (3, 5)], 2, node_budget=100).optimum == 2
+    with pytest.raises(SearchBudgetExceeded):
+        exact_multicut(d, [(0, 2), (3, 5)], 2, node_budget=2)
