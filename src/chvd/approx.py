@@ -87,10 +87,9 @@ def hit_holes_through(
     sub = induced_subgraph(g, part_a)
     tree = clique_tree_of(sub.graph)
     l_local = frozenset(sub.to_sub(clique_l))
-    root = next(
-        (node for node in tree.nodes() if tree.bags[node] == l_local), None
-    )
-    check(root is not None, "L is not a maximal clique of g[A]")
+    root = tree.first_bag_containing(l_local)
+    check(root is not None and tree.bags[root] == l_local,
+          "L is not a maximal clique of g[A]")
     inst = build_downward(sub.graph, tree.reroot(root))
     x_local = x.remapped({old: new for new, old in enumerate(sub.old_of)})
     pairs = []

@@ -8,6 +8,7 @@ distances.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Optional
 
@@ -20,8 +21,7 @@ from .graphs import (
     connected_components,
     induced_subgraph,
     is_clique,
-    shortcut_walk,
-    verify_hole,
+    lightest_hole_through,
 )
 
 
@@ -66,23 +66,10 @@ def is_peo(g: Graph, ordering: Iterable[int]) -> bool:
 
 
 def find_hole_through(g: Graph, v: int) -> Optional[Hole]:
-    """A hole through v, if any: search walks between nonadjacent neighbors
-    of v avoiding N[v], then shortcut to an induced path."""
-    nv = g.neighbors(v)
-    closed = g.closed_neighborhood(v)
-    for i, u1 in enumerate(nv):
-        for u2 in nv[i + 1 :]:
-            if g.has_edge(u1, u2):
-                continue
-            allowed = (set(g.vertices()) - closed) | {u1, u2}
-            walk = bfs_path(g, u1, [u2], allowed=allowed)
-            if walk is None:
-                continue
-            path = shortcut_walk(g, walk)
-            hole = Hole(tuple([v] + path))
-            check(verify_hole(g, hole), "constructed cycle through v is not a hole")
-            return hole
-    return None
+    """A shortest hole through v, in canonical form, or None if v lies on
+    no hole."""
+    found = lightest_hole_through(g, v, lambda _: 1, g.vertices(), math.inf)
+    return None if found is None else found[0]
 
 
 def find_any_hole(g: Graph) -> Optional[Hole]:

@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .graphs import Graph, InvariantError, delete_vertices
 from .chordal import find_any_hole, is_chordal
@@ -255,17 +253,12 @@ def cmd_bench(args) -> int:
         "kernel": _bench_kernel,
         "approx": _bench_approx,
     }
-    threads = max(1, int(os.environ.get("CHVD_THREADS", "1")))
     rows = []
     failures = 0
     for name, fn in suites.items():
         seeds = list(range(args.base_seed, args.base_seed + args.seeds))
         start = time.perf_counter()
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(fn, seeds))
-        else:
-            results = [fn(s) for s in seeds]
+        results = [fn(s) for s in seeds]
         elapsed = time.perf_counter() - start
         bad = [line for line, ok in results if not ok]
         failures += len(bad)

@@ -1,4 +1,6 @@
-"""Core graph types: undirected graphs, directed graphs, and holes.
+"""Core graph types: undirected graphs, directed graphs, and holes, with
+the graph searches shared by every layer: breadth-first paths, one
+vertex-weighted search, and the lightest hole through a vertex.
 
 Vertices are dense integers 0..n-1.  Graphs are immutable after
 construction; every mutating operation (vertex deletion, edge addition,
@@ -8,10 +10,12 @@ survives chains of reductions.
 """
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from collections import deque
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 
 class InvariantError(AssertionError):
@@ -309,6 +313,127 @@ def shortcut_walk(g: Graph, walk: Sequence[int]) -> list[int]:
     return path
 
 
+def dijkstra_vertex_weights(
+    neighbors: Callable[[int], Sequence[int]],
+    source: int,
+    weight: Callable[[int], float],
+    allowed: Optional[set[int]] = None,
+    targets: Collection[int] = (),
+    cutoff: float = math.inf,
+) -> tuple[dict[int, float], dict[int, int]]:
+    """Shortest vertex-weighted distances from source; path cost includes
+    both endpoints.
+
+    ``neighbors`` gives the out-neighbours of a vertex, so the search runs
+    on a Graph or a DiGraph alike.  ``allowed`` limits the vertices the
+    search may enter; the source and ``targets`` are admitted even outside
+    it.  A target gets a distance but is never expanded, so no path
+    passes through it.  The search stops early once every target is
+    settled, or when it pops a distance ``>= cutoff``.  Distances and
+    predecessors of the vertices settled by then are exact; any other
+    entry of the result is an upper bound no smaller than the last popped
+    distance.
+    """
+    dist = {source: weight(source)}
+    prev = {source: source}
+    heap = [(dist[source], source)]
+    pending = set(targets)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist.get(u, math.inf):
+            continue
+        if d >= cutoff:
+            break
+        if u in pending:
+            pending.discard(u)
+            if not pending:
+                break
+            continue
+        for w in neighbors(u):
+            if allowed is not None and w not in allowed and w not in pending:
+                continue
+            nd = d + weight(w)
+            if nd < dist.get(w, math.inf) - 1e-15:
+                dist[w] = nd
+                prev[w] = u
+                heapq.heappush(heap, (nd, w))
+    return dist, prev
+
+
+def extract_path(prev: dict[int, int], t: int) -> list[int]:
+    """The source-to-t path recorded in a predecessor map."""
+    path = [t]
+    while prev[path[-1]] != path[-1]:
+        path.append(prev[path[-1]])
+    path.reverse()
+    return path
+
+
+def _cutoff_below(limit: float, offset: float) -> float:
+    """A distance c, within a few ulps of limit - offset, such that every
+    d >= c has d + offset >= limit in floating point (rounded addition is
+    monotone, so checking c itself suffices)."""
+    c = limit - offset
+    while c + offset < limit:
+        c = math.nextafter(c, math.inf)
+    return c
+
+
+def lightest_hole_through(
+    g: Graph,
+    v: int,
+    weight: Callable[[int], float],
+    allowed: Iterable[int],
+    below: float,
+) -> Optional[tuple[Hole, float]]:
+    """The lightest hole through v in g[allowed], if it weighs < below - 1e-12.
+
+    Returns ``(hole, weight)`` with the hole in canonical form, or None.
+    A hole's weight is the sum of ``weight`` over its vertices, so unit
+    weights give a shortest hole.
+
+    Every hole through v is v followed by a u1-u2 path whose inner
+    vertices avoid N[v], for nonadjacent neighbours u1, u2 of v.  For
+    each neighbour u1, one search from u1 over allowed - N[v] settles
+    every later neighbour u2 not adjacent to u1 at once; these u2 are
+    targets, which get a distance but are never expanded.  Since nothing
+    passes through a target, the other vertices settle in the same order
+    as in a search from u1 to a single u2, up to the moment u2 settles,
+    so each u2 gets the same distance and predecessor chain.
+
+    The targets are then walked in neighbour order; the lightest cycle so
+    far is shortcut to an induced one and kept.  A search stops once a
+    popped distance plus weight(v) reaches the best weight at its start
+    (less 1e-12): a u2 settled later fails that test, and the best weight
+    only falls while the targets are walked, so the cutoff never changes
+    the result.
+    """
+    inner = set(allowed)
+    nbrs = [u for u in g.neighbors(v) if u in inner]
+    inner -= g.closed_neighborhood(v)
+    wv = weight(v)
+    limit = below - 1e-12
+    best: Optional[tuple[Hole, float]] = None
+    for i, u1 in enumerate(nbrs):
+        targets = [u2 for u2 in nbrs[i + 1 :] if not g.has_edge(u1, u2)]
+        if not targets:
+            continue
+        dist, prev = dijkstra_vertex_weights(
+            g.neighbors, u1, weight, allowed=inner, targets=targets,
+            cutoff=_cutoff_below(limit, wv),
+        )
+        for u2 in targets:
+            if u2 in dist and dist[u2] + wv < limit:
+                path = shortcut_walk(g, extract_path(prev, u2))
+                hole = Hole(tuple([v] + path)).canonical()
+                check(verify_hole(g, hole), "hole search built a non-hole")
+                w = sum(weight(u) for u in hole.vertices)
+                if w < limit:
+                    best = (hole, w)
+                    limit = w - 1e-12
+    return best
+
+
 @dataclass(frozen=True)
 class DiSubgraph:
     graph: "DiGraph"
@@ -417,6 +542,8 @@ def di_bfs_path(
     """Shortest directed path from any source to any target avoiding removed."""
     removed_set = set(removed)
     target_set = set(targets) - removed_set
+    if not target_set:
+        return None
     prev: dict[int, int] = {}
     queue: deque[int] = deque()
     for s in sorted(set(sources)):

@@ -13,13 +13,19 @@ drift cannot flip a rule.
 """
 from __future__ import annotations
 
-import heapq
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Collection, Optional, Sequence
+from typing import Optional, Sequence
 
-from .graphs import DiGraph, Graph, Hole, check, shortcut_walk, verify_hole
+from .graphs import (
+    DiGraph,
+    Graph,
+    Hole,
+    check,
+    dijkstra_vertex_weights,
+    extract_path,
+    lightest_hole_through,
+)
 
 FEASIBILITY_TOL = 1e-6
 THRESHOLD_SLACK = 1e-9
@@ -142,120 +148,15 @@ def simplex_min_cover(
     return xs
 
 
-def _dijkstra_vertex_weights(
-    neighbors: Callable[[int], Sequence[int]],
-    sources: Sequence[int],
-    weight: Callable[[int], float],
-    allowed: Optional[set[int]] = None,
-    targets: Collection[int] = (),
-    cutoff: float = math.inf,
-) -> tuple[dict[int, float], dict[int, int]]:
-    """Shortest vertex-weighted distances; path cost includes both endpoints.
-
-    ``allowed`` limits the vertices the search may enter; sources and
-    ``targets`` are admitted even outside it.  A target gets a distance
-    but is never expanded, so no path passes through it.  The search
-    stops early once every target is settled, or when it pops a distance
-    ``>= cutoff``.  Distances and predecessors of the vertices settled by
-    then are exact; any other entry of the result is an upper bound no
-    smaller than the last popped distance.
-    """
-    dist: dict[int, float] = {}
-    prev: dict[int, int] = {}
-    heap = []
-    for s in sorted(set(sources)):
-        d = weight(s)
-        if s not in dist or d < dist[s]:
-            dist[s] = d
-            prev[s] = s
-            heapq.heappush(heap, (d, s))
-    pending = set(targets)
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist.get(u, math.inf):
-            continue
-        if d >= cutoff:
-            break
-        if u in pending:
-            pending.discard(u)
-            if not pending:
-                break
-            continue
-        for w in neighbors(u):
-            if allowed is not None and w not in allowed and w not in pending:
-                continue
-            nd = d + weight(w)
-            if nd < dist.get(w, math.inf) - 1e-15:
-                dist[w] = nd
-                prev[w] = u
-                heapq.heappush(heap, (nd, w))
-    return dist, prev
-
-
-def _extract_path(prev: dict[int, int], t: int) -> list[int]:
-    path = [t]
-    while prev[path[-1]] != path[-1]:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return path
-
-
-def _cutoff_below(limit: float, offset: float) -> float:
-    """A distance c, within a few ulps of limit - offset, such that every
-    d >= c has d + offset >= limit in floating point (rounded addition is
-    monotone, so checking c itself suffices)."""
-    c = limit - offset
-    while c + offset < limit:
-        c = math.nextafter(c, math.inf)
-    return c
-
-
 def separate_chvd(g: Graph, x: FractionalSolution) -> Optional[Hole]:
-    """A hole of weight < 1 - tolerance, or None.
-
-    Every hole has a consecutive triple (v1, v2, v3), and its other
-    vertices form a v1-v3 path in G - N[v2].  For each v2 and each
-    neighbour v1 of v2, one Dijkstra from v1 over G - N[v2] settles every
-    later neighbour v3 of v2 not adjacent to v1 at once; these v3 are
-    targets, which get a distance but are never expanded.  Since nothing
-    passes through a target, the vertices of G - N[v2] settle in the same
-    order as in a search from v1 to a single v3, up to the moment v3
-    settles, so each v3 gets the same distance and predecessor chain.
-
-    The targets are then walked in neighbour order; the cheapest violated
-    cycle so far is shortcut to an induced one and kept.  A search stops
-    once a popped distance plus x(v2) reaches the best weight at its
-    start (less 1e-12): a v3 settled later fails that test, and the best
-    weight only falls while the targets are walked, so the cutoff never
-    changes the result.
-    """
+    """A hole of weight < 1 - tolerance, or None: the lightest hole through
+    each vertex in turn, each search bounded by the best weight so far."""
     best: Optional[Hole] = None
     best_weight = 1.0 - x.tolerance
-    for v2 in g.vertices():
-        nbrs = g.neighbors(v2)
-        allowed = set(g.vertices()) - g.closed_neighborhood(v2)
-        x2 = x.value(v2)
-        for i, v1 in enumerate(nbrs):
-            targets = [v3 for v3 in nbrs[i + 1 :] if not g.has_edge(v1, v3)]
-            if not targets:
-                continue
-            dist, prev = _dijkstra_vertex_weights(
-                g.neighbors, [v1], x.value, allowed=allowed, targets=targets,
-                cutoff=_cutoff_below(best_weight - 1e-12, x2),
-            )
-            for v3 in targets:
-                if v3 not in dist:
-                    continue
-                weight = dist[v3] + x2
-                if weight < best_weight - 1e-12:
-                    path = _extract_path(prev, v3)
-                    path = shortcut_walk(g, path)
-                    hole = Hole(tuple([v2] + path)).canonical()
-                    check(verify_hole(g, hole), "separation built a non-hole")
-                    w = x.mass(hole.vertices)
-                    if w < best_weight - 1e-12:
-                        best = hole
-                        best_weight = w
+    for v in g.vertices():
+        found = lightest_hole_through(g, v, x.value, g.vertices(), best_weight)
+        if found is not None:
+            best, best_weight = found
     return best
 
 
@@ -266,9 +167,9 @@ def separate_multicut(
     best: Optional[list[int]] = None
     best_weight = 1.0 - x.tolerance
     for s, t in pairs:
-        dist, prev = _dijkstra_vertex_weights(d.out_neighbors, [s], x.value)
+        dist, prev = dijkstra_vertex_weights(d.out_neighbors, s, x.value)
         if t in dist and dist[t] < best_weight - 1e-12:
-            best = _extract_path(prev, t)
+            best = extract_path(prev, t)
             best_weight = dist[t]
     return best
 

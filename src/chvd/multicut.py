@@ -8,13 +8,19 @@ instance per clique).  Every returned set is re-verified as a multicut.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graphs import DiGraph, Graph, check, di_bfs_path, di_reachable
+from .graphs import (
+    DiGraph,
+    Graph,
+    check,
+    di_bfs_path,
+    di_reachable,
+    dijkstra_vertex_weights,
+)
 from .chordal import CliqueTree, is_chordal, minimal_path, recognize, PEO
 from .lp import FractionalSolution, at_least, separate_multicut
 
@@ -286,20 +292,8 @@ def dist_from(
     """Vertex-weighted distances from one source, endpoints included."""
     if alive is not None and source not in alive:
         return {}
-    dist = {source: x.value(source)}
-    heap = [(dist[source], source)]
-    while heap:
-        cost, u = heapq.heappop(heap)
-        if cost > dist.get(u, float("inf")):
-            continue
-        for w in d.out_neighbors(u):
-            if alive is not None and w not in alive:
-                continue
-            nd = cost + x.value(w)
-            if nd < dist.get(w, float("inf")) - 1e-15:
-                dist[w] = nd
-                heapq.heappush(heap, (nd, w))
-    return dist
+    return dijkstra_vertex_weights(d.out_neighbors, source, x.value,
+                                   allowed=alive)[0]
 
 
 def clique_cover_chordal(h: Graph) -> list[frozenset[int]]:

@@ -8,11 +8,11 @@ same deletions.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from collections import deque
 from typing import Iterable, Optional
 
-from .graphs import Graph, DiGraph, Hole, check, verify_hole
+from .graphs import DiGraph, Graph, Hole, di_bfs_path, lightest_hole_through
 
 
 @dataclass(frozen=True)
@@ -25,48 +25,17 @@ class ExactResult:
 
 
 def shortest_hole_avoiding(g: Graph, deleted: frozenset[int]) -> Optional[Hole]:
-    """A shortest hole of g - deleted (vertices kept in g's ids)."""
+    """A shortest hole of g - deleted (vertices kept in g's ids), in
+    canonical form: the lightest hole under unit weights through each
+    alive vertex in turn, each search bounded by the shortest so far."""
     alive = [v for v in g.vertices() if v not in deleted]
-    alive_set = set(alive)
-    best: Optional[list[int]] = None
+    best: Optional[Hole] = None
+    length = math.inf
     for b in alive:
-        nbrs = [u for u in g.neighbors(b) if u in alive_set]
-        closed = set(nbrs) | {b}
-        for i, a in enumerate(nbrs):
-            for c in nbrs[i + 1 :]:
-                if g.has_edge(a, c):
-                    continue
-                allowed = (alive_set - closed) | {a, c}
-                path = _bfs(g, a, c, allowed)
-                if path is None:
-                    continue
-                if best is None or len(path) + 1 < len(best):
-                    best = [b] + path
-    if best is None:
-        return None
-    hole = Hole(tuple(best))
-    check(verify_hole(g, hole), "shortest-hole search produced a non-hole")
-    return hole
-
-
-def _bfs(g: Graph, s: int, t: int, allowed: set[int]) -> Optional[list[int]]:
-    if s not in allowed or t not in allowed:
-        return None
-    prev = {s: s}
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        if u == t:
-            path = [t]
-            while prev[path[-1]] != path[-1]:
-                path.append(prev[path[-1]])
-            path.reverse()
-            return path
-        for w in g.neighbors(u):
-            if w in allowed and w not in prev:
-                prev[w] = u
-                queue.append(w)
-    return None
+        found = lightest_hole_through(g, b, lambda _: 1, alive, length)
+        if found is not None:
+            best, length = found
+    return best
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -182,26 +151,9 @@ def _shortest_surviving_path(
 ) -> Optional[list[int]]:
     best: Optional[list[int]] = None
     for s, t in pairs:
-        if s in deleted or t in deleted:
-            continue
-        prev = {s: s}
-        queue = deque([s])
-        found = None
-        while queue:
-            u = queue.popleft()
-            if u == t:
-                path = [t]
-                while prev[path[-1]] != path[-1]:
-                    path.append(prev[path[-1]])
-                path.reverse()
-                found = path
-                break
-            for w in d.out_neighbors(u):
-                if w not in prev and w not in deleted:
-                    prev[w] = u
-                    queue.append(w)
-        if found is not None and (best is None or len(found) < len(best)):
-            best = found
+        path = di_bfs_path(d, [s], [t], removed=deleted)
+        if path is not None and (best is None or len(path) < len(best)):
+            best = path
     return best
 
 

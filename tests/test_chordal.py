@@ -295,6 +295,21 @@ def test_find_hole_through_matches_enumeration():
                 assert verify_hole(g, got) and v in got.vertices
 
 
+def test_find_hole_through_is_a_shortest_hole_through_v():
+    rng = random.Random(67)
+    for trial in range(40):
+        g = random_gnp(rng, rng.randint(4, 11), 0.35)
+        holes = bf_all_holes(g)
+        for v in g.vertices():
+            got = find_hole_through(g, v)
+            lengths = [len(h) for h in holes if v in h]
+            if got is None:
+                assert not lengths
+            else:
+                assert verify_hole(g, got) and v in got.vertices
+                assert len(got) == min(lengths)
+
+
 def test_maximal_cliques_small_and_oracle():
     assert maximal_cliques(complete_graph(4)) == [frozenset(range(4))]
     c5 = cycle_graph(5)

@@ -17,7 +17,7 @@ from chvd.lp import (
     simplex_min_cover,
     solve_fractional,
 )
-from chvd import lp
+from chvd import graphs
 from chvd.generate import GeneratorSpec, generate, random_dag, random_gnp
 from chvd.oracle import exact_chvd
 from bruteforce import bf_all_holes, ref_separate_chvd
@@ -141,13 +141,13 @@ def test_separate_chvd_matches_reference_every_cutting_plane_round():
 def test_separate_chvd_runs_one_search_per_vertex_neighbour_pair(monkeypatch):
     g = ladder_instance_n44()
     calls = []
-    search = lp._dijkstra_vertex_weights
+    search = graphs.dijkstra_vertex_weights
 
     def counting(*args, **kwargs):
         calls.append(1)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(lp, "_dijkstra_vertex_weights", counting)
+    monkeypatch.setattr(graphs, "dijkstra_vertex_weights", counting)
     zero = FractionalSolution({v: 0.0 for v in g.vertices()})
     assert separate_chvd(g, zero) is not None
     assert 0 < len(calls) <= sum(g.degree(v) for v in g.vertices())

@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from chvd.graphs import Graph, DiGraph
-from chvd import oracle
+from chvd.graphs import Graph, DiGraph, verify_hole
+from chvd import graphs, oracle
 from chvd.oracle import SearchBudgetExceeded, exact_chvd, exact_chvd_forced, \
-    exact_multicut
+    exact_multicut, shortest_hole_avoiding
 from chvd.generate import GeneratorSpec, generate, random_dag, random_gnp
 from bruteforce import (
+    bf_all_holes,
     bf_chordal_after_delete,
     bf_di_connected,
     bf_min_chvd,
@@ -87,6 +88,53 @@ def test_exact_chvd_forced_agrees_with_enumeration():
             assert res is not None and res.optimum == expected
         else:
             assert res is None
+
+
+def two_cycles_with_chords(rng):
+    """Two cycles on random vertex sets plus sparse random edges, so that
+    holes of several lengths occur, through different vertices."""
+    n = rng.randint(5, 12)
+    edges = []
+    for _ in range(2):
+        cycle = rng.sample(range(n), rng.randint(4, n))
+        edges += [(cycle[i - 1], cycle[i]) for i in range(len(cycle))]
+    edges += [(u, v) for u in range(n) for v in range(u + 1, n)
+              if rng.random() < 0.1]
+    return Graph(n, edges)
+
+
+def test_shortest_hole_avoiding_agrees_with_enumeration():
+    rng = random.Random(89)
+    for trial in range(40):
+        g = two_cycles_with_chords(rng)
+        deleted = frozenset(v for v in g.vertices() if rng.random() < 0.1)
+        lengths = [len(h) for h in bf_all_holes(g) if not h & deleted]
+        hole = shortest_hole_avoiding(g, deleted)
+        if not lengths:
+            assert hole is None
+            continue
+        assert hole is not None and verify_hole(g, hole)
+        assert not hole.vertex_set() & deleted
+        assert len(hole) == min(lengths)
+
+
+def test_shortest_hole_avoiding_runs_one_search_per_vertex_neighbour_pair(
+        monkeypatch):
+    g, _, planted = generate(GeneratorSpec(seed=3, core_vertices=40,
+                                           tree_nodes=13, planted=4,
+                                           noise_edges=1))
+    deleted = frozenset(sorted(planted)[:1])
+    calls = []
+    search = graphs.dijkstra_vertex_weights
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "dijkstra_vertex_weights", counting)
+    assert shortest_hole_avoiding(g, deleted) is not None
+    alive = [v for v in g.vertices() if v not in deleted]
+    assert 0 < len(calls) <= sum(g.degree(v) for v in alive)
 
 
 def test_exact_multicut_trivial():
