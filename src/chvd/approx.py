@@ -91,7 +91,7 @@ def hit_holes_through(
     check(root is not None and tree.bags[root] == l_local,
           "L is not a maximal clique of g[A]")
     inst = build_downward(sub.graph, tree.reroot(root))
-    x_local = x.remapped({old: new for new, old in enumerate(sub.old_of)})
+    x_local = x.remapped(sub.index)
     pairs = []
     for u in inst.digraph.vertices():
         dist = dist_from(inst.digraph, x_local, u)
@@ -156,7 +156,7 @@ def chvd_clique_plus_chordal(
         clique_l = frozenset(comp_sub.old_of[u] for u in bag)
         scope = frozenset(heaviest) | frozenset(alive_b)
         scope_sub = induced_subgraph(g, scope)
-        new_of = {old: new for new, old in enumerate(scope_sub.old_of)}
+        new_of = scope_sub.index
         cut = hit_holes_through(
             scope_sub.graph,
             frozenset(new_of[v] for v in heaviest),
@@ -306,7 +306,7 @@ def approximate(
         v for v in g.vertices() if at_least(x.value(v), 0.25)
     }
     work = induced_subgraph(g, set(g.vertices()) - solution)
-    x_work = x.remapped({old: new for new, old in enumerate(work.old_of)})
+    x_work = x.remapped(work.index)
     dec = decompose(work.graph, k)
     if isinstance(dec, NoInstance):
         return NO_INSTANCE
@@ -315,7 +315,7 @@ def approximate(
     for kq in dec.cliques:
         scope = sorted(part_a | kq)
         scope_sub = induced_subgraph(work.graph, scope)
-        new_of = {old: new for new, old in enumerate(scope_sub.old_of)}
+        new_of = scope_sub.index
         cut = chvd_clique_plus_chordal(
             scope_sub.graph,
             frozenset(new_of[v] for v in part_a),

@@ -17,11 +17,10 @@ from .graphs import (
     Hole,
     check,
     components_within,
-    bfs_path,
-    connected_components,
     induced_subgraph,
     is_clique,
     lightest_hole_through,
+    shortcut_walk,
 )
 
 
@@ -395,11 +394,7 @@ def induced_path_avoiding(
         if not free:
             return None
         picks.append(free[0])
-    walk = [s] + picks + [u]
-    allowed = set(walk)
-    result = bfs_path(g, s, [u], allowed=allowed)
-    check(result is not None, "adhesion walk disconnected")
-    return result
+    return shortcut_walk(g, [s] + picks + [u])
 
 
 def mis_chordal(g: Graph) -> frozenset[int]:

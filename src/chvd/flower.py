@@ -172,10 +172,8 @@ def _induced_path_between(
 ) -> Optional[list[int]]:
     """Induced xy-path in g - removed (endpoints excluded from removal)."""
     allowed = (set(g.vertices()) - removed) | {x, y}
-    walk = bfs_path(g, x, [y], allowed=allowed)
-    if walk is None:
-        return None
-    return shortcut_walk(g, walk)
+    # A shortest path of g[allowed] has no chord, so it is already induced.
+    return bfs_path(g, x, [y], allowed=allowed)
 
 
 def _step_add_hole(search: FlowerSearch, f: Flower) -> Optional[Flower]:
@@ -269,7 +267,7 @@ def two_flower(g: Graph, v: int) -> Optional[Flower]:
                 continue
             keep = (set(g.vertices()) - closed) | {s1, t1, s2, t2}
             sub = delete_vertices(g, set(g.vertices()) - keep)
-            m = {old: new for new, old in enumerate(sub.old_of)}
+            m = sub.index
             found = two_disjoint_paths(sub.graph, m[s1], m[t1], m[s2], m[t2])
             if found is None:
                 continue

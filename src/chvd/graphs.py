@@ -1,5 +1,5 @@
 """Core graph types: undirected graphs, directed graphs, and holes, with
-the graph searches shared by every layer: breadth-first paths, one
+the graph searches shared by every layer: one breadth-first search, one
 vertex-weighted search, and the lightest hole through a vertex.
 
 Vertices are dense integers 0..n-1.  Graphs are immutable after
@@ -15,7 +15,9 @@ import math
 from dataclasses import dataclass
 from collections import deque
 from functools import cached_property
-from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
+from typing import (
+    Callable, Collection, Container, Iterable, Iterator, Optional, Sequence,
+)
 
 
 class InvariantError(AssertionError):
@@ -116,27 +118,28 @@ class Graph:
 
 @dataclass(frozen=True)
 class Subgraph:
-    """An induced subgraph together with its id remapping.
+    """An induced subgraph, of a Graph or a DiGraph, with its id remapping.
 
     ``old_of[new_id]`` is the id the vertex had in the parent graph.  The
-    reverse index (``new_of``, ``to_sub``) is built once, on first use.
+    reverse map ``index`` (old id to new id, also behind ``new_of`` and
+    ``to_sub``) is built once, on first use.
     """
 
-    graph: Graph
+    graph: Graph | DiGraph
     old_of: tuple[int, ...]
 
     @cached_property
-    def _index(self) -> dict[int, int]:
+    def index(self) -> dict[int, int]:
         return {old: new for new, old in enumerate(self.old_of)}
 
     def new_of(self, old_id: int) -> int:
-        return self._index[old_id]
+        return self.index[old_id]
 
     def to_parent(self, new_ids: Iterable[int]) -> set[int]:
         return {self.old_of[v] for v in new_ids}
 
     def to_sub(self, old_ids: Iterable[int]) -> set[int]:
-        idx = self._index
+        idx = self.index
         return {idx[v] for v in old_ids}
 
 
@@ -165,50 +168,72 @@ def delete_vertices(g: Graph, s: Iterable[int]) -> Subgraph:
 
 def connected_components(g: Graph) -> list[frozenset[int]]:
     """Partition of V(g) into connected components, ordered by smallest member."""
-    seen = [False] * g.n
-    comps = []
-    for start in g.vertices():
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = deque([start])
-        comp = {start}
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors(u):
-                if not seen[w]:
-                    seen[w] = True
-                    comp.add(w)
-                    queue.append(w)
-        comps.append(frozenset(comp))
-    return comps
+    return components_within(g, g.vertices())
 
 
 def components_within(g: Graph, allowed: Iterable[int]) -> list[frozenset[int]]:
-    """Connected components of g restricted to the given vertex set."""
-    allowed_set = set(allowed)
-    seen: set[int] = set()
+    """Connected components of g restricted to the given vertex set,
+    ordered by smallest member."""
+    remaining = set(allowed)
     comps = []
-    for start in sorted(allowed_set):
-        if start in seen:
+    for start in sorted(remaining):
+        if start not in remaining:
             continue
-        seen.add(start)
-        queue = deque([start])
-        comp = {start}
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors(u):
-                if w in allowed_set and w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    queue.append(w)
-        comps.append(frozenset(comp))
+        found = bfs(g.neighbors, [start], remaining)[0]
+        remaining.difference_update(found)
+        # Adding the vertices one at a time, in discovery order, fixes the
+        # order the frozenset iterates in; float sums over a component
+        # (x.mass) follow that order.
+        comps.append(frozenset(set(iter(found))))
     return comps
 
 
 def is_clique(g: Graph, s: Iterable[int]) -> bool:
     vs = sorted(set(s))
     return all(g.has_edge(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :])
+
+
+def bfs(
+    neighbors: Callable[[int], Iterable[int]],
+    sources: Iterable[int],
+    allowed: Optional[Container[int]] = None,
+    targets: Container[int] = (),
+) -> tuple[dict[int, int], Optional[int]]:
+    """Breadth-first search from sources, taken in the order given.
+
+    ``neighbors`` gives the out-neighbours of a vertex, as for
+    ``dijkstra_vertex_weights``, so the search runs on a Graph, a DiGraph,
+    its reverse or a residual network.  Unlike there, ``allowed`` (every
+    vertex when None) binds sources and targets too.  Returns the
+    predecessor map, in discovery order, with every source its own
+    predecessor, and the first target discovered, or None.  The search
+    stops at that target; a source that is a target stops it at once.
+
+    Vertices are discovered first-in first-out and keep the predecessor
+    that found them first, so ``extract_path`` gives a path with fewest
+    vertices, the same one on every run.  (A heap, as in the weighted
+    search, would break ties between equal distances by vertex id
+    instead, and change which path is returned.)
+    """
+    prev: dict[int, int] = {}
+    queue: deque[int] = deque()
+    for s in sources:
+        if s in prev or (allowed is not None and s not in allowed):
+            continue
+        prev[s] = s
+        if s in targets:
+            return prev, s
+        queue.append(s)
+    while queue:
+        u = queue.popleft()
+        for w in neighbors(u):
+            if w in prev or (allowed is not None and w not in allowed):
+                continue
+            prev[w] = u
+            if w in targets:
+                return prev, w
+            queue.append(w)
+    return prev, None
 
 
 def bfs_path(
@@ -223,30 +248,9 @@ def bfs_path(
     source and the reachable target).  Neighbors are explored in sorted
     order, so the returned path is deterministic.
     """
-    target_set = set(targets)
-    allowed_set = set(allowed) if allowed is not None else None
-    if allowed_set is not None and source not in allowed_set:
-        return None
-    if source in target_set:
-        return [source]
-    prev = {source: source}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
-            if w in prev:
-                continue
-            if allowed_set is not None and w not in allowed_set:
-                continue
-            prev[w] = u
-            if w in target_set:
-                path = [w]
-                while path[-1] != source:
-                    path.append(prev[path[-1]])
-                path.reverse()
-                return path
-            queue.append(w)
-    return None
+    prev, t = bfs(g.neighbors, [source],
+                  None if allowed is None else set(allowed), set(targets))
+    return None if t is None else extract_path(prev, t)
 
 
 @dataclass(frozen=True)
@@ -434,19 +438,6 @@ def lightest_hole_through(
     return best
 
 
-@dataclass(frozen=True)
-class DiSubgraph:
-    graph: "DiGraph"
-    old_of: tuple[int, ...]
-
-    def to_parent(self, new_ids: Iterable[int]) -> set[int]:
-        return {self.old_of[v] for v in new_ids}
-
-    def to_sub(self, old_ids: Iterable[int]) -> set[int]:
-        idx = {old: new for new, old in enumerate(self.old_of)}
-        return {idx[v] for v in old_ids}
-
-
 class DiGraph:
     """Directed graph on vertex ids 0..n-1 with out- and in-neighbor sets.
 
@@ -500,7 +491,7 @@ class DiGraph:
             for v in self._out[u]:
                 yield (u, v)
 
-    def induced(self, s: Iterable[int]) -> DiSubgraph:
+    def induced(self, s: Iterable[int]) -> Subgraph:
         keep = sorted(set(s))
         new_of = {old: new for new, old in enumerate(keep)}
         arcs = [
@@ -508,7 +499,7 @@ class DiGraph:
             for u, v in self.arcs()
             if u in new_of and v in new_of
         ]
-        return DiSubgraph(DiGraph(len(keep), arcs), tuple(keep))
+        return Subgraph(DiGraph(len(keep), arcs), tuple(keep))
 
     def is_acyclic(self) -> bool:
         indeg = [len(self._in[v]) for v in range(self.n)]
@@ -544,46 +535,6 @@ def di_bfs_path(
     target_set = set(targets) - removed_set
     if not target_set:
         return None
-    prev: dict[int, int] = {}
-    queue: deque[int] = deque()
-    for s in sorted(set(sources)):
-        if s in removed_set or s in prev:
-            continue
-        prev[s] = s
-        if s in target_set:
-            return [s]
-        queue.append(s)
-    while queue:
-        u = queue.popleft()
-        for w in d.out_neighbors(u):
-            if w in prev or w in removed_set:
-                continue
-            prev[w] = u
-            if w in target_set:
-                path = [w]
-                while prev[path[-1]] != path[-1]:
-                    path.append(prev[path[-1]])
-                path.reverse()
-                return path
-            queue.append(w)
-    return None
-
-
-def di_reachable(d: DiGraph, sources: Iterable[int], removed: Iterable[int] = (),
-                 reverse: bool = False) -> set[int]:
-    """Vertices reachable from sources (or reaching them when reverse=True)."""
-    removed_set = set(removed)
-    seen = set()
-    queue: deque[int] = deque()
-    for s in sorted(set(sources)):
-        if s not in removed_set and s not in seen:
-            seen.add(s)
-            queue.append(s)
-    while queue:
-        u = queue.popleft()
-        nbrs = d.in_neighbors(u) if reverse else d.out_neighbors(u)
-        for w in nbrs:
-            if w not in seen and w not in removed_set:
-                seen.add(w)
-                queue.append(w)
-    return seen
+    allowed = set(d.vertices()) - removed_set if removed_set else None
+    prev, t = bfs(d.out_neighbors, sorted(set(sources)), allowed, target_set)
+    return None if t is None else extract_path(prev, t)

@@ -141,7 +141,7 @@ def apply_event(inst: AChvdInstance, event: ReductionEvent) -> AChvdInstance:
     modulator = set(inst.modulator)
     if event.deleted:
         sub = delete_vertices(g, event.deleted)
-        remap = {old: new for new, old in enumerate(sub.old_of)}
+        remap = sub.index
         g = sub.graph
         modulator = {remap[v] for v in modulator if v in remap}
         forced = {
@@ -288,7 +288,6 @@ def rule2_xy_good(
     inst: AChvdInstance,
     core: Optional[Subgraph] = None,
     tree: Optional[CliqueTree] = None,
-    label: str = "rule2",
     contacts: Optional[Contacts] = None,
 ) -> Optional[tuple[AChvdInstance, ReductionEvent]]:
     """Force xy when k + 2 maximally bottommost nodes carry xy-paths.
@@ -304,7 +303,7 @@ def rule2_xy_good(
         nodes = _xy_good_bottommost(tree, contacts, x, y)
         if len(nodes) >= inst.k + 2:
             event = ReductionEvent(
-                rule=label,
+                rule="rule2",
                 witness=(x, y, len(nodes)),
                 added_edges=((x, y),),
                 forced_pair=(x, y),
@@ -337,7 +336,7 @@ def rule3_reduce_clique(
     tree = base.reroot(root)
     contacts = _subtree_contacts(inst, core, tree)
 
-    forced = rule2_xy_good(inst, core, tree, label="rule2", contacts=contacts)
+    forced = rule2_xy_good(inst, core, tree, contacts=contacts)
     if forced is not None:
         return forced
 

@@ -9,17 +9,16 @@ instance per clique).  Every returned set is re-verified as a multicut.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import AbstractSet, Optional, Sequence
 
 from .graphs import (
     DiGraph,
     Graph,
+    bfs,
     check,
-    di_bfs_path,
-    di_reachable,
     dijkstra_vertex_weights,
+    extract_path,
 )
 from .chordal import CliqueTree, is_chordal, minimal_path, recognize, PEO
 from .lp import FractionalSolution, at_least, separate_multicut
@@ -38,11 +37,19 @@ class MulticutInstance:
                 raise ValueError(f"terminal pair ({s},{t}) outside the graph")
 
     def is_multicut(self, removed) -> bool:
-        removed_set = set(removed)
-        return all(
-            di_bfs_path(self.d, [s], [t], removed=removed_set) is None
-            for s, t in self.terminals
-        )
+        alive = set(self.d.vertices()) - set(removed)
+        return all(_st_path(self.d, s, t, alive) is None
+                   for s, t in self.terminals)
+
+
+def _st_path(
+    d: DiGraph, s: int, t: int, alive: AbstractSet[int]
+) -> Optional[list[int]]:
+    """A shortest st-path in d[alive], or None."""
+    if t not in alive:
+        return None
+    prev, found = bfs(d.out_neighbors, [s], alive, {t})
+    return None if found is None else extract_path(prev, found)
 
 
 @dataclass(frozen=True)
@@ -114,22 +121,16 @@ def min_vertex_cut(
         add(2 * t + 1, 2 * n + 1, inf)
 
     src, dst = 2 * n, 2 * n + 1
+
+    def residual(a: int) -> list[int]:
+        return [b for b in sorted(cap[a]) if cap[a][b] > 0]
+
     flow = 0
     while True:
-        prev = {src: src}
-        queue = deque([src])
-        while queue and dst not in prev:
-            a = queue.popleft()
-            for b in sorted(cap[a]):
-                if b not in prev and cap[a][b] > 0:
-                    prev[b] = a
-                    queue.append(b)
-        if dst not in prev:
+        prev, found = bfs(residual, [src], targets={dst})
+        if found is None:
             break
-        path = [dst]
-        while path[-1] != src:
-            path.append(prev[path[-1]])
-        path.reverse()
+        path = extract_path(prev, dst)
         bottleneck = min(cap[a][b] for a, b in zip(path, path[1:]))
         for a, b in zip(path, path[1:]):
             cap[a][b] -= bottleneck
@@ -139,14 +140,7 @@ def min_vertex_cut(
             raise ValueError(
                 "sources and sinks cannot be separated by deletable vertices"
             )
-    reach = {src}
-    queue = deque([src])
-    while queue:
-        a = queue.popleft()
-        for b in cap[a]:
-            if b not in reach and cap[a][b] > 0:
-                reach.add(b)
-                queue.append(b)
+    reach = bfs(residual, [src])[0]
     cut = frozenset(
         v for v in range(n) if 2 * v in reach and 2 * v + 1 not in reach
     )
@@ -161,7 +155,7 @@ def _cut_within(
 ) -> frozenset[int]:
     """Minimum vertex cut computed inside the induced live subgraph."""
     sub = d.induced(sorted(alive))
-    m = {old: new for new, old in enumerate(sub.old_of)}
+    m = sub.index
     cut = min_vertex_cut(
         sub.graph,
         [m[s] for s in set(sources) if s in m],
@@ -201,13 +195,10 @@ def skew_multicut(inst: SkewInstance, x: FractionalSolution) -> frozenset[int]:
         return n + a + j
 
     def recurse(alive: set[int], active: list[tuple[int, int]]) -> frozenset[int]:
-        removed = set(dd.vertices()) - alive
         live = [
             (i, j)
             for i, j in active
-            if src_copy(i) in alive and dst_copy(j) in alive
-            and di_bfs_path(dd, [src_copy(i)], [dst_copy(j)], removed=removed)
-            is not None
+            if _st_path(dd, src_copy(i), dst_copy(j), alive) is not None
         ]
         if not live:
             return frozenset()
@@ -229,10 +220,8 @@ def skew_multicut(inst: SkewInstance, x: FractionalSolution) -> frozenset[int]:
         x0 = _cut_within(dd, alive, tu2, tv1, originals,
                          prefer_avoiding=terminal_members)
         alive2 = alive - x0
-        removed2 = set(dd.vertices()) - alive2
-        a1 = di_reachable(dd, sorted(tv1 & alive2), removed=removed2,
-                          reverse=True)
-        a2 = di_reachable(dd, sorted(tu2 & alive2), removed=removed2)
+        a1 = set(bfs(dd.in_neighbors, sorted(tv1 & alive2), alive2)[0])
+        a2 = set(bfs(dd.out_neighbors, sorted(tu2 & alive2), alive2)[0])
         check(not (a1 & a2), "reachability sides intersect after the cut")
         side_masses.append(
             x.mass(v for v in a1 if v < n) + x.mass(v for v in a2 if v < n)
@@ -343,19 +332,20 @@ def downward_multicut(
     solution: set[int] = set(x0)
 
     alive = set(d.vertices()) - x0
-    live_pairs = [
-        (u, v)
-        for u, v in pairs
-        if u in alive and v in alive
-        and di_bfs_path(d, [u], [v], removed=x0) is not None
-    ]
+    base = MulticutInstance(d, inst.terminals)
+    live_pairs = []
+    cores: dict[tuple[int, int], frozenset[int]] = {}
+    for u, v in pairs:
+        path = _st_path(d, u, v, alive)
+        if path is not None:
+            live_pairs.append((u, v))
+            cores[(u, v)] = frozenset(path[2:-2])
     if not live_pairs:
-        check(_verify(inst, solution), "threshold deletion missed a pair")
+        check(base.is_multicut(solution), "threshold deletion missed a pair")
         return frozenset(solution)
 
     tree = inst.tree
     intervals: dict[tuple[int, int], frozenset[int]] = {}
-    cores: dict[tuple[int, int], frozenset[int]] = {}
     for u, v in live_pairs:
         check(not inst.g.has_edge(u, v),
               "adjacent terminal pair survived the threshold deletion")
@@ -363,8 +353,6 @@ def downward_multicut(
         inner = frozenset(nodes[1:-1])
         check(len(inner) > 0, "terminal pair with no internal tree nodes")
         intervals[(u, v)] = inner
-        path = di_bfs_path(d, [u], [v], removed=x0)
-        cores[(u, v)] = frozenset(path[2:-2])
     hn = len(live_pairs)
     h = Graph(hn, [
         (i, j)
@@ -420,7 +408,7 @@ def downward_multicut(
             solution |= cut
         if down:
             sub = d.induced(sorted(alive))
-            m = {old: new for new, old in enumerate(sub.old_of)}
+            m = sub.index
             tu = [m[w] for w in sorted(bag_alive, key=lambda w: rank[w])]
             ordered = sorted(down, key=lambda item: (rank[item[0]], rank[item[1]]))
             seen_targets = set()
@@ -432,20 +420,13 @@ def downward_multicut(
                 seen_targets.add(v)
                 tv.append(m[v])
                 skew_pairs.extend((m[w], m[v]) for w in beta_p)
-            base = MulticutInstance(sub.graph, tuple(skew_pairs))
-            skew = SkewInstance(base, tuple(tu), tuple(tv))
+            skew = SkewInstance(MulticutInstance(sub.graph, tuple(skew_pairs)),
+                                tuple(tu), tuple(tv))
             x_local = FractionalSolution(
                 {m[v]: 2 * x.value(v) for v in sub.old_of}, tolerance=1e-5
             )
             cut = skew_multicut(skew, x_local)
             solution |= {sub.old_of[v] for v in cut}
 
-    check(_verify(inst, solution), "assembled set is not a multicut")
+    check(base.is_multicut(solution), "assembled set is not a multicut")
     return frozenset(solution)
-
-
-def _verify(inst: DownwardInstance, removed: set[int]) -> bool:
-    return all(
-        di_bfs_path(inst.digraph, [s], [t], removed=removed) is None
-        for s, t in inst.terminals
-    )

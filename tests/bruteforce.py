@@ -11,10 +11,14 @@ the hole helpers of ``chvd.graphs``.  ``ref_template_toughness`` tests
 every separator pair against every component, and
 ``ref_xy_good_bottommost`` recomputes every subtree for every pair; they
 share ``components_within`` and the event plumbing of ``chvd.kernel``.
+``ref_bfs_path``, ``ref_di_bfs_path``, ``ref_di_reachable``,
+``ref_components_within`` and ``ref_min_vertex_cut`` are the hand-written
+queue loops that one breadth-first search in ``chvd.graphs`` replaced.
 """
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from itertools import combinations
 
 from chvd.graphs import Graph, DiGraph, Hole, components_within, \
@@ -287,4 +291,170 @@ def ref_xy_good_bottommost(inst, core, tree, x: int, y: int) -> list[int]:
     return sorted(
         q for q in tree.nodes()
         if good[q] and not any(good[c] for c in tree.children(q))
+    )
+
+
+def ref_components_within(g: Graph, allowed) -> list[frozenset[int]]:
+    """Connected components of g restricted to the given vertex set."""
+    allowed_set = set(allowed)
+    seen: set[int] = set()
+    comps = []
+    for start in sorted(allowed_set):
+        if start in seen:
+            continue
+        seen.add(start)
+        queue = deque([start])
+        comp = {start}
+        while queue:
+            u = queue.popleft()
+            for w in g.neighbors(u):
+                if w in allowed_set and w not in seen:
+                    seen.add(w)
+                    comp.add(w)
+                    queue.append(w)
+        comps.append(frozenset(comp))
+    return comps
+
+
+def ref_bfs_path(g: Graph, source: int, targets, allowed=None):
+    """Shortest path (fewest vertices) from source to any target."""
+    target_set = set(targets)
+    allowed_set = set(allowed) if allowed is not None else None
+    if allowed_set is not None and source not in allowed_set:
+        return None
+    if source in target_set:
+        return [source]
+    prev = {source: source}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in g.neighbors(u):
+            if w in prev:
+                continue
+            if allowed_set is not None and w not in allowed_set:
+                continue
+            prev[w] = u
+            if w in target_set:
+                path = [w]
+                while path[-1] != source:
+                    path.append(prev[path[-1]])
+                path.reverse()
+                return path
+            queue.append(w)
+    return None
+
+
+def ref_di_bfs_path(d: DiGraph, sources, targets, removed=()):
+    """Shortest directed path from any source to any target avoiding removed."""
+    removed_set = set(removed)
+    target_set = set(targets) - removed_set
+    if not target_set:
+        return None
+    prev: dict[int, int] = {}
+    queue: deque[int] = deque()
+    for s in sorted(set(sources)):
+        if s in removed_set or s in prev:
+            continue
+        prev[s] = s
+        if s in target_set:
+            return [s]
+        queue.append(s)
+    while queue:
+        u = queue.popleft()
+        for w in d.out_neighbors(u):
+            if w in prev or w in removed_set:
+                continue
+            prev[w] = u
+            if w in target_set:
+                path = [w]
+                while prev[path[-1]] != path[-1]:
+                    path.append(prev[path[-1]])
+                path.reverse()
+                return path
+            queue.append(w)
+    return None
+
+
+def ref_di_reachable(d: DiGraph, sources, removed=(), reverse=False) -> set[int]:
+    """Vertices reachable from sources (or reaching them when reverse=True)."""
+    removed_set = set(removed)
+    seen = set()
+    queue: deque[int] = deque()
+    for s in sorted(set(sources)):
+        if s not in removed_set and s not in seen:
+            seen.add(s)
+            queue.append(s)
+    while queue:
+        u = queue.popleft()
+        nbrs = d.in_neighbors(u) if reverse else d.out_neighbors(u)
+        for w in nbrs:
+            if w not in seen and w not in removed_set:
+                seen.add(w)
+                queue.append(w)
+    return seen
+
+
+def ref_min_vertex_cut(d: DiGraph, sources, sinks, deletable,
+                       prefer_avoiding=()) -> frozenset[int]:
+    """Vertex-split max-flow with its own augmenting and residual BFS."""
+    n = d.n
+    deletable_set = set(deletable)
+    avoid_set = set(prefer_avoiding) & deletable_set
+    unit = n + 2
+    inf = unit * (n + 1)
+    size = 2 * n + 2
+    cap: list[dict[int, int]] = [dict() for _ in range(size)]
+
+    def add(a: int, b: int, c: int) -> None:
+        cap[a][b] = cap[a].get(b, 0) + c
+        cap[b].setdefault(a, 0)
+
+    for v in range(n):
+        if v in deletable_set:
+            add(2 * v, 2 * v + 1, unit + 1 if v in avoid_set else unit)
+        else:
+            add(2 * v, 2 * v + 1, inf)
+        for w in d.out_neighbors(v):
+            add(2 * v + 1, 2 * w, inf)
+    for s in set(sources):
+        add(2 * n, 2 * s, inf)
+    for t in set(sinks):
+        add(2 * t + 1, 2 * n + 1, inf)
+
+    src, dst = 2 * n, 2 * n + 1
+    flow = 0
+    while True:
+        prev = {src: src}
+        queue = deque([src])
+        while queue and dst not in prev:
+            a = queue.popleft()
+            for b in sorted(cap[a]):
+                if b not in prev and cap[a][b] > 0:
+                    prev[b] = a
+                    queue.append(b)
+        if dst not in prev:
+            break
+        path = [dst]
+        while path[-1] != src:
+            path.append(prev[path[-1]])
+        path.reverse()
+        bottleneck = min(cap[a][b] for a, b in zip(path, path[1:]))
+        for a, b in zip(path, path[1:]):
+            cap[a][b] -= bottleneck
+            cap[b][a] += bottleneck
+        flow += bottleneck
+        if flow >= inf:
+            raise ValueError(
+                "sources and sinks cannot be separated by deletable vertices"
+            )
+    reach = {src}
+    queue = deque([src])
+    while queue:
+        a = queue.popleft()
+        for b in cap[a]:
+            if b not in reach and cap[a][b] > 0:
+                reach.add(b)
+                queue.append(b)
+    return frozenset(
+        v for v in range(n) if 2 * v in reach and 2 * v + 1 not in reach
     )

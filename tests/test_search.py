@@ -1,0 +1,144 @@
+"""The one breadth-first search against the queue loops it replaced."""
+import ast
+import random
+from pathlib import Path
+
+import pytest
+
+from chvd.generate import random_gnp
+from chvd.graphs import (
+    DiGraph,
+    bfs,
+    bfs_path,
+    components_within,
+    connected_components,
+    di_bfs_path,
+)
+from chvd.multicut import min_vertex_cut
+from bruteforce import (
+    ref_bfs_path,
+    ref_components_within,
+    ref_di_bfs_path,
+    ref_di_reachable,
+    ref_min_vertex_cut,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "chvd"
+
+
+def random_digraph(rng, n, p):
+    """Arcs in both directions allowed, so the digraph may have cycles."""
+    return DiGraph(n, [(u, v) for u in range(n) for v in range(n)
+                       if u != v and rng.random() < p])
+
+
+def some(rng, n, share):
+    return {v for v in range(n) if rng.random() < share}
+
+
+def test_components_match_reference_in_iteration_order():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(0, 60)
+        g = random_gnp(rng, n, rng.uniform(0.0, 0.15))
+        allowed = some(rng, n, rng.uniform(0.3, 1.0))
+        got = components_within(g, allowed)
+        want = ref_components_within(g, allowed)
+        assert got == want
+        assert [list(c) for c in got] == [list(c) for c in want]
+        assert connected_components(g) == ref_components_within(g, range(n))
+
+
+def test_bfs_path_matches_reference():
+    rng = random.Random(12)
+    for _ in range(400):
+        n = rng.randint(1, 40)
+        g = random_gnp(rng, n, rng.uniform(0.03, 0.3))
+        source = rng.randrange(n)
+        targets = rng.sample(range(n), rng.randint(0, min(3, n)))
+        if rng.random() < 0.2:
+            targets.append(source)
+        allowed = None
+        if rng.random() < 0.7:
+            allowed = some(rng, n, rng.uniform(0.4, 1.0))
+            if rng.random() < 0.8:
+                allowed.add(source)
+        assert (bfs_path(g, source, targets, allowed=allowed)
+                == ref_bfs_path(g, source, targets, allowed=allowed))
+
+
+def test_di_bfs_path_and_reach_match_reference():
+    rng = random.Random(13)
+    for _ in range(400):
+        n = rng.randint(1, 40)
+        d = random_digraph(rng, n, rng.uniform(0.02, 0.2))
+        sources = rng.sample(range(n), rng.randint(1, min(4, n)))
+        targets = rng.sample(range(n), rng.randint(1, min(4, n)))
+        if rng.random() < 0.2:
+            targets.append(sources[-1])
+        removed = some(rng, n, rng.uniform(0.0, 0.4))
+        if rng.random() < 0.2:
+            removed.add(targets[0])
+        assert (di_bfs_path(d, sources, targets, removed=removed)
+                == ref_di_bfs_path(d, sources, targets, removed=removed))
+        alive = set(d.vertices()) - removed
+        for reverse in (False, True):
+            nbrs = d.in_neighbors if reverse else d.out_neighbors
+            assert (set(bfs(nbrs, sorted(set(sources)), alive)[0])
+                    == ref_di_reachable(d, sources, removed, reverse=reverse))
+
+
+def test_bfs_discovery_order_and_first_target():
+    # 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3: 3 is found from 1, the first in FIFO order
+    d = DiGraph(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
+    prev, found = bfs(d.out_neighbors, [0])
+    assert list(prev.items()) == [(0, 0), (1, 0), (2, 0), (3, 1), (4, 3)]
+    assert found is None
+    assert bfs(d.out_neighbors, [0], targets={3, 4}) == (
+        {0: 0, 1: 0, 2: 0, 3: 1}, 3)
+    # sources are taken in the order given; the first that is a target wins
+    assert bfs(d.out_neighbors, [2, 1], targets={1, 2})[1] == 2
+    # a source outside allowed is skipped, and so is every target outside it
+    assert bfs(d.out_neighbors, [1, 0], allowed={0, 2, 3}, targets={3}) == (
+        {0: 0, 2: 0, 3: 2}, 3)
+
+
+def test_min_vertex_cut_matches_reference():
+    rng = random.Random(14)
+    for _ in range(200):
+        n = rng.randint(2, 24)
+        d = random_digraph(rng, n, rng.uniform(0.05, 0.3))
+        sources = rng.sample(range(n), rng.randint(1, min(3, n)))
+        sinks = rng.sample(range(n), rng.randint(1, min(3, n)))
+        deletable = some(rng, n, rng.uniform(0.5, 1.0))
+        avoid = some(rng, n, 0.3)
+        try:
+            want = ref_min_vertex_cut(d, sources, sinks, deletable, avoid)
+        except ValueError:
+            with pytest.raises(ValueError):
+                min_vertex_cut(d, sources, sinks, deletable, avoid)
+            continue
+        got = min_vertex_cut(d, sources, sinks, deletable, avoid)
+        assert got == want and list(got) == list(want)
+
+
+def test_only_graphs_module_writes_a_search():
+    """Queues and heaps live in graphs.py; every other module calls its
+    searches instead of writing one."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "graphs.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):  # collections.deque(...)
+                names = {node.attr}
+            elif isinstance(node, ast.Import):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                names = {f"{node.module}.{alias.name}" for alias in node.names}
+                names.add(node.module or "")
+            else:
+                continue
+            if names & {"heapq", "deque", "collections.deque"}:
+                offenders.append(path.name)
+    assert offenders == []
