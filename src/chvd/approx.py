@@ -4,8 +4,8 @@ Stages: fractional solve, heavy-vertex deletion (x >= 1/4, which also
 makes the graph C4-free), balanced clique-plus-cut decomposition, then
 folding the cliques back one at a time through the clique-plus-chordal
 special case whose engine is the downward-oriented multicut.  Instances
-small enough for the exact solver are routed there directly, mirroring
-the polynomial-time guard of the original algorithm.
+with k <= 1 or n > 2^(k log k) go to the exact solver instead: that is the
+original algorithm's guard for when its FPT running time is polynomial in n.
 """
 from __future__ import annotations
 
@@ -288,9 +288,10 @@ def approximate(
 ) -> Union[NoInstance, frozenset[int]]:
     """Either conclude no-instance or return X with g - X chordal.
 
-    Exact routing below the size guard n <= 2^(k log k); otherwise the
-    LP pipeline: no-instance when |x| > 2k, then the 1/4 threshold, the
-    decomposition, and the clique fold-back.
+    Exact routing when k <= 1 or n > 2^(k log k), where the exact search
+    runs in time polynomial in n; otherwise the LP pipeline: no-instance
+    when |x| > 2k, then the 1/4 threshold, the decomposition, and the
+    clique fold-back.
     """
     n = g.n
     if n <= 1:

@@ -8,6 +8,7 @@ instance per clique).  Every returned set is re-verified as a multicut.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import AbstractSet, Optional, Sequence
@@ -332,6 +333,8 @@ def downward_multicut(
     solution: set[int] = set(x0)
 
     alive = set(d.vertices()) - x0
+    # alive is fixed from here on, so each source's distances are computed once
+    dist = functools.cache(lambda source: dist_from(d, x, source, alive=alive))
     base = MulticutInstance(d, inst.terminals)
     live_pairs = []
     cores: dict[tuple[int, int], frozenset[int]] = {}
@@ -383,7 +386,7 @@ def downward_multicut(
         down: list[tuple[int, int, list[int]]] = []
         for u, v in members:
             check(u not in bag and v not in bag, "terminal inside the shared bag")
-            du_map = dist_from(d, x, u, alive=alive)
+            du_map = dist(u)
             du = min((du_map.get(w, float("inf")) for w in bag_alive),
                      default=float("inf"))
             beta_p = sorted(
@@ -393,7 +396,7 @@ def downward_multicut(
             check(bool(beta_p), "live pair with an empty bag suffix")
             dv = float("inf")
             for w in beta_p:
-                dv = min(dv, dist_from(d, x, w, alive=alive).get(v, float("inf")))
+                dv = min(dv, dist(w).get(v, float("inf")))
             check(min(du, 1.0) + min(dv, 1.0) >= 1.0 - 1e-6,
                   "distance split claim fails")
             if at_least(du, 0.5):

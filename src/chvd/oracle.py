@@ -1,10 +1,12 @@
 """Exact desk-scale solvers: ChVD, annotated ChVD, and directed multicut.
 
 These are the ground truth for every equivalence and ratio test.  The
-branching solvers branch on the vertices of a shortest hole (or shortest
-surviving terminal path), which keeps the branching factor small; a memo
-on the canonicalized deleted-set avoids re-exploring permutations of the
-same deletions.
+solvers branch on the vertices of a shortest set still to hit: a hole, a
+forced pair, or a surviving terminal path.  Every set found is kept in a
+pool for the whole search, and a new search runs only when no pooled set
+survives the deletions.  A greedy packing of vertex-disjoint surviving sets
+is a lower bound that prunes, and a memo on the deleted set avoids
+re-exploring permutations of the same deletions.
 """
 from __future__ import annotations
 
@@ -48,13 +50,19 @@ class SearchBudgetExceeded(RuntimeError):
 
 
 class _Search:
-    """Depth-first branching with a visited-set memo per budget and a node
-    budget enforced while the search runs."""
+    """Depth-first branching over a pool of sets to hit, with a visited-set
+    memo per budget and a node budget enforced while the search runs.  A
+    subclass supplies find(deleted): a set that deleted does not hit yet, in
+    branching order, or None when deleted hits every set."""
 
-    def __init__(self, node_budget: int):
+    def __init__(self, node_budget: int,
+                 pool: Iterable[tuple[int, ...]] = (),
+                 forbidden: frozenset[int] = frozenset()):
         self.node_budget = node_budget
         self.nodes = 0
         self.seen: dict[frozenset[int], int] = {}
+        self.pool = list(pool)
+        self.forbidden = forbidden
 
     def _visit(self, deleted: frozenset[int], budget: int) -> bool:
         """Count a new node; False if deleted was explored with this budget."""
@@ -65,6 +73,35 @@ class _Search:
         if self.nodes > self.node_budget:
             raise SearchBudgetExceeded(self.node_budget)
         return True
+
+    def solve(self, deleted: frozenset[int], budget: int) -> Optional[frozenset[int]]:
+        if not self._visit(deleted, budget):
+            return None
+        live = [s for s in self.pool if deleted.isdisjoint(s)]
+        if not live:
+            found = self.find(deleted)
+            if found is None:
+                return deleted
+            self.pool.append(found)
+            live = [found]
+        if budget == 0:
+            return None
+        live.sort(key=len)
+        packed: set[int] = set()
+        disjoint = 0
+        for s in live:
+            if packed.isdisjoint(s):
+                packed.update(s)
+                disjoint += 1
+                if disjoint > budget:
+                    return None
+        for v in live[0]:
+            if v in self.forbidden:
+                continue
+            res = self.solve(deleted | {v}, budget - 1)
+            if res is not None:
+                return res
+        return None
 
     def minimum(self, k: int) -> Optional[ExactResult]:
         """Try budgets 0..k in order; the first success is a minimum."""
@@ -83,37 +120,12 @@ class _Budgeted(_Search):
     def __init__(self, g: Graph, node_budget: int,
                  forced_pairs: tuple[tuple[int, int], ...] = (),
                  forbidden: frozenset[int] = frozenset()):
-        super().__init__(node_budget)
+        super().__init__(node_budget, forced_pairs, forbidden)
         self.g = g
-        self.forced = forced_pairs
-        self.forbidden = forbidden
 
-    def solve(self, deleted: frozenset[int], budget: int) -> Optional[frozenset[int]]:
-        if not self._visit(deleted, budget):
-            return None
-        for x, y in self.forced:
-            if x not in deleted and y not in deleted:
-                if budget == 0:
-                    return None
-                for v in (x, y):
-                    if v in self.forbidden:
-                        continue
-                    res = self.solve(deleted | {v}, budget - 1)
-                    if res is not None:
-                        return res
-                return None
+    def find(self, deleted: frozenset[int]) -> Optional[tuple[int, ...]]:
         hole = shortest_hole_avoiding(self.g, deleted)
-        if hole is None:
-            return deleted
-        if budget == 0:
-            return None
-        for v in hole.vertices:
-            if v in self.forbidden:
-                continue
-            res = self.solve(deleted | {v}, budget - 1)
-            if res is not None:
-                return res
-        return None
+        return None if hole is None else hole.vertices
 
 
 def exact_chvd(g: Graph, k: int, node_budget: int = 2_000_000) -> Optional[ExactResult]:
@@ -146,17 +158,6 @@ def exact_chvd_forced(
     return _Budgeted(g, node_budget, tuple(forced_pairs)).minimum(k)
 
 
-def _shortest_surviving_path(
-    d: DiGraph, pairs: list[tuple[int, int]], deleted: frozenset[int]
-) -> Optional[list[int]]:
-    best: Optional[list[int]] = None
-    for s, t in pairs:
-        path = di_bfs_path(d, [s], [t], removed=deleted)
-        if path is not None and (best is None or len(path) < len(best)):
-            best = path
-    return best
-
-
 class _MulticutBudgeted(_Search):
     """Terminal-path branching for directed multicut."""
 
@@ -166,20 +167,14 @@ class _MulticutBudgeted(_Search):
         self.d = d
         self.pairs = pairs
 
-    def solve(self, deleted: frozenset[int], budget: int) -> Optional[frozenset[int]]:
-        if not self._visit(deleted, budget):
-            return None
-        path = _shortest_surviving_path(self.d, self.pairs, deleted)
+    def find(self, deleted: frozenset[int]) -> Optional[tuple[int, ...]]:
+        paths = [di_bfs_path(self.d, [s], [t], removed=deleted)
+                 for s, t in self.pairs]
+        path = min((p for p in paths if p is not None), key=len, default=None)
         if path is None:
-            return deleted
-        if budget == 0:
             return None
         # terminals are deletable, but internal vertices usually cut more
-        for v in path[1:-1] + [path[0], path[-1]]:
-            res = self.solve(deleted | {v}, budget - 1)
-            if res is not None:
-                return res
-        return None
+        return tuple(path[1:-1] + [path[0], path[-1]])
 
 
 def exact_multicut(

@@ -14,6 +14,10 @@ share ``components_within`` and the event plumbing of ``chvd.kernel``.
 ``ref_bfs_path``, ``ref_di_bfs_path``, ``ref_di_reachable``,
 ``ref_components_within`` and ``ref_min_vertex_cut`` are the hand-written
 queue loops that one breadth-first search in ``chvd.graphs`` replaced.
+``ref_exact_chvd`` and ``ref_exact_multicut`` are the exact searches without
+a pool of found sets: a fresh hole (or terminal-path) search at every node.
+They call ``oracle.shortest_hole_avoiding`` by name, so a test can count
+the hole searches of both.
 """
 from __future__ import annotations
 
@@ -23,6 +27,7 @@ from itertools import combinations
 
 from chvd.graphs import Graph, DiGraph, Hole, components_within, \
     shortcut_walk, verify_hole
+from chvd import oracle
 from chvd.kernel import ReductionEvent, _finish
 
 
@@ -458,3 +463,87 @@ def ref_min_vertex_cut(d: DiGraph, sources, sinks, deletable,
     return frozenset(
         v for v in range(n) if 2 * v in reach and 2 * v + 1 not in reach
     )
+
+
+class _RefSearch:
+    """Depth-first branching with a visited-set memo per budget."""
+
+    def __init__(self):
+        self.nodes = 0
+        self.seen: dict[frozenset[int], int] = {}
+
+    def visit(self, deleted: frozenset[int], budget: int) -> bool:
+        if self.seen.get(deleted, -1) >= budget:
+            return False
+        self.seen[deleted] = budget
+        self.nodes += 1
+        return True
+
+    def branch(self, deleted, budget, vertices, forbidden=frozenset()):
+        for v in vertices:
+            if v not in forbidden:
+                res = self.solve(deleted | {v}, budget - 1)
+                if res is not None:
+                    return res
+        return None
+
+    def minimum(self, k: int):
+        if k < 0:
+            return None
+        for budget in range(k + 1):
+            res = self.solve(frozenset(), budget)
+            if res is not None:
+                return oracle.ExactResult(len(res), res, self.nodes)
+        return None
+
+
+class _RefChvd(_RefSearch):
+    def __init__(self, g: Graph, forced_pairs, forbidden):
+        super().__init__()
+        self.g, self.forced, self.forbidden = g, forced_pairs, forbidden
+
+    def solve(self, deleted: frozenset[int], budget: int):
+        if not self.visit(deleted, budget):
+            return None
+        for x, y in self.forced:
+            if x not in deleted and y not in deleted:
+                if budget == 0:
+                    return None
+                return self.branch(deleted, budget, (x, y), self.forbidden)
+        hole = oracle.shortest_hole_avoiding(self.g, deleted)
+        if hole is None:
+            return deleted
+        if budget == 0:
+            return None
+        return self.branch(deleted, budget, hole.vertices, self.forbidden)
+
+
+class _RefMulticut(_RefSearch):
+    def __init__(self, d: DiGraph, pairs):
+        super().__init__()
+        self.d, self.pairs = d, pairs
+
+    def solve(self, deleted: frozenset[int], budget: int):
+        if not self.visit(deleted, budget):
+            return None
+        best = None
+        for s, t in self.pairs:
+            path = ref_di_bfs_path(self.d, [s], [t], removed=deleted)
+            if path is not None and (best is None or len(path) < len(best)):
+                best = path
+        if best is None:
+            return deleted
+        if budget == 0:
+            return None
+        return self.branch(deleted, budget, best[1:-1] + [best[0], best[-1]])
+
+
+def ref_exact_chvd(g: Graph, k: int, forced_pairs=(), forbidden=frozenset()):
+    """Minimum hole-hitting set of size <= k that hits every forced pair
+    and avoids the forbidden set, or None."""
+    return _RefChvd(g, tuple(forced_pairs), frozenset(forbidden)).minimum(k)
+
+
+def ref_exact_multicut(d: DiGraph, pairs, k: int):
+    """Minimum vertex multicut of size <= k (terminals deletable), or None."""
+    return _RefMulticut(d, list(pairs)).minimum(k)

@@ -5,8 +5,9 @@ import pytest
 
 from chvd.graphs import Graph, DiGraph, verify_hole
 from chvd import graphs, oracle
-from chvd.oracle import SearchBudgetExceeded, exact_chvd, exact_chvd_forced, \
-    exact_multicut, shortest_hole_avoiding
+from chvd.oracle import SearchBudgetExceeded, exact_chvd, \
+    exact_chvd_avoiding, exact_chvd_forced, exact_multicut, \
+    shortest_hole_avoiding
 from chvd.generate import GeneratorSpec, generate, random_dag, random_gnp
 from bruteforce import (
     bf_all_holes,
@@ -14,6 +15,8 @@ from bruteforce import (
     bf_di_connected,
     bf_min_chvd,
     bf_min_multicut,
+    ref_exact_chvd,
+    ref_exact_multicut,
 )
 
 
@@ -194,3 +197,119 @@ def test_multicut_node_budget_is_enforced():
     assert exact_multicut(d, [(0, 2), (3, 5)], 2, node_budget=100).optimum == 2
     with pytest.raises(SearchBudgetExceeded):
         exact_multicut(d, [(0, 2), (3, 5)], 2, node_budget=2)
+
+
+def assert_same_optimum(res, ref):
+    assert (res is None) == (ref is None)
+    if res is not None:
+        assert res.optimum == ref.optimum == len(res.solution)
+
+
+def test_exact_chvd_matches_pool_free_reference():
+    rng = random.Random(101)
+    for trial in range(60):
+        g = (two_cycles_with_chords(rng) if trial % 2
+             else random_gnp(rng, rng.randint(5, 11), 0.4))
+        k = rng.randint(0, 4)
+        res = exact_chvd(g, k)
+        assert_same_optimum(res, ref_exact_chvd(g, k))
+        if res is not None:
+            assert bf_chordal_after_delete(g, set(res.solution))
+
+
+def test_exact_chvd_forced_matches_pool_free_reference():
+    rng = random.Random(103)
+    for trial in range(40):
+        g = two_cycles_with_chords(rng)
+        pairs = tuple(tuple(rng.sample(range(g.n), 2))
+                      for _ in range(rng.randint(1, 3)))
+        k = rng.randint(1, 5)
+        res = exact_chvd_forced(g, k, pairs)
+        assert_same_optimum(res, ref_exact_chvd(g, k, forced_pairs=pairs))
+        if res is not None:
+            assert all(x in res.solution or y in res.solution
+                       for x, y in pairs)
+            assert bf_chordal_after_delete(g, set(res.solution))
+
+
+def test_exact_chvd_avoiding_matches_pool_free_reference():
+    rng = random.Random(107)
+    for trial in range(40):
+        g = two_cycles_with_chords(rng)
+        forbidden = frozenset(v for v in g.vertices() if rng.random() < 0.3)
+        k = rng.randint(0, 4)
+        res = exact_chvd_avoiding(g, k, forbidden)
+        assert_same_optimum(res, ref_exact_chvd(g, k, forbidden=forbidden))
+        if res is not None:
+            assert not res.solution & forbidden
+            assert bf_chordal_after_delete(g, set(res.solution))
+
+
+def test_exact_multicut_matches_pool_free_reference():
+    rng = random.Random(109)
+    for trial in range(40):
+        d = random_dag(rng, rng.randint(3, 10), 0.35)
+        pairs = [tuple(rng.sample(range(d.n), 2))
+                 for _ in range(rng.randint(1, 4))]
+        k = rng.randint(0, 4)
+        res = exact_multicut(d, pairs, k)
+        assert_same_optimum(res, ref_exact_multicut(d, pairs, k))
+        if res is not None:
+            assert all(not bf_di_connected(d, s, t, set(res.solution))
+                       for s, t in pairs)
+
+
+def ladder_44():
+    g, k, _ = generate(GeneratorSpec(seed=3, core_vertices=40, tree_nodes=13,
+                                     planted=4, noise_edges=1))
+    return g, k
+
+
+def test_exact_solvers_are_deterministic():
+    g, k = ladder_44()
+    assert exact_chvd(g, k) == exact_chvd(g, k)
+    forced = ((0, 5), (7, 11))
+    assert exact_chvd_forced(g, k, forced) == exact_chvd_forced(g, k, forced)
+    d = random_dag(random.Random(113), 10, 0.35)
+    pairs = [(0, 9), (1, 8), (2, 7)]
+    assert exact_multicut(d, pairs, 5) == exact_multicut(d, pairs, 5)
+
+
+def counting_hole_searches(monkeypatch):
+    """Record (deleted, hole found) for every oracle.shortest_hole_avoiding call."""
+    calls = []
+    original = oracle.shortest_hole_avoiding
+
+    def counting(graph, deleted):
+        hole = original(graph, deleted)
+        calls.append((deleted, hole))
+        return hole
+
+    monkeypatch.setattr(oracle, "shortest_hole_avoiding", counting)
+    return calls
+
+
+def test_pooled_search_runs_few_hole_searches(monkeypatch):
+    g, k = ladder_44()
+    calls = counting_hole_searches(monkeypatch)
+    ref = ref_exact_chvd(g, k)
+    ref_calls = len(calls)
+    calls.clear()
+    res = exact_chvd(g, k)
+    assert res is not None and res.optimum == ref.optimum
+    assert 4 * len(calls) <= ref_calls
+    # a hole search runs only where every hole found so far is hit
+    for i, (deleted, _) in enumerate(calls):
+        assert all(hole.vertex_set() & deleted for _, hole in calls[:i])
+
+
+def test_packing_bound_prunes_disjoint_holes(monkeypatch):
+    # four disjoint C4s need four deletions; with k = 3 the packing of the
+    # four pooled holes refutes every node without further hole searches
+    g = Graph(16, [(4 * c + i, 4 * c + (i + 1) % 4)
+                   for c in range(4) for i in range(4)])
+    calls = counting_hole_searches(monkeypatch)
+    assert exact_chvd(g, 3) is None
+    assert len(calls) <= 4
+    # without the bound the search walks over a hundred nodes here
+    assert exact_chvd(g, 3, node_budget=40) is None
