@@ -202,8 +202,12 @@ def _balanced_cut_greedy(g: Graph, limit: float, budget: int) -> Optional[set[in
     return None
 
 
+# g - K at most this large gets the exact balanced cut, larger the greedy one
+EXACT_CUT_LIMIT = 16
+
+
 def balanced_clique_cut(
-    g: Graph, k: int, exact_limit: int = 16
+    g: Graph, k: int
 ) -> Union[NoInstance, tuple[frozenset[int], frozenset[int]]]:
     """A set Z and clique K inside it with components of g - Z at most 3n/4.
 
@@ -224,7 +228,7 @@ def balanced_clique_cut(
     for clique in cliques:
         rest = induced_subgraph(g, set(g.vertices()) - clique)
         limit = 2.0 * rest.graph.n / 3.0
-        if rest.graph.n <= exact_limit:
+        if rest.graph.n <= EXACT_CUT_LIMIT:
             cut = _balanced_cut_exact(rest.graph, limit, k)
         else:
             cut = _balanced_cut_greedy(rest.graph, limit, k)

@@ -136,10 +136,6 @@ class CliqueTree:
                 inv[v].append(node)
         self._inv = tuple(tuple(sorted(nodes)) for nodes in inv)
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.bags)
-
     def nodes(self) -> range:
         return range(len(self.bags))
 

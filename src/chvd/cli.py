@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Subcommands: gen, kernelize, approx, solve, check, bench.  Same seed and
-flags produce byte-identical outputs.  Exit codes: 0 ok, 1 the result is
+Subcommands: gen, kernelize, approx, solve, check.  Same seed and flags
+produce byte-identical outputs.  Exit codes: 0 ok, 1 the result is
 a certified no-instance, 2 input validation failure, 3 internal invariant
 breach, 4 the exact search exceeded its node budget.
 """
@@ -10,13 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from .graphs import Graph, InvariantError, delete_vertices
 from .chordal import find_any_hole, is_chordal
 from .approx import NoInstance, approximate
-from .generate import GeneratorSpec, generate, kernel_instance_pool, \
-    random_near_chordal
+from .generate import GeneratorSpec, generate, kernel_instance_pool
 from .instance_io import (
     InstanceFile,
     InstanceFormatError,
@@ -26,7 +24,7 @@ from .instance_io import (
     parse_solution,
 )
 from .kernel import KernelResult, ReductionEvent, kernelize, replay_trace
-from .oracle import SearchBudgetExceeded, exact_chvd, exact_chvd_forced
+from .oracle import SearchBudgetExceeded, exact_chvd
 
 EXIT_OK = 0
 EXIT_NO_INSTANCE = 1
@@ -174,7 +172,7 @@ def cmd_approx(args) -> int:
 
 def cmd_solve(args) -> int:
     instance = parse(_read(args.input))
-    res = exact_chvd_forced(instance.graph(), instance.k, instance.forced)
+    res = exact_chvd(instance.graph(), instance.k, instance.forced)
     if res is None:
         if args.format == "json":
             _write(args.output, '{"status":"no-solution"}\n')
@@ -211,65 +209,6 @@ def cmd_check(args) -> int:
         return EXIT_VALIDATION
     print("valid")
     return EXIT_OK
-
-
-def _bench_flower(seed: int) -> tuple[str, bool]:
-    from .flower import flower_and_cover
-    g, v = random_near_chordal(seed, core_vertices=12)
-    flower, cover = flower_and_cover(g, v)
-    ok = len(cover) <= 12 * flower.order and v not in cover and \
-        is_chordal(delete_vertices(g, cover).graph)
-    return f"flower seed={seed} order={flower.order} cover={len(cover)}", ok
-
-
-def _bench_kernel(seed: int) -> tuple[str, bool]:
-    g, k, modulator = kernel_instance_pool(seed)
-    result = kernelize(g, k, modulator)
-    before = exact_chvd(g, k) is not None
-    if result.verdict == "yes":
-        after = True
-    elif result.verdict == "no":
-        after = False
-    else:
-        after = exact_chvd(result.graph, result.k) is not None
-    return (f"kernel seed={seed} n={g.n}->{result.graph.n} "
-            f"verdict={result.verdict}", before == after)
-
-
-def _bench_approx(seed: int) -> tuple[str, bool]:
-    g, k, _ = generate(GeneratorSpec(seed=seed, core_vertices=10, planted=2,
-                                     noise_edges=1))
-    got = approximate(g, k)
-    opt = exact_chvd(g, k)
-    if isinstance(got, NoInstance):
-        return f"approx seed={seed} no-instance", opt is None
-    ok = is_chordal(delete_vertices(g, got).graph)
-    return f"approx seed={seed} size={len(got)}", ok
-
-
-def cmd_bench(args) -> int:
-    suites = {
-        "flower": _bench_flower,
-        "kernel": _bench_kernel,
-        "approx": _bench_approx,
-    }
-    rows = []
-    failures = 0
-    for name, fn in suites.items():
-        seeds = list(range(args.base_seed, args.base_seed + args.seeds))
-        start = time.perf_counter()
-        results = [fn(s) for s in seeds]
-        elapsed = time.perf_counter() - start
-        bad = [line for line, ok in results if not ok]
-        failures += len(bad)
-        rows.append((name, len(seeds), len(seeds) - len(bad), elapsed))
-        for line in bad:
-            print(f"FAIL {line}")
-    width = max(len(r[0]) for r in rows)
-    print(f"{'suite'.ljust(width)}  runs  pass  seconds")
-    for name, runs, passed, elapsed in rows:
-        print(f"{name.ljust(width)}  {runs:4d}  {passed:4d}  {elapsed:7.2f}")
-    return EXIT_OK if failures == 0 else EXIT_INTERNAL
 
 
 def _read(path: str) -> str:
@@ -327,10 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--solution", required=True)
     p_check.set_defaults(func=cmd_check)
 
-    p_bench = sub.add_parser("bench", help="run the verification suites")
-    p_bench.add_argument("--seeds", type=int, default=20)
-    p_bench.add_argument("--base-seed", type=int, default=0)
-    p_bench.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -160,9 +160,6 @@ class FlowerSearch:
         """d_T(beta_inverse(a), beta_inverse(b)) in g's vertex ids."""
         return self.tree.subtrees_distance(self._new_of[a], self._new_of[b])
 
-    def bag_old(self, node: int) -> frozenset[int]:
-        return frozenset(self.sub.old_of[u] for u in self.tree.bags[node])
-
     def adhesion_old(self, child: int) -> frozenset[int]:
         return frozenset(self.sub.old_of[u] for u in self.tree.adhesion(child))
 

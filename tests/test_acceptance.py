@@ -40,7 +40,6 @@ from chvd.multicut import (
 from chvd.approx import NoInstance, approximate
 from chvd.oracle import (
     exact_chvd,
-    exact_chvd_avoiding,
     exact_chvd_forced,
     exact_multicut,
 )
@@ -79,7 +78,7 @@ def test_criterion_1_erdos_posa_duality():
         assert len(cover) <= 12 * flower.order
         assert is_chordal(delete_vertices(g, cover).graph)
         if g.n <= 14:
-            res = exact_chvd_avoiding(g, g.n, [v])
+            res = exact_chvd(g, g.n, forbidden=[v])
             assert res is not None
             assert flower.order <= res.optimum <= len(cover)
             exact_checked += 1

@@ -17,7 +17,7 @@ from chvd.instance_io import (
 from chvd import cli
 from chvd.cli import main, trace_text
 from chvd.kernel import kernelize
-from chvd.oracle import exact_chvd_forced
+from chvd.oracle import exact_chvd
 
 
 def test_parse_minimal_empty_instance():
@@ -155,8 +155,8 @@ def test_cli_solve_node_budget_exit_code(tmp_path, capsys, monkeypatch):
     assert main(["solve", str(inst_path), "-o", str(out_path)]) == 0
     assert len(parse_solution(out_path.read_text())) == 3
     out_path.unlink()
-    monkeypatch.setattr(cli, "exact_chvd_forced",
-                        lambda *a: exact_chvd_forced(*a, node_budget=2))
+    monkeypatch.setattr(cli, "exact_chvd",
+                        lambda *a: exact_chvd(*a, node_budget=2))
     assert main(["solve", str(inst_path), "-o", str(out_path)]) == 4
     assert "node budget" in capsys.readouterr().err
     assert not out_path.exists()
@@ -259,9 +259,3 @@ def test_cli_json_formats(tmp_path):
                  "--tolerance", "1e-6", "--max-iters", "500",
                  "-o", str(out)]) in (0, 1)
     assert "status" in json.loads(out.read_text())
-
-
-def test_cli_bench_runs(tmp_path, capsys):
-    assert main(["bench", "--seeds", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "suite" in out and "kernel" in out

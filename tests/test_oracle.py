@@ -6,8 +6,7 @@ import pytest
 from chvd.graphs import Graph, DiGraph, verify_hole
 from chvd import graphs, oracle
 from chvd.oracle import SearchBudgetExceeded, exact_chvd, \
-    exact_chvd_avoiding, exact_chvd_forced, exact_multicut, \
-    shortest_hole_avoiding
+    exact_chvd_forced, exact_multicut, shortest_hole_avoiding
 from chvd.generate import GeneratorSpec, generate, random_dag, random_gnp
 from bruteforce import (
     bf_all_holes,
@@ -238,11 +237,51 @@ def test_exact_chvd_avoiding_matches_pool_free_reference():
         g = two_cycles_with_chords(rng)
         forbidden = frozenset(v for v in g.vertices() if rng.random() < 0.3)
         k = rng.randint(0, 4)
-        res = exact_chvd_avoiding(g, k, forbidden)
+        res = exact_chvd(g, k, forbidden=forbidden)
         assert_same_optimum(res, ref_exact_chvd(g, k, forbidden=forbidden))
         if res is not None:
             assert not res.solution & forbidden
             assert bf_chordal_after_delete(g, set(res.solution))
+
+
+def test_exact_chvd_forced_and_forbidden_match_pool_free_reference():
+    rng = random.Random(127)
+    solved = 0
+    for trial in range(40):
+        g = two_cycles_with_chords(rng)
+        pairs = tuple(tuple(rng.sample(range(g.n), 2))
+                      for _ in range(rng.randint(1, 3)))
+        forbidden = frozenset(v for v in g.vertices() if rng.random() < 0.2)
+        k = rng.randint(1, 5)
+        res = exact_chvd(g, k, forced=pairs, forbidden=forbidden)
+        assert_same_optimum(
+            res, ref_exact_chvd(g, k, forced_pairs=pairs, forbidden=forbidden))
+        if res is not None:
+            solved += 1
+            assert not res.solution & forbidden
+            assert all(x in res.solution or y in res.solution
+                       for x, y in pairs)
+            assert bf_chordal_after_delete(g, set(res.solution))
+    assert 0 < solved < 40
+
+
+def test_forced_pair_with_both_endpoints_forbidden_has_no_solution():
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    for k in range(g.n + 1):
+        assert exact_chvd(g, k, forced=[(0, 3)], forbidden=[0, 3]) is None
+    # with one endpoint allowed, the pair is hit through it
+    res = exact_chvd(g, g.n, forced=[(0, 3)], forbidden=[0])
+    assert res.solution == frozenset({3})
+
+
+def test_exact_chvd_forced_is_exact_chvd_with_forced_pairs():
+    rng = random.Random(131)
+    for trial in range(20):
+        g = two_cycles_with_chords(rng)
+        pairs = tuple(tuple(rng.sample(range(g.n), 2))
+                      for _ in range(rng.randint(0, 3)))
+        k = rng.randint(0, 5)
+        assert exact_chvd_forced(g, k, pairs) == exact_chvd(g, k, pairs)
 
 
 def test_exact_multicut_matches_pool_free_reference():
