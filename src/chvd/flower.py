@@ -23,7 +23,7 @@ from .graphs import (
     shortcut_walk,
     verify_hole,
 )
-from .chordal import CliqueTree, clique_tree_of, is_chordal, recognize, PEO
+from .chordal import CliqueTree, clique_tree_of, is_chordal
 
 
 @dataclass(frozen=True)
@@ -150,15 +150,13 @@ class FlowerSearch:
         self.g = g
         self.v = v
         self.sub: Subgraph = delete_vertices(g, {v})
-        res = recognize(self.sub.graph)
-        if not isinstance(res, PEO):
-            raise ValueError("g - v is not chordal")
+        # raises ValueError when g - v is not chordal
         self.tree: CliqueTree = clique_tree_of(self.sub.graph)
-        self._new_of = {old: new for new, old in enumerate(self.sub.old_of)}
 
     def d_subtrees(self, a: int, b: int) -> int:
         """d_T(beta_inverse(a), beta_inverse(b)) in g's vertex ids."""
-        return self.tree.subtrees_distance(self._new_of[a], self._new_of[b])
+        return self.tree.subtrees_distance(self.sub.index[a],
+                                          self.sub.index[b])
 
     def adhesion_old(self, child: int) -> frozenset[int]:
         return frozenset(self.sub.old_of[u] for u in self.tree.adhesion(child))
@@ -304,7 +302,7 @@ def cutpoints(search: FlowerSearch, f: Flower) -> CutpointMap:
         if u == v:
             continue
         found: Optional[tuple[int, int]] = None
-        for node in search.tree.path_to_root(search._new_of[u]):
+        for node in search.tree.path_to_root(search.sub.index[u]):
             parent = search.tree.parent[node]
             if parent is None:
                 break

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graphs import Graph
-from .kernel import AChvdInstance
 
 
 class InstanceFormatError(ValueError):
@@ -37,14 +36,6 @@ class InstanceFile:
 
     def graph(self) -> Graph:
         return Graph(self.n, self.edges)
-
-    def annotated(self) -> AChvdInstance:
-        inst = AChvdInstance(
-            self.graph(), self.k, frozenset(self.modulator),
-            frozenset(frozenset(p) for p in self.forced),
-        )
-        inst.validate()
-        return inst
 
     @staticmethod
     def from_graph(g: Graph, k: int, modulator=(), forced=(),

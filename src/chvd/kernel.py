@@ -16,14 +16,17 @@ first; each firing is recorded as one replayable trace event:
   7. bypass a component vertex outside the important set Z.
 
 The toughness template also runs inside rule 4 with per-pair separators.
+An instance is immutable, so it derives its core G - M, the core's clique
+tree and the separator once; every rule of a round reads the same three.
 Every event preserves the instance answer; the acceptance suite checks
 this against the exact oracle per event.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .graphs import (
     Graph,
@@ -33,8 +36,7 @@ from .graphs import (
     delete_vertices,
     induced_subgraph,
 )
-from .chordal import CliqueTree, build_clique_tree, clique_tree_of, is_chordal, \
-    mis_chordal, recognize, PEO
+from .chordal import CliqueTree, clique_tree_of, is_chordal, mis_chordal
 from .flower import flower_and_cover
 
 
@@ -63,8 +65,17 @@ class AChvdInstance:
     def forced_tuples(self) -> tuple[tuple[int, int], ...]:
         return tuple(tuple(sorted(p)) for p in sorted(self.forced, key=sorted))
 
+    @cached_property
     def core(self) -> Subgraph:
         return delete_vertices(self.g, self.modulator)
+
+    @cached_property
+    def tree(self) -> CliqueTree:
+        return clique_tree_of(self.core.graph)
+
+    @cached_property
+    def separator(self) -> "SeparatorSet":
+        return build_separator(self)
 
     def selector(self, positives: Iterable[int] = (),
                  negatives: Iterable[int] = ()) -> frozenset[int]:
@@ -286,19 +297,18 @@ def _xy_good_bottommost(
 
 def rule2_xy_good(
     inst: AChvdInstance,
-    core: Optional[Subgraph] = None,
     tree: Optional[CliqueTree] = None,
     contacts: Optional[Contacts] = None,
 ) -> Optional[tuple[AChvdInstance, ReductionEvent]]:
     """Force xy when k + 2 maximally bottommost nodes carry xy-paths.
 
-    ``contacts``, when given, is ``_subtree_contacts(inst, core, tree)``.
+    ``tree`` is a rooting of ``inst.tree`` (by default that tree itself);
+    ``contacts``, when given, is ``_subtree_contacts(inst, inst.core, tree)``.
     """
-    if core is None:
-        core = inst.core()
-        tree = clique_tree_of(core.graph)
+    if tree is None:
+        tree = inst.tree
     if contacts is None:
-        contacts = _subtree_contacts(inst, core, tree)
+        contacts = _subtree_contacts(inst, inst.core, tree)
     for x, y in _modulator_pairs(inst, adjacent=False):
         nodes = _xy_good_bottommost(tree, contacts, x, y)
         if len(nodes) >= inst.k + 2:
@@ -328,15 +338,14 @@ def rule3_reduce_clique(
     """
     params = KernelParams.of(inst)
     check(len(clique) > params.omega_bound, "clique is not oversized")
-    core = inst.core()
-    base = clique_tree_of(core.graph)
+    core = inst.core
     clique_core = frozenset(core.to_sub(clique))
-    root = base.first_bag_containing(clique_core)
+    root = inst.tree.first_bag_containing(clique_core)
     check(root is not None, "oversized clique not contained in any bag")
-    tree = base.reroot(root)
+    tree = inst.tree.reroot(root)
     contacts = _subtree_contacts(inst, core, tree)
 
-    forced = rule2_xy_good(inst, core, tree, contacts=contacts)
+    forced = rule2_xy_good(inst, tree, contacts=contacts)
     if forced is not None:
         return forced
 
@@ -365,19 +374,13 @@ def rule3_reduce_clique(
     for y in ms:
         comp = next(
             (c for c in inst.nonneighbor_components(y)
-             if c & frozenset(core.old_of[u] for u in base.bags[root])),
+             if c & frozenset(core.old_of[u] for u in tree.bags[root])),
             None,
         )
         if comp is None:
             boundary_node[y] = root
             continue
-        nbhd = frozenset(
-            w
-            for v in comp
-            for w in inst.g.neighbors(v)
-            if w not in inst.modulator and w not in comp
-        )
-        nbhd_core = frozenset(core.to_sub(nbhd))
+        nbhd_core = frozenset(core.to_sub(_core_neighborhood(inst, comp)))
         node = tree.first_bag_containing(nbhd_core)
         check(node is not None, "component boundary is not inside a bag")
         boundary_node[y] = node
@@ -405,13 +408,9 @@ def rule3_reduce_clique(
 
 def find_oversized_clique(inst: AChvdInstance) -> Optional[frozenset[int]]:
     params = KernelParams.of(inst)
-    core = inst.core()
-    if core.graph.n == 0:
-        return None
-    tree = clique_tree_of(core.graph)
     oversized = [
-        frozenset(core.old_of[v] for v in bag)
-        for bag in tree.bags
+        frozenset(inst.core.old_of[v] for v in bag)
+        for bag in inst.tree.bags
         if len(bag) > params.omega_bound
     ]
     if not oversized:
@@ -518,8 +517,7 @@ class SeparatorSet:
 def build_separator(inst: AChvdInstance) -> SeparatorSet:
     """Bags covering the maximal cliques of every G(x, y) and every
     nonneighbor component boundary, closed under LCA, plus the root."""
-    core = inst.core()
-    tree = clique_tree_of(core.graph)
+    core, tree = inst.core, inst.tree
     q0: set[int] = set()
     for x, y in _modulator_pairs(inst, adjacent=False):
         common = inst.selector([x, y])
@@ -788,20 +786,16 @@ class StructuralReport:
 
 def structural_report(inst: AChvdInstance) -> StructuralReport:
     params = KernelParams.of(inst)
-    core = inst.core()
-    omega = 0
-    if core.graph.n:
-        omega = max(len(bag) for bag in clique_tree_of(core.graph).bags)
     counts = tuple(
         (x, len(inst.nonneighbor_components(x))) for x in sorted(inst.modulator)
     )
-    sep = build_separator(inst)
+    sep = inst.separator
     z_sizes = tuple(
         len(component_context(inst, sep, comp).important)
         for comp in core_components_outside(inst, sep)
     )
     return StructuralReport(
-        omega_core=omega,
+        omega_core=max(len(bag) for bag in inst.tree.bags),
         omega_bound=params.omega_bound,
         component_counts=counts,
         component_count_bound=params.component_count_bound,
@@ -838,7 +832,7 @@ def kernelize_annotated(
         if fired is None:
             fired = rule4_components(inst)
         if fired is None:
-            sep = build_separator(inst)
+            sep = inst.separator
             fired = rule5_separator_template(inst, sep)
             if fired is None:
                 fired = rule6_irrelevant(inst, sep)
@@ -905,19 +899,24 @@ def annotate(
     return inst, trace
 
 
-def gadgetize(inst: AChvdInstance) -> tuple[Graph, int, ReductionEvent]:
-    """Replace every forced pair by a fresh four-cycle through it."""
-    g = inst.g
+def _with_gadgets(g: Graph,
+                  gadgets: Iterable[tuple[int, int, int, int]]) -> Graph:
+    """g plus the path x - x' - y' - y for every gadget (x, y, x', y')."""
     edges = list(g.edges())
     n = g.n
-    added = []
-    for x, y in inst.forced_tuples():
-        xp, yp = n, n + 1
-        n += 2
+    for x, y, xp, yp in gadgets:
         edges += [(x, xp), (xp, yp), (yp, y)]
-        added.append((x, y, xp, yp))
-    event = ReductionEvent(rule="gadgetize", witness=tuple(added))
-    return Graph(n, edges), inst.k, event
+        n = max(n, xp + 1, yp + 1)
+    return Graph(n, edges)
+
+
+def gadgetize(inst: AChvdInstance) -> tuple[Graph, int, ReductionEvent]:
+    """Replace every forced pair by a fresh four-cycle through it."""
+    n = inst.g.n
+    added = tuple((x, y, n + 2 * i, n + 2 * i + 1)
+                  for i, (x, y) in enumerate(inst.forced_tuples()))
+    event = ReductionEvent(rule="gadgetize", witness=added)
+    return _with_gadgets(inst.g, added), inst.k, event
 
 
 @dataclass(frozen=True)
@@ -970,11 +969,6 @@ def replay_trace(g: Graph, k: int,
                                  inst.forced)
             continue
         if event.rule == "gadgetize":
-            edges = list(inst.g.edges())
-            n = inst.g.n
-            for x, y, xp, yp in event.witness:
-                edges += [(x, xp), (xp, yp), (yp, y)]
-                n = max(n, xp + 1, yp + 1)
-            return Graph(n, edges), inst.k
+            return _with_gadgets(inst.g, event.witness), inst.k
         inst = apply_event(inst, event)
     return inst.g, inst.k

@@ -203,7 +203,7 @@ def test_cutpoints_match_definition():
             if u == v:
                 continue
             expected = None
-            for node in search.tree.path_to_root(search._new_of[u]):
+            for node in search.tree.path_to_root(search.sub.index[u]):
                 if search.tree.parent[node] is None:
                     break
                 if search.adhesion_old(node) <= cover:

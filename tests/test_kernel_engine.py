@@ -5,12 +5,14 @@ import random
 from chvd import kernel
 from chvd.chordal import clique_tree_of
 from chvd.generate import GeneratorSpec, generate, kernel_instance_pool
+from chvd.graphs import delete_vertices
 from chvd.kernel import (
     _modulator_pairs,
     _subtree_contacts,
     _xy_good_bottommost,
     annotate,
     apply_event,
+    build_separator,
     kernelize,
     kernelize_annotated,
     rule4_components,
@@ -48,11 +50,15 @@ def test_kernel_pool_traces_are_pinned():
         assert kernel_digest(kernelize(g, k, modulator)) == expected, seed
 
 
-def test_planted_ladder_trace_is_pinned():
+def ladder_instance():
     g, k, planted = generate(GeneratorSpec(seed=1, core_vertices=99,
                                            tree_nodes=33, planted=4,
                                            noise_edges=1))
-    res = kernelize(g, k, sorted(planted))
+    return g, k, sorted(planted)
+
+
+def test_planted_ladder_trace_is_pinned():
+    res = kernelize(*ladder_instance())
     assert (len(res.trace), res.graph.n) == (13, 38)
     assert kernel_digest(res) == LADDER_DIGEST
 
@@ -120,7 +126,7 @@ def test_template_matches_reference():
 def test_xy_good_bottommost_matches_reference_on_rerooted_trees():
     pairs_with_nodes = 0
     for inst in annotated_states(range(8)):
-        core = inst.core()
+        core = inst.core
         if core.graph.n == 0:
             continue
         base = clique_tree_of(core.graph)
@@ -153,3 +159,40 @@ def test_rule4_runs_the_template_once_per_separator(monkeypatch):
         assert rule4_components(reduced) is None
         m = len(reduced.modulator)
         assert len(separators) == len(set(separators)) < m * (m - 1)
+
+
+def test_each_instance_builds_its_core_tree_once(monkeypatch):
+    original = kernel.clique_tree_of
+    calls = []
+
+    def recording(g, *args, **kwargs):
+        calls.append(g)
+        return original(g, *args, **kwargs)
+
+    monkeypatch.setattr(kernel, "clique_tree_of", recording)
+    chains = 0
+    for g, k, modulator in [ladder_instance()] + [
+            kernel_instance_pool(seed) for seed in range(10)]:
+        res = annotate(g, k, modulator)
+        if res is None:
+            continue
+        inst = res[0]
+        calls.clear()
+        _, events = kernelize_annotated(inst)
+        cores = {delete_vertices(inst.g, inst.modulator).graph}
+        for event in events:
+            inst = apply_event(inst, event)
+            cores.add(delete_vertices(inst.g, inst.modulator).graph)
+        core_calls = sum(graph in cores for graph in calls)
+        assert core_calls <= len(events) + 1, (core_calls, len(events))
+        chains += 1
+    assert chains == 11
+
+
+def test_cached_tree_and_separator_match_fresh_builds():
+    for inst in annotated_states(range(8)):
+        fresh = clique_tree_of(delete_vertices(inst.g, inst.modulator).graph)
+        assert (inst.tree.bags, inst.tree.parent) == (fresh.bags, fresh.parent)
+        sep = build_separator(inst)
+        assert inst.separator.vertices == sep.vertices
+        assert inst.separator.closed_nodes == sep.closed_nodes
