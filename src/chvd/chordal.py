@@ -257,7 +257,7 @@ def _maximal_cliques_from_peo(g: Graph, peo: PEO) -> list[frozenset[int]]:
     return sorted(maximal, key=lambda c: sorted(c))
 
 
-def build_clique_tree(g: Graph, peo: PEO, root: Optional[int] = None) -> CliqueTree:
+def build_clique_tree(g: Graph, peo: PEO) -> CliqueTree:
     """Clique tree from a PEO: maximal cliques as bags, edges by a
     maximum-weight spanning tree over bag intersections."""
     if not is_peo(g, peo.ordering):
@@ -289,10 +289,9 @@ def build_clique_tree(g: Graph, peo: PEO, root: Optional[int] = None) -> CliqueT
             adj[i].append(j)
             adj[j].append(i)
             used += 1
-    root_node = 0 if root is None else root
     parent: list[Optional[int]] = [None] * b
-    stack = [root_node]
-    seen = {root_node}
+    stack = [0]
+    seen = {0}
     while stack:
         p = stack.pop()
         for q in sorted(adj[p]):
@@ -300,16 +299,24 @@ def build_clique_tree(g: Graph, peo: PEO, root: Optional[int] = None) -> CliqueT
                 seen.add(q)
                 parent[q] = p
                 stack.append(q)
-    tree = CliqueTree(bags, parent, root_node, g.n)
-    return tree
+    return CliqueTree(bags, parent, 0, g.n)
 
 
-def clique_tree_of(g: Graph, root: Optional[int] = None) -> CliqueTree:
-    """Recognize + build in one step; raises ValueError on non-chordal input."""
-    res = recognize(g)
+def clique_tree_of(g: Graph,
+                   vertices: Optional[Iterable[int]] = None) -> CliqueTree:
+    """Clique tree of g[vertices] (of g when vertices is None) with bags in
+    g's own ids; a vertex outside ``vertices`` lies in no bag.  Raises
+    ValueError when g[vertices] is not chordal."""
+    sub = None if vertices is None else induced_subgraph(g, vertices)
+    h = g if sub is None else sub.graph
+    res = recognize(h)
     if isinstance(res, Hole):
         raise ValueError("graph is not chordal")
-    return build_clique_tree(g, res, root=root)
+    tree = build_clique_tree(h, res)
+    if sub is None:
+        return tree
+    bags = [frozenset(sub.old_of[v] for v in bag) for bag in tree.bags]
+    return CliqueTree(bags, list(tree.parent), tree.root, g.n)
 
 
 def validate_clique_tree(g: Graph, t: CliqueTree) -> None:

@@ -15,7 +15,6 @@ from typing import Optional
 from .graphs import (
     Graph,
     Hole,
-    Subgraph,
     bfs_path,
     check,
     delete_vertices,
@@ -73,17 +72,10 @@ class Flower:
                   "petal interior touches the closed neighborhood")
 
 
-@dataclass(frozen=True)
-class CutpointMap:
-    """Per-vertex lowest tree edge whose adhesion is inside N(v) + flower.
-
-    Edges are (child, parent) node pairs in the clique tree of g - v;
-    None marks the NIL case.  ``flower_vertices`` records the flower the
-    map was computed against.
-    """
-
-    edges: dict[int, Optional[tuple[int, int]]]
-    flower_vertices: frozenset[int]
+# Per vertex u of g - v, the lowest tree edge above top(u) whose adhesion
+# lies inside N(v) + flower, as a (child, parent) node pair of the clique
+# tree of g - v; None marks the NIL case.
+Cutpoints = dict[int, Optional[tuple[int, int]]]
 
 
 def two_disjoint_paths(
@@ -144,22 +136,14 @@ def two_disjoint_paths(
 
 class FlowerSearch:
     """Shared state for the local search: g, center, and the fixed rooted
-    clique tree of g - v (built once, never rebuilt)."""
+    clique tree of g - v in g's ids (built once, never rebuilt)."""
 
     def __init__(self, g: Graph, v: int):
         self.g = g
         self.v = v
-        self.sub: Subgraph = delete_vertices(g, {v})
         # raises ValueError when g - v is not chordal
-        self.tree: CliqueTree = clique_tree_of(self.sub.graph)
-
-    def d_subtrees(self, a: int, b: int) -> int:
-        """d_T(beta_inverse(a), beta_inverse(b)) in g's vertex ids."""
-        return self.tree.subtrees_distance(self.sub.index[a],
-                                          self.sub.index[b])
-
-    def adhesion_old(self, child: int) -> frozenset[int]:
-        return frozenset(self.sub.old_of[u] for u in self.tree.adhesion(child))
+        self.tree: CliqueTree = clique_tree_of(
+            g, (u for u in g.vertices() if u != v))
 
 
 def _induced_path_between(
@@ -224,11 +208,11 @@ def _step_shorten(search: FlowerSearch, f: Flower) -> Optional[Flower]:
         ends = sorted((path[0], path[-1]))
         petal_vertices = set(path)
         for s, t in (tuple(ends), tuple(reversed(ends))):
-            base = search.d_subtrees(s, t)
+            base = search.tree.subtrees_distance(s, t)
             for t_new in g.neighbors(v):
                 if t_new in used or g.has_edge(s, t_new) or t_new == s:
                     continue
-                if search.d_subtrees(s, t_new) >= base:
+                if search.tree.subtrees_distance(s, t_new) >= base:
                     continue
                 removed = ((closed - {s, t_new}) |
                            (used - petal_vertices - {v}))
@@ -288,32 +272,31 @@ def improve(search: FlowerSearch, f: Flower) -> Optional[Flower]:
     return None
 
 
-def cutpoints(search: FlowerSearch, f: Flower) -> CutpointMap:
+def cutpoints(search: FlowerSearch, f: Flower) -> Cutpoints:
     """The cutpoint above every vertex of g - v.
 
     pi(u) is the first edge on the path from top(u) to the root whose
     adhesion is contained in N(v) union the flower vertices.
     """
-    g, v = search.g, search.v
-    flower_vs = f.vertex_set()
-    cover = set(g.neighbors(v)) | flower_vs
-    edges: dict[int, Optional[tuple[int, int]]] = {}
+    g, v, tree = search.g, search.v, search.tree
+    cover = set(g.neighbors(v)) | f.vertex_set()
+    edges: Cutpoints = {}
     for u in g.vertices():
         if u == v:
             continue
         found: Optional[tuple[int, int]] = None
-        for node in search.tree.path_to_root(search.sub.index[u]):
-            parent = search.tree.parent[node]
+        for node in tree.path_to_root(u):
+            parent = tree.parent[node]
             if parent is None:
                 break
-            if search.adhesion_old(node) <= cover:
+            if tree.adhesion(node) <= cover:
                 found = (node, parent)
                 break
         edges[u] = found
-    return CutpointMap(edges, frozenset(flower_vs))
+    return edges
 
 
-def hitting_set(search: FlowerSearch, f: Flower, cp: CutpointMap) -> frozenset[int]:
+def hitting_set(search: FlowerSearch, f: Flower, cp: Cutpoints) -> frozenset[int]:
     """Greedy hole-hitting set from a maximal flower and its cutpoints.
 
     Adds the endpoints of every petal path, plus adh(pi(u)) minus N(v)
@@ -329,10 +312,10 @@ def hitting_set(search: FlowerSearch, f: Flower, cp: CutpointMap) -> frozenset[i
     flower_vs = f.vertex_set()
     nv = set(g.neighbors(v))
     for u in sorted(nv - flower_vs):
-        edge = cp.edges[u]
+        edge = cp[u]
         if edge is None:
             continue
-        s |= search.adhesion_old(edge[0]) - nv
+        s |= search.tree.adhesion(edge[0]) - nv
     result = frozenset(s)
     check(v not in result, "hitting set contains the center")
     check(result <= flower_vs - {v}, "hitting set leaves the flower")
@@ -344,9 +327,7 @@ def hitting_set(search: FlowerSearch, f: Flower, cp: CutpointMap) -> frozenset[i
     return result
 
 
-def flower_and_cover(
-    g: Graph, v: int, max_rounds: Optional[int] = None
-) -> tuple[Flower, frozenset[int]]:
+def flower_and_cover(g: Graph, v: int) -> tuple[Flower, frozenset[int]]:
     """Maximal v-flower plus a hitting set of size at most 12 * order.
 
     Requires g - v chordal.  The improvement loop is capped at |V|^4
@@ -354,7 +335,7 @@ def flower_and_cover(
     """
     search = FlowerSearch(g, v)
     f = Flower(v, ())
-    cap = max_rounds if max_rounds is not None else max(16, g.n ** 4)
+    cap = max(16, g.n ** 4)
     rounds = 0
     while True:
         improved = improve(search, f)

@@ -16,8 +16,9 @@ first; each firing is recorded as one replayable trace event:
   7. bypass a component vertex outside the important set Z.
 
 The toughness template also runs inside rule 4 with per-pair separators.
-An instance is immutable, so it derives its core G - M, the core's clique
-tree and the separator once; every rule of a round reads the same three.
+An instance is immutable, so it derives the clique tree of its core G - M,
+with bags in G's own ids, and the separator once; every rule of a round
+reads the same two.
 Every event preserves the instance answer; the acceptance suite checks
 this against the exact oracle per event.
 """
@@ -30,7 +31,6 @@ from typing import Iterable, Optional
 
 from .graphs import (
     Graph,
-    Subgraph,
     check,
     components_within,
     delete_vertices,
@@ -66,12 +66,8 @@ class AChvdInstance:
         return tuple(tuple(sorted(p)) for p in sorted(self.forced, key=sorted))
 
     @cached_property
-    def core(self) -> Subgraph:
-        return delete_vertices(self.g, self.modulator)
-
-    @cached_property
     def tree(self) -> CliqueTree:
-        return clique_tree_of(self.core.graph)
+        return clique_tree_of(self.g, set(self.g.vertices()) - self.modulator)
 
     @cached_property
     def separator(self) -> "SeparatorSet":
@@ -261,18 +257,17 @@ def _has_avoiding_path(g: Graph, comp: frozenset[int], x: int, y: int) -> bool:
 Contacts = list[frozenset[frozenset[int]]]
 
 
-def _subtree_contacts(
-    inst: AChvdInstance, core: Subgraph, tree: CliqueTree
-) -> Contacts:
+def _subtree_contacts(inst: AChvdInstance, tree: CliqueTree) -> Contacts:
     """Per node q, the modulator contacts N(C) & M of the components C of
     the core vertices whose topmost bag lies in the subtree of q."""
+    g, m = inst.g, inst.modulator
     below: list[set[int]] = [set() for _ in tree.nodes()]
-    for v in core.graph.vertices():
-        below[tree.top(v)].add(core.old_of[v])
+    for v in g.vertices():
+        if v not in m:
+            below[tree.top(v)].add(v)
     for q in sorted(tree.nodes(), key=tree.depth, reverse=True):
         if tree.parent[q] is not None:
             below[tree.parent[q]] |= below[q]
-    g, m = inst.g, inst.modulator
     return [
         frozenset(
             frozenset(w for v in part for w in g.neighbors(v) if w in m)
@@ -303,12 +298,12 @@ def rule2_xy_good(
     """Force xy when k + 2 maximally bottommost nodes carry xy-paths.
 
     ``tree`` is a rooting of ``inst.tree`` (by default that tree itself);
-    ``contacts``, when given, is ``_subtree_contacts(inst, inst.core, tree)``.
+    ``contacts``, when given, is ``_subtree_contacts(inst, tree)``.
     """
     if tree is None:
         tree = inst.tree
     if contacts is None:
-        contacts = _subtree_contacts(inst, inst.core, tree)
+        contacts = _subtree_contacts(inst, tree)
     for x, y in _modulator_pairs(inst, adjacent=False):
         nodes = _xy_good_bottommost(tree, contacts, x, y)
         if len(nodes) >= inst.k + 2:
@@ -338,12 +333,10 @@ def rule3_reduce_clique(
     """
     params = KernelParams.of(inst)
     check(len(clique) > params.omega_bound, "clique is not oversized")
-    core = inst.core
-    clique_core = frozenset(core.to_sub(clique))
-    root = inst.tree.first_bag_containing(clique_core)
+    root = inst.tree.first_bag_containing(clique)
     check(root is not None, "oversized clique not contained in any bag")
     tree = inst.tree.reroot(root)
-    contacts = _subtree_contacts(inst, core, tree)
+    contacts = _subtree_contacts(inst, tree)
 
     forced = rule2_xy_good(inst, tree, contacts=contacts)
     if forced is not None:
@@ -352,10 +345,6 @@ def rule3_reduce_clique(
     ms = sorted(inst.modulator)
     k = inst.k
     marked: set[int] = set()
-
-    def dist_to_node(v: int, node: int) -> int:
-        return tree.subtree_distance(core.new_of(v), node)
-
     # point (a): triples
     for x1 in ms:
         for x2 in ms:
@@ -367,31 +356,29 @@ def rule3_reduce_clique(
         nodes = _xy_good_bottommost(tree, contacts, x1, y1)
         common = clique & inst.selector([x1, y1])
         for q in nodes:
-            cands = sorted(common, key=lambda v: (-dist_to_node(v, q), v))
+            cands = sorted(common,
+                           key=lambda v: (-tree.subtree_distance(v, q), v))
             _mark_up_to(cands, k + 1, marked)
     # points (c) and (d): nearest to the boundary node of A^y
     boundary_node: dict[int, int] = {}
     for y in ms:
         comp = next(
             (c for c in inst.nonneighbor_components(y)
-             if c & frozenset(core.old_of[u] for u in tree.bags[root])),
+             if c & tree.bags[root]),
             None,
         )
         if comp is None:
             boundary_node[y] = root
             continue
-        nbhd_core = frozenset(core.to_sub(_core_neighborhood(inst, comp)))
-        node = tree.first_bag_containing(nbhd_core)
+        node = tree.first_bag_containing(_core_neighborhood(inst, comp))
         check(node is not None, "component boundary is not inside a bag")
         boundary_node[y] = node
     for x in ms:
         for y in ms:
             for selector_sets in ((clique & inst.selector([x], [y])),
                                   (clique & inst.selector([], [x, y]))):
-                cands = sorted(
-                    selector_sets,
-                    key=lambda v: (dist_to_node(v, boundary_node[y]), v),
-                )
+                cands = sorted(selector_sets, key=lambda v: (
+                    tree.subtree_distance(v, boundary_node[y]), v))
                 _mark_up_to(cands, k + 1, marked)
 
     check(len(marked & clique) <= params.omega_bound,
@@ -408,11 +395,7 @@ def rule3_reduce_clique(
 
 def find_oversized_clique(inst: AChvdInstance) -> Optional[frozenset[int]]:
     params = KernelParams.of(inst)
-    oversized = [
-        frozenset(inst.core.old_of[v] for v in bag)
-        for bag in inst.tree.bags
-        if len(bag) > params.omega_bound
-    ]
+    oversized = [bag for bag in inst.tree.bags if len(bag) > params.omega_bound]
     if not oversized:
         return None
     return sorted(oversized, key=lambda c: (-len(c), sorted(c)))[0]
@@ -506,37 +489,28 @@ class SeparatorSet:
     the clique-size bound already holds.
     """
 
-    core: Subgraph
-    tree: CliqueTree
     marked_nodes: frozenset[int]
     closed_nodes: frozenset[int]
-    vertices: frozenset[int]        # S_Q in instance ids
+    vertices: frozenset[int]        # S_Q
     ceilings: tuple[tuple[str, int], ...] = ()
 
 
 def build_separator(inst: AChvdInstance) -> SeparatorSet:
     """Bags covering the maximal cliques of every G(x, y) and every
     nonneighbor component boundary, closed under LCA, plus the root."""
-    core, tree = inst.core, inst.tree
+    tree = inst.tree
     q0: set[int] = set()
     for x, y in _modulator_pairs(inst, adjacent=False):
         common = inst.selector([x, y])
         if not common:
             continue
-        sub = induced_subgraph(inst.g, common)
-        sub_tree = clique_tree_of(sub.graph)
-        for bag in sub_tree.bags:
-            if not bag:
-                continue
-            lifted = frozenset(core.to_sub(sub.old_of[v] for v in bag))
-            node = tree.first_bag_containing(lifted)
+        for bag in clique_tree_of(inst.g, common).bags:
+            node = tree.first_bag_containing(bag)
             check(node is not None, "selector clique not inside a bag")
             q0.add(node)
     for x in sorted(inst.modulator):
         for comp in inst.nonneighbor_components(x):
-            nbhd = _core_neighborhood(inst, comp)
-            lifted = frozenset(core.to_sub(nbhd))
-            node = tree.first_bag_containing(lifted)
+            node = tree.first_bag_containing(_core_neighborhood(inst, comp))
             check(node is not None, "component boundary not inside a bag")
             q0.add(node)
     closed = set(q0) | {tree.root}
@@ -552,9 +526,7 @@ def build_separator(inst: AChvdInstance) -> SeparatorSet:
         closed |= extra
         frontier = sorted(closed)
     check(len(closed) <= 1 + 2 * len(q0), "LCA closure exceeded 1 + 2|Q0|")
-    vertices = frozenset(
-        core.old_of[v] for node in closed for v in tree.bags[node]
-    )
+    vertices = frozenset(v for node in closed for v in tree.bags[node])
     params = KernelParams.of(inst)
     k, m = params.k, params.m_size
     q0_ceiling = m * m * (k + 2) * params.omega_bound \
@@ -566,7 +538,7 @@ def build_separator(inst: AChvdInstance) -> SeparatorSet:
         check(len(vertices | inst.modulator) <= sep_ceiling,
               "separator size exceeds its ceiling")
     return SeparatorSet(
-        core, tree, frozenset(q0), frozenset(closed), vertices,
+        frozenset(q0), frozenset(closed), vertices,
         ceilings=(("marked_nodes", q0_ceiling), ("separator", sep_ceiling)),
     )
 
@@ -587,23 +559,21 @@ class ComponentContext:
     """One component of the core minus the separator, with its boundary
     path and important-vertex machinery."""
 
-    component: frozenset[int]        # instance ids
+    component: frozenset[int]
     q_up: int
     q_down: int                      # DUMMY for the virtual empty bag
     path_nodes: tuple[int, ...]      # q_up .. q_down along the tree, DUMMY last
-    path_bags: tuple[frozenset[int], ...]  # instance ids
+    path_bags: tuple[frozenset[int], ...]
     q2_positions: tuple[int, ...]
     ridge_edges: tuple[int, ...]     # positions i: edge between bag i, i+1
-    important: frozenset[int]        # Z, instance ids
+    important: frozenset[int]        # Z
 
 
-def component_context(
-    inst: AChvdInstance, sep: SeparatorSet, comp: frozenset[int]
-) -> ComponentContext:
-    core, tree = sep.core, sep.tree
-    comp_core = {core.new_of(v) for v in comp}
+def component_context(inst: AChvdInstance,
+                      comp: frozenset[int]) -> ComponentContext:
+    tree = inst.tree
     nodes_a: set[int] = set()
-    for v in comp_core:
+    for v in comp:
         nodes_a.update(tree.beta_inverse(v))
     # connectivity of the occupied subtree
     inside_parent = {p for p in nodes_a if tree.parent[p] in nodes_a}
@@ -637,13 +607,8 @@ def component_context(
                   if not any(c in nodes_a for c in tree.children(p))]
         leaf = min(leaves)
         path_nodes = tuple(tree.node_path(q_up, leaf)) + (DUMMY,)
-
-    def bag_of(node: int) -> frozenset[int]:
-        if node == DUMMY:
-            return frozenset()
-        return frozenset(core.old_of[v] for v in tree.bags[node])
-
-    path_bags = tuple(bag_of(q) for q in path_nodes)
+    path_bags = tuple(frozenset() if q == DUMMY else tree.bags[q]
+                      for q in path_nodes)
     outside = frozenset(
         w
         for v in comp
@@ -715,7 +680,7 @@ def rule6_irrelevant(
 ) -> Optional[tuple[AChvdInstance, ReductionEvent]]:
     """Delete a component vertex whose bags all miss the boundary path."""
     for comp in core_components_outside(inst, sep):
-        ctx = component_context(inst, sep, comp)
+        ctx = component_context(inst, comp)
         on_path = frozenset(v for bag in ctx.path_bags for v in bag)
         stranded = sorted(comp - on_path)
         if stranded:
@@ -734,7 +699,7 @@ def rule7_bypass(
     """Bypass a component vertex outside Z: cliquify its neighborhood,
     then delete it."""
     for comp in core_components_outside(inst, sep):
-        ctx = component_context(inst, sep, comp)
+        ctx = component_context(inst, comp)
         rest = sorted(comp - ctx.important)
         if not rest:
             continue
@@ -791,7 +756,7 @@ def structural_report(inst: AChvdInstance) -> StructuralReport:
     )
     sep = inst.separator
     z_sizes = tuple(
-        len(component_context(inst, sep, comp).important)
+        len(component_context(inst, comp).important)
         for comp in core_components_outside(inst, sep)
     )
     return StructuralReport(

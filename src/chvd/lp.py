@@ -61,12 +61,6 @@ class FractionalSolution:
             {v: factor * w for v, w in self.values.items()}, self.tolerance
         )
 
-    def restricted(self, vertices) -> "FractionalSolution":
-        keep = set(vertices)
-        return FractionalSolution(
-            {v: w for v, w in self.values.items() if v in keep}, self.tolerance
-        )
-
     def remapped(self, new_of: dict[int, int]) -> "FractionalSolution":
         return FractionalSolution(
             {new_of[v]: w for v, w in self.values.items() if v in new_of},

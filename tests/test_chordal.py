@@ -4,7 +4,14 @@ from itertools import combinations
 
 import pytest
 
-from chvd.graphs import Graph, Hole, bfs_path, components_within, verify_hole
+from chvd.graphs import (
+    Graph,
+    Hole,
+    bfs_path,
+    components_within,
+    induced_subgraph,
+    verify_hole,
+)
 from chvd.chordal import (
     PEO,
     build_clique_tree,
@@ -341,3 +348,37 @@ def test_first_bag_containing_returns_first_match_in_node_order():
                 assert t.first_bag_containing(s) == expected
         assert t.first_bag_containing(frozenset(g.vertices())) is None \
             or len(t.bags) == 1
+
+
+def test_clique_tree_of_vertices_labels_bags_in_the_callers_ids():
+    rng = random.Random(41)
+    for _ in range(40):
+        g = random_chordal(rng, rng.randint(1, 14), rng.randint(1, 6), 2)
+        s = {v for v in g.vertices() if rng.random() < 0.6}
+        sub = induced_subgraph(g, s)
+        local = clique_tree_of(sub.graph)
+        t = clique_tree_of(g, s)
+        assert t.bags == tuple(frozenset(sub.old_of[v] for v in bag)
+                               for bag in local.bags)
+        assert (t.parent, t.root) == (local.parent, local.root)
+        for u in set(g.vertices()) - s:
+            assert t.beta_inverse(u) == ()
+            with pytest.raises(ValueError):
+                t.top(u)
+        for v in s:
+            assert t.top(v) == local.top(sub.new_of(v))
+
+
+def test_clique_tree_of_vertices_rejects_a_hole_inside_them():
+    rng = random.Random(43)
+    rejected = 0
+    for _ in range(60):
+        g = random_gnp(rng, rng.randint(4, 10), 0.4)
+        s = {v for v in g.vertices() if rng.random() < 0.8}
+        if bf_is_chordal(induced_subgraph(g, s).graph):
+            clique_tree_of(g, s)
+            continue
+        with pytest.raises(ValueError):
+            clique_tree_of(g, s)
+        rejected += 1
+    assert rejected >= 10

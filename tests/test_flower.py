@@ -203,13 +203,13 @@ def test_cutpoints_match_definition():
             if u == v:
                 continue
             expected = None
-            for node in search.tree.path_to_root(search.sub.index[u]):
+            for node in search.tree.path_to_root(u):
                 if search.tree.parent[node] is None:
                     break
-                if search.adhesion_old(node) <= cover:
+                if search.tree.adhesion(node) <= cover:
                     expected = (node, search.tree.parent[node])
                     break
-            assert cp.edges[u] == expected
+            assert cp[u] == expected
 
 
 def test_improve_increases_the_potential():
@@ -221,7 +221,8 @@ def test_improve_increases_the_potential():
         f = Flower(v, ())
 
         def potential(fl):
-            dists = sum(search.d_subtrees(p[0], p[-1]) for p in fl.paths())
+            dists = sum(search.tree.subtrees_distance(p[0], p[-1])
+                        for p in fl.paths())
             return (fl.order, -dists)
 
         steps = 0

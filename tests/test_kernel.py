@@ -270,10 +270,10 @@ def test_separator_is_lca_closed():
         inst, _ = res
         sep = build_separator(inst)
         closed = set(sep.closed_nodes)
-        assert sep.tree.root in closed
+        assert inst.tree.root in closed
         for p in closed:
             for q in closed:
-                assert sep.tree.lca(p, q) in closed
+                assert inst.tree.lca(p, q) in closed
         assert len(closed) <= 1 + 2 * max(len(sep.marked_nodes), 0)
 
 
@@ -289,7 +289,7 @@ def test_component_context_invariants():
             continue
         sep = build_separator(inst)
         for comp in core_components_outside(inst, sep):
-            ctx = component_context(inst, sep, comp)
+            ctx = component_context(inst, comp)
             # boundary bags plus modulator absorb the neighborhood
             outside = {
                 w for v in comp for w in inst.g.neighbors(v) if w not in comp

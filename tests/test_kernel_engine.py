@@ -5,7 +5,7 @@ import random
 from chvd import kernel
 from chvd.chordal import clique_tree_of
 from chvd.generate import GeneratorSpec, generate, kernel_instance_pool
-from chvd.graphs import delete_vertices
+from chvd.graphs import delete_vertices, induced_subgraph
 from chvd.kernel import (
     _modulator_pairs,
     _subtree_contacts,
@@ -126,16 +126,18 @@ def test_template_matches_reference():
 def test_xy_good_bottommost_matches_reference_on_rerooted_trees():
     pairs_with_nodes = 0
     for inst in annotated_states(range(8)):
-        core = inst.core
+        core = delete_vertices(inst.g, inst.modulator)
         if core.graph.n == 0:
             continue
         base = clique_tree_of(core.graph)
         for root in base.nodes():
-            tree = base.reroot(root)
-            contacts = _subtree_contacts(inst, core, tree)
+            tree = inst.tree.reroot(root)
+            ref_tree = base.reroot(root)
+            contacts = _subtree_contacts(inst, tree)
             for x, y in _modulator_pairs(inst, adjacent=False):
                 got = _xy_good_bottommost(tree, contacts, x, y)
-                assert got == ref_xy_good_bottommost(inst, core, tree, x, y)
+                assert got == ref_xy_good_bottommost(inst, core, ref_tree,
+                                                     x, y)
                 pairs_with_nodes += bool(got)
     assert pairs_with_nodes >= 10
 
@@ -165,9 +167,10 @@ def test_each_instance_builds_its_core_tree_once(monkeypatch):
     original = kernel.clique_tree_of
     calls = []
 
-    def recording(g, *args, **kwargs):
-        calls.append(g)
-        return original(g, *args, **kwargs)
+    def recording(g, vertices=None):
+        calls.append(g if vertices is None
+                     else induced_subgraph(g, vertices).graph)
+        return original(g, vertices)
 
     monkeypatch.setattr(kernel, "clique_tree_of", recording)
     chains = 0
@@ -191,8 +194,11 @@ def test_each_instance_builds_its_core_tree_once(monkeypatch):
 
 def test_cached_tree_and_separator_match_fresh_builds():
     for inst in annotated_states(range(8)):
-        fresh = clique_tree_of(delete_vertices(inst.g, inst.modulator).graph)
-        assert (inst.tree.bags, inst.tree.parent) == (fresh.bags, fresh.parent)
+        core = delete_vertices(inst.g, inst.modulator)
+        fresh = clique_tree_of(core.graph)
+        fresh_bags = tuple(frozenset(core.old_of[v] for v in bag)
+                           for bag in fresh.bags)
+        assert (inst.tree.bags, inst.tree.parent) == (fresh_bags, fresh.parent)
         sep = build_separator(inst)
         assert inst.separator.vertices == sep.vertices
         assert inst.separator.closed_nodes == sep.closed_nodes
