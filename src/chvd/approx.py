@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .graphs import Graph, Subgraph, check, components_within, induced_subgraph
+from .graphs import Graph, check, components_within, induced_subgraph
 from .chordal import (
     central_bag,
     clique_tree_of,
@@ -57,8 +57,7 @@ class Decomposition:
             check(not (union & p), "decomposition parts overlap")
             union |= p
         check(union == set(g.vertices()), "decomposition misses vertices")
-        check(is_chordal(induced_subgraph(g, self.chordal_part).graph),
-              "chordal part is not chordal")
+        check(is_chordal(g, self.chordal_part), "chordal part is not chordal")
         for kq in self.cliques:
             check(all(g.has_edge(u, v) for u in kq for v in kq if u < v),
                   "clique part is not complete")
@@ -71,7 +70,7 @@ def hit_holes_through(
     clique_l: frozenset[int],
     x: FractionalSolution,
 ) -> frozenset[int]:
-    """A set X such that g - X has no hole through the clique L.
+    """A set X such that g[A + B] - X has no hole through the clique L.
 
     Preconditions: g[A] chordal, g[B] complete, L a maximal clique of
     g[A], x zero on B and below 1/10 on A.  The terminal set pairs up
@@ -82,8 +81,10 @@ def hit_holes_through(
         check(abs(x.value(v)) <= x.tolerance, "x must vanish on the clique side")
     for v in part_a:
         check(x.value(v) < 0.1 + 1e-9, "x must stay below 1/10 on the chordal side")
-    if not _has_hole_meeting(g, clique_l):
+    scope = part_a | part_b
+    if all(find_hole_through(g, w, scope) is None for w in sorted(clique_l)):
         return frozenset()
+    # the multicut engines take a compact graph: renumber g[A] for them
     sub = induced_subgraph(g, part_a)
     tree = clique_tree_of(sub.graph)
     l_local = frozenset(sub.to_sub(clique_l))
@@ -101,16 +102,11 @@ def hit_holes_through(
             if v != u and at_least(dist.get(v, float("inf")), 0.1)
         ]
     cut = downward_multicut(inst.with_terminals(pairs), x_local.scaled(10.0))
-    result = frozenset(sub.old_of[v] for v in cut)
-    remaining = induced_subgraph(g, set(g.vertices()) - result)
+    result = frozenset(sub.to_parent(cut))
     for w in sorted(clique_l - result):
-        check(find_hole_through(remaining.graph, remaining.new_of(w)) is None,
+        check(find_hole_through(g, w, scope - result) is None,
               "a hole through L survived the multicut")
     return result
-
-
-def _has_hole_meeting(g: Graph, vertices: frozenset[int]) -> bool:
-    return any(find_hole_through(g, w) is not None for w in sorted(vertices))
 
 
 def chvd_clique_plus_chordal(
@@ -119,18 +115,19 @@ def chvd_clique_plus_chordal(
     part_b: frozenset[int],
     x: FractionalSolution,
 ) -> frozenset[int]:
-    """ChVD solution for g = chordal part A plus complete part B.
+    """ChVD solution for g[A + B], with A inducing a chordal graph and B
+    a complete one.
 
     Deletes the x >= 1/20 vertices, doubles the remaining weights on A,
     then repeatedly splits the heaviest component at a weight-central
     clique until every component is lighter than one.  The returned set
-    leaves g chordal (verified).
+    leaves g[A + B] chordal (verified).
     """
     solution: set[int] = {
-        v for v in g.vertices() if at_least(x.value(v), 1.0 / 20)
+        v for v in part_a | part_b if at_least(x.value(v), 1.0 / 20)
     }
     alive_a = set(part_a) - solution
-    alive_b = set(part_b) - solution
+    alive_b = part_b - solution
     x2 = FractionalSolution(
         {v: 2.0 * x.value(v) for v in alive_a}, tolerance=x.tolerance
     )
@@ -147,29 +144,13 @@ def chvd_clique_plus_chordal(
             rounds_per_vertex[v] = rounds_per_vertex.get(v, 0) + 1
             check(rounds_per_vertex[v] <= cap,
                   "component halving exceeded its logarithmic budget")
-        comp_sub = induced_subgraph(g, heaviest)
-        comp_tree = clique_tree_of(comp_sub.graph)
-        weights = {
-            u: x2.value(comp_sub.old_of[u]) for u in comp_sub.graph.vertices()
-        }
-        bag = central_bag(comp_sub.graph, comp_tree, weights)
-        clique_l = frozenset(comp_sub.old_of[u] for u in bag)
-        scope = frozenset(heaviest) | frozenset(alive_b)
-        scope_sub = induced_subgraph(g, scope)
-        new_of = scope_sub.index
-        cut = hit_holes_through(
-            scope_sub.graph,
-            frozenset(new_of[v] for v in heaviest),
-            frozenset(new_of[v] for v in alive_b),
-            frozenset(new_of[v] for v in clique_l),
-            x2.remapped(new_of),
-        )
-        cut_orig = {scope_sub.old_of[v] for v in cut}
-        solution |= cut_orig
-        alive_a -= cut_orig
+        clique_l = central_bag(g, clique_tree_of(g, heaviest), x2.values)
+        cut = hit_holes_through(g, heaviest, alive_b, clique_l, x2)
+        solution |= cut
+        alive_a -= cut
         alive_a -= clique_l
-    final = induced_subgraph(g, set(g.vertices()) - solution)
-    check(is_chordal(final.graph), "clique-plus-chordal output is not chordal")
+    check(is_chordal(g, (part_a | part_b) - solution),
+          "clique-plus-chordal output is not chordal")
     return frozenset(solution)
 
 
@@ -263,7 +244,7 @@ def decompose(
     while True:
         target = None
         for comp in components_within(g, alive):
-            if not is_chordal(induced_subgraph(g, comp).graph):
+            if not is_chordal(g, comp):
                 target = comp
                 break
         if target is None:
@@ -311,25 +292,16 @@ def approximate(
         v for v in g.vertices() if at_least(x.value(v), 0.25)
     }
     work = induced_subgraph(g, set(g.vertices()) - solution)
-    x_work = x.remapped(work.index)
     dec = decompose(work.graph, k)
     if isinstance(dec, NoInstance):
         return NO_INSTANCE
-    solution |= {work.old_of[v] for v in dec.residue}
-    part_a = set(dec.chordal_part)
-    for kq in dec.cliques:
-        scope = sorted(part_a | kq)
-        scope_sub = induced_subgraph(work.graph, scope)
-        new_of = scope_sub.index
-        cut = chvd_clique_plus_chordal(
-            scope_sub.graph,
-            frozenset(new_of[v] for v in part_a),
-            frozenset(new_of[v] for v in kq),
-            x_work.remapped(new_of),
-        )
-        cut_orig = {scope_sub.old_of[v] for v in cut}
-        solution |= {work.old_of[v] for v in cut_orig}
-        part_a = (part_a | kq) - cut_orig
-    final = induced_subgraph(g, set(g.vertices()) - solution)
-    check(is_chordal(final.graph), "approximation output is not chordal")
+    solution |= work.to_parent(dec.residue)
+    part_a = frozenset(work.to_parent(dec.chordal_part))
+    for clique in dec.cliques:
+        kq = frozenset(work.to_parent(clique))
+        cut = chvd_clique_plus_chordal(g, part_a, kq, x)
+        solution |= cut
+        part_a = (part_a | kq) - cut
+    check(is_chordal(g, set(g.vertices()) - solution),
+          "approximation output is not chordal")
     return frozenset(solution)

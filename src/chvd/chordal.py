@@ -64,10 +64,14 @@ def is_peo(g: Graph, ordering: Iterable[int]) -> bool:
     return True
 
 
-def find_hole_through(g: Graph, v: int) -> Optional[Hole]:
-    """A shortest hole through v, in canonical form, or None if v lies on
-    no hole."""
-    found = lightest_hole_through(g, v, lambda _: 1, g.vertices(), math.inf)
+def find_hole_through(
+    g: Graph, v: int, allowed: Optional[Iterable[int]] = None
+) -> Optional[Hole]:
+    """A shortest hole through v in g[allowed] (in g when allowed is None),
+    in canonical form, or None if v lies on no such hole."""
+    found = lightest_hole_through(
+        g, v, lambda _: 1, g.vertices() if allowed is None else allowed,
+        math.inf)
     return None if found is None else found[0]
 
 
@@ -100,8 +104,10 @@ def recognize(g: Graph) -> PEO | Hole:
     return hole
 
 
-def is_chordal(g: Graph) -> bool:
-    return isinstance(recognize(g), PEO)
+def is_chordal(g: Graph, vertices: Optional[Iterable[int]] = None) -> bool:
+    """Whether g[vertices] (g when vertices is None) is chordal."""
+    h = g if vertices is None else induced_subgraph(g, vertices).graph
+    return isinstance(recognize(h), PEO)
 
 
 class CliqueTree:
@@ -416,16 +422,18 @@ def mis_chordal(g: Graph) -> frozenset[int]:
 
 
 def central_bag(g: Graph, t: CliqueTree, weights: dict[int, float]) -> frozenset[int]:
-    """A bag whose removal leaves every component with at most half the weight.
+    """A bag whose removal leaves every component of the tree's graph (g
+    on the union of the bags) with at most half the weight.
 
     Bags are scanned in node-id order and the first satisfying one is
     returned, which makes ties deterministic.
     """
-    total = sum(weights.get(v, 0.0) for v in g.vertices())
+    vertices = frozenset().union(*t.bags)
+    total = sum(weights.get(v, 0.0) for v in sorted(vertices))
     for node in t.nodes():
         bag = t.bags[node]
         ok = True
-        for comp in components_within(g, set(g.vertices()) - bag):
+        for comp in components_within(g, vertices - bag):
             if sum(weights.get(v, 0.0) for v in comp) > total / 2 + 1e-12:
                 ok = False
                 break

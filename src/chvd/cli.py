@@ -111,7 +111,7 @@ def cmd_kernelize(args) -> int:
                   file=sys.stderr)
             return EXIT_VALIDATION
         modulator = _greedy_modulator(g)
-    if not is_chordal(delete_vertices(g, modulator).graph):
+    if not is_chordal(g, set(g.vertices()) - set(modulator)):
         print("error: graph minus modulator is not chordal", file=sys.stderr)
         return EXIT_VALIDATION
     result = kernelize(g, instance.k, modulator)
@@ -204,7 +204,7 @@ def cmd_check(args) -> int:
         if x not in solution and y not in solution:
             print(f"invalid: forced pair ({x},{y}) not hit", file=sys.stderr)
             return EXIT_VALIDATION
-    if not is_chordal(delete_vertices(g, solution).graph):
+    if not is_chordal(g, set(g.vertices()) - set(solution)):
         print("invalid: residual graph is not chordal", file=sys.stderr)
         return EXIT_VALIDATION
     print("valid")

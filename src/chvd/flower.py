@@ -10,14 +10,13 @@ being returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .graphs import (
     Graph,
     Hole,
     bfs_path,
     check,
-    delete_vertices,
     is_induced_path,
     shortcut_walk,
     verify_hole,
@@ -79,9 +78,11 @@ Cutpoints = dict[int, Optional[tuple[int, int]]]
 
 
 def two_disjoint_paths(
-    g: Graph, s1: int, t1: int, s2: int, t2: int
+    g: Graph, s1: int, t1: int, s2: int, t2: int,
+    allowed: Optional[Iterable[int]] = None,
 ) -> Optional[tuple[list[int], list[int]]]:
-    """Vertex-disjoint s1-t1 and s2-t2 paths, by exact DFS with pruning.
+    """Vertex-disjoint s1-t1 and s2-t2 paths in g[allowed] (in g when
+    allowed is None), by exact DFS with pruning.
 
     Only induced s1-t1 candidates are enumerated: whenever disjoint paths
     exist, shortcutting each within its own vertices keeps them disjoint,
@@ -91,7 +92,7 @@ def two_disjoint_paths(
     """
     if len({s1, t1, s2, t2}) != 4:
         raise ValueError("endpoints must be four distinct vertices")
-    everything = set(g.vertices())
+    everything = set(g.vertices() if allowed is None else allowed)
 
     def connected_avoiding(blocked: set[int]) -> bool:
         return bfs_path(g, s2, [t2], allowed=everything - blocked) is not None
@@ -108,7 +109,7 @@ def two_disjoint_paths(
                 return list(path1), path2
             return None
         for w in g.neighbors(tip):
-            if w in on_path or w == s2 or w == t2:
+            if w in on_path or w == s2 or w == t2 or w not in everything:
                 continue
             # keep path1 induced: w may touch only the tip
             if any(g.has_edge(w, p) for p in path1[:-1]):
@@ -179,23 +180,10 @@ def _step_split_petal(search: FlowerSearch, f: Flower) -> Optional[Flower]:
     g, v = search.g, search.v
     for idx, petal in enumerate(f.petals):
         others = f.vertex_set() - petal.vertex_set() - {v}
-        if others:
-            sub = delete_vertices(g, others)
-            local_v = sub.new_of(v)
-            found = two_flower(sub.graph, local_v)
-            if found is None:
-                continue
-            new_petals = tuple(
-                Hole(tuple(sub.old_of[u] for u in p.vertices)).canonical()
-                for p in found.petals
-            )
-        else:
-            found = two_flower(g, v)
-            if found is None:
-                continue
-            new_petals = tuple(p.canonical() for p in found.petals)
-        petals = f.petals[:idx] + f.petals[idx + 1 :] + new_petals
-        return Flower(v, petals)
+        found = two_flower(g, v, set(g.vertices()) - others)
+        if found is not None:
+            rest = f.petals[:idx] + f.petals[idx + 1 :]
+            return Flower(v, rest + found.petals)
     return None
 
 
@@ -225,36 +213,35 @@ def _step_shorten(search: FlowerSearch, f: Flower) -> Optional[Flower]:
     return None
 
 
-def two_flower(g: Graph, v: int) -> Optional[Flower]:
-    """A v-flower of order two, or None when no such flower exists.
+def two_flower(g: Graph, v: int,
+               allowed: Optional[Iterable[int]] = None) -> Optional[Flower]:
+    """A v-flower of order two in g[allowed] (in g when allowed is None),
+    or None when no such flower exists.
 
     Tries all endpoint tuples (s1,t1,s2,t2) in N(v)^4 with both pairs
     nonadjacent and solves two-vertex-disjoint-paths in the graph with the
     rest of N[v] removed.
     """
-    nv = list(g.neighbors(v))
+    inside = set(g.vertices() if allowed is None else allowed)
+    nv = [u for u in g.neighbors(v) if u in inside]
     nonadjacent = [
         (a, b)
         for i, a in enumerate(nv)
         for b in nv[i + 1 :]
         if not g.has_edge(a, b)
     ]
-    closed = g.closed_neighborhood(v)
+    far = inside - g.closed_neighborhood(v)
     for i, (s1, t1) in enumerate(nonadjacent):
         for s2, t2 in nonadjacent[i + 1 :]:
             if {s1, t1} & {s2, t2}:
                 continue
-            keep = (set(g.vertices()) - closed) | {s1, t1, s2, t2}
-            sub = delete_vertices(g, set(g.vertices()) - keep)
-            m = sub.index
-            found = two_disjoint_paths(sub.graph, m[s1], m[t1], m[s2], m[t2])
+            found = two_disjoint_paths(g, s1, t1, s2, t2,
+                                       far | {s1, t1, s2, t2})
             if found is None:
                 continue
-            p1 = shortcut_walk(sub.graph, found[0])
-            p2 = shortcut_walk(sub.graph, found[1])
             petals = tuple(
-                Hole(tuple([v] + [sub.old_of[u] for u in p])).canonical()
-                for p in (p1, p2)
+                Hole(tuple([v] + shortcut_walk(g, p))).canonical()
+                for p in found
             )
             flower = Flower(v, petals)
             flower.validate(g)
@@ -322,8 +309,8 @@ def hitting_set(search: FlowerSearch, f: Flower, cp: Cutpoints) -> frozenset[int
     for path in f.paths():
         check(len(result & set(path)) <= 12, "petal contributes more than 12 vertices")
     check(result.issubset(set(g.vertices())), "hitting set outside the graph")
-    sub = delete_vertices(g, result)
-    check(is_chordal(sub.graph), "hitting set misses a hole")
+    check(is_chordal(g, set(g.vertices()) - result),
+          "hitting set misses a hole")
     return result
 
 

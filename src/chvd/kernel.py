@@ -56,11 +56,12 @@ class AChvdInstance:
             x, y = sorted(pair)
             check(x in m and y in m, "forced pair outside the modulator")
             check(self.g.has_edge(x, y), "forced pair is not an edge")
-        check(is_chordal(delete_vertices(self.g, m).graph),
+        everything = set(self.g.vertices())
+        check(is_chordal(self.g, everything - m),
               "graph minus modulator is not chordal")
         for v in sorted(m):
-            rest = delete_vertices(self.g, m - {v})
-            check(is_chordal(rest.graph), "modulator is not tidy")
+            check(is_chordal(self.g, everything - (m - {v})),
+                  "modulator is not tidy")
 
     def forced_tuples(self) -> tuple[tuple[int, int], ...]:
         return tuple(tuple(sorted(p)) for p in sorted(self.forced, key=sorted))
@@ -502,12 +503,12 @@ def build_separator(inst: AChvdInstance) -> SeparatorSet:
     q0: set[int] = set()
     for x, y in _modulator_pairs(inst, adjacent=False):
         common = inst.selector([x, y])
-        if not common:
-            continue
-        for bag in clique_tree_of(inst.g, common).bags:
-            node = tree.first_bag_containing(bag)
-            check(node is not None, "selector clique not inside a bag")
-            q0.add(node)
+        # G(x, y) lies in the core, so its maximal cliques are the
+        # maximal sets among the bags cut down to it
+        cuts = {bag & common for bag in tree.bags} - {frozenset()}
+        for clique in cuts:
+            if not any(clique < other for other in cuts):
+                q0.add(tree.first_bag_containing(clique))
     for x in sorted(inst.modulator):
         for comp in inst.nonneighbor_components(x):
             node = tree.first_bag_containing(_core_neighborhood(inst, comp))
@@ -821,8 +822,7 @@ def annotate(
     decrement; the hitting sets of the survivors join the modulator.
     """
     m0 = frozenset(modulator)
-    rest = delete_vertices(g, m0)
-    if not is_chordal(rest.graph):
+    if not is_chordal(g, set(g.vertices()) - m0):
         raise ValueError("graph minus the modulator is not chordal")
     trace: list[ReductionEvent] = []
     while True:

@@ -206,8 +206,13 @@ def solve_fractional(
 
     The constraint pool is capped at 10 n^2; when full, the constraints
     with the most slack are evicted (re-separation restores any evicted
-    wrongly).  Raises InvariantError when the iteration cap is exceeded.
+    wrongly).  Raises ValueError unless 0 <= tolerance < 1 and
+    max_iters >= 1, and InvariantError when the iteration cap is exceeded.
     """
+    if not 0 <= tolerance < 1:
+        raise ValueError(f"tolerance must lie in [0, 1), got {tolerance}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     n = problem.n
     cap = pool_cap if pool_cap is not None else max(16, 10 * n * n)
     pool: list[frozenset[int]] = []

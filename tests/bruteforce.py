@@ -17,7 +17,11 @@ queue loops that one breadth-first search in ``chvd.graphs`` replaced.
 ``ref_exact_chvd`` and ``ref_exact_multicut`` are the exact searches without
 a pool of found sets: a fresh hole (or terminal-path) search at every node.
 They call ``oracle.shortest_hole_avoiding`` by name, so a test can count
-the hole searches of both.
+the hole searches of both.  ``ref_separator_marked_nodes`` builds one
+clique tree per modulator pair to list the cliques of G(x, y).
+``ref_chvd_clique_plus_chordal`` and ``ref_hit_holes_through`` are the
+fold-back on a compact graph of exactly A + B, renumbering every
+component and scope they work on.
 """
 from __future__ import annotations
 
@@ -25,10 +29,17 @@ import heapq
 from collections import deque
 from itertools import combinations
 
-from chvd.graphs import Graph, DiGraph, Hole, components_within, \
-    shortcut_walk, verify_hole
+import math
+
+from chvd.graphs import Graph, DiGraph, Hole, check, components_within, \
+    induced_subgraph, shortcut_walk, verify_hole
 from chvd import oracle
-from chvd.kernel import ReductionEvent, _finish
+from chvd.chordal import central_bag, clique_tree_of, find_hole_through, \
+    is_chordal
+from chvd.kernel import ReductionEvent, _core_neighborhood, _finish, \
+    _modulator_pairs
+from chvd.lp import FractionalSolution, at_least
+from chvd.multicut import build_downward, dist_from, downward_multicut
 
 
 def bf_is_induced_cycle(g: Graph, subset: tuple[int, ...]) -> bool:
@@ -547,3 +558,103 @@ def ref_exact_chvd(g: Graph, k: int, forced_pairs=(), forbidden=frozenset()):
 def ref_exact_multicut(d: DiGraph, pairs, k: int):
     """Minimum vertex multicut of size <= k (terminals deletable), or None."""
     return _RefMulticut(d, list(pairs)).minimum(k)
+
+
+def ref_separator_marked_nodes(inst) -> frozenset[int]:
+    """Marked nodes of ``build_separator``, listing the maximal cliques of
+    every G(x, y) from a clique tree of its own."""
+    tree = inst.tree
+    q0: set[int] = set()
+    for x, y in _modulator_pairs(inst, adjacent=False):
+        common = inst.selector([x, y])
+        if not common:
+            continue
+        for bag in clique_tree_of(inst.g, common).bags:
+            q0.add(tree.first_bag_containing(bag))
+    for x in sorted(inst.modulator):
+        for comp in inst.nonneighbor_components(x):
+            q0.add(tree.first_bag_containing(_core_neighborhood(inst, comp)))
+    return frozenset(q0)
+
+
+def ref_hit_holes_through(g: Graph, part_a, part_b, clique_l, x):
+    """``approx.hit_holes_through`` on a graph that is exactly g[A + B],
+    as its own compact graph."""
+    for v in part_b:
+        check(abs(x.value(v)) <= x.tolerance, "x must vanish on the clique side")
+    for v in part_a:
+        check(x.value(v) < 0.1 + 1e-9, "x must stay below 1/10 on the chordal side")
+    if not any(find_hole_through(g, w) is not None for w in sorted(clique_l)):
+        return frozenset()
+    sub = induced_subgraph(g, part_a)
+    tree = clique_tree_of(sub.graph)
+    l_local = frozenset(sub.to_sub(clique_l))
+    root = tree.first_bag_containing(l_local)
+    check(root is not None and tree.bags[root] == l_local,
+          "L is not a maximal clique of g[A]")
+    inst = build_downward(sub.graph, tree.reroot(root))
+    x_local = x.remapped(sub.index)
+    pairs = []
+    for u in inst.digraph.vertices():
+        dist = dist_from(inst.digraph, x_local, u)
+        pairs += [
+            (u, v)
+            for v in sorted(inst.digraph.vertices())
+            if v != u and at_least(dist.get(v, float("inf")), 0.1)
+        ]
+    cut = downward_multicut(inst.with_terminals(pairs), x_local.scaled(10.0))
+    result = frozenset(sub.old_of[v] for v in cut)
+    remaining = induced_subgraph(g, set(g.vertices()) - result)
+    for w in sorted(clique_l - result):
+        check(find_hole_through(remaining.graph, remaining.new_of(w)) is None,
+              "a hole through L survived the multicut")
+    return result
+
+
+def ref_chvd_clique_plus_chordal(g: Graph, part_a, part_b, x):
+    """``approx.chvd_clique_plus_chordal`` on a graph that is exactly
+    g[A + B], renumbering each component and each scope it works on."""
+    solution: set[int] = {
+        v for v in g.vertices() if at_least(x.value(v), 1.0 / 20)
+    }
+    alive_a = set(part_a) - solution
+    alive_b = set(part_b) - solution
+    x2 = FractionalSolution(
+        {v: 2.0 * x.value(v) for v in alive_a}, tolerance=x.tolerance
+    )
+    rounds_per_vertex: dict[int, int] = {}
+    cap = max(1.0, math.ceil(math.log2(1.0 + x2.objective) + 1e-9))
+    while True:
+        comps = components_within(g, alive_a)
+        if not comps:
+            break
+        heaviest = max(comps, key=lambda c: (x2.mass(c), sorted(c)))
+        if x2.mass(heaviest) < 1.0 - 1e-9:
+            break
+        for v in heaviest:
+            rounds_per_vertex[v] = rounds_per_vertex.get(v, 0) + 1
+            check(rounds_per_vertex[v] <= cap,
+                  "component halving exceeded its logarithmic budget")
+        comp_sub = induced_subgraph(g, heaviest)
+        comp_tree = clique_tree_of(comp_sub.graph)
+        weights = {
+            u: x2.value(comp_sub.old_of[u]) for u in comp_sub.graph.vertices()
+        }
+        bag = central_bag(comp_sub.graph, comp_tree, weights)
+        clique_l = frozenset(comp_sub.old_of[u] for u in bag)
+        scope_sub = induced_subgraph(g, frozenset(heaviest) | alive_b)
+        new_of = scope_sub.index
+        cut = ref_hit_holes_through(
+            scope_sub.graph,
+            frozenset(new_of[v] for v in heaviest),
+            frozenset(new_of[v] for v in alive_b),
+            frozenset(new_of[v] for v in clique_l),
+            x2.remapped(new_of),
+        )
+        cut_orig = {scope_sub.old_of[v] for v in cut}
+        solution |= cut_orig
+        alive_a -= cut_orig
+        alive_a -= clique_l
+    final = induced_subgraph(g, set(g.vertices()) - solution)
+    check(is_chordal(final.graph), "clique-plus-chordal output is not chordal")
+    return frozenset(solution)

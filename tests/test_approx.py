@@ -1,9 +1,11 @@
 """Approximation pipeline: decomposition, clique fold-back, end to end."""
+import math
 import random
 
 import pytest
 
-from chvd.graphs import Graph, induced_subgraph
+from chvd import approx
+from chvd.graphs import Graph, InvariantError, induced_subgraph
 from chvd.chordal import is_chordal
 from chvd.lp import ChvdProblem, FractionalSolution, solve_fractional
 from chvd.approx import (
@@ -17,7 +19,11 @@ from chvd.approx import (
 )
 from chvd.generate import GeneratorSpec, clique_path_graph, generate
 from chvd.oracle import exact_chvd
-from bruteforce import bf_chordal_after_delete
+from bruteforce import (
+    bf_chordal_after_delete,
+    ref_chvd_clique_plus_chordal,
+    ref_hit_holes_through,
+)
 
 
 def cycle_graph(n):
@@ -177,3 +183,86 @@ def test_approximate_no_instance_detection():
     got = approximate(g, 3)
     assert isinstance(got, NoInstance)
     assert exact_chvd(g, 3) is None
+
+
+def subdivided_grid(rows, cols):
+    """A rows x cols grid with every edge subdivided once: holes of length 8."""
+    edges = []
+    n = rows * cols
+    for r in range(rows):
+        for c in range(cols):
+            for r2, c2 in ((r, c + 1), (r + 1, c)):
+                if r2 < rows and c2 < cols:
+                    edges += [(r * cols + c, n), (n, r2 * cols + c2)]
+                    n += 1
+    return Graph(n, edges)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InvariantError as exc:
+        return f"InvariantError: {exc}"
+
+
+def test_fold_back_matches_the_compact_reference(monkeypatch):
+    """Every fold-back call approximate() makes under an injected diffuse x
+    gives the set (or the InvariantError) of the reference that works on
+    the renumbered graph g[A + B]."""
+    reach = {"fold": 0, "hit": 0, "downward": 0}
+    originals = {"fold": approx.chvd_clique_plus_chordal,
+                 "hit": approx.hit_holes_through,
+                 "downward": approx.downward_multicut}
+    refs = {"fold": ref_chvd_clique_plus_chordal,
+            "hit": ref_hit_holes_through}
+
+    def compared(stage):
+        def call(g, part_a, part_b, *rest):
+            reach[stage] += 1
+            *cliques, x = rest
+            got = _outcome(originals[stage], g, part_a, part_b, *rest)
+            scope = induced_subgraph(g, part_a | part_b)
+            want = _outcome(refs[stage], scope.graph,
+                            *(frozenset(scope.to_sub(s))
+                              for s in (part_a, part_b, *cliques)),
+                            x.remapped(scope.index))
+            if not isinstance(want, str):
+                want = frozenset(scope.to_parent(want))
+            assert got == want
+            if isinstance(got, str):
+                raise InvariantError(got)
+            return got
+        return call
+
+    def downward(*args):
+        reach["downward"] += 1
+        return originals["downward"](*args)
+
+    monkeypatch.setattr(approx, "chvd_clique_plus_chordal", compared("fold"))
+    monkeypatch.setattr(approx, "hit_holes_through", compared("hit"))
+    monkeypatch.setattr(approx, "downward_multicut", downward)
+    runs = 0
+    for seed in range(20):
+        rng = random.Random(seed)
+        grid = subdivided_grid(rng.randint(3, 5), rng.randint(4, 7))
+        planted, _, _ = generate(GeneratorSpec(
+            seed=seed, core_vertices=rng.randint(20, 40),
+            planted=rng.randint(2, 4), noise_edges=1))
+        for g in (grid, planted):
+            for diffuse in ({v: 1 / 24 for v in g.vertices()},
+                            {v: rng.uniform(0, 1 / 21) for v in g.vertices()}):
+                x = FractionalSolution(diffuse)
+                # budget: above |x| / 2 and on the LP route
+                k = max(3, math.ceil(x.objective / 2))
+                while math.log2(g.n) > k * math.log2(k):
+                    k += 1
+                monkeypatch.setattr(approx, "solve_fractional",
+                                    lambda *args, **kwargs: x)
+                try:
+                    approximate(g, k)
+                except InvariantError:
+                    pass
+                runs += 1
+    assert runs == 80
+    assert reach["fold"] >= 40 and reach["hit"] >= 10
+    assert reach["downward"] >= 2

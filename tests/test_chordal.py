@@ -375,10 +375,45 @@ def test_clique_tree_of_vertices_rejects_a_hole_inside_them():
     for _ in range(60):
         g = random_gnp(rng, rng.randint(4, 10), 0.4)
         s = {v for v in g.vertices() if rng.random() < 0.8}
+        assert is_chordal(g, s) == is_chordal(induced_subgraph(g, s).graph)
         if bf_is_chordal(induced_subgraph(g, s).graph):
+            assert is_chordal(g, s)
             clique_tree_of(g, s)
             continue
         with pytest.raises(ValueError):
             clique_tree_of(g, s)
         rejected += 1
     assert rejected >= 10
+
+
+def test_find_hole_through_allowed_matches_the_induced_subgraph():
+    rng = random.Random(47)
+    found = 0
+    for _ in range(40):
+        g = random_gnp(rng, rng.randint(4, 11), 0.35)
+        s = {v for v in g.vertices() if rng.random() < 0.8}
+        sub = induced_subgraph(g, s)
+        for v in sorted(s):
+            local = find_hole_through(sub.graph, sub.new_of(v))
+            got = find_hole_through(g, v, s)
+            if local is None:
+                assert got is None
+            else:
+                assert got == Hole(tuple(sub.old_of[u]
+                                         for u in local.vertices)).canonical()
+                found += 1
+    assert found >= 20
+
+
+def test_central_bag_of_a_subgraph_tree_matches_the_induced_subgraph():
+    rng = random.Random(71)
+    for _ in range(30):
+        g = random_chordal(rng, rng.randint(2, 14), rng.randint(1, 6), 2)
+        s = {v for v in g.vertices() if rng.random() < 0.7} or {0}
+        sub = induced_subgraph(g, s)
+        weights = {v: rng.random() for v in g.vertices()}
+        local = central_bag(sub.graph, clique_tree_of(sub.graph),
+                            {u: weights[sub.old_of[u]]
+                             for u in sub.graph.vertices()})
+        got = central_bag(g, clique_tree_of(g, s), weights)
+        assert got == frozenset(sub.old_of[u] for u in local)

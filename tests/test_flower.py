@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from chvd.graphs import Graph, Hole, delete_vertices
+from chvd.graphs import Graph, Hole, delete_vertices, induced_subgraph
 from chvd.chordal import is_chordal
 from chvd.flower import (
     Flower,
@@ -27,8 +27,9 @@ def bf_all_petals(g, v):
 
     def extend(path):
         tip = path[-1]
-        if len(path) >= 2 and g.has_edge(v, tip) and not g.has_edge(path[0], tip):
-            if all(u not in closed for u in path[1:-1]):
+        if len(path) >= 2 and g.has_edge(v, tip):
+            if not g.has_edge(path[0], tip) and \
+                    all(u not in closed for u in path[1:-1]):
                 induced = all(
                     not g.has_edge(path[i], path[j])
                     for i in range(len(path))
@@ -36,10 +37,15 @@ def bf_all_petals(g, v):
                 )
                 if induced:
                     petals.append(tuple(path))
+            # any longer path has this tip, a neighbour of v, inside it
+            return
         for w in g.neighbors(tip):
             if w in path or w == v:
                 continue
             if w in closed and not (g.has_edge(v, w) and len(path) >= 1):
+                continue
+            # a chord back to the path stays in every extension of it
+            if any(g.has_edge(w, p) for p in path[:-1]):
                 continue
             path.append(w)
             extend(path)
@@ -97,6 +103,27 @@ def test_two_flower_matches_bruteforce():
             got.validate(g)
             hits += 1
     assert hits > 5
+
+
+def test_two_flower_on_allowed_matches_the_induced_subgraph():
+    rng = random.Random(89)
+    hits = 0
+    for seed in range(40):
+        g, v = random_near_chordal(seed, core_vertices=10, tree_nodes=6,
+                                   apex_degree_hi=8)
+        allowed = {u for u in g.vertices() if u == v or rng.random() < 0.8}
+        sub = induced_subgraph(g, allowed)
+        local = two_flower(sub.graph, sub.new_of(v))
+        got = two_flower(g, v, allowed)
+        if local is None:
+            assert got is None
+            continue
+        assert got.petals == tuple(
+            Hole(tuple(sub.old_of[u] for u in p.vertices)).canonical()
+            for p in local.petals)
+        assert got.vertex_set() <= allowed
+        hits += 1
+    assert hits >= 5
 
 
 def test_two_disjoint_paths_direct():

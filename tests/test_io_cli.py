@@ -202,6 +202,22 @@ def test_cli_approx_with_oracle(tmp_path):
         assert "ratio" in sol_path.read_text()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--tolerance", "-1"), ("--tolerance", "1"), ("--tolerance", "2"),
+    ("--max-iters", "0"),
+])
+def test_cli_approx_rejects_out_of_range_lp_options(tmp_path, capsys, flag,
+                                                    value):
+    inst_path = tmp_path / "inst.chvd"
+    # k = 4 at n = 15 keeps approximate() on the LP route
+    assert main(["gen", "--seed", "3", "--core", "12", "--planted", "3",
+                 "--k", "4", "-o", str(inst_path)]) == 0
+    capsys.readouterr()
+    assert main(["approx", str(inst_path), f"{flag}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "internal invariant" not in err
+
+
 def test_cli_malformed_input_exit_code(tmp_path):
     bad = tmp_path / "bad.chvd"
     bad.write_text("p chvd 2 9 0\n")

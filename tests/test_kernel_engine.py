@@ -18,7 +18,11 @@ from chvd.kernel import (
     rule4_components,
     template_toughness,
 )
-from bruteforce import ref_template_toughness, ref_xy_good_bottommost
+from bruteforce import (
+    ref_separator_marked_nodes,
+    ref_template_toughness,
+    ref_xy_good_bottommost,
+)
 
 
 def kernel_digest(res) -> str:
@@ -202,3 +206,23 @@ def test_cached_tree_and_separator_match_fresh_builds():
         sep = build_separator(inst)
         assert inst.separator.vertices == sep.vertices
         assert inst.separator.closed_nodes == sep.closed_nodes
+
+
+def test_separator_matches_per_pair_trees_and_builds_none(monkeypatch):
+    original = kernel.clique_tree_of
+    calls = []
+
+    def recording(g, vertices=None):
+        calls.append(vertices)
+        return original(g, vertices)
+
+    monkeypatch.setattr(kernel, "clique_tree_of", recording)
+    states = 0
+    for inst in annotated_states(range(30)):
+        inst.tree                       # the cached core tree, built first
+        calls.clear()
+        sep = build_separator(inst)
+        assert calls == []
+        assert sep.marked_nodes == ref_separator_marked_nodes(inst)
+        states += 1
+    assert states == 172

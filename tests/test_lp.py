@@ -241,6 +241,16 @@ def test_solve_fractional_pool_cap_error_path():
     assert abs(x.objective - 3.0) < 1e-6
 
 
+@pytest.mark.parametrize("options", [
+    {"tolerance": -1e-9}, {"tolerance": 1.0}, {"tolerance": 2.0},
+    {"tolerance": float("nan")}, {"max_iters": 0}, {"max_iters": -3},
+])
+def test_solve_fractional_rejects_out_of_range_options(options):
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    with pytest.raises(ValueError):
+        solve_fractional(ChvdProblem(g), **options)
+
+
 def test_at_least_threshold_semantics():
     assert at_least(0.25, 0.25)
     assert at_least(0.25 - 5e-10, 0.25)
