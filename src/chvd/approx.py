@@ -21,7 +21,8 @@ from .chordal import (
     is_chordal,
     maximal_cliques,
 )
-from .lp import ChvdProblem, FractionalSolution, at_least, solve_fractional
+from .lp import ChvdProblem, FractionalSolution, at_least, check_lp_options, \
+    solve_fractional
 from .multicut import build_downward, dist_from, downward_multicut
 from .oracle import exact_chvd
 
@@ -276,8 +277,10 @@ def approximate(
     Exact routing when k <= 1 or n > 2^(k log k), where the exact search
     runs in time polynomial in n; otherwise the LP pipeline: no-instance
     when |x| > 2k, then the 1/4 threshold, the decomposition, and the
-    clique fold-back.
+    clique fold-back.  Raises ValueError unless 0 <= tolerance < 1 and
+    max_iters >= 1, on every route.
     """
+    check_lp_options(tolerance, max_iters)
     n = g.n
     if n <= 1:
         return frozenset()

@@ -20,7 +20,6 @@ from .graphs import (
     induced_subgraph,
     is_clique,
     lightest_hole_through,
-    shortcut_walk,
 )
 
 
@@ -325,37 +324,6 @@ def clique_tree_of(g: Graph,
     return CliqueTree(bags, list(tree.parent), tree.root, g.n)
 
 
-def validate_clique_tree(g: Graph, t: CliqueTree) -> None:
-    """Check every CliqueTree invariant against g; raises InvariantError."""
-    covered = set()
-    for bag in t.bags:
-        covered |= bag
-        check(is_clique(g, bag), "bag is not a clique")
-        check(len(bag) > 0 or g.n == 0, "empty bag in a nonempty graph")
-        extenders = [w for w in set(g.vertices()) - bag
-                     if all(g.has_edge(u, w) for u in bag)]
-        check(not extenders or (len(bag) == 0 and g.n == 0),
-              "bag is not a maximal clique")
-    check(covered == set(g.vertices()), "bags do not cover all vertices")
-    for u, v in g.edges():
-        check(any(u in bag and v in bag for bag in t.bags),
-              "edge not inside any bag")
-    for v in g.vertices():
-        nodes = set(t.beta_inverse(v))
-        check(len(nodes) > 0, "vertex in no bag")
-        inside = {p for p in nodes if t.parent[p] in nodes}
-        check(len(inside) == len(nodes) - 1 or len(nodes) == 1,
-              "beta_inverse(v) is not a connected subtree")
-        if len(nodes) > 1:
-            roots = [p for p in nodes if t.parent[p] not in nodes]
-            check(len(roots) == 1, "beta_inverse(v) is not a connected subtree")
-    for u in g.vertices():
-        for v in range(u + 1, g.n):
-            share = bool(set(t.beta_inverse(u)) & set(t.beta_inverse(v)))
-            check(share == g.has_edge(u, v),
-                  "shared-bag iff adjacent violated")
-
-
 def minimal_path(t: CliqueTree, s: int, u: int) -> list[int]:
     """The unique minimal tree path connecting beta_inverse(s) and beta_inverse(u).
 
@@ -373,37 +341,6 @@ def minimal_path(t: CliqueTree, s: int, u: int) -> list[int]:
     first_u = min(i for i, p in enumerate(full) if p in u_nodes)
     check(last_s < first_u, "subtrees interleave on the connecting path")
     return full[last_s : first_u + 1]
-
-
-def path_adhesions(t: CliqueTree, node_path: list[int]) -> list[frozenset[int]]:
-    """Adhesions of consecutive edges along a tree node path."""
-    out = []
-    for a, b in zip(node_path, node_path[1:]):
-        out.append(t.bags[a] & t.bags[b])
-    return out
-
-
-def induced_path_avoiding(
-    g: Graph, t: CliqueTree, s: int, u: int, forbidden: Iterable[int]
-) -> Optional[list[int]]:
-    """An induced su-path in g - forbidden, or None when the adhesions cut it.
-
-    Walks the minimal tree path, picks one allowed vertex per adhesion, and
-    shortcuts the resulting walk.
-    """
-    forb = set(forbidden)
-    if s in forb or u in forb:
-        raise ValueError("path endpoints may not be forbidden")
-    if g.has_edge(s, u):
-        return [s, u]
-    path = minimal_path(t, s, u)
-    picks = []
-    for adh in path_adhesions(t, path):
-        free = sorted(adh - forb)
-        if not free:
-            return None
-        picks.append(free[0])
-    return shortcut_walk(g, [s] + picks + [u])
 
 
 def mis_chordal(g: Graph) -> frozenset[int]:

@@ -105,21 +105,6 @@ def generate(spec: GeneratorSpec) -> tuple[Graph, int, frozenset[int]]:
     return g, k, planted_set
 
 
-def random_near_chordal(seed: int, core_vertices: int = 12, tree_nodes: int = 6,
-                        apex_degree_hi: int = 6) -> tuple[Graph, int]:
-    """Graph g plus a center v with g - v chordal (one planted apex)."""
-    g, _, planted = generate(GeneratorSpec(
-        seed=seed,
-        core_vertices=core_vertices,
-        tree_nodes=tree_nodes,
-        planted=1,
-        apex_degree_lo=2,
-        apex_degree_hi=apex_degree_hi,
-    ))
-    (v,) = planted
-    return g, v
-
-
 def kernel_instance_pool(seed: int) -> tuple[Graph, int, list[int]]:
     """A kernelization test instance: (graph, budget, modulator).
 

@@ -166,11 +166,6 @@ def delete_vertices(g: Graph, s: Iterable[int]) -> Subgraph:
     return induced_subgraph(g, (v for v in g.vertices() if v not in drop))
 
 
-def connected_components(g: Graph) -> list[frozenset[int]]:
-    """Partition of V(g) into connected components, ordered by smallest member."""
-    return components_within(g, g.vertices())
-
-
 def components_within(g: Graph, allowed: Iterable[int]) -> list[frozenset[int]]:
     """Connected components of g restricted to the given vertex set,
     ordered by smallest member."""

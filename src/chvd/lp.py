@@ -157,11 +157,22 @@ def separate_chvd(g: Graph, x: FractionalSolution) -> Optional[Hole]:
 def separate_multicut(
     d: DiGraph, pairs: Sequence[tuple[int, int]], x: FractionalSolution
 ) -> Optional[list[int]]:
-    """A terminal path of weight < 1 - tolerance, or None."""
+    """A terminal path of weight < 1 - tolerance, or None: the lightest,
+    from the earliest pair within 1e-12.
+
+    One bounded search per distinct source, kept for the source's later
+    pairs.  Its cutoff is the test's bound when the source is first
+    searched: every distance below it is exact, every other entry fails
+    the test, and the bound only falls.
+    """
     best: Optional[list[int]] = None
     best_weight = 1.0 - x.tolerance
+    searches: dict[int, tuple[dict[int, float], dict[int, int]]] = {}
     for s, t in pairs:
-        dist, prev = dijkstra_vertex_weights(d.out_neighbors, s, x.value)
+        if s not in searches:
+            searches[s] = dijkstra_vertex_weights(
+                d.out_neighbors, s, x.value, cutoff=best_weight - 1e-12)
+        dist, prev = searches[s]
         if t in dist and dist[t] < best_weight - 1e-12:
             best = extract_path(prev, t)
             best_weight = dist[t]
@@ -195,6 +206,14 @@ class MulticutProblem:
         return None if path is None else frozenset(path)
 
 
+def check_lp_options(tolerance: float, max_iters: int) -> None:
+    """Raise ValueError unless 0 <= tolerance < 1 and max_iters >= 1."""
+    if not 0 <= tolerance < 1:
+        raise ValueError(f"tolerance must lie in [0, 1), got {tolerance}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+
+
 def solve_fractional(
     problem,
     max_iters: int = 2000,
@@ -209,10 +228,7 @@ def solve_fractional(
     wrongly).  Raises ValueError unless 0 <= tolerance < 1 and
     max_iters >= 1, and InvariantError when the iteration cap is exceeded.
     """
-    if not 0 <= tolerance < 1:
-        raise ValueError(f"tolerance must lie in [0, 1), got {tolerance}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+    check_lp_options(tolerance, max_iters)
     n = problem.n
     cap = pool_cap if pool_cap is not None else max(16, 10 * n * n)
     pool: list[frozenset[int]] = []

@@ -7,7 +7,9 @@ exception in kind, not in spirit: each is the straightforward version of
 a library routine that was later restructured for speed, kept as the
 reference the fast one must reproduce byte for byte.
 ``ref_separate_chvd`` is the per-triple hole separator and shares only
-the hole helpers of ``chvd.graphs``.  ``ref_template_toughness`` tests
+the hole helpers of ``chvd.graphs``.  ``ref_separate_multicut`` runs
+one full search per terminal pair, with no cutoff and no sharing between
+pairs of one source.  ``ref_template_toughness`` tests
 every separator pair against every component, and
 ``ref_xy_good_bottommost`` recomputes every subtree for every pair; they
 share ``components_within`` and the event plumbing of ``chvd.kernel``.
@@ -22,6 +24,10 @@ clique tree per modulator pair to list the cliques of G(x, y).
 ``ref_chvd_clique_plus_chordal`` and ``ref_hit_holes_through`` are the
 fold-back on a compact graph of exactly A + B, renumbering every
 component and scope they work on.
+
+The last section holds helpers that only tests call and the library does
+not need: a clique-tree invariant checker, an induced path through a
+clique tree's adhesions, whole-graph components and a one-apex generator.
 """
 from __future__ import annotations
 
@@ -32,10 +38,12 @@ from itertools import combinations
 import math
 
 from chvd.graphs import Graph, DiGraph, Hole, check, components_within, \
-    induced_subgraph, shortcut_walk, verify_hole
+    dijkstra_vertex_weights, extract_path, induced_subgraph, is_clique, \
+    shortcut_walk, verify_hole
 from chvd import oracle
-from chvd.chordal import central_bag, clique_tree_of, find_hole_through, \
-    is_chordal
+from chvd.chordal import CliqueTree, central_bag, clique_tree_of, \
+    find_hole_through, is_chordal, minimal_path
+from chvd.generate import GeneratorSpec, generate
 from chvd.kernel import ReductionEvent, _core_neighborhood, _finish, \
     _modulator_pairs
 from chvd.lp import FractionalSolution, at_least
@@ -243,6 +251,18 @@ def ref_separate_chvd(g: Graph, x) -> Hole | None:
                     if w < best_weight - 1e-12:
                         best = hole
                         best_weight = w
+    return best
+
+
+def ref_separate_multicut(d: DiGraph, pairs, x) -> list[int] | None:
+    """Per-pair terminal path separation: one full search per (s, t)."""
+    best = None
+    best_weight = 1.0 - x.tolerance
+    for s, t in pairs:
+        dist, prev = dijkstra_vertex_weights(d.out_neighbors, s, x.value)
+        if t in dist and dist[t] < best_weight - 1e-12:
+            best = extract_path(prev, t)
+            best_weight = dist[t]
     return best
 
 
@@ -658,3 +678,87 @@ def ref_chvd_clique_plus_chordal(g: Graph, part_a, part_b, x):
     final = induced_subgraph(g, set(g.vertices()) - solution)
     check(is_chordal(final.graph), "clique-plus-chordal output is not chordal")
     return frozenset(solution)
+
+
+# -- test-only helpers --------------------------------------------------------
+
+def validate_clique_tree(g: Graph, t: CliqueTree) -> None:
+    """Check every CliqueTree invariant against g; raises InvariantError."""
+    covered = set()
+    for bag in t.bags:
+        covered |= bag
+        check(is_clique(g, bag), "bag is not a clique")
+        check(len(bag) > 0 or g.n == 0, "empty bag in a nonempty graph")
+        extenders = [w for w in set(g.vertices()) - bag
+                     if all(g.has_edge(u, w) for u in bag)]
+        check(not extenders or (len(bag) == 0 and g.n == 0),
+              "bag is not a maximal clique")
+    check(covered == set(g.vertices()), "bags do not cover all vertices")
+    for u, v in g.edges():
+        check(any(u in bag and v in bag for bag in t.bags),
+              "edge not inside any bag")
+    for v in g.vertices():
+        nodes = set(t.beta_inverse(v))
+        check(len(nodes) > 0, "vertex in no bag")
+        inside = {p for p in nodes if t.parent[p] in nodes}
+        check(len(inside) == len(nodes) - 1 or len(nodes) == 1,
+              "beta_inverse(v) is not a connected subtree")
+        if len(nodes) > 1:
+            roots = [p for p in nodes if t.parent[p] not in nodes]
+            check(len(roots) == 1, "beta_inverse(v) is not a connected subtree")
+    for u in g.vertices():
+        for v in range(u + 1, g.n):
+            share = bool(set(t.beta_inverse(u)) & set(t.beta_inverse(v)))
+            check(share == g.has_edge(u, v),
+                  "shared-bag iff adjacent violated")
+
+
+def path_adhesions(t: CliqueTree, node_path: list[int]) -> list[frozenset[int]]:
+    """Adhesions of consecutive edges along a tree node path."""
+    out = []
+    for a, b in zip(node_path, node_path[1:]):
+        out.append(t.bags[a] & t.bags[b])
+    return out
+
+
+def induced_path_avoiding(
+    g: Graph, t: CliqueTree, s: int, u: int, forbidden
+) -> list[int] | None:
+    """An induced su-path in g - forbidden, or None when the adhesions cut it.
+
+    Walks the minimal tree path, picks one allowed vertex per adhesion, and
+    shortcuts the resulting walk.
+    """
+    forb = set(forbidden)
+    if s in forb or u in forb:
+        raise ValueError("path endpoints may not be forbidden")
+    if g.has_edge(s, u):
+        return [s, u]
+    path = minimal_path(t, s, u)
+    picks = []
+    for adh in path_adhesions(t, path):
+        free = sorted(adh - forb)
+        if not free:
+            return None
+        picks.append(free[0])
+    return shortcut_walk(g, [s] + picks + [u])
+
+
+def connected_components(g: Graph) -> list[frozenset[int]]:
+    """Partition of V(g) into connected components, ordered by smallest member."""
+    return components_within(g, g.vertices())
+
+
+def random_near_chordal(seed: int, core_vertices: int = 12, tree_nodes: int = 6,
+                        apex_degree_hi: int = 6) -> tuple[Graph, int]:
+    """Graph g plus a center v with g - v chordal (one planted apex)."""
+    g, _, planted = generate(GeneratorSpec(
+        seed=seed,
+        core_vertices=core_vertices,
+        tree_nodes=tree_nodes,
+        planted=1,
+        apex_degree_lo=2,
+        apex_degree_hi=apex_degree_hi,
+    ))
+    (v,) = planted
+    return g, v

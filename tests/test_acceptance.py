@@ -48,11 +48,11 @@ from chvd.generate import (
     generate,
     kernel_instance_pool,
     random_diffuse_downward,
-    random_near_chordal,
     random_staircase,
 )
 from chvd.instance_io import InstanceFile, emit, parse
 from chvd.cli import trace_text
+from bruteforce import random_near_chordal
 
 
 def report(index: int, name: str, ok: bool, detail: str) -> None:

@@ -18,15 +18,12 @@ from chvd.chordal import (
     central_bag,
     clique_tree_of,
     find_hole_through,
-    induced_path_avoiding,
     is_chordal,
     is_peo,
     maximal_cliques,
     minimal_path,
     mis_chordal,
-    path_adhesions,
     recognize,
-    validate_clique_tree,
 )
 from chvd.generate import random_chordal, random_gnp
 from bruteforce import (
@@ -34,6 +31,9 @@ from bruteforce import (
     bf_all_maximal_cliques,
     bf_is_chordal,
     bf_max_independent_set,
+    induced_path_avoiding,
+    path_adhesions,
+    validate_clique_tree,
 )
 
 

@@ -15,8 +15,7 @@ from chvd.flower import (
     two_disjoint_paths,
     two_flower,
 )
-from chvd.generate import random_near_chordal
-from bruteforce import bf_min_chvd
+from bruteforce import bf_min_chvd, random_near_chordal
 
 
 def bf_all_petals(g, v):

@@ -10,7 +10,6 @@ from chvd.graphs import (
     Graph,
     Hole,
     bfs_path,
-    connected_components,
     delete_vertices,
     di_bfs_path,
     induced_subgraph,
@@ -20,6 +19,7 @@ from chvd.graphs import (
     verify_hole,
 )
 from chvd.generate import random_gnp
+from bruteforce import connected_components
 
 
 def complete_graph(n):

@@ -218,6 +218,21 @@ def test_cli_approx_rejects_out_of_range_lp_options(tmp_path, capsys, flag,
     assert err.startswith("error:") and "internal invariant" not in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--tolerance", "-1"), ("--max-iters", "0"),
+])
+def test_cli_approx_rejects_out_of_range_lp_options_on_the_exact_route(
+        tmp_path, capsys, flag, value):
+    inst_path = tmp_path / "inst.chvd"
+    # k = 1 sends approximate() to the exact search, which runs no LP
+    assert main(["gen", "--seed", "3", "--core", "8", "--planted", "1",
+                 "--k", "1", "-o", str(inst_path)]) == 0
+    capsys.readouterr()
+    assert main(["approx", str(inst_path), f"{flag}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "internal invariant" not in err
+
+
 def test_cli_malformed_input_exit_code(tmp_path):
     bad = tmp_path / "bad.chvd"
     bad.write_text("p chvd 2 9 0\n")

@@ -1,4 +1,5 @@
 """Cutting-plane LP, simplex, and separation oracles."""
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,10 +18,11 @@ from chvd.lp import (
     simplex_min_cover,
     solve_fractional,
 )
-from chvd import graphs
-from chvd.generate import GeneratorSpec, generate, random_dag, random_gnp
+from chvd import graphs, lp
+from chvd.generate import GeneratorSpec, generate, random_dag, random_gnp, \
+    random_staircase
 from chvd.oracle import exact_chvd
-from bruteforce import bf_all_holes, ref_separate_chvd
+from bruteforce import bf_all_holes, ref_separate_chvd, ref_separate_multicut
 
 
 def cycle_graph(n):
@@ -161,6 +163,81 @@ def test_separate_multicut_basic():
     x = FractionalSolution({1: 1.0})
     assert separate_multicut(d, [(0, 3)], x) is None
     assert separate_multicut(d, [(3, 0)], x) is None
+
+
+def test_separate_multicut_matches_reference_on_random_dags():
+    rng = random.Random(113)
+    found = 0
+    for trial in range(40):
+        d = random_dag(rng, rng.randint(4, 18), rng.choice([0.2, 0.3, 0.45]))
+        # few sources, so that each is shared by several pairs
+        sources = rng.sample(range(d.n), rng.randint(1, 3))
+        pairs = [(rng.choice(sources), rng.randrange(d.n))
+                 for _ in range(rng.randint(1, 8))]
+        heavy = {v: rng.choice([0.0, 0.1, 0.25, 0.5, 1.0])
+                 for v in d.vertices()}
+        # the light draw puts the lightest terminal path just below, at or
+        # just above the threshold, where the search cutoff acts; its
+        # zero weights leave a path's last vertices at the distance of
+        # its target
+        light = {v: rng.choice([0.0, rng.uniform(0.05, 0.3)])
+                 for v in d.vertices()}
+        lightest = min((graphs.dijkstra_vertex_weights(
+            d.out_neighbors, s, light.get)[0].get(t, math.inf)
+            for s, t in pairs), default=math.inf)
+        if 0 < lightest < math.inf:
+            target = 1 - 1e-6 - rng.choice([1e-3, 1e-9, 2e-12, 0.0, -1e-9])
+            light = {v: w * target / lightest for v, w in light.items()}
+        for values in (heavy, light):
+            x = FractionalSolution(values)
+            got = separate_multicut(d, pairs, x)
+            assert got == ref_separate_multicut(d, pairs, x)
+            found += got is not None
+    assert 0 < found < 80
+
+
+@dataclass(frozen=True)
+class BothMulticutSeparators:
+    """A MulticutProblem that runs both separators and asserts they agree."""
+
+    d: DiGraph
+    pairs: tuple
+    rounds: list
+
+    @property
+    def n(self) -> int:
+        return self.d.n
+
+    def separate(self, x):
+        path = separate_multicut(self.d, self.pairs, x)
+        assert path == ref_separate_multicut(self.d, self.pairs, x)
+        self.rounds.append(path)
+        return None if path is None else frozenset(path)
+
+
+def test_separate_multicut_matches_reference_every_cutting_plane_round():
+    d, _, _, pairs = random_staircase(0, n=72, a=12, b=12, p=0.25)
+    problem = BothMulticutSeparators(d, tuple(pairs), [])
+    solve_fractional(problem)
+    assert len(problem.rounds) > 1 and problem.rounds[-1] is None
+
+
+def test_separate_multicut_runs_one_search_per_source(monkeypatch):
+    d, _, _, pairs = random_staircase(0, n=72, a=12, b=12, p=0.25)
+    sources = {s for s, _ in pairs}
+    assert len(sources) < len(pairs)
+    calls = []
+    search = lp.dijkstra_vertex_weights
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    # lp imports the search by name, so patch it there
+    monkeypatch.setattr(lp, "dijkstra_vertex_weights", counting)
+    zero = FractionalSolution({v: 0.0 for v in d.vertices()})
+    assert separate_multicut(d, pairs, zero) is not None
+    assert 0 < len(calls) <= len(sources)
 
 
 def test_solve_fractional_chordal_graph_is_zero():

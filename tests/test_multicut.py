@@ -1,4 +1,5 @@
 """Min vertex cut, skew multicut, and downward-oriented chordal multicut."""
+import hashlib
 import math
 import random
 
@@ -108,6 +109,24 @@ def test_skew_random_staircases_bound_and_validity():
         assert opt is not None and len(got) >= opt.optimum
         solved += 1
     assert solved >= 60
+
+
+# Recorded with the per-pair terminal path separator (one full search per
+# pair): repr(|x*|) and the sorted skew output of each staircase.
+STAIRCASE_DIGEST = (
+    "90f99907ecae6aea9345c0c69ffc4dac87d7c72dc5066451669f2db08536607d")
+
+
+def test_staircase_lp_and_skew_outputs_are_pinned():
+    h = hashlib.sha256()
+    for seed in range(6):
+        d, tu, tv, pairs = random_staircase(seed, n=72, a=12, b=12, p=0.25)
+        x = solve_fractional(MulticutProblem(d, tuple(pairs)))
+        inst = SkewInstance(MulticutInstance(d, tuple(pairs)),
+                            tuple(tu), tuple(tv))
+        cut = skew_multicut(inst, x)
+        h.update(f"{seed} {x.objective!r} {sorted(cut)}\n".encode())
+    assert h.hexdigest() == STAIRCASE_DIGEST
 
 
 def test_build_downward_single_bag():

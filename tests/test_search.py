@@ -11,11 +11,11 @@ from chvd.graphs import (
     bfs,
     bfs_path,
     components_within,
-    connected_components,
     di_bfs_path,
 )
 from chvd.multicut import min_vertex_cut
 from bruteforce import (
+    connected_components,
     ref_bfs_path,
     ref_components_within,
     ref_di_bfs_path,
