@@ -4,8 +4,8 @@ from .graphs import DiGraph, Graph, Hole, InvariantError
 from .chordal import CliqueTree, PEO, build_clique_tree, is_chordal, recognize
 from .flower import Flower, flower_and_cover, two_flower
 from .kernel import AChvdInstance, KernelResult, kernelize
-from .lp import ChvdProblem, FractionalSolution, MulticutProblem, \
-    solve_fractional
+from .lp import ChvdProblem, CuttingPlaneCapExceeded, FractionalSolution, \
+    MulticutProblem, solve_fractional
 from .multicut import DownwardInstance, MulticutInstance, SkewInstance, \
     build_downward, downward_multicut, min_vertex_cut, skew_multicut
 from .approx import NO_INSTANCE, NoInstance, approximate
@@ -16,6 +16,7 @@ __all__ = [
     "AChvdInstance",
     "ChvdProblem",
     "CliqueTree",
+    "CuttingPlaneCapExceeded",
     "DiGraph",
     "DownwardInstance",
     "ExactResult",

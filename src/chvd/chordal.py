@@ -75,6 +75,14 @@ def find_hole_through(
 
 
 def find_any_hole(g: Graph) -> Optional[Hole]:
+    """A shortest hole through the first vertex of g that lies on one, or
+    None if g is chordal.
+
+    It stays first-found rather than globally shortest (``lightest_hole``):
+    ``recognize`` returns this hole as its witness and
+    ``chvd kernelize --auto-modulator`` deletes it, so a global search
+    would move both outputs, and it would run a search through every
+    vertex where this one stops at the first hit."""
     for v in g.vertices():
         h = find_hole_through(g, v)
         if h is not None:

@@ -3,7 +3,8 @@
 Subcommands: gen, kernelize, approx, solve, check.  Same seed and flags
 produce byte-identical outputs.  Exit codes: 0 ok, 1 the result is
 a certified no-instance, 2 input validation failure, 3 internal invariant
-breach, 4 the exact search exceeded its node budget.
+breach, 4 a resource cap was hit: the exact search's node budget or the
+cutting-plane round cap (``approx --max-iters``).
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from .instance_io import (
     parse,
     parse_solution,
 )
+from .lp import CuttingPlaneCapExceeded
 from .kernel import KernelResult, ReductionEvent, kernelize, replay_trace
 from .oracle import SearchBudgetExceeded, exact_chvd
 
@@ -283,7 +285,7 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"internal invariant breached: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except SearchBudgetExceeded as exc:
+    except (SearchBudgetExceeded, CuttingPlaneCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 

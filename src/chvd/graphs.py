@@ -1,6 +1,7 @@
 """Core graph types: undirected graphs, directed graphs, and holes, with
 the graph searches shared by every layer: one breadth-first search, one
-vertex-weighted search, and the lightest hole through a vertex.
+vertex-weighted search, and the lightest hole, through a vertex or in
+the whole graph.
 
 Vertices are dense integers 0..n-1.  Graphs are immutable after
 construction; every mutating operation (vertex deletion, edge addition,
@@ -430,6 +431,44 @@ def lightest_hole_through(
                 if w < limit:
                     best = (hole, w)
                     limit = w - 1e-12
+    return best
+
+
+def lightest_hole(
+    g: Graph,
+    weight: Callable[[int], float],
+    allowed: Iterable[int],
+    below: float,
+) -> Optional[tuple[Hole, float]]:
+    """The lightest hole of g[allowed], if it weighs < below - 1e-12.
+
+    Runs ``lightest_hole_through`` for each allowed vertex in
+    ``g.vertices()`` order, each search bounded by the best weight so far,
+    and returns the last ``(hole, weight)`` found.  Weights must be
+    nonnegative.
+
+    The loop stops at a floor.  A hole has at least four vertices, so its
+    weight, summed as ``lightest_hole_through`` sums it, is at least the
+    floor: four copies of the least allowed weight, added the same way
+    (rounded addition is monotone, and further terms are nonnegative).  A
+    later search accepts only a hole lighter than best - 1e-12, so once
+    that bound is at or below the floor none can replace the best, and
+    stopping returns the same hole.  Under unit weights the floor is 4;
+    when some hole weighs 0, the loop stops at the first one.
+    """
+    inner = set(allowed)
+    low = min((weight(v) for v in inner), default=0)
+    floor = low + low + low + low
+    best: Optional[tuple[Hole, float]] = None
+    for v in g.vertices():
+        if v not in inner:
+            continue
+        found = lightest_hole_through(g, v, weight, inner, below)
+        if found is not None:
+            best = found
+            below = found[1]
+            if below - 1e-12 <= floor:
+                break
     return best
 
 

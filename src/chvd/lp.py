@@ -24,7 +24,7 @@ from .graphs import (
     check,
     dijkstra_vertex_weights,
     extract_path,
-    lightest_hole_through,
+    lightest_hole,
 )
 
 FEASIBILITY_TOL = 1e-6
@@ -143,15 +143,11 @@ def simplex_min_cover(
 
 
 def separate_chvd(g: Graph, x: FractionalSolution) -> Optional[Hole]:
-    """A hole of weight < 1 - tolerance, or None: the lightest hole through
-    each vertex in turn, each search bounded by the best weight so far."""
-    best: Optional[Hole] = None
-    best_weight = 1.0 - x.tolerance
-    for v in g.vertices():
-        found = lightest_hole_through(g, v, x.value, g.vertices(), best_weight)
-        if found is not None:
-            best, best_weight = found
-    return best
+    """A hole of weight < 1 - tolerance, or None: ``lightest_hole`` under
+    the weights x, which stops at the first hole as light as four copies
+    of the least x."""
+    found = lightest_hole(g, x.value, g.vertices(), 1.0 - x.tolerance)
+    return None if found is None else found[0]
 
 
 def separate_multicut(
@@ -206,6 +202,16 @@ class MulticutProblem:
         return None if path is None else frozenset(path)
 
 
+class CuttingPlaneCapExceeded(RuntimeError):
+    """The cutting-plane loop ran max_iters rounds without converging."""
+
+    def __init__(self, max_iters: int):
+        super().__init__(
+            f"cutting-plane loop did not converge within max_iters={max_iters}"
+            " rounds")
+        self.max_iters = max_iters
+
+
 def check_lp_options(tolerance: float, max_iters: int) -> None:
     """Raise ValueError unless 0 <= tolerance < 1 and max_iters >= 1."""
     if not 0 <= tolerance < 1:
@@ -226,7 +232,8 @@ def solve_fractional(
     The constraint pool is capped at 10 n^2; when full, the constraints
     with the most slack are evicted (re-separation restores any evicted
     wrongly).  Raises ValueError unless 0 <= tolerance < 1 and
-    max_iters >= 1, and InvariantError when the iteration cap is exceeded.
+    max_iters >= 1, and CuttingPlaneCapExceeded after max_iters rounds
+    that each still found a violated constraint.
     """
     check_lp_options(tolerance, max_iters)
     n = problem.n
@@ -246,5 +253,4 @@ def solve_fractional(
             pool = list(dict.fromkeys(keep))
         xs = simplex_min_cover(n, pool, exact=exact)
         x = FractionalSolution({v: float(xs[v]) for v in range(n)}, tolerance)
-    check(False, "cutting-plane iteration cap exceeded")
-    raise AssertionError  # unreachable
+    raise CuttingPlaneCapExceeded(max_iters)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .graphs import DiGraph, Graph, Hole, di_bfs_path, lightest_hole_through
+from .graphs import DiGraph, Graph, Hole, di_bfs_path, lightest_hole
 
 
 @dataclass(frozen=True)
@@ -31,16 +31,12 @@ class ExactResult:
 
 def shortest_hole_avoiding(g: Graph, deleted: frozenset[int]) -> Optional[Hole]:
     """A shortest hole of g - deleted (vertices kept in g's ids), in
-    canonical form: the lightest hole under unit weights through each
-    alive vertex in turn, each search bounded by the shortest so far."""
-    alive = [v for v in g.vertices() if v not in deleted]
-    best: Optional[Hole] = None
-    length = math.inf
-    for b in alive:
-        found = lightest_hole_through(g, b, lambda _: 1, alive, length)
-        if found is not None:
-            best, length = found
-    return best
+    canonical form: ``lightest_hole`` under unit weights, which stops at
+    the first hole of length 4."""
+    found = lightest_hole(
+        g, lambda _: 1, (v for v in g.vertices() if v not in deleted),
+        math.inf)
+    return None if found is None else found[0]
 
 
 class SearchBudgetExceeded(RuntimeError):

@@ -7,7 +7,9 @@ exception in kind, not in spirit: each is the straightforward version of
 a library routine that was later restructured for speed, kept as the
 reference the fast one must reproduce byte for byte.
 ``ref_separate_chvd`` is the per-triple hole separator and shares only
-the hole helpers of ``chvd.graphs``.  ``ref_separate_multicut`` runs
+the hole helpers of ``chvd.graphs``.  ``ref_shortest_hole_avoiding`` is
+the loop ``lightest_hole`` replaced: ``lightest_hole_through`` for every
+alive vertex, with no floor.  ``ref_separate_multicut`` runs
 one full search per terminal pair, with no cutoff and no sharing between
 pairs of one source.  ``ref_template_toughness`` tests
 every separator pair against every component, and
@@ -39,7 +41,7 @@ import math
 
 from chvd.graphs import Graph, DiGraph, Hole, check, components_within, \
     dijkstra_vertex_weights, extract_path, induced_subgraph, is_clique, \
-    shortcut_walk, verify_hole
+    lightest_hole_through, shortcut_walk, verify_hole
 from chvd import oracle
 from chvd.chordal import CliqueTree, central_bag, clique_tree_of, \
     find_hole_through, is_chordal, minimal_path
@@ -251,6 +253,20 @@ def ref_separate_chvd(g: Graph, x) -> Hole | None:
                     if w < best_weight - 1e-12:
                         best = hole
                         best_weight = w
+    return best
+
+
+def ref_shortest_hole_avoiding(g: Graph, deleted) -> Hole | None:
+    """A shortest hole of g - deleted: the lightest hole under unit weights
+    through every alive vertex, each search bounded by the shortest so far
+    and none skipped."""
+    alive = [v for v in g.vertices() if v not in deleted]
+    best = None
+    length = math.inf
+    for b in alive:
+        found = lightest_hole_through(g, b, lambda _: 1, alive, length)
+        if found is not None:
+            best, length = found
     return best
 
 

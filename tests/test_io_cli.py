@@ -202,6 +202,21 @@ def test_cli_approx_with_oracle(tmp_path):
         assert "ratio" in sol_path.read_text()
 
 
+def test_cli_approx_cutting_plane_cap_exit_code(tmp_path, capsys):
+    inst_path = tmp_path / "inst.chvd"
+    out_path = tmp_path / "out.txt"
+    # k = 4 at n = 44 keeps approximate() on the LP route, which needs
+    # more than one cutting-plane round
+    assert main(["gen", "--seed", "3", "--core", "40", "--planted", "4",
+                 "--k", "4", "-o", str(inst_path)]) == 0
+    capsys.readouterr()
+    assert main(["approx", str(inst_path), "--max-iters", "1",
+                 "-o", str(out_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "max_iters=1" in err
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--tolerance", "-1"), ("--tolerance", "1"), ("--tolerance", "2"),
     ("--max-iters", "0"),

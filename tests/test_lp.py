@@ -10,6 +10,7 @@ import pytest
 from chvd.graphs import Graph, DiGraph
 from chvd.lp import (
     ChvdProblem,
+    CuttingPlaneCapExceeded,
     FractionalSolution,
     MulticutProblem,
     at_least,
@@ -113,6 +114,38 @@ def test_separate_chvd_matches_reference_on_random_graphs():
             x = FractionalSolution({v: rng.choice(weights)
                                     for v in g.vertices()})
             assert separate_chvd(g, x) == ref_separate_chvd(g, x)
+
+
+def test_separate_chvd_matches_reference_under_zero_uniform_and_random_x(
+        monkeypatch):
+    # a zero or uniform x puts the first 4-hole on the floor, which stops
+    # the loop early; a random x mostly does not, and the last draw puts
+    # many holes just above the floor
+    rng = random.Random(113)
+    searches = []
+    search = graphs.lightest_hole_through
+
+    def counting(*args, **kwargs):
+        searches.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "lightest_hole_through", counting)
+    stopped = full = 0
+    for trial in range(40):
+        g = random_gnp(rng, rng.randint(5, 16), rng.choice([0.2, 0.3, 0.45]))
+        for x in (FractionalSolution({}),
+                  FractionalSolution({v: 0.2 for v in g.vertices()}),
+                  FractionalSolution({v: rng.uniform(0.0, 0.4)
+                                      for v in g.vertices()}),
+                  FractionalSolution({v: rng.choice([0.1, 0.11, 0.15, 0.25])
+                                      for v in g.vertices()})):
+            searches.clear()
+            assert separate_chvd(g, x) == ref_separate_chvd(g, x)
+            if len(searches) < g.n:
+                stopped += 1
+            else:
+                full += 1
+    assert stopped and full
 
 
 @dataclass(frozen=True)
@@ -311,7 +344,7 @@ def test_solve_fractional_pool_cap_error_path():
         base = 4 * i
         edges += [(base + j, base + (j + 1) % 4) for j in range(4)]
     g = Graph(12, edges)
-    with pytest.raises(AssertionError):
+    with pytest.raises(CuttingPlaneCapExceeded):
         solve_fractional(ChvdProblem(g), max_iters=40, pool_cap=2)
     # a cap that fits the binding set converges normally
     x = solve_fractional(ChvdProblem(g), pool_cap=3)

@@ -1,9 +1,10 @@
 """Exact solvers against subset enumeration."""
+import hashlib
 import random
 
 import pytest
 
-from chvd.graphs import Graph, DiGraph, verify_hole
+from chvd.graphs import Graph, DiGraph, Hole, verify_hole
 from chvd import graphs, oracle
 from chvd.oracle import SearchBudgetExceeded, exact_chvd, \
     exact_chvd_forced, exact_multicut, shortest_hole_avoiding
@@ -16,6 +17,7 @@ from bruteforce import (
     bf_min_multicut,
     ref_exact_chvd,
     ref_exact_multicut,
+    ref_shortest_hole_avoiding,
 )
 
 
@@ -137,6 +139,75 @@ def test_shortest_hole_avoiding_runs_one_search_per_vertex_neighbour_pair(
     assert shortest_hole_avoiding(g, deleted) is not None
     alive = [v for v in g.vertices() if v not in deleted]
     assert 0 < len(calls) <= sum(g.degree(v) for v in alive)
+
+
+def few_chord_cycles(rng):
+    """Two or three cycles of length 4 to 8 on random vertices plus a few
+    chords, so that a 4-hole often lies on later vertices than a longer
+    hole does."""
+    n = rng.randint(8, 20)
+    edges = []
+    for _ in range(rng.randint(2, 3)):
+        cycle = rng.sample(range(n), rng.randint(4, 8))
+        edges += [(cycle[i - 1], cycle[i]) for i in range(len(cycle))]
+    edges += [(u, v) for u in range(n) for v in range(u + 1, n)
+              if rng.random() < 0.03]
+    return Graph(n, edges)
+
+
+def test_shortest_hole_avoiding_matches_the_loop_without_a_floor():
+    rng = random.Random(131)
+    for trial in range(40):
+        g = few_chord_cycles(rng)
+        deleted = frozenset(v for v in g.vertices() if rng.random() < 0.15)
+        assert (shortest_hole_avoiding(g, deleted)
+                == ref_shortest_hole_avoiding(g, deleted))
+
+
+def test_shortest_hole_avoiding_stops_at_the_first_four_hole(monkeypatch):
+    # vertex 0 lies on a C4; a tail leads to a C5 and a C6 further on
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    edges += [(v, v + 1) for v in range(3, 12)]
+    edges += [(12 + i, 12 + (i + 1) % 5) for i in range(5)]
+    edges += [(16, 17)] + [(17 + i, 17 + (i + 1) % 6) for i in range(6)]
+    g = Graph(23, edges)
+    calls = []
+    search = graphs.lightest_hole_through
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "lightest_hole_through", counting)
+    assert shortest_hole_avoiding(g, frozenset()) == Hole((0, 1, 2, 3))
+    assert calls == [0]
+    # with the C4 broken, no hole reaches the floor: every alive vertex
+    # is searched, and the C5 wins
+    calls.clear()
+    hole = shortest_hole_avoiding(g, frozenset({1}))
+    assert hole is not None and hole.vertex_set() == set(range(12, 17))
+    assert len(calls) == g.n - 1
+
+
+# sha256 of (optimum, sorted solution, nodes_explored) per solve below,
+# recorded before the hole search gained its floor
+EXACT_DIGEST = (
+    "88f1718b125f432c1769e204e4b16a4c4da6e260aad8053d9a09d48278b7fdcb")
+
+
+def test_exact_chvd_outputs_are_pinned():
+    results = []
+    for seed in range(6):
+        g, _, _ = generate(GeneratorSpec(seed=seed, core_vertices=24,
+                                         tree_nodes=8, planted=3,
+                                         noise_edges=1))
+        rng = random.Random(seed)
+        pairs = tuple(tuple(rng.sample(range(g.n), 2)) for _ in range(2))
+        for forced in ((), pairs):
+            res = exact_chvd(g, 5, forced=forced)
+            results.append(None if res is None else (
+                res.optimum, sorted(res.solution), res.nodes_explored))
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == EXACT_DIGEST
 
 
 def test_exact_multicut_trivial():
