@@ -122,15 +122,19 @@ def simplex_min_cover(
                     best = ratio
                     leave = i
         check(leave >= 0, "dual packing LP is unbounded, which cannot happen")
-        piv = rows[leave][enter]
-        rows[leave] = [a / piv for a in rows[leave]]
-        for i in range(n):
-            if i != leave and rows[i][enter] != zero:
-                f = rows[i][enter]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[leave])]
-        if zrow[enter] != zero:
-            f = zrow[enter]
-            zrow = [a - f * b for a, b in zip(zrow, rows[leave])]
+        # Update only the pivot row's nonzero columns: a skipped term is
+        # a - f * 0, which can flip the sign of a zero but no comparison.
+        prow = rows[leave]
+        piv = prow[enter]
+        nonzero = [k for k, b in enumerate(prow) if b != zero]
+        for k in nonzero:
+            prow[k] /= piv
+        entries = [(k, prow[k]) for k in nonzero]
+        for row in rows + [zrow]:
+            f = row[enter]
+            if row is not prow and f != zero:
+                for k, b in entries:
+                    row[k] -= f * b
         basis[leave] = enter
     else:
         check(False, "simplex exceeded its pivot budget")
@@ -224,20 +228,16 @@ def solve_fractional(
     problem,
     max_iters: int = 2000,
     exact: bool = False,
-    pool_cap: Optional[int] = None,
     tolerance: float = FEASIBILITY_TOL,
 ) -> FractionalSolution:
     """Cutting-plane loop: restricted LP + separation until feasible.
 
-    The constraint pool is capped at 10 n^2; when full, the constraints
-    with the most slack are evicted (re-separation restores any evicted
-    wrongly).  Raises ValueError unless 0 <= tolerance < 1 and
-    max_iters >= 1, and CuttingPlaneCapExceeded after max_iters rounds
-    that each still found a violated constraint.
+    Raises ValueError unless 0 <= tolerance < 1 and max_iters >= 1, and
+    CuttingPlaneCapExceeded after max_iters rounds that each still found
+    a violated constraint.
     """
     check_lp_options(tolerance, max_iters)
     n = problem.n
-    cap = pool_cap if pool_cap is not None else max(16, 10 * n * n)
     pool: list[frozenset[int]] = []
     x = FractionalSolution({v: 0.0 for v in range(n)}, tolerance)
     for _ in range(max_iters):
@@ -247,10 +247,6 @@ def solve_fractional(
         check(violated not in pool,
               "separation returned a constraint already in the pool")
         pool.append(violated)
-        if len(pool) > cap:
-            pool.sort(key=lambda c: (x.mass(c), sorted(c)))
-            keep = pool[: cap - 1] + [violated]
-            pool = list(dict.fromkeys(keep))
         xs = simplex_min_cover(n, pool, exact=exact)
         x = FractionalSolution({v: float(xs[v]) for v in range(n)}, tolerance)
     raise CuttingPlaneCapExceeded(max_iters)

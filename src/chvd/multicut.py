@@ -39,8 +39,9 @@ class MulticutInstance:
 
     def is_multicut(self, removed) -> bool:
         alive = set(self.d.vertices()) - set(removed)
-        return all(_st_path(self.d, s, t, alive) is None
-                   for s, t in self.terminals)
+        reach = functools.cache(
+            lambda s: bfs(self.d.out_neighbors, [s], alive)[0])
+        return all(t not in reach(s) for s, t in self.terminals)
 
 
 def _st_path(
@@ -85,6 +86,7 @@ def min_vertex_cut(
     sinks: Sequence[int],
     deletable: Sequence[int],
     prefer_avoiding: Sequence[int] = (),
+    alive: Optional[AbstractSet[int]] = None,
 ) -> frozenset[int]:
     """Minimum-cardinality deletable vertex set disconnecting sources from sinks.
 
@@ -95,36 +97,47 @@ def min_vertex_cut(
     ``prefer_avoiding`` is a soft secondary objective: among minimum
     cuts, one using the fewest listed vertices is returned (capacities
     are scaled so cardinality stays the primary criterion).
+
+    ``alive`` (every vertex when None) restricts the problem to d[alive]:
+    other vertices, and terminals among them, are ignored.  The network
+    keeps d's ids, which orders its nodes as renumbering d[alive] would,
+    so the cut is the one the induced subgraph gives.
     """
-    n = d.n
+    if alive is None:
+        alive = d.vertices()
     deletable_set = set(deletable)
     avoid_set = set(prefer_avoiding) & deletable_set
-    unit = n + 2
-    inf = unit * (n + 1)
+    unit = len(alive) + 2
+    inf = unit * (len(alive) + 1)
     # node 2v = v_in, 2v+1 = v_out; 2n = super source, 2n+1 = super sink
-    size = 2 * n + 2
-    cap: list[dict[int, int]] = [dict() for _ in range(size)]
+    src, dst = 2 * d.n, 2 * d.n + 1
+    cap: dict[int, dict[int, int]] = {src: {}, dst: {}}
+    for v in alive:
+        cap[2 * v] = {}
+        cap[2 * v + 1] = {}
 
     def add(a: int, b: int, c: int) -> None:
         cap[a][b] = cap[a].get(b, 0) + c
         cap[b].setdefault(a, 0)
 
-    for v in range(n):
+    for v in alive:
         if v in deletable_set:
             add(2 * v, 2 * v + 1, unit + 1 if v in avoid_set else unit)
         else:
             add(2 * v, 2 * v + 1, inf)
         for w in d.out_neighbors(v):
-            add(2 * v + 1, 2 * w, inf)
-    for s in set(sources):
-        add(2 * n, 2 * s, inf)
-    for t in set(sinks):
-        add(2 * t + 1, 2 * n + 1, inf)
-
-    src, dst = 2 * n, 2 * n + 1
+            if w in alive:
+                add(2 * v + 1, 2 * w, inf)
+    for s in set(sources).intersection(alive):
+        add(src, 2 * s, inf)
+    for t in set(sinks).intersection(alive):
+        add(2 * t + 1, dst, inf)
+    # arcs are fixed from here on; only their residual capacities change
+    heads = {a: sorted(out) for a, out in cap.items()}
 
     def residual(a: int) -> list[int]:
-        return [b for b in sorted(cap[a]) if cap[a][b] > 0]
+        out = cap[a]
+        return [b for b in heads[a] if out[b] > 0]
 
     flow = 0
     while True:
@@ -143,28 +156,11 @@ def min_vertex_cut(
             )
     reach = bfs(residual, [src])[0]
     cut = frozenset(
-        v for v in range(n) if 2 * v in reach and 2 * v + 1 not in reach
+        v for v in alive if 2 * v in reach and 2 * v + 1 not in reach
     )
     cost = sum(unit + 1 if v in avoid_set else unit for v in cut)
     check(cost == flow, "max-flow / min-cut mismatch")
     return cut
-
-
-def _cut_within(
-    d: DiGraph, alive: set[int], sources, sinks, deletable,
-    prefer_avoiding=(),
-) -> frozenset[int]:
-    """Minimum vertex cut computed inside the induced live subgraph."""
-    sub = d.induced(sorted(alive))
-    m = sub.index
-    cut = min_vertex_cut(
-        sub.graph,
-        [m[s] for s in set(sources) if s in m],
-        [m[t] for t in set(sinks) if t in m],
-        [m[v] for v in set(deletable) if v in m],
-        prefer_avoiding=[m[v] for v in set(prefer_avoiding) if v in m],
-    )
-    return frozenset(sub.old_of[v] for v in cut)
 
 
 def skew_multicut(inst: SkewInstance, x: FractionalSolution) -> frozenset[int]:
@@ -196,11 +192,11 @@ def skew_multicut(inst: SkewInstance, x: FractionalSolution) -> frozenset[int]:
         return n + a + j
 
     def recurse(alive: set[int], active: list[tuple[int, int]]) -> frozenset[int]:
-        live = [
-            (i, j)
-            for i, j in active
-            if _st_path(dd, src_copy(i), dst_copy(j), alive) is not None
-        ]
+        # one search per source copy: a pair is live iff its target copy
+        # is reached
+        reach = functools.cache(
+            lambda i: bfs(dd.out_neighbors, [src_copy(i)], alive)[0])
+        live = [(i, j) for i, j in active if dst_copy(j) in reach(i)]
         if not live:
             return frozenset()
         sources = sorted({i for i, _ in live})
@@ -209,8 +205,8 @@ def skew_multicut(inst: SkewInstance, x: FractionalSolution) -> frozenset[int]:
         if len(sources) == 1:
             i = sources[0]
             sinks = {dst_copy(j) for _, j in live}
-            return _cut_within(dd, alive, [src_copy(i)], sinks, originals,
-                               prefer_avoiding=terminal_members)
+            return min_vertex_cut(dd, [src_copy(i)], sinks, originals,
+                                  terminal_members, alive=alive)
         mid = sources[len(sources) // 2]
         # largest target index over live pairs with source index <= mid:
         # staircase closure then pairs (i >= mid, j <= j_max) with the whole
@@ -218,8 +214,8 @@ def skew_multicut(inst: SkewInstance, x: FractionalSolution) -> frozenset[int]:
         j_max = max(j for i, j in live if i <= mid)
         tv1 = {dst_copy(j) for _, j in live if j <= j_max}
         tu2 = {src_copy(i) for i in sources if i >= mid}
-        x0 = _cut_within(dd, alive, tu2, tv1, originals,
-                         prefer_avoiding=terminal_members)
+        x0 = min_vertex_cut(dd, tu2, tv1, originals, terminal_members,
+                            alive=alive)
         alive2 = alive - x0
         a1 = set(bfs(dd.in_neighbors, sorted(tv1 & alive2), alive2)[0])
         a2 = set(bfs(dd.out_neighbors, sorted(tu2 & alive2), alive2)[0])
@@ -405,7 +401,8 @@ def downward_multicut(
                 check(dv >= 0.5 - 1e-6, "downward pair too close to its bag")
                 down.append((u, v, beta_p))
         if up:
-            cut = _cut_within(d, alive, [u for u, _ in up], bag_alive, alive)
+            cut = min_vertex_cut(d, [u for u, _ in up], bag_alive, alive,
+                                 alive=alive)
             check(len(cut) <= 2 * x.objective + 1e-6,
                   "upward min cut exceeds twice the fractional mass")
             solution |= cut

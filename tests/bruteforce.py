@@ -11,13 +11,16 @@ the hole helpers of ``chvd.graphs``.  ``ref_shortest_hole_avoiding`` is
 the loop ``lightest_hole`` replaced: ``lightest_hole_through`` for every
 alive vertex, with no floor.  ``ref_separate_multicut`` runs
 one full search per terminal pair, with no cutoff and no sharing between
-pairs of one source.  ``ref_template_toughness`` tests
+pairs of one source.  ``ref_simplex_min_cover`` is the dense simplex
+whose pivots rewrite every column, not only the pivot row's nonzero ones.  ``ref_template_toughness`` tests
 every separator pair against every component, and
 ``ref_xy_good_bottommost`` recomputes every subtree for every pair; they
 share ``components_within`` and the event plumbing of ``chvd.kernel``.
 ``ref_bfs_path``, ``ref_di_bfs_path``, ``ref_di_reachable``,
 ``ref_components_within`` and ``ref_min_vertex_cut`` are the hand-written
-queue loops that one breadth-first search in ``chvd.graphs`` replaced.
+queue loops that one breadth-first search in ``chvd.graphs`` replaced;
+``ref_min_vertex_cut`` also builds its network over every vertex, so the
+``alive`` restriction is checked against it on an induced copy.
 ``ref_exact_chvd`` and ``ref_exact_multicut`` are the exact searches without
 a pool of found sets: a fresh hole (or terminal-path) search at every node.
 They call ``oracle.shortest_hole_avoiding`` by name, so a test can count
@@ -38,6 +41,7 @@ from collections import deque
 from itertools import combinations
 
 import math
+from fractions import Fraction
 
 from chvd.graphs import Graph, DiGraph, Hole, check, components_within, \
     dijkstra_vertex_weights, extract_path, induced_subgraph, is_clique, \
@@ -280,6 +284,58 @@ def ref_separate_multicut(d: DiGraph, pairs, x) -> list[int] | None:
             best = extract_path(prev, t)
             best_weight = dist[t]
     return best
+
+
+def ref_simplex_min_cover(n: int, constraint_sets, exact: bool = False) -> list:
+    """The dense simplex: every pivot rewrites every column of every row."""
+    m = len(constraint_sets)
+    zero = Fraction(0) if exact else 0.0
+    one = Fraction(1) if exact else 1.0
+    tol = Fraction(0) if exact else 1e-9
+    if m == 0 or n == 0:
+        return [zero] * n
+    width = m + n + 1
+    rows = []
+    for v in range(n):
+        row = [zero] * width
+        for j, cset in enumerate(constraint_sets):
+            if v in cset:
+                row[j] = one
+        row[m + v] = one
+        row[-1] = one
+        rows.append(row)
+    zrow = [one] * m + [zero] * n + [zero]
+    basis = [m + v for v in range(n)]
+    for _ in range(8000 + 40 * (n + m) * (n + m)):
+        enter = next((j for j in range(m + n) if zrow[j] > tol), -1)
+        if enter < 0:
+            break
+        leave = -1
+        best = None
+        for i in range(n):
+            a = rows[i][enter]
+            if a > tol:
+                ratio = rows[i][-1] / a
+                if best is None or ratio < best - tol or (
+                    abs(ratio - best) <= tol
+                    and (leave < 0 or basis[i] < basis[leave])
+                ):
+                    best = ratio
+                    leave = i
+        check(leave >= 0, "reference packing LP is unbounded")
+        piv = rows[leave][enter]
+        rows[leave] = [a / piv for a in rows[leave]]
+        for i in range(n):
+            if i != leave and rows[i][enter] != zero:
+                f = rows[i][enter]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[leave])]
+        if zrow[enter] != zero:
+            f = zrow[enter]
+            zrow = [a - f * b for a, b in zip(zrow, rows[leave])]
+        basis[leave] = enter
+    else:
+        check(False, "reference simplex exceeded its pivot budget")
+    return [-z if -z > zero else zero for z in zrow[m:m + n]]
 
 
 def _ref_has_avoiding_path(g: Graph, comp, x: int, y: int) -> bool:

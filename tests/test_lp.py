@@ -10,7 +10,6 @@ import pytest
 from chvd.graphs import Graph, DiGraph
 from chvd.lp import (
     ChvdProblem,
-    CuttingPlaneCapExceeded,
     FractionalSolution,
     MulticutProblem,
     at_least,
@@ -23,7 +22,8 @@ from chvd import graphs, lp
 from chvd.generate import GeneratorSpec, generate, random_dag, random_gnp, \
     random_staircase
 from chvd.oracle import exact_chvd
-from bruteforce import bf_all_holes, ref_separate_chvd, ref_separate_multicut
+from bruteforce import bf_all_holes, ref_separate_chvd, ref_separate_multicut, \
+    ref_simplex_min_cover
 
 
 def cycle_graph(n):
@@ -61,6 +61,46 @@ def test_simplex_exact_matches_float():
         assert abs(sum(approx) - float(sum(exact, Fraction(0)))) < 1e-9
         for cset in sets:
             assert sum(exact[v] for v in cset) >= 1
+
+
+def test_simplex_matches_the_dense_reference():
+    """The sparse pivots return every value of the dense tableau, float
+    for float and Fraction for Fraction."""
+    rng = random.Random(98)
+    for trial in range(120):
+        n = rng.randint(1, 16)
+        m = rng.randint(0, 24)
+        sets = [
+            frozenset(rng.sample(range(n), rng.randint(1, min(n, 8))))
+            for _ in range(m)
+        ]
+        exact = trial % 4 == 0
+        got = simplex_min_cover(n, sets, exact=exact)
+        want = ref_simplex_min_cover(n, sets, exact=exact)
+        assert got == want
+        assert list(map(repr, got)) == list(map(repr, want))
+
+
+def test_simplex_matches_the_dense_reference_every_cutting_plane_round(
+        monkeypatch):
+    calls = []
+
+    def both(n, sets, exact=False):
+        got = simplex_min_cover(n, sets, exact=exact)
+        assert list(map(repr, got)) == list(
+            map(repr, ref_simplex_min_cover(n, sets, exact=exact)))
+        calls.append(len(sets))
+        return got
+
+    monkeypatch.setattr(lp, "simplex_min_cover", both)
+    for seed in range(3):
+        g, _, _ = generate(GeneratorSpec(seed=seed, core_vertices=30,
+                                         tree_nodes=10, planted=4,
+                                         noise_edges=1))
+        solve_fractional(ChvdProblem(g), exact=seed == 0)
+        d, _, _, pairs = random_staircase(seed, n=40, a=8, b=8, p=0.3)
+        solve_fractional(MulticutProblem(d, tuple(pairs)))
+    assert len(calls) >= 50 and max(calls) >= 12
 
 
 def test_simplex_value_is_lp_optimal_vs_enumeration():
@@ -334,21 +374,6 @@ def test_solve_fractional_exact_mode_cross_check():
     exact = solve_fractional(ChvdProblem(g), exact=True)
     assert abs(approx.objective - exact.objective) < 1e-9
     assert separate_chvd(g, exact) is None
-
-
-def test_solve_fractional_pool_cap_error_path():
-    # a pool too small to hold the binding constraints cannot converge;
-    # the iteration cap turns the livelock into a hard error
-    edges = []
-    for i in range(3):
-        base = 4 * i
-        edges += [(base + j, base + (j + 1) % 4) for j in range(4)]
-    g = Graph(12, edges)
-    with pytest.raises(CuttingPlaneCapExceeded):
-        solve_fractional(ChvdProblem(g), max_iters=40, pool_cap=2)
-    # a cap that fits the binding set converges normally
-    x = solve_fractional(ChvdProblem(g), pool_cap=3)
-    assert abs(x.objective - 3.0) < 1e-6
 
 
 @pytest.mark.parametrize("options", [

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from chvd.generate import random_gnp
+from chvd.generate import random_dag, random_gnp
 from chvd.graphs import (
     DiGraph,
     bfs,
@@ -120,6 +120,41 @@ def test_min_vertex_cut_matches_reference():
             continue
         got = min_vertex_cut(d, sources, sinks, deletable, avoid)
         assert got == want and list(got) == list(want)
+
+
+def test_min_vertex_cut_on_alive_matches_the_induced_copy():
+    """A cut restricted to alive equals the reference cut of d[alive],
+    renumbered and mapped back; dead terminals are ignored."""
+    rng = random.Random(15)
+    refused = cut = 0
+    for trial in range(300):
+        n = rng.randint(2, 24)
+        p = rng.uniform(0.05, 0.3)
+        d = random_dag(rng, n, p) if trial % 2 else random_digraph(rng, n, p)
+        alive = some(rng, n, rng.uniform(0.3, 1.0))
+        sources = rng.sample(range(n), rng.randint(1, min(4, n)))
+        sinks = rng.sample(range(n), rng.randint(1, min(4, n)))
+        deletable = some(rng, n, rng.uniform(0.5, 1.0))
+        avoid = some(rng, n, 0.3)
+        sub = d.induced(sorted(alive))
+        m = sub.index
+
+        def local(vs):
+            return [m[v] for v in vs if v in m]
+
+        try:
+            want = ref_min_vertex_cut(sub.graph, local(sources), local(sinks),
+                                      local(deletable), local(avoid))
+        except ValueError:
+            with pytest.raises(ValueError):
+                min_vertex_cut(d, sources, sinks, deletable, avoid,
+                               alive=alive)
+            refused += 1
+            continue
+        got = min_vertex_cut(d, sources, sinks, deletable, avoid, alive=alive)
+        assert got == frozenset(sub.old_of[v] for v in want)
+        cut += bool(got)
+    assert refused >= 20 and cut >= 50
 
 
 def test_only_graphs_module_writes_a_search():
