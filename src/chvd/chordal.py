@@ -67,10 +67,10 @@ def find_hole_through(
     g: Graph, v: int, allowed: Optional[Iterable[int]] = None
 ) -> Optional[Hole]:
     """A shortest hole through v in g[allowed] (in g when allowed is None),
-    in canonical form, or None if v lies on no such hole."""
+    in canonical form, or None if v is not allowed or lies on no such
+    hole."""
     found = lightest_hole_through(
-        g, v, lambda _: 1, g.vertices() if allowed is None else allowed,
-        math.inf)
+        g, v, None, g.vertices() if allowed is None else allowed, math.inf)
     return None if found is None else found[0]
 
 

@@ -216,13 +216,15 @@ def _step_shorten(search: FlowerSearch, f: Flower) -> Optional[Flower]:
 def two_flower(g: Graph, v: int,
                allowed: Optional[Iterable[int]] = None) -> Optional[Flower]:
     """A v-flower of order two in g[allowed] (in g when allowed is None),
-    or None when no such flower exists.
+    or None when v is not allowed or no such flower exists.
 
     Tries all endpoint tuples (s1,t1,s2,t2) in N(v)^4 with both pairs
     nonadjacent and solves two-vertex-disjoint-paths in the graph with the
     rest of N[v] removed.
     """
     inside = set(g.vertices() if allowed is None else allowed)
+    if v not in inside:
+        return None
     nv = [u for u in g.neighbors(v) if u in inside]
     nonadjacent = [
         (a, b)

@@ -316,28 +316,57 @@ def shortcut_walk(g: Graph, walk: Sequence[int]) -> list[int]:
 def dijkstra_vertex_weights(
     neighbors: Callable[[int], Sequence[int]],
     source: int,
-    weight: Callable[[int], float],
-    allowed: Optional[set[int]] = None,
+    weights: Optional[Sequence[float]],
+    allowed: Optional[Container[int]] = None,
     targets: Collection[int] = (),
     cutoff: float = math.inf,
 ) -> tuple[dict[int, float], dict[int, int]]:
     """Shortest vertex-weighted distances from source; path cost includes
     both endpoints.
 
-    ``neighbors`` gives the out-neighbours of a vertex, so the search runs
-    on a Graph or a DiGraph alike.  ``allowed`` limits the vertices the
-    search may enter; the source and ``targets`` are admitted even outside
-    it.  A target gets a distance but is never expanded, so no path
-    passes through it.  The search stops early once every target is
-    settled, or when it pops a distance ``>= cutoff``.  Distances and
-    predecessors of the vertices settled by then are exact; any other
-    entry of the result is an upper bound no smaller than the last popped
-    distance.
+    ``weights`` is a table indexed by vertex id, or None for unit
+    weights.  ``neighbors`` gives the out-neighbours of a vertex, so the
+    search runs on a Graph or a DiGraph alike.  ``allowed`` limits the
+    vertices the search may enter; the source and ``targets`` are
+    admitted even outside it.  A target gets a distance but is never
+    expanded, so no path passes through it.  The search stops early once
+    every target is settled, or when it pops a distance ``>= cutoff``.
+    Distances and predecessors of the vertices settled by then are exact;
+    any other entry of the result is an upper bound no smaller than the
+    last popped distance.
+
+    A heap pops ``(distance, id)`` pairs.  Under unit weights every
+    vertex is reached first at its final distance, so the search runs by
+    breadth-first layers instead, each sorted by vertex id: the heap's pop
+    order, which gives the same entries in the same insertion order.
     """
-    dist = {source: weight(source)}
-    prev = {source: source}
-    heap = [(dist[source], source)]
     pending = set(targets)
+    prev = {source: source}
+    if weights is None:
+        dist = {source: 1}
+        layer = [source]
+        d = 1
+        while layer and d < cutoff:
+            d += 1
+            found = []
+            for u in layer:
+                if u in pending:
+                    pending.discard(u)
+                    if not pending:
+                        return dist, prev
+                    continue
+                for w in neighbors(u):
+                    if w in dist or (allowed is not None and w not in allowed
+                                     and w not in pending):
+                        continue
+                    dist[w] = d
+                    prev[w] = u
+                    found.append(w)
+            found.sort()
+            layer = found
+        return dist, prev
+    dist = {source: weights[source]}
+    heap = [(dist[source], source)]
     while heap:
         d, u = heapq.heappop(heap)
         if d > dist.get(u, math.inf):
@@ -352,7 +381,7 @@ def dijkstra_vertex_weights(
         for w in neighbors(u):
             if allowed is not None and w not in allowed and w not in pending:
                 continue
-            nd = d + weight(w)
+            nd = d + weights[w]
             if nd < dist.get(w, math.inf) - 1e-15:
                 dist[w] = nd
                 prev[w] = u
@@ -382,15 +411,16 @@ def _cutoff_below(limit: float, offset: float) -> float:
 def lightest_hole_through(
     g: Graph,
     v: int,
-    weight: Callable[[int], float],
+    weights: Optional[Sequence[float]],
     allowed: Iterable[int],
     below: float,
 ) -> Optional[tuple[Hole, float]]:
     """The lightest hole through v in g[allowed], if it weighs < below - 1e-12.
 
-    Returns ``(hole, weight)`` with the hole in canonical form, or None.
-    A hole's weight is the sum of ``weight`` over its vertices, so unit
-    weights give a shortest hole.
+    Returns ``(hole, weight)`` with the hole in canonical form, or None;
+    None also when v is not allowed.  ``weights`` is a table indexed by
+    vertex id, or None for unit weights, which give a shortest hole.  A
+    hole's weight is the sum of its vertices' weights.
 
     Every hole through v is v followed by a u1-u2 path whose inner
     vertices avoid N[v], for nonadjacent neighbours u1, u2 of v.  For
@@ -403,23 +433,26 @@ def lightest_hole_through(
 
     The targets are then walked in neighbour order; the lightest cycle so
     far is shortcut to an induced one and kept.  A search stops once a
-    popped distance plus weight(v) reaches the best weight at its start
-    (less 1e-12): a u2 settled later fails that test, and the best weight
-    only falls while the targets are walked, so the cutoff never changes
-    the result.
+    popped distance plus the weight of v reaches the best weight at its
+    start (less 1e-12): a u2 settled later fails that test, and the best
+    weight only falls while the targets are walked, so the cutoff never
+    changes the result.
     """
     inner = set(allowed)
+    if v not in inner:
+        return None
     nbrs = [u for u in g.neighbors(v) if u in inner]
     inner -= g.closed_neighborhood(v)
-    wv = weight(v)
+    wv = 1 if weights is None else weights[v]
     limit = below - 1e-12
     best: Optional[tuple[Hole, float]] = None
     for i, u1 in enumerate(nbrs):
-        targets = [u2 for u2 in nbrs[i + 1 :] if not g.has_edge(u1, u2)]
+        adjacent = g.neighbor_set(u1)
+        targets = [u2 for u2 in nbrs[i + 1 :] if u2 not in adjacent]
         if not targets:
             continue
         dist, prev = dijkstra_vertex_weights(
-            g.neighbors, u1, weight, allowed=inner, targets=targets,
+            g.neighbors, u1, weights, allowed=inner, targets=targets,
             cutoff=_cutoff_below(limit, wv),
         )
         for u2 in targets:
@@ -427,7 +460,8 @@ def lightest_hole_through(
                 path = shortcut_walk(g, extract_path(prev, u2))
                 hole = Hole(tuple([v] + path)).canonical()
                 check(verify_hole(g, hole), "hole search built a non-hole")
-                w = sum(weight(u) for u in hole.vertices)
+                w = (len(hole) if weights is None
+                     else sum(weights[u] for u in hole.vertices))
                 if w < limit:
                     best = (hole, w)
                     limit = w - 1e-12
@@ -436,7 +470,7 @@ def lightest_hole_through(
 
 def lightest_hole(
     g: Graph,
-    weight: Callable[[int], float],
+    weights: Optional[Sequence[float]],
     allowed: Iterable[int],
     below: float,
 ) -> Optional[tuple[Hole, float]]:
@@ -444,8 +478,8 @@ def lightest_hole(
 
     Runs ``lightest_hole_through`` for each allowed vertex in
     ``g.vertices()`` order, each search bounded by the best weight so far,
-    and returns the last ``(hole, weight)`` found.  Weights must be
-    nonnegative.
+    and returns the last ``(hole, weight)`` found.  ``weights`` is a table
+    indexed by vertex id, nonnegative, or None for unit weights.
 
     The loop stops at a floor.  A hole has at least four vertices, so its
     weight, summed as ``lightest_hole_through`` sums it, is at least the
@@ -457,13 +491,14 @@ def lightest_hole(
     when some hole weighs 0, the loop stops at the first one.
     """
     inner = set(allowed)
-    low = min((weight(v) for v in inner), default=0)
+    low = (1 if weights is None
+           else min((weights[v] for v in inner), default=0))
     floor = low + low + low + low
     best: Optional[tuple[Hole, float]] = None
     for v in g.vertices():
         if v not in inner:
             continue
-        found = lightest_hole_through(g, v, weight, inner, below)
+        found = lightest_hole_through(g, v, weights, inner, below)
         if found is not None:
             best = found
             below = found[1]

@@ -150,7 +150,8 @@ def separate_chvd(g: Graph, x: FractionalSolution) -> Optional[Hole]:
     """A hole of weight < 1 - tolerance, or None: ``lightest_hole`` under
     the weights x, which stops at the first hole as light as four copies
     of the least x."""
-    found = lightest_hole(g, x.value, g.vertices(), 1.0 - x.tolerance)
+    weights = [x.value(v) for v in g.vertices()]
+    found = lightest_hole(g, weights, g.vertices(), 1.0 - x.tolerance)
     return None if found is None else found[0]
 
 
@@ -167,11 +168,12 @@ def separate_multicut(
     """
     best: Optional[list[int]] = None
     best_weight = 1.0 - x.tolerance
+    weights = [x.value(v) for v in d.vertices()]
     searches: dict[int, tuple[dict[int, float], dict[int, int]]] = {}
     for s, t in pairs:
         if s not in searches:
             searches[s] = dijkstra_vertex_weights(
-                d.out_neighbors, s, x.value, cutoff=best_weight - 1e-12)
+                d.out_neighbors, s, weights, cutoff=best_weight - 1e-12)
         dist, prev = searches[s]
         if t in dist and dist[t] < best_weight - 1e-12:
             best = extract_path(prev, t)

@@ -278,7 +278,8 @@ def dist_from(
     """Vertex-weighted distances from one source, endpoints included."""
     if alive is not None and source not in alive:
         return {}
-    return dijkstra_vertex_weights(d.out_neighbors, source, x.value,
+    weights = [x.value(v) for v in d.vertices()]
+    return dijkstra_vertex_weights(d.out_neighbors, source, weights,
                                    allowed=alive)[0]
 
 
@@ -325,12 +326,17 @@ def downward_multicut(
     if separate_multicut(d, pairs, x) is not None:
         raise ValueError("fractional solution is infeasible for the instance")
     rank = inst.rank()
-    x0 = {v for v in d.vertices() if at_least(x.value(v), 1.0 / 8)}
+    weights = [x.value(v) for v in d.vertices()]
+    x0 = {v for v in d.vertices() if at_least(weights[v], 1.0 / 8)}
     solution: set[int] = set(x0)
 
     alive = set(d.vertices()) - x0
-    # alive is fixed from here on, so each source's distances are computed once
-    dist = functools.cache(lambda source: dist_from(d, x, source, alive=alive))
+    # alive is fixed from here on, so each source's distances are computed
+    # once; every source is alive.  Every distance read below is compared
+    # with 1/2 or clipped at 1, so the searches stop at 1: entries below it
+    # are exact, and every other entry, or a missing one, is at least 1.
+    dist = functools.cache(lambda source: dijkstra_vertex_weights(
+        d.out_neighbors, source, weights, allowed=alive, cutoff=1.0)[0])
     base = MulticutInstance(d, inst.terminals)
     live_pairs = []
     cores: dict[tuple[int, int], frozenset[int]] = {}

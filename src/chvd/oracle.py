@@ -34,8 +34,7 @@ def shortest_hole_avoiding(g: Graph, deleted: frozenset[int]) -> Optional[Hole]:
     canonical form: ``lightest_hole`` under unit weights, which stops at
     the first hole of length 4."""
     found = lightest_hole(
-        g, lambda _: 1, (v for v in g.vertices() if v not in deleted),
-        math.inf)
+        g, None, (v for v in g.vertices() if v not in deleted), math.inf)
     return None if found is None else found[0]
 
 

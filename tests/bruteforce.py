@@ -6,12 +6,15 @@ code paths they are used to verify.  The ``ref_`` routines are the
 exception in kind, not in spirit: each is the straightforward version of
 a library routine that was later restructured for speed, kept as the
 reference the fast one must reproduce byte for byte.
+``ref_dijkstra_vertex_weights`` is the vertex-weighted heap search with
+a weight callable, before unit weights ran by layers.
 ``ref_separate_chvd`` is the per-triple hole separator and shares only
 the hole helpers of ``chvd.graphs``.  ``ref_shortest_hole_avoiding`` is
 the loop ``lightest_hole`` replaced: ``lightest_hole_through`` for every
-alive vertex, with no floor.  ``ref_separate_multicut`` runs
-one full search per terminal pair, with no cutoff and no sharing between
-pairs of one source.  ``ref_simplex_min_cover`` is the dense simplex
+alive vertex, with no floor, under a unit table, so on the heap search.
+``ref_separate_multicut`` runs one full ``ref_dijkstra_vertex_weights``
+search per terminal pair, with no cutoff and no sharing between pairs of
+one source.  ``ref_simplex_min_cover`` is the dense simplex
 whose pivots rewrite every column, not only the pivot row's nonzero ones.  ``ref_template_toughness`` tests
 every separator pair against every component, and
 ``ref_xy_good_bottommost`` recomputes every subtree for every pair; they
@@ -44,8 +47,8 @@ import math
 from fractions import Fraction
 
 from chvd.graphs import Graph, DiGraph, Hole, check, components_within, \
-    dijkstra_vertex_weights, extract_path, induced_subgraph, is_clique, \
-    lightest_hole_through, shortcut_walk, verify_hole
+    extract_path, induced_subgraph, is_clique, lightest_hole_through, \
+    shortcut_walk, verify_hole
 from chvd import oracle
 from chvd.chordal import CliqueTree, central_bag, clique_tree_of, \
     find_hole_through, is_chordal, minimal_path
@@ -260,15 +263,47 @@ def ref_separate_chvd(g: Graph, x) -> Hole | None:
     return best
 
 
+def ref_dijkstra_vertex_weights(neighbors, source: int, weight,
+                                allowed=None, targets=(), cutoff=math.inf):
+    """The heap search with a weight callable, as it was before unit
+    weights ran by layers and other weights came as a table."""
+    dist = {source: weight(source)}
+    prev = {source: source}
+    heap = [(dist[source], source)]
+    pending = set(targets)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist.get(u, math.inf):
+            continue
+        if d >= cutoff:
+            break
+        if u in pending:
+            pending.discard(u)
+            if not pending:
+                break
+            continue
+        for w in neighbors(u):
+            if allowed is not None and w not in allowed and w not in pending:
+                continue
+            nd = d + weight(w)
+            if nd < dist.get(w, math.inf) - 1e-15:
+                dist[w] = nd
+                prev[w] = u
+                heapq.heappush(heap, (nd, w))
+    return dist, prev
+
+
 def ref_shortest_hole_avoiding(g: Graph, deleted) -> Hole | None:
-    """A shortest hole of g - deleted: the lightest hole under unit weights
+    """A shortest hole of g - deleted: the lightest hole under a table of
+    unit weights, which takes the heap search rather than the layered one,
     through every alive vertex, each search bounded by the shortest so far
     and none skipped."""
     alive = [v for v in g.vertices() if v not in deleted]
+    unit = [1] * g.n
     best = None
     length = math.inf
     for b in alive:
-        found = lightest_hole_through(g, b, lambda _: 1, alive, length)
+        found = lightest_hole_through(g, b, unit, alive, length)
         if found is not None:
             best, length = found
     return best
@@ -279,7 +314,7 @@ def ref_separate_multicut(d: DiGraph, pairs, x) -> list[int] | None:
     best = None
     best_weight = 1.0 - x.tolerance
     for s, t in pairs:
-        dist, prev = dijkstra_vertex_weights(d.out_neighbors, s, x.value)
+        dist, prev = ref_dijkstra_vertex_weights(d.out_neighbors, s, x.value)
         if t in dist and dist[t] < best_weight - 1e-12:
             best = extract_path(prev, t)
             best_weight = dist[t]

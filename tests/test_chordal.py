@@ -1,4 +1,5 @@
 """Recognition, clique trees, and tree-decomposition queries."""
+import math
 import random
 from itertools import combinations
 
@@ -10,6 +11,7 @@ from chvd.graphs import (
     bfs_path,
     components_within,
     induced_subgraph,
+    lightest_hole_through,
     verify_hole,
 )
 from chvd.chordal import (
@@ -403,6 +405,22 @@ def test_find_hole_through_allowed_matches_the_induced_subgraph():
                                          for u in local.vertices)).canonical()
                 found += 1
     assert found >= 20
+
+
+def test_no_hole_through_a_vertex_outside_allowed():
+    c4 = cycle_graph(4)
+    assert find_hole_through(c4, 0, [0, 1, 2, 3]) == Hole((0, 1, 2, 3))
+    assert find_hole_through(c4, 0, [1, 2, 3]) is None
+    for weights in (None, [0.0] * 4, [0.25] * 4):
+        assert lightest_hole_through(c4, 0, weights, [1, 2, 3],
+                                     math.inf) is None
+    rng = random.Random(53)
+    for _ in range(40):
+        g = random_gnp(rng, rng.randint(4, 11), 0.35)
+        s = {v for v in g.vertices() if rng.random() < 0.7}
+        for v in g.vertices():
+            if v not in s:
+                assert find_hole_through(g, v, s) is None
 
 
 def test_central_bag_of_a_subgraph_tree_matches_the_induced_subgraph():

@@ -85,6 +85,12 @@ def test_two_flower_on_disjoint_c4s():
     f.validate(g)
 
 
+def test_two_flower_of_a_vertex_outside_allowed_is_none():
+    g = two_c4s_sharing_v()
+    assert two_flower(g, 0, set(g.vertices())) is not None
+    assert two_flower(g, 0, set(g.vertices()) - {0}) is None
+
+
 def test_two_flower_absent_single_c4():
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert two_flower(g, 0) is None

@@ -22,8 +22,8 @@ from chvd import graphs, lp
 from chvd.generate import GeneratorSpec, generate, random_dag, random_gnp, \
     random_staircase
 from chvd.oracle import exact_chvd
-from bruteforce import bf_all_holes, ref_separate_chvd, ref_separate_multicut, \
-    ref_simplex_min_cover
+from bruteforce import bf_all_holes, ref_dijkstra_vertex_weights, \
+    ref_separate_chvd, ref_separate_multicut, ref_simplex_min_cover
 
 
 def cycle_graph(n):
@@ -255,7 +255,7 @@ def test_separate_multicut_matches_reference_on_random_dags():
         # its target
         light = {v: rng.choice([0.0, rng.uniform(0.05, 0.3)])
                  for v in d.vertices()}
-        lightest = min((graphs.dijkstra_vertex_weights(
+        lightest = min((ref_dijkstra_vertex_weights(
             d.out_neighbors, s, light.get)[0].get(t, math.inf)
             for s, t in pairs), default=math.inf)
         if 0 < lightest < math.inf:

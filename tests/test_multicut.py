@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from chvd import multicut
 from chvd.graphs import DiGraph, Graph, di_bfs_path
 from chvd.chordal import clique_tree_of
 from chvd.lp import FractionalSolution, MulticutProblem, solve_fractional
@@ -14,6 +15,7 @@ from chvd.multicut import (
     SkewInstance,
     build_downward,
     clique_cover_chordal,
+    dist_from,
     downward_multicut,
     min_vertex_cut,
     skew_multicut,
@@ -26,7 +28,8 @@ from chvd.generate import (
 )
 from chvd.lp import at_least
 from chvd.oracle import exact_multicut
-from bruteforce import bf_di_connected, bf_min_vertex_cut
+from bruteforce import bf_di_connected, bf_min_vertex_cut, \
+    ref_dijkstra_vertex_weights
 
 
 def test_min_vertex_cut_single_path():
@@ -178,6 +181,49 @@ def test_diffuse_downward_outputs_are_pinned():
         cut = downward_multicut(inst, x)
         h.update(f"{seed} {list(inst.terminals)} {sorted(cut)}\n".encode())
     assert h.hexdigest() == DOWNWARD_DIGEST
+
+
+def test_downward_searches_cut_off_at_one_change_no_output(monkeypatch):
+    # diffuse instances beyond the pinned seeds, solved once as they are
+    # and once with every search in the multicut module unbounded
+    instances = [out for seed in range(30, 60)
+                 if (out := random_diffuse_downward(seed)) is not None]
+    assert len(instances) >= 20
+    bounded = [sorted(downward_multicut(inst, x)) for inst, x in instances]
+    search = multicut.dijkstra_vertex_weights
+    shortened = []
+
+    def unbounded(*args, cutoff=math.inf, **kwargs):
+        full = search(*args, **kwargs)
+        if cutoff < math.inf:
+            cut = search(*args, cutoff=cutoff, **kwargs)
+            shortened.append(len(cut[0]) < len(full[0]))
+        return full
+
+    monkeypatch.setattr(multicut, "dijkstra_vertex_weights", unbounded)
+    assert [sorted(downward_multicut(inst, x))
+            for inst, x in instances] == bounded
+    # the cutoff does act: 28 of these 135 searches stop short
+    assert sum(shortened) >= 20
+
+
+def test_dist_from_matches_the_heap_reference_on_random_dags():
+    rng = random.Random(37)
+    for _ in range(60):
+        d = random_dag(rng, rng.randint(1, 16), rng.choice([0.2, 0.4]))
+        x = FractionalSolution({v: rng.choice([0.0, 0.1, 0.5, rng.random()])
+                                for v in d.vertices() if rng.random() < 0.8})
+        alive = {v for v in d.vertices() if rng.random() < 0.8}
+        for u in d.vertices():
+            want = ref_dijkstra_vertex_weights(d.out_neighbors, u, x.value)
+            assert list(dist_from(d, x, u).items()) == list(want[0].items())
+            got = dist_from(d, x, u, alive=alive)
+            if u in alive:
+                want = ref_dijkstra_vertex_weights(d.out_neighbors, u,
+                                                   x.value, allowed=alive)
+                assert list(got.items()) == list(want[0].items())
+            else:
+                assert got == {}
 
 
 def test_build_downward_single_bag():

@@ -1,5 +1,8 @@
-"""The one breadth-first search against the queue loops it replaced."""
+"""The one breadth-first search against the queue loops it replaced, and
+the one vertex-weighted search against the heap search with a weight
+callable."""
 import ast
+import math
 import random
 from pathlib import Path
 
@@ -12,6 +15,7 @@ from chvd.graphs import (
     bfs_path,
     components_within,
     di_bfs_path,
+    dijkstra_vertex_weights,
 )
 from chvd.multicut import min_vertex_cut
 from bruteforce import (
@@ -20,6 +24,7 @@ from bruteforce import (
     ref_components_within,
     ref_di_bfs_path,
     ref_di_reachable,
+    ref_dijkstra_vertex_weights,
     ref_min_vertex_cut,
 )
 
@@ -155,6 +160,43 @@ def test_min_vertex_cut_on_alive_matches_the_induced_copy():
         assert got == frozenset(sub.old_of[v] for v in want)
         cut += bool(got)
     assert refused >= 20 and cut >= 50
+
+
+def test_vertex_weighted_search_matches_the_heap_reference():
+    """Unit weights run by layers and tables run on the heap; both give
+    the frozen heap search's distances and predecessors, values and
+    insertion order, under any allowed set, targets and cutoff."""
+    rng = random.Random(29)
+    stopped = cut = 0
+    for trial in range(1200):
+        n = rng.randint(1, 16)
+        p = rng.choice([0.15, 0.3, 0.5])
+        if trial % 2:
+            neighbors = random_gnp(rng, n, p).neighbors
+        else:
+            neighbors = random_dag(rng, n, p).out_neighbors
+        source = rng.randrange(n)
+        allowed = None if rng.random() < 0.3 else some(rng, n, rng.random())
+        targets = rng.sample(range(n), rng.randint(0, min(n, 3)))
+        if rng.random() < 0.1:
+            targets.append(source)
+        cutoff = rng.choice([math.inf, rng.randint(1, 5),
+                             rng.randint(1, 5) + 0.5])
+        table = [rng.choice([0, 0.0, 0.5, 1, rng.random()])
+                 for _ in range(n)]
+        for weights, weight in ((None, lambda _: 1),
+                                (table, table.__getitem__)):
+            got = dijkstra_vertex_weights(neighbors, source, weights,
+                                          allowed, targets, cutoff)
+            want = ref_dijkstra_vertex_weights(neighbors, source, weight,
+                                               allowed, targets, cutoff)
+            assert [list(m.items()) for m in got] == \
+                [list(m.items()) for m in want]
+            full = ref_dijkstra_vertex_weights(neighbors, source, weight,
+                                               allowed)
+            stopped += targets != [] and len(got[0]) < len(full[0])
+            cut += cutoff < math.inf and len(got[0]) < len(full[0])
+    assert stopped >= 100 and cut >= 100
 
 
 def test_only_graphs_module_writes_a_search():
