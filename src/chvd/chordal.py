@@ -4,22 +4,24 @@ The recognizer is certified: it returns a perfect elimination ordering for
 chordal inputs and a verified hole otherwise.  Clique trees support the
 queries used throughout the reduction and approximation pipelines: top(v),
 beta_inverse(v), adhesions, LCA, minimal connecting paths, and subtree
-distances.
+distances.  Chordality checks, clique trees and independent sets of
+g[vertices] run on g itself, in its own ids, with no renumbered copy.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Optional
+from itertools import chain, combinations
+from typing import AbstractSet, Iterable, Optional, Sequence
 
 from .graphs import (
     Graph,
     Hole,
     check,
     components_within,
-    induced_subgraph,
     is_clique,
     lightest_hole_through,
+    mcs_order,
 )
 
 
@@ -31,24 +33,6 @@ class PEO:
 
     def position(self) -> dict[int, int]:
         return {v: i for i, v in enumerate(self.ordering)}
-
-
-def mcs_order(g: Graph) -> list[int]:
-    """Maximum cardinality search visit order; ties broken toward lowest id."""
-    weight = [0] * g.n
-    visited = [False] * g.n
-    order = []
-    for _ in range(g.n):
-        best = -1
-        for v in range(g.n):
-            if not visited[v] and (best == -1 or weight[v] > weight[best]):
-                best = v
-        visited[best] = True
-        order.append(best)
-        for w in g.neighbors(best):
-            if not visited[w]:
-                weight[w] += 1
-    return order
 
 
 def is_peo(g: Graph, ordering: Iterable[int]) -> bool:
@@ -90,21 +74,42 @@ def find_any_hole(g: Graph) -> Optional[Hole]:
     return None
 
 
+def _later_neighbours(g: Graph,
+                      order: Sequence[int]) -> Optional[list[list[int]]]:
+    """Per vertex of ``order``, its neighbours later in ``order``, or None
+    when ``order`` is not a perfect elimination ordering of g[order].
+
+    The fill-in check of Tarjan and Yannakakis: every later neighbour of v
+    must be adjacent to the earliest one, u.  Those then lie among u's
+    own later neighbours, so each later set is a clique exactly when the
+    check passes at every vertex.
+    """
+    pos = {v: i for i, v in enumerate(order)}
+    out = []
+    for i, v in enumerate(order):
+        later = [u for u in g.neighbors(v) if pos.get(u, -1) > i]
+        if len(later) > 1:
+            u = min(later, key=pos.__getitem__)
+            adjacent = g.neighbor_set(u)
+            if any(w != u and w not in adjacent for w in later):
+                return None
+        out.append(later)
+    return out
+
+
+def _peo_of(g: Graph, vertices: Optional[Iterable[int]]) -> tuple[
+        list[int], Optional[list[list[int]]]]:
+    """The reversed MCS order of g[vertices] and its later neighbours, or
+    None in their place when g[vertices] is not chordal."""
+    order = mcs_order(g, vertices)
+    order.reverse()
+    return order, _later_neighbours(g, order)
+
+
 def recognize(g: Graph) -> PEO | Hole:
     """PEO when g is chordal, otherwise a verified hole witness."""
-    order = list(reversed(mcs_order(g)))
-    pos = {v: i for i, v in enumerate(order)}
-    chordal = True
-    for v in order:
-        later = sorted((u for u in g.neighbors(v) if pos[u] > pos[v]),
-                       key=lambda u: pos[u])
-        if not later:
-            continue
-        u = later[0]
-        if any(w != u and not g.has_edge(u, w) for w in later[1:]):
-            chordal = False
-            break
-    if chordal:
+    order, later = _peo_of(g, None)
+    if later is not None:
         return PEO(tuple(order))
     hole = find_any_hole(g)
     check(hole is not None, "MCS order failed the fill-in check but no hole found")
@@ -112,9 +117,26 @@ def recognize(g: Graph) -> PEO | Hole:
 
 
 def is_chordal(g: Graph, vertices: Optional[Iterable[int]] = None) -> bool:
-    """Whether g[vertices] (g when vertices is None) is chordal."""
-    h = g if vertices is None else induced_subgraph(g, vertices).graph
-    return isinstance(recognize(h), PEO)
+    """Whether g[vertices] (g when vertices is None) is chordal.  Raises
+    ValueError on an id outside 0..n-1."""
+    return _peo_of(g, vertices)[1] is not None
+
+
+def chordal_with(g: Graph, core: AbstractSet[int], v: int) -> bool:
+    """Whether g[core + v] is chordal, given that g[core] is chordal.
+
+    Every hole of g[core + v] passes through v: it is v, a, P, b for
+    nonadjacent neighbours a, b of v and a path P through one component
+    C of core - N(v), with a and b in the contact N(C), which lies in
+    N(v).  Conversely a shortest a-b path through such a C closes a hole.
+    So the answer is yes exactly when every contact is a clique.
+    """
+    near = g.neighbor_set(v) & core
+    for comp in components_within(g, core - near - {v}):
+        contact = {w for u in comp for w in g.neighbors(u)} & near
+        if not is_clique(g, contact):
+            return False
+    return True
 
 
 class CliqueTree:
@@ -255,34 +277,37 @@ class CliqueTree:
         return CliqueTree(list(self.bags), parent, new_root, n_vertices)
 
 
-def _maximal_cliques_from_peo(g: Graph, peo: PEO) -> list[frozenset[int]]:
-    pos = peo.position()
-    candidates = []
-    for v in peo.ordering:
-        later = frozenset(u for u in g.neighbors(v) if pos[u] > pos[v])
-        candidates.append(frozenset({v}) | later)
-    maximal = []
-    for i, c in enumerate(candidates):
-        if any(i != j and c < other for j, other in enumerate(candidates)) or \
-           any(c == other for other in candidates[:i]):
-            continue
-        maximal.append(c)
-    return sorted(maximal, key=lambda c: sorted(c))
+def _clique_tree(g: Graph, order: Sequence[int],
+                 later: list[list[int]]) -> CliqueTree:
+    """Clique tree of g[order], with bags in g's own ids, from a perfect
+    elimination ordering and its later neighbours (``_later_neighbours``).
 
-
-def build_clique_tree(g: Graph, peo: PEO) -> CliqueTree:
-    """Clique tree from a PEO: maximal cliques as bags, edges by a
-    maximum-weight spanning tree over bag intersections."""
-    if not is_peo(g, peo.ordering):
-        raise ValueError("ordering is not a perfect elimination ordering for g")
-    if g.n == 0:
-        return CliqueTree([frozenset()], [None], 0, 0)
-    bags = _maximal_cliques_from_peo(g, peo)
+    The bags are the maximal cliques, sorted by their sorted members.
+    Every maximal clique is a candidate {v} + later(v), and a candidate
+    can only lie inside the candidate of a neighbour u earlier than v, so
+    it is compared with those alone.  Tree edges are Kruskal's over bag
+    pairs by decreasing intersection size, ties in pair order; the pairs
+    that share nothing come last, in pair order, and join the parts of a
+    disconnected graph.  The tree is rooted at bag 0.
+    """
+    if not order:
+        return CliqueTree([frozenset()], [None], 0, g.n)
+    candidate = {v: frozenset(later[i]).union((v,))
+                 for i, v in enumerate(order)}
+    inside = {w for i, u in enumerate(order) for w in later[i]
+              if candidate[w] < candidate[u]}
+    bags = sorted((c for v, c in candidate.items() if v not in inside),
+                  key=sorted)
     b = len(bags)
-    pairs = sorted(
-        ((i, j) for i in range(b) for j in range(i + 1, b)),
-        key=lambda ij: (-len(bags[ij[0]] & bags[ij[1]]), ij),
-    )
+    holders: dict[int, list[int]] = {}
+    for i, bag in enumerate(bags):
+        for v in bag:
+            holders.setdefault(v, []).append(i)
+    shared: dict[tuple[int, int], int] = {}
+    for nodes in holders.values():
+        for pair in combinations(nodes, 2):
+            shared[pair] = shared.get(pair, 0) + 1
+    pairs = sorted(shared, key=lambda ij: (-shared[ij], ij))
     comp = list(range(b))
 
     def find(x: int) -> int:
@@ -293,7 +318,7 @@ def build_clique_tree(g: Graph, peo: PEO) -> CliqueTree:
 
     adj: list[list[int]] = [[] for _ in range(b)]
     used = 0
-    for i, j in pairs:
+    for i, j in chain(pairs, combinations(range(b), 2)):
         if used == b - 1:
             break
         ri, rj = find(i), find(j)
@@ -315,21 +340,27 @@ def build_clique_tree(g: Graph, peo: PEO) -> CliqueTree:
     return CliqueTree(bags, parent, 0, g.n)
 
 
+def build_clique_tree(g: Graph, peo: PEO) -> CliqueTree:
+    """Clique tree from a PEO: maximal cliques as bags, edges by a
+    maximum-weight spanning tree over bag intersections."""
+    order = peo.ordering
+    later = (_later_neighbours(g, order)
+             if sorted(order) == list(range(g.n)) else None)
+    if later is None:
+        raise ValueError("ordering is not a perfect elimination ordering for g")
+    return _clique_tree(g, order, later)
+
+
 def clique_tree_of(g: Graph,
                    vertices: Optional[Iterable[int]] = None) -> CliqueTree:
     """Clique tree of g[vertices] (of g when vertices is None) with bags in
     g's own ids; a vertex outside ``vertices`` lies in no bag.  Raises
-    ValueError when g[vertices] is not chordal."""
-    sub = None if vertices is None else induced_subgraph(g, vertices)
-    h = g if sub is None else sub.graph
-    res = recognize(h)
-    if isinstance(res, Hole):
+    ValueError when g[vertices] is not chordal, or on an id outside
+    0..n-1."""
+    order, later = _peo_of(g, vertices)
+    if later is None:
         raise ValueError("graph is not chordal")
-    tree = build_clique_tree(h, res)
-    if sub is None:
-        return tree
-    bags = [frozenset(sub.old_of[v] for v in bag) for bag in tree.bags]
-    return CliqueTree(bags, list(tree.parent), tree.root, g.n)
+    return _clique_tree(g, order, later)
 
 
 def minimal_path(t: CliqueTree, s: int, u: int) -> list[int]:
@@ -351,14 +382,16 @@ def minimal_path(t: CliqueTree, s: int, u: int) -> list[int]:
     return full[last_s : first_u + 1]
 
 
-def mis_chordal(g: Graph) -> frozenset[int]:
-    """Maximum independent set of a chordal graph, greedy over a PEO."""
-    res = recognize(g)
-    if isinstance(res, Hole):
+def mis_chordal(g: Graph,
+                vertices: Optional[Iterable[int]] = None) -> frozenset[int]:
+    """Maximum independent set of the chordal graph g[vertices] (of g when
+    vertices is None), greedy over a PEO, in g's own ids."""
+    order, later = _peo_of(g, vertices)
+    if later is None:
         raise ValueError("graph is not chordal")
     taken = []
     blocked = set()
-    for v in res.ordering:
+    for v in order:
         if v not in blocked:
             taken.append(v)
             blocked.add(v)

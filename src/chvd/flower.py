@@ -5,7 +5,8 @@ intersecting exactly in {v}.  A local search grows a flower until maximal
 under three improvement steps; a greedy pass over clique-tree cutpoints
 then produces a hitting set S with v not in S, g - S chordal, and
 |S| <= 12 * order(flower).  Both certificates are re-verified before
-being returned.
+being returned.  The search may run on an induced subgraph instead, in
+g's own ids, with the same results as on a renumbered copy.
 """
 from __future__ import annotations
 
@@ -71,9 +72,9 @@ class Flower:
                   "petal interior touches the closed neighborhood")
 
 
-# Per vertex u of g - v, the lowest tree edge above top(u) whose adhesion
-# lies inside N(v) + flower, as a (child, parent) node pair of the clique
-# tree of g - v; None marks the NIL case.
+# Per vertex u of g[inside] - v, the lowest tree edge above top(u) whose
+# adhesion lies inside N(v) + flower, as a (child, parent) node pair of
+# the clique tree of g[inside] - v; None marks the NIL case.
 Cutpoints = dict[int, Optional[tuple[int, int]]]
 
 
@@ -136,38 +137,52 @@ def two_disjoint_paths(
 
 
 class FlowerSearch:
-    """Shared state for the local search: g, center, and the fixed rooted
-    clique tree of g - v in g's ids (built once, never rebuilt)."""
+    """Shared state for the local search: g, the center v, and the fixed
+    rooted clique tree, in g's ids, of a chordal g[S] with v outside S.
+    The search runs in g[inside], inside = S + v.
 
-    def __init__(self, g: Graph, v: int):
+    The tree is never rebuilt.  By default it is built here for S = V(g) -
+    v, which raises ValueError when g - v is not chordal.  A caller that
+    holds the tree of some S passes it as ``tree``, and its bags give S:
+    ``kernel.annotate`` builds the tree of the core G - M once per pass
+    and hands it to the search of every modulator vertex.
+    """
+
+    def __init__(self, g: Graph, v: int, tree: Optional[CliqueTree] = None):
         self.g = g
         self.v = v
-        # raises ValueError when g - v is not chordal
-        self.tree: CliqueTree = clique_tree_of(
-            g, (u for u in g.vertices() if u != v))
+        self.tree: CliqueTree = (
+            clique_tree_of(g, (u for u in g.vertices() if u != v))
+            if tree is None else tree)
+        core = frozenset().union(*self.tree.bags)
+        if v in core:
+            raise ValueError(f"center {v} lies in a bag of the tree")
+        self.inside = core | {v}
 
 
 def _induced_path_between(
-    g: Graph, x: int, y: int, removed: set[int]
+    search: FlowerSearch, x: int, y: int, removed: set[int]
 ) -> Optional[list[int]]:
-    """Induced xy-path in g - removed (endpoints excluded from removal)."""
-    allowed = (set(g.vertices()) - removed) | {x, y}
+    """Induced xy-path in g[inside] - removed (endpoints excluded from
+    removal)."""
+    allowed = (search.inside - removed) | {x, y}
     # A shortest path of g[allowed] has no chord, so it is already induced.
-    return bfs_path(g, x, [y], allowed=allowed)
+    return bfs_path(search.g, x, [y], allowed=allowed)
 
 
 def _step_add_hole(search: FlowerSearch, f: Flower) -> Optional[Flower]:
     """Step I: a fresh hole through v avoiding the current flower."""
     g, v = search.g, search.v
     used = f.vertex_set()
-    candidates = [u for u in g.neighbors(v) if u not in used]
+    candidates = [u for u in g.neighbors(v)
+                  if u in search.inside and u not in used]
     closed = g.closed_neighborhood(v)
     for i, x in enumerate(candidates):
         for y in candidates[i + 1 :]:
             if g.has_edge(x, y):
                 continue
             removed = (used | closed) - {x, y}
-            path = _induced_path_between(g, x, y, removed)
+            path = _induced_path_between(search, x, y, removed)
             if path is None:
                 continue
             petal = Hole(tuple([v] + path)).canonical()
@@ -180,7 +195,7 @@ def _step_split_petal(search: FlowerSearch, f: Flower) -> Optional[Flower]:
     g, v = search.g, search.v
     for idx, petal in enumerate(f.petals):
         others = f.vertex_set() - petal.vertex_set() - {v}
-        found = two_flower(g, v, set(g.vertices()) - others)
+        found = two_flower(g, v, search.inside - others)
         if found is not None:
             rest = f.petals[:idx] + f.petals[idx + 1 :]
             return Flower(v, rest + found.petals)
@@ -198,13 +213,14 @@ def _step_shorten(search: FlowerSearch, f: Flower) -> Optional[Flower]:
         for s, t in (tuple(ends), tuple(reversed(ends))):
             base = search.tree.subtrees_distance(s, t)
             for t_new in g.neighbors(v):
-                if t_new in used or g.has_edge(s, t_new) or t_new == s:
+                if (t_new not in search.inside or t_new in used
+                        or g.has_edge(s, t_new) or t_new == s):
                     continue
                 if search.tree.subtrees_distance(s, t_new) >= base:
                     continue
                 removed = ((closed - {s, t_new}) |
                            (used - petal_vertices - {v}))
-                new_path = _induced_path_between(g, s, t_new, removed)
+                new_path = _induced_path_between(search, s, t_new, removed)
                 if new_path is None:
                     continue
                 petal = Hole(tuple([v] + new_path)).canonical()
@@ -262,7 +278,7 @@ def improve(search: FlowerSearch, f: Flower) -> Optional[Flower]:
 
 
 def cutpoints(search: FlowerSearch, f: Flower) -> Cutpoints:
-    """The cutpoint above every vertex of g - v.
+    """The cutpoint above every vertex of g[inside] - v.
 
     pi(u) is the first edge on the path from top(u) to the root whose
     adhesion is contained in N(v) union the flower vertices.
@@ -270,7 +286,7 @@ def cutpoints(search: FlowerSearch, f: Flower) -> Cutpoints:
     g, v, tree = search.g, search.v, search.tree
     cover = set(g.neighbors(v)) | f.vertex_set()
     edges: Cutpoints = {}
-    for u in g.vertices():
+    for u in sorted(search.inside):
         if u == v:
             continue
         found: Optional[tuple[int, int]] = None
@@ -299,7 +315,7 @@ def hitting_set(search: FlowerSearch, f: Flower, cp: Cutpoints) -> frozenset[int
         s.add(path[0])
         s.add(path[-1])
     flower_vs = f.vertex_set()
-    nv = set(g.neighbors(v))
+    nv = set(g.neighbors(v)) & search.inside
     for u in sorted(nv - flower_vs):
         edge = cp[u]
         if edge is None:
@@ -310,21 +326,24 @@ def hitting_set(search: FlowerSearch, f: Flower, cp: Cutpoints) -> frozenset[int
     check(result <= flower_vs - {v}, "hitting set leaves the flower")
     for path in f.paths():
         check(len(result & set(path)) <= 12, "petal contributes more than 12 vertices")
-    check(result.issubset(set(g.vertices())), "hitting set outside the graph")
-    check(is_chordal(g, set(g.vertices()) - result),
-          "hitting set misses a hole")
+    check(result <= search.inside, "hitting set outside the graph")
+    check(is_chordal(g, search.inside - result), "hitting set misses a hole")
     return result
 
 
-def flower_and_cover(g: Graph, v: int) -> tuple[Flower, frozenset[int]]:
+def flower_and_cover(
+    g: Graph, v: int, tree: Optional[CliqueTree] = None
+) -> tuple[Flower, frozenset[int]]:
     """Maximal v-flower plus a hitting set of size at most 12 * order.
 
-    Requires g - v chordal.  The improvement loop is capped at |V|^4
-    rounds, turning the termination proof into a runtime assertion.
+    Requires g - v chordal.  Given ``tree``, the clique tree of a chordal
+    g[S] with v outside S, the search runs in g[S + v] instead (see
+    ``FlowerSearch``).  The improvement loop is capped at |V|^4 rounds,
+    turning the termination proof into a runtime assertion.
     """
-    search = FlowerSearch(g, v)
+    search = FlowerSearch(g, v, tree)
     f = Flower(v, ())
-    cap = max(16, g.n ** 4)
+    cap = max(16, len(search.inside) ** 4)
     rounds = 0
     while True:
         improved = improve(search, f)

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 
 from .graphs import Graph, DiGraph, check
-from .chordal import is_chordal
+from .chordal import clique_tree_of, is_chordal
 
 
 @dataclass(frozen=True)
@@ -202,10 +202,7 @@ def random_diffuse_downward(seed: int):
     its fractional solution.
     """
     from .lp import FractionalSolution
-    from .multicut import build_downward
-    from .chordal import clique_tree_of
-
-    from .multicut import dist_from
+    from .multicut import build_downward, dist_from
 
     rng = random.Random(seed)
     clusters = rng.randint(10, 13)

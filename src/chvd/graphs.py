@@ -1,7 +1,7 @@
 """Core graph types: undirected graphs, directed graphs, and holes, with
 the graph searches shared by every layer: one breadth-first search, one
-vertex-weighted search, and the lightest hole, through a vertex or in
-the whole graph.
+vertex-weighted search, maximum cardinality search, and the lightest
+hole, through a vertex or in the whole graph.
 
 Vertices are dense integers 0..n-1.  Graphs are immutable after
 construction; every mutating operation (vertex deletion, edge addition,
@@ -230,6 +230,35 @@ def bfs(
                 return prev, w
             queue.append(w)
     return prev, None
+
+
+def mcs_order(g: Graph, vertices: Optional[Iterable[int]] = None) -> list[int]:
+    """Maximum cardinality search visit order of g[vertices] (of g when
+    vertices is None), in g's own ids.
+
+    Each step visits an unvisited vertex with the most visited neighbours,
+    the lowest id among ties.  A lazy heap pops ``(-weight, id)`` pairs;
+    a vertex's weight only grows, so its live entry comes out before any
+    stale one.  Raises ValueError on an id outside 0..n-1.
+    """
+    vs = g.vertices() if vertices is None else sorted(set(vertices))
+    if vs and (vs[0] < 0 or vs[-1] >= g.n):
+        bad = next(v for v in vs if not 0 <= v < g.n)
+        raise ValueError(f"unknown vertex id {bad}")
+    weight = dict.fromkeys(vs, 0)
+    heap = [(0, v) for v in vs]         # sorted, hence already a heap
+    order = []
+    while heap:
+        w, v = heapq.heappop(heap)
+        if weight.get(v) != -w:         # visited, or a stale entry
+            continue
+        del weight[v]
+        order.append(v)
+        for u in g.neighbors(v):
+            if u in weight:
+                weight[u] += 1
+                heapq.heappush(heap, (-weight[u], u))
+    return order
 
 
 def bfs_path(

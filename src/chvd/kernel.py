@@ -29,14 +29,8 @@ from functools import cached_property
 from itertools import islice
 from typing import Iterable, Optional
 
-from .graphs import (
-    Graph,
-    check,
-    components_within,
-    delete_vertices,
-    induced_subgraph,
-)
-from .chordal import CliqueTree, clique_tree_of, is_chordal, mis_chordal
+from .graphs import Graph, check, components_within, delete_vertices
+from .chordal import CliqueTree, chordal_with, clique_tree_of, mis_chordal
 from .flower import flower_and_cover
 
 
@@ -56,12 +50,14 @@ class AChvdInstance:
             x, y = sorted(pair)
             check(x in m and y in m, "forced pair outside the modulator")
             check(self.g.has_edge(x, y), "forced pair is not an edge")
-        everything = set(self.g.vertices())
-        check(is_chordal(self.g, everything - m),
-              "graph minus modulator is not chordal")
+        try:
+            tree: Optional[CliqueTree] = self.tree
+        except ValueError:          # clique_tree_of found a hole in G - M
+            tree = None
+        check(tree is not None, "graph minus modulator is not chordal")
+        core = set(self.g.vertices()) - m
         for v in sorted(m):
-            check(is_chordal(self.g, everything - (m - {v})),
-                  "modulator is not tidy")
+            check(chordal_with(self.g, core, v), "modulator is not tidy")
 
     def forced_tuples(self) -> tuple[tuple[int, int], ...]:
         return tuple(tuple(sorted(p)) for p in sorted(self.forced, key=sorted))
@@ -188,8 +184,7 @@ def rule1_common_neighbours(inst: AChvdInstance) -> Optional[
         common = inst.selector(positives=[x, y])
         if len(common) < inst.k + 2:
             continue
-        sub = induced_subgraph(inst.g, common)
-        if len(mis_chordal(sub.graph)) >= inst.k + 2:
+        if len(mis_chordal(inst.g, common)) >= inst.k + 2:
             event = ReductionEvent(
                 rule="rule1",
                 witness=(x, y),
@@ -820,18 +815,27 @@ def annotate(
 
     Vertices with a flower of order above k are deleted with a budget
     decrement; the hitting sets of the survivors join the modulator.
+    Each pass over M builds the clique tree of the core G - M once, and
+    every flower search of the pass reads it.  Raises ValueError when a
+    modulator id is not a vertex of g or G - M is not chordal.
     """
     m0 = frozenset(modulator)
-    if not is_chordal(g, set(g.vertices()) - m0):
-        raise ValueError("graph minus the modulator is not chordal")
+    for v in sorted(m0):
+        if not 0 <= v < g.n:
+            raise ValueError(f"modulator vertex {v} is not a vertex of the "
+                             f"graph (ids 0..{g.n - 1})")
     trace: list[ReductionEvent] = []
     while True:
         restart = False
         hitting: dict[int, frozenset[int]] = {}
+        core = set(g.vertices()) - m0
+        try:
+            tree = clique_tree_of(g, core)
+        except ValueError:
+            raise ValueError(
+                "graph minus the modulator is not chordal") from None
         for v in sorted(m0):
-            sub = delete_vertices(g, m0 - {v})
-            local_v = sub.new_of(v)
-            flower, cover = flower_and_cover(sub.graph, local_v)
+            flower, cover = flower_and_cover(g, v, tree)
             if flower.order > k:
                 inst0 = AChvdInstance(g, k, m0)
                 event = ReductionEvent(
@@ -847,7 +851,7 @@ def annotate(
                     return None
                 restart = True
                 break
-            hitting[v] = frozenset(sub.old_of[u] for u in cover)
+            hitting[v] = cover
         if not restart:
             break
     extended = set(m0)

@@ -32,6 +32,13 @@ clique tree per modulator pair to list the cliques of G(x, y).
 ``ref_chvd_clique_plus_chordal`` and ``ref_hit_holes_through`` are the
 fold-back on a compact graph of exactly A + B, renumbering every
 component and scope they work on.
+``ref_mcs_order`` is the O(n^2) scan that picks each next vertex of a
+maximum cardinality search; ``ref_recognize``, ``ref_is_chordal``,
+``ref_build_clique_tree``, ``ref_clique_tree_of`` and ``ref_mis_chordal``
+are the recognition, clique trees and independent sets built on it, which
+copy g[vertices] into a renumbered graph and compare every pair of
+candidate cliques and of bags.  They share ``is_peo`` and
+``find_any_hole`` with ``chvd.chordal``.
 
 The last section holds helpers that only tests call and the library does
 not need: a clique-tree invariant checker, an induced path through a
@@ -50,8 +57,8 @@ from chvd.graphs import Graph, DiGraph, Hole, check, components_within, \
     extract_path, induced_subgraph, is_clique, lightest_hole_through, \
     shortcut_walk, verify_hole
 from chvd import oracle
-from chvd.chordal import CliqueTree, central_bag, clique_tree_of, \
-    find_hole_through, is_chordal, minimal_path
+from chvd.chordal import PEO, CliqueTree, central_bag, clique_tree_of, \
+    find_any_hole, find_hole_through, is_chordal, is_peo, minimal_path
 from chvd.generate import GeneratorSpec, generate
 from chvd.kernel import ReductionEvent, _core_neighborhood, _finish, \
     _modulator_pairs
@@ -785,6 +792,144 @@ def ref_chvd_clique_plus_chordal(g: Graph, part_a, part_b, x):
     final = induced_subgraph(g, set(g.vertices()) - solution)
     check(is_chordal(final.graph), "clique-plus-chordal output is not chordal")
     return frozenset(solution)
+
+
+# -- chordality on renumbered copies -------------------------------------------
+
+def ref_mcs_order(g: Graph) -> list[int]:
+    """Maximum cardinality search visit order; ties broken toward lowest id."""
+    weight = [0] * g.n
+    visited = [False] * g.n
+    order = []
+    for _ in range(g.n):
+        best = -1
+        for v in range(g.n):
+            if not visited[v] and (best == -1 or weight[v] > weight[best]):
+                best = v
+        visited[best] = True
+        order.append(best)
+        for w in g.neighbors(best):
+            if not visited[w]:
+                weight[w] += 1
+    return order
+
+
+def ref_recognize(g: Graph) -> PEO | Hole:
+    """PEO when g is chordal, otherwise a verified hole witness."""
+    order = list(reversed(ref_mcs_order(g)))
+    pos = {v: i for i, v in enumerate(order)}
+    chordal = True
+    for v in order:
+        later = sorted((u for u in g.neighbors(v) if pos[u] > pos[v]),
+                       key=lambda u: pos[u])
+        if not later:
+            continue
+        u = later[0]
+        if any(w != u and not g.has_edge(u, w) for w in later[1:]):
+            chordal = False
+            break
+    if chordal:
+        return PEO(tuple(order))
+    hole = find_any_hole(g)
+    check(hole is not None, "MCS order failed the fill-in check but no hole found")
+    return hole
+
+
+def ref_is_chordal(g: Graph, vertices=None) -> bool:
+    """Whether g[vertices] (g when vertices is None) is chordal."""
+    h = g if vertices is None else induced_subgraph(g, vertices).graph
+    return isinstance(ref_recognize(h), PEO)
+
+
+def _ref_maximal_cliques_from_peo(g: Graph, peo: PEO) -> list[frozenset[int]]:
+    pos = peo.position()
+    candidates = []
+    for v in peo.ordering:
+        later = frozenset(u for u in g.neighbors(v) if pos[u] > pos[v])
+        candidates.append(frozenset({v}) | later)
+    maximal = []
+    for i, c in enumerate(candidates):
+        if any(i != j and c < other for j, other in enumerate(candidates)) or \
+           any(c == other for other in candidates[:i]):
+            continue
+        maximal.append(c)
+    return sorted(maximal, key=lambda c: sorted(c))
+
+
+def ref_build_clique_tree(g: Graph, peo: PEO) -> CliqueTree:
+    """Clique tree from a PEO: maximal cliques as bags, edges by a
+    maximum-weight spanning tree over bag intersections."""
+    if not is_peo(g, peo.ordering):
+        raise ValueError("ordering is not a perfect elimination ordering for g")
+    if g.n == 0:
+        return CliqueTree([frozenset()], [None], 0, 0)
+    bags = _ref_maximal_cliques_from_peo(g, peo)
+    b = len(bags)
+    pairs = sorted(
+        ((i, j) for i in range(b) for j in range(i + 1, b)),
+        key=lambda ij: (-len(bags[ij[0]] & bags[ij[1]]), ij),
+    )
+    comp = list(range(b))
+
+    def find(x: int) -> int:
+        while comp[x] != x:
+            comp[x] = comp[comp[x]]
+            x = comp[x]
+        return x
+
+    adj: list[list[int]] = [[] for _ in range(b)]
+    used = 0
+    for i, j in pairs:
+        if used == b - 1:
+            break
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            comp[ri] = rj
+            adj[i].append(j)
+            adj[j].append(i)
+            used += 1
+    parent: list[int | None] = [None] * b
+    stack = [0]
+    seen = {0}
+    while stack:
+        p = stack.pop()
+        for q in sorted(adj[p]):
+            if q not in seen:
+                seen.add(q)
+                parent[q] = p
+                stack.append(q)
+    return CliqueTree(bags, parent, 0, g.n)
+
+
+def ref_clique_tree_of(g: Graph, vertices=None) -> CliqueTree:
+    """Clique tree of g[vertices] (of g when vertices is None) with bags in
+    g's own ids; a vertex outside ``vertices`` lies in no bag.  Raises
+    ValueError when g[vertices] is not chordal."""
+    sub = None if vertices is None else induced_subgraph(g, vertices)
+    h = g if sub is None else sub.graph
+    res = ref_recognize(h)
+    if isinstance(res, Hole):
+        raise ValueError("graph is not chordal")
+    tree = ref_build_clique_tree(h, res)
+    if sub is None:
+        return tree
+    bags = [frozenset(sub.old_of[v] for v in bag) for bag in tree.bags]
+    return CliqueTree(bags, list(tree.parent), tree.root, g.n)
+
+
+def ref_mis_chordal(g: Graph) -> frozenset[int]:
+    """Maximum independent set of a chordal graph, greedy over a PEO."""
+    res = ref_recognize(g)
+    if isinstance(res, Hole):
+        raise ValueError("graph is not chordal")
+    taken = []
+    blocked = set()
+    for v in res.ordering:
+        if v not in blocked:
+            taken.append(v)
+            blocked.add(v)
+            blocked.update(g.neighbors(v))
+    return frozenset(taken)
 
 
 # -- test-only helpers --------------------------------------------------------

@@ -12,12 +12,14 @@ from chvd.graphs import (
     components_within,
     induced_subgraph,
     lightest_hole_through,
+    mcs_order,
     verify_hole,
 )
 from chvd.chordal import (
     PEO,
     build_clique_tree,
     central_bag,
+    chordal_with,
     clique_tree_of,
     find_hole_through,
     is_chordal,
@@ -35,6 +37,11 @@ from bruteforce import (
     bf_max_independent_set,
     induced_path_avoiding,
     path_adhesions,
+    ref_clique_tree_of,
+    ref_is_chordal,
+    ref_mcs_order,
+    ref_mis_chordal,
+    ref_recognize,
     validate_clique_tree,
 )
 
@@ -435,3 +442,98 @@ def test_central_bag_of_a_subgraph_tree_matches_the_induced_subgraph():
                              for u in sub.graph.vertices()})
         got = central_bag(g, clique_tree_of(g, s), weights)
         assert got == frozenset(sub.old_of[u] for u in local)
+
+
+def _disjoint_union(g, h):
+    return Graph(g.n + h.n, list(g.edges())
+                 + [(u + g.n, v + g.n) for u, v in h.edges()])
+
+
+def _random_graph_and_subset(rng):
+    """A chordal graph, a sparse random graph or a disjoint union of two
+    chordal graphs, with an empty, singleton, partial or full subset."""
+    shape = rng.randrange(3)
+    if shape == 0:
+        g = random_chordal(rng, rng.randint(0, 16), rng.randint(1, 7), 2)
+    elif shape == 1:
+        g = random_gnp(rng, rng.randint(0, 12), rng.choice((0.2, 0.35, 0.5)))
+    else:
+        g = _disjoint_union(
+            random_chordal(rng, rng.randint(1, 8), rng.randint(1, 4), 1),
+            random_chordal(rng, rng.randint(1, 8), rng.randint(1, 4), 1))
+    size = rng.choice((0, 1, None, None, g.n))
+    if size is None:
+        s = {v for v in g.vertices() if rng.random() < rng.random()}
+    else:
+        s = set(rng.sample(range(g.n), min(size, g.n)))
+    return g, s
+
+
+def test_chordality_in_place_matches_the_copying_reference():
+    """The heap-ordered search on g restricted to a set gives the same
+    answer, bags, tree, independent set and PEO or hole as the O(n^2)
+    scan on a renumbered copy."""
+    rng = random.Random(89)
+    seen = {"empty": 0, "singleton": 0, "disconnected": 0, "hole": 0,
+            "chordal graph": 0}
+    for _ in range(600):
+        g, s = _random_graph_and_subset(rng)
+        sub = induced_subgraph(g, s)
+        assert mcs_order(g) == ref_mcs_order(g)
+        assert mcs_order(g, s) == [sub.old_of[v]
+                                   for v in ref_mcs_order(sub.graph)]
+        for vertices in (s, None):
+            chordal = ref_is_chordal(g, vertices)
+            assert is_chordal(g, vertices) == chordal
+            if not chordal:
+                seen["hole"] += 1
+                with pytest.raises(ValueError):
+                    clique_tree_of(g, vertices)
+                with pytest.raises(ValueError):
+                    mis_chordal(g, vertices)
+                continue
+            want = ref_clique_tree_of(g, vertices)
+            got = clique_tree_of(g, vertices)
+            assert (got.bags, got.parent, got.root) == \
+                (want.bags, want.parent, want.root)
+            if vertices is None:
+                assert mis_chordal(g) == ref_mis_chordal(g)
+                continue
+            assert mis_chordal(g, s) == \
+                sub.to_parent(ref_mis_chordal(sub.graph))
+            seen["empty"] += not s
+            seen["singleton"] += len(s) == 1
+            seen["disconnected"] += len(components_within(g, s)) > 1
+        assert recognize(g) == ref_recognize(g)
+        assert recognize(sub.graph) == ref_recognize(sub.graph)
+        seen["chordal graph"] += isinstance(recognize(g), PEO)
+    assert min(seen.values()) >= 50, seen
+
+
+def test_chordality_queries_name_an_unknown_vertex():
+    g = path_graph(9)
+    for query in (is_chordal, clique_tree_of, mis_chordal):
+        with pytest.raises(ValueError, match="unknown vertex id 99"):
+            query(g, [99])
+        with pytest.raises(ValueError, match="unknown vertex id -1"):
+            query(g, [3, -1, 99])
+
+
+def test_one_vertex_test_matches_recognition():
+    """g[core + v] is chordal exactly when every component of the core
+    minus N(v) meets N(v) in a clique."""
+    rng = random.Random(97)
+    answers = {True: 0, False: 0}
+    for _ in range(400):
+        core_graph = random_chordal(rng, rng.randint(1, 14),
+                                    rng.randint(1, 6), 2)
+        n = core_graph.n
+        v = n
+        p = rng.choice((0.15, 0.3, 0.6))
+        g = Graph(n + 1, list(core_graph.edges())
+                  + [(u, v) for u in range(n) if rng.random() < p])
+        core = frozenset(range(n))
+        want = is_chordal(g, core | {v})
+        assert chordal_with(g, core, v) == want
+        answers[want] += 1
+    assert min(answers.values()) >= 60, answers

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from chvd.graphs import Graph, Hole, delete_vertices, induced_subgraph
-from chvd.chordal import is_chordal
+from chvd.chordal import clique_tree_of, is_chordal
 from chvd.flower import (
     Flower,
     FlowerSearch,
@@ -15,6 +15,7 @@ from chvd.flower import (
     two_disjoint_paths,
     two_flower,
 )
+from chvd.generate import GeneratorSpec, generate
 from bruteforce import bf_min_chvd, random_near_chordal
 
 
@@ -279,3 +280,33 @@ def test_duality_on_random_instances():
             opt = bf_min_chvd(g, forbidden={v})
             assert opt is not None
             assert f.order <= opt <= len(s)
+
+
+def test_flower_and_cover_given_the_core_tree_matches_a_copy():
+    """Given the core tree, the search runs in g[core + v] with g's ids and
+    finds the same flower and cover as on a renumbered copy."""
+    petals = 0
+    for seed in range(30):
+        g, _, planted = generate(GeneratorSpec(
+            seed=seed, core_vertices=12, planted=2 + seed % 3,
+            noise_edges=1))
+        core = set(g.vertices()) - planted
+        tree = clique_tree_of(g, core)
+        for v in sorted(planted):
+            sub = delete_vertices(g, planted - {v})
+            f0, s0 = flower_and_cover(sub.graph, sub.new_of(v))
+            want = (tuple(Hole(tuple(sub.old_of[u] for u in p.vertices))
+                          .canonical() for p in f0.petals),
+                    sub.to_parent(s0))
+            f, s = flower_and_cover(g, v, tree)
+            assert (f.petals, s) == want
+            petals += f0.order
+    assert petals >= 30
+
+
+def test_flower_search_center_outside_the_given_tree():
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)])
+    search = FlowerSearch(g, 0, clique_tree_of(g, [1, 2, 3]))
+    assert search.inside == {0, 1, 2, 3}
+    with pytest.raises(ValueError, match="center 1 lies in a bag"):
+        FlowerSearch(g, 1, clique_tree_of(g, [1, 2, 3]))

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from chvd.graphs import Graph, delete_vertices, induced_subgraph
+from chvd import flower, kernel
+from chvd.graphs import Graph, InvariantError, delete_vertices, induced_subgraph
 from chvd.chordal import is_chordal
 from chvd.kernel import (
     AChvdInstance,
@@ -30,7 +31,8 @@ from chvd.kernel import (
     template_toughness,
 )
 from chvd.oracle import exact_chvd, exact_chvd_forced
-from chvd.generate import GeneratorSpec, generate, kernel_instance_pool
+from chvd.generate import GeneratorSpec, generate, kernel_instance_pool, \
+    random_chordal
 
 
 def instance_answer(inst: AChvdInstance) -> bool:
@@ -355,6 +357,86 @@ def test_annotate_builds_tidy_instance():
         inst.validate()
         assert inst.k <= k
         assert instance_answer(inst) == (exact_chvd(g, k) is not None)
+
+
+def test_annotate_names_a_modulator_id_outside_the_graph():
+    g = Graph(9, [(i, i + 1) for i in range(8)])
+    for bad in (99, 9, -1):
+        with pytest.raises(ValueError, match=f"modulator vertex {bad} "):
+            kernelize(g, 1, [2, bad])
+    with pytest.raises(ValueError, match="not chordal"):
+        kernelize(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), 1, [])
+
+
+def test_validate_tests_tidiness_one_vertex_at_a_time():
+    """validate accepts exactly the modulators M for which every
+    G - (M - v) is chordal, and rejects a core with a hole."""
+    rng = random.Random(61)
+    verdicts = {"tidy": 0, "not tidy": 0, "core hole": 0}
+    for _ in range(300):
+        core = random_chordal(rng, rng.randint(2, 12), rng.randint(1, 5), 2)
+        n, m = core.n, rng.randint(1, 3)
+        edges = list(core.edges())
+        for v in range(n, n + m):
+            p = rng.choice((0.2, 0.4, 0.7))
+            edges += [(u, v) for u in range(v) if rng.random() < p]
+        g = Graph(n + m, edges)
+        modulator = frozenset(range(n, n + m))
+        if rng.random() < 0.15 and n >= 4:
+            # move a core vertex into the modulator's place: the core may
+            # now hold a hole
+            modulator = frozenset(range(n + 1, n + m)) | {n}
+        everything = set(g.vertices())
+        inst = AChvdInstance(g, 1, modulator)
+        if not is_chordal(g, everything - modulator):
+            verdicts["core hole"] += 1
+            with pytest.raises(InvariantError, match="minus modulator"):
+                inst.validate()
+        elif all(is_chordal(g, everything - (modulator - {v}))
+                 for v in modulator):
+            verdicts["tidy"] += 1
+            inst.validate()
+        else:
+            verdicts["not tidy"] += 1
+            with pytest.raises(InvariantError, match="not tidy"):
+                inst.validate()
+    assert verdicts["tidy"] >= 50 and verdicts["not tidy"] >= 50, verdicts
+
+
+def test_annotate_builds_one_core_tree_per_pass(monkeypatch):
+    """Every flower search of a pass reads the pass's core tree; the only
+    other tree is the one validate certifies the tidy instance with."""
+    original = kernel.clique_tree_of
+    calls = []
+
+    def recording(g, vertices):
+        vertices = set(vertices)
+        calls.append(g.n - len(vertices))       # the modulator's size
+        return original(g, vertices)
+
+    monkeypatch.setattr(kernel, "clique_tree_of", recording)
+    monkeypatch.setattr(flower, "clique_tree_of", recording)
+    sizes, multipass = set(), 0
+    for seed in range(24):
+        planted = 1 + seed % 5
+        g, _, m0 = generate(GeneratorSpec(seed=seed, core_vertices=10,
+                                          planted=planted, noise_edges=1))
+        k = seed % 3
+        calls.clear()
+        res = annotate(g, k, sorted(m0))
+        if res is None:
+            # each pass deleted a vertex and lowered k, the last below 0
+            passes = k + 1
+            assert len(calls) == passes
+        else:
+            inst, trace = res
+            passes = 1 + sum(e.rule == "annotate-delete" for e in trace)
+            assert calls[passes:] == [len(inst.modulator)]
+        # pass i runs on a modulator i vertices smaller than M0
+        assert calls[:passes] == [len(m0) - i for i in range(passes)]
+        sizes.add(len(m0))
+        multipass += passes > 1
+    assert sizes == {1, 2, 3, 4, 5} and multipass >= 3, (sizes, multipass)
 
 
 def test_kernelize_trivial_yes_when_budget_covers_modulator():
