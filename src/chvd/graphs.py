@@ -119,14 +119,14 @@ class Graph:
 
 @dataclass(frozen=True)
 class Subgraph:
-    """An induced subgraph, of a Graph or a DiGraph, with its id remapping.
+    """An induced subgraph of a Graph, with its id remapping.
 
     ``old_of[new_id]`` is the id the vertex had in the parent graph.  The
     reverse map ``index`` (old id to new id, also behind ``new_of`` and
     ``to_sub``) is built once, on first use.
     """
 
-    graph: Graph | DiGraph
+    graph: Graph
     old_of: tuple[int, ...]
 
     @cached_property
@@ -144,15 +144,20 @@ class Subgraph:
         return {idx[v] for v in old_ids}
 
 
+def check_vertex_ids(vertices: Collection[int], n: int) -> None:
+    """Raise ValueError, naming the least one, on ids outside 0..n-1."""
+    if vertices and (min(vertices) < 0 or max(vertices) >= n):
+        bad = min(v for v in vertices if not 0 <= v < n)
+        raise ValueError(f"unknown vertex id {bad}")
+
+
 def induced_subgraph(g: Graph, s: Iterable[int]) -> Subgraph:
     """Induced subgraph on vertex set s, ids remapped to 0..|s|-1.
 
     The remapping preserves relative vertex order.
     """
     keep = sorted(set(s))
-    for v in keep:
-        if not (0 <= v < g.n):
-            raise ValueError(f"unknown vertex id {v}")
+    check_vertex_ids(keep, g.n)
     new_of = {old: new for new, old in enumerate(keep)}
     edges = [
         (new_of[u], new_of[v])
@@ -242,9 +247,7 @@ def mcs_order(g: Graph, vertices: Optional[Iterable[int]] = None) -> list[int]:
     stale one.  Raises ValueError on an id outside 0..n-1.
     """
     vs = g.vertices() if vertices is None else sorted(set(vertices))
-    if vs and (vs[0] < 0 or vs[-1] >= g.n):
-        bad = next(v for v in vs if not 0 <= v < g.n)
-        raise ValueError(f"unknown vertex id {bad}")
+    check_vertex_ids(vs, g.n)
     weight = dict.fromkeys(vs, 0)
     heap = [(0, v) for v in vs]         # sorted, hence already a heap
     order = []
@@ -588,16 +591,6 @@ class DiGraph:
         for u in range(self.n):
             for v in self._out[u]:
                 yield (u, v)
-
-    def induced(self, s: Iterable[int]) -> Subgraph:
-        keep = sorted(set(s))
-        new_of = {old: new for new, old in enumerate(keep)}
-        arcs = [
-            (new_of[u], new_of[v])
-            for u, v in self.arcs()
-            if u in new_of and v in new_of
-        ]
-        return Subgraph(DiGraph(len(keep), arcs), tuple(keep))
 
     def is_acyclic(self) -> bool:
         indeg = [len(self._in[v]) for v in range(self.n)]

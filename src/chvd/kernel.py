@@ -81,9 +81,17 @@ class AChvdInstance:
             out -= self.g.neighbor_set(y)
         return frozenset(out)
 
-    def nonneighbor_components(self, x: int) -> list[frozenset[int]]:
-        """Connected components of G(not x)."""
-        return components_within(self.g, self.selector(negatives=[x]))
+    @cached_property
+    def _nonneighbor_components(self) -> dict[int, tuple[frozenset[int], ...]]:
+        return {}
+
+    def nonneighbor_components(self, x: int) -> tuple[frozenset[int], ...]:
+        """Connected components of G(not x), computed once per x."""
+        cache = self._nonneighbor_components
+        if x not in cache:
+            cache[x] = tuple(
+                components_within(self.g, self.selector(negatives=[x])))
+        return cache[x]
 
 
 @dataclass(frozen=True)

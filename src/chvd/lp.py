@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Container, Optional, Sequence
 
 from .graphs import (
     DiGraph,
@@ -156,7 +156,10 @@ def separate_chvd(g: Graph, x: FractionalSolution) -> Optional[Hole]:
 
 
 def separate_multicut(
-    d: DiGraph, pairs: Sequence[tuple[int, int]], x: FractionalSolution
+    d: DiGraph,
+    pairs: Sequence[tuple[int, int]],
+    x: FractionalSolution,
+    allowed: Optional[Container[int]] = None,
 ) -> Optional[list[int]]:
     """A terminal path of weight < 1 - tolerance, or None: the lightest,
     from the earliest pair within 1e-12.
@@ -164,7 +167,9 @@ def separate_multicut(
     One bounded search per distinct source, kept for the source's later
     pairs.  Its cutoff is the test's bound when the source is first
     searched: every distance below it is exact, every other entry fails
-    the test, and the bound only falls.
+    the test, and the bound only falls.  ``allowed`` goes to every search
+    as ``dijkstra_vertex_weights`` takes it, so a path leaves a source
+    only through allowed vertices.
     """
     best: Optional[list[int]] = None
     best_weight = 1.0 - x.tolerance
@@ -173,7 +178,8 @@ def separate_multicut(
     for s, t in pairs:
         if s not in searches:
             searches[s] = dijkstra_vertex_weights(
-                d.out_neighbors, s, weights, cutoff=best_weight - 1e-12)
+                d.out_neighbors, s, weights, allowed=allowed,
+                cutoff=best_weight - 1e-12)
         dist, prev = searches[s]
         if t in dist and dist[t] < best_weight - 1e-12:
             best = extract_path(prev, t)

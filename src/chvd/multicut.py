@@ -4,7 +4,8 @@ Three layers: a minimum vertex cut (vertex-split max-flow), Skew Multicut
 (recursive halving over the source order, cost |x| * ceil(log2(a+1))),
 and Multicut in downward-oriented chordal graphs (threshold deletion,
 chordal auxiliary graph, clique cover, then one min cut plus one skew
-instance per clique).  Every returned set is re-verified as a multicut.
+instance per clique).  Every layer works in the caller's vertex ids and
+builds no digraph.  Every returned set is re-verified as a multicut.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from .graphs import (
     Graph,
     bfs,
     check,
+    check_vertex_ids,
     dijkstra_vertex_weights,
     extract_path,
 )
@@ -68,6 +70,11 @@ class SkewInstance:
     tv: tuple[int, ...]
 
     def __post_init__(self):
+        for name, ids in (("tu", self.tu), ("tv", self.tv)):
+            unique = set(ids)
+            if len(unique) < len(ids):
+                raise ValueError(f"{name} repeats a vertex")
+            check_vertex_ids(unique, self.base.d.n)
         iu = {u: i for i, u in enumerate(self.tu)}
         iv = {v: j for j, v in enumerate(self.tv)}
         pairset = set(self.base.terminals)
@@ -101,10 +108,15 @@ def min_vertex_cut(
     ``alive`` (every vertex when None) restricts the problem to d[alive]:
     other vertices, and terminals among them, are ignored.  The network
     keeps d's ids, which orders its nodes as renumbering d[alive] would,
-    so the cut is the one the induced subgraph gives.
+    so the cut is the one the induced subgraph gives.  Raises ValueError
+    on an alive id outside 0..n-1.
+
+    d is a DiGraph or anything else with ``n`` and ``out_neighbors``.
     """
     if alive is None:
-        alive = d.vertices()
+        alive = range(d.n)
+    else:
+        check_vertex_ids(alive, d.n)
     deletable_set = set(deletable)
     avoid_set = set(prefer_avoiding) & deletable_set
     unit = len(alive) + 2
@@ -163,26 +175,67 @@ def min_vertex_cut(
     return cut
 
 
-def skew_multicut(inst: SkewInstance, x: FractionalSolution) -> frozenset[int]:
+class _CopyView:
+    """d plus an undeletable copy of every terminal, read-only.
+
+    Copy n+i points into tu[i], and tv[j] points into copy n+a+j.  Copy
+    ids are all >= n, so appending one to a neighbour tuple keeps it
+    sorted, as a DiGraph would.
+    """
+
+    __slots__ = ("n", "out_neighbors", "in_neighbors")
+
+    def __init__(self, d: DiGraph, tu: Sequence[int], tv: Sequence[int]):
+        n, a = d.n, len(tu)
+        out = [d.out_neighbors(v) for v in d.vertices()]
+        into = [d.in_neighbors(v) for v in d.vertices()]
+        for j, v in enumerate(tv):
+            out[v] += (n + a + j,)
+        for i, u in enumerate(tu):
+            into[u] += (n + i,)
+        out += [(u,) for u in tu] + [()] * len(tv)
+        into += [()] * a + [(v,) for v in tv]
+        self.n = len(out)
+        self.out_neighbors = out.__getitem__
+        self.in_neighbors = into.__getitem__
+
+
+def skew_multicut(
+    inst: SkewInstance,
+    x: FractionalSolution,
+    alive: Optional[AbstractSet[int]] = None,
+) -> frozenset[int]:
     """Integral skew multicut of size at most |x| * ceil(log2(|tu| + 1)).
 
     The copy trick wires a fresh undeletable copy into every source and
     out of every target, so a cut always exists; originals (including the
-    terminal lists themselves) stay deletable.
+    terminal lists themselves) stay deletable.  The copies live in a
+    read-only view of d, so no digraph is built.
+
+    ``alive`` (every vertex when None) restricts the instance to d[alive],
+    in d's ids: other vertices count as removed, so terminals among them
+    drop out of tu and tv, and their pairs are cut already.  The answer
+    is the one the renumbered copy of d[alive] gives, mapped back, when x
+    is given on alive only; the log bound reads x's whole objective.
+    Raises ValueError on an alive id outside 0..n-1, and when x is
+    infeasible on d[alive].
     """
-    d, pairs = inst.base.d, list(inst.base.terminals)
-    if separate_multicut(d, pairs, x) is not None:
-        raise ValueError("fractional solution is infeasible for the instance")
+    d = inst.base.d
     n = d.n
-    a, b = len(inst.tu), len(inst.tv)
-    # copy graph: source copy of tu[i] is n+i, target copy of tv[j] is n+a+j
-    arcs = list(d.arcs())
-    arcs += [(n + i, u) for i, u in enumerate(inst.tu)]
-    arcs += [(v, n + a + j) for j, v in enumerate(inst.tv)]
-    dd = DiGraph(n + a + b, arcs)
-    iu = {u: i for i, u in enumerate(inst.tu)}
-    iv = {v: j for j, v in enumerate(inst.tv)}
+    tu, tv, pairs = inst.tu, inst.tv, list(inst.base.terminals)
+    if alive is not None:
+        check_vertex_ids(alive, n)
+        tu = [u for u in tu if u in alive]
+        tv = [v for v in tv if v in alive]
+        pairs = [(u, v) for u, v in pairs if u in alive and v in alive]
+    if separate_multicut(d, pairs, x, allowed=alive) is not None:
+        raise ValueError("fractional solution is infeasible for the instance")
+    a = len(tu)
+    view = _CopyView(d, tu, tv)
+    iu = {u: i for i, u in enumerate(tu)}
+    iv = {v: j for j, v in enumerate(tv)}
     index_pairs = [(iu[u], iv[v]) for u, v in pairs]
+    terminals = set(tu) | set(tv)
     side_masses: list[float] = []
 
     def src_copy(i: int) -> int:
@@ -195,17 +248,17 @@ def skew_multicut(inst: SkewInstance, x: FractionalSolution) -> frozenset[int]:
         # one search per source copy: a pair is live iff its target copy
         # is reached
         reach = functools.cache(
-            lambda i: bfs(dd.out_neighbors, [src_copy(i)], alive)[0])
+            lambda i: bfs(view.out_neighbors, [src_copy(i)], alive)[0])
         live = [(i, j) for i, j in active if dst_copy(j) in reach(i)]
         if not live:
             return frozenset()
         sources = sorted({i for i, _ in live})
         originals = [v for v in alive if v < n]
-        terminal_members = (set(inst.tu) | set(inst.tv)) & alive
+        terminal_members = terminals & alive
         if len(sources) == 1:
             i = sources[0]
             sinks = {dst_copy(j) for _, j in live}
-            return min_vertex_cut(dd, [src_copy(i)], sinks, originals,
+            return min_vertex_cut(view, [src_copy(i)], sinks, originals,
                                   terminal_members, alive=alive)
         mid = sources[len(sources) // 2]
         # largest target index over live pairs with source index <= mid:
@@ -214,11 +267,11 @@ def skew_multicut(inst: SkewInstance, x: FractionalSolution) -> frozenset[int]:
         j_max = max(j for i, j in live if i <= mid)
         tv1 = {dst_copy(j) for _, j in live if j <= j_max}
         tu2 = {src_copy(i) for i in sources if i >= mid}
-        x0 = min_vertex_cut(dd, tu2, tv1, originals, terminal_members,
+        x0 = min_vertex_cut(view, tu2, tv1, originals, terminal_members,
                             alive=alive)
         alive2 = alive - x0
-        a1 = set(bfs(dd.in_neighbors, sorted(tv1 & alive2), alive2)[0])
-        a2 = set(bfs(dd.out_neighbors, sorted(tu2 & alive2), alive2)[0])
+        a1 = set(bfs(view.in_neighbors, sorted(tv1 & alive2), alive2)[0])
+        a2 = set(bfs(view.out_neighbors, sorted(tu2 & alive2), alive2)[0])
         check(not (a1 & a2), "reachability sides intersect after the cut")
         side_masses.append(
             x.mass(v for v in a1 if v < n) + x.mass(v for v in a2 if v < n)
@@ -227,9 +280,12 @@ def skew_multicut(inst: SkewInstance, x: FractionalSolution) -> frozenset[int]:
         pairs2 = [(i, j) for i, j in live if i > mid and j > j_max]
         return x0 | recurse(a1, pairs1) | recurse(a2, pairs2)
 
-    solution = recurse(set(dd.vertices()), index_pairs)
-    check(solution <= set(range(n)), "skew solution uses copy vertices")
-    check(inst.base.is_multicut(solution), "skew solution is not a multicut")
+    kept = set(d.vertices() if alive is None else alive)
+    solution = recurse(kept.union(range(n, view.n)), index_pairs)
+    check(solution <= kept, "skew solution leaves d[alive]")
+    dead = set(d.vertices()) - kept
+    check(inst.base.is_multicut(solution | dead),
+          "skew solution is not a multicut")
     bound = x.objective * math.ceil(math.log2(a + 1)) if a else 0.0
     check(len(solution) <= bound + 1e-6, "skew solution exceeds the log bound")
     total = x.mass(range(n))
@@ -375,6 +431,9 @@ def downward_multicut(
     cover = clique_cover_chordal(h)
     check(len(cover) <= max(1.0, 2 * x.objective + 1e-6),
           "clique cover needs at least 2|x| parts")
+    # the skew stage's weights: 2x on the alive vertices, in id order
+    x_local = FractionalSolution(
+        {v: 2 * x.value(v) for v in sorted(alive)}, tolerance=1e-5)
 
     for part in sorted(cover, key=sorted):
         members = [live_pairs[i] for i in sorted(part)]
@@ -413,9 +472,7 @@ def downward_multicut(
                   "upward min cut exceeds twice the fractional mass")
             solution |= cut
         if down:
-            sub = d.induced(sorted(alive))
-            m = sub.index
-            tu = [m[w] for w in sorted(bag_alive, key=lambda w: rank[w])]
+            tu = sorted(bag_alive, key=lambda w: rank[w])
             ordered = sorted(down, key=lambda item: (rank[item[0]], rank[item[1]]))
             seen_targets = set()
             tv = []
@@ -424,15 +481,11 @@ def downward_multicut(
                 if v in seen_targets:
                     continue
                 seen_targets.add(v)
-                tv.append(m[v])
-                skew_pairs.extend((m[w], m[v]) for w in beta_p)
-            skew = SkewInstance(MulticutInstance(sub.graph, tuple(skew_pairs)),
+                tv.append(v)
+                skew_pairs.extend((w, v) for w in beta_p)
+            skew = SkewInstance(MulticutInstance(d, tuple(skew_pairs)),
                                 tuple(tu), tuple(tv))
-            x_local = FractionalSolution(
-                {m[v]: 2 * x.value(v) for v in sub.old_of}, tolerance=1e-5
-            )
-            cut = skew_multicut(skew, x_local)
-            solution |= {sub.old_of[v] for v in cut}
+            solution |= skew_multicut(skew, x_local, alive)
 
     check(base.is_multicut(solution), "assembled set is not a multicut")
     return frozenset(solution)

@@ -32,6 +32,10 @@ clique tree per modulator pair to list the cliques of G(x, y).
 ``ref_chvd_clique_plus_chordal`` and ``ref_hit_holes_through`` are the
 fold-back on a compact graph of exactly A + B, renumbering every
 component and scope they work on.
+``ref_induced_digraph`` is the renumbered copy of d[s] that
+``DiGraph.induced`` built; ``ref_skew_multicut`` is the skew engine that
+built a copy digraph with the terminal copies, and ``ref_skew_on_copy``
+runs it on the renumbered copy of d[alive], as downward multicut did.
 ``ref_mcs_order`` is the O(n^2) scan that picks each next vertex of a
 maximum cardinality search; ``ref_recognize``, ``ref_is_chordal``,
 ``ref_build_clique_tree``, ``ref_clique_tree_of`` and ``ref_mis_chordal``
@@ -46,6 +50,7 @@ clique tree's adhesions, whole-graph components and a one-apex generator.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 from collections import deque
 from itertools import combinations
@@ -53,17 +58,18 @@ from itertools import combinations
 import math
 from fractions import Fraction
 
-from chvd.graphs import Graph, DiGraph, Hole, check, components_within, \
-    extract_path, induced_subgraph, is_clique, lightest_hole_through, \
-    shortcut_walk, verify_hole
+from chvd.graphs import Graph, DiGraph, Hole, Subgraph, bfs, check, \
+    components_within, extract_path, induced_subgraph, is_clique, \
+    lightest_hole_through, shortcut_walk, verify_hole
 from chvd import oracle
 from chvd.chordal import PEO, CliqueTree, central_bag, clique_tree_of, \
     find_any_hole, find_hole_through, is_chordal, is_peo, minimal_path
 from chvd.generate import GeneratorSpec, generate
 from chvd.kernel import ReductionEvent, _core_neighborhood, _finish, \
     _modulator_pairs
-from chvd.lp import FractionalSolution, at_least
-from chvd.multicut import build_downward, dist_from, downward_multicut
+from chvd.lp import FractionalSolution, at_least, separate_multicut
+from chvd.multicut import MulticutInstance, SkewInstance, build_downward, \
+    dist_from, downward_multicut, min_vertex_cut
 
 
 def bf_is_induced_cycle(g: Graph, subset: tuple[int, ...]) -> bool:
@@ -608,6 +614,80 @@ def ref_min_vertex_cut(d: DiGraph, sources, sinks, deletable,
     return frozenset(
         v for v in range(n) if 2 * v in reach and 2 * v + 1 not in reach
     )
+
+
+def ref_induced_digraph(d: DiGraph, s) -> Subgraph:
+    """d[s] with ids remapped to 0..|s|-1 in their relative order."""
+    keep = sorted(set(s))
+    new_of = {old: new for new, old in enumerate(keep)}
+    arcs = [
+        (new_of[u], new_of[v])
+        for u, v in d.arcs()
+        if u in new_of and v in new_of
+    ]
+    return Subgraph(DiGraph(len(keep), arcs), tuple(keep))
+
+
+def ref_skew_multicut(inst: SkewInstance,
+                      x: FractionalSolution) -> frozenset[int]:
+    """Skew multicut on a copy digraph: d plus source copy n+i of tu[i]
+    and target copy n+a+j of tv[j]."""
+    d, pairs = inst.base.d, list(inst.base.terminals)
+    if separate_multicut(d, pairs, x) is not None:
+        raise ValueError("fractional solution is infeasible for the instance")
+    n = d.n
+    a, b = len(inst.tu), len(inst.tv)
+    arcs = list(d.arcs())
+    arcs += [(n + i, u) for i, u in enumerate(inst.tu)]
+    arcs += [(v, n + a + j) for j, v in enumerate(inst.tv)]
+    dd = DiGraph(n + a + b, arcs)
+    iu = {u: i for i, u in enumerate(inst.tu)}
+    iv = {v: j for j, v in enumerate(inst.tv)}
+    index_pairs = [(iu[u], iv[v]) for u, v in pairs]
+
+    def recurse(alive: set[int], active: list[tuple[int, int]]) -> frozenset[int]:
+        reach = functools.cache(
+            lambda i: bfs(dd.out_neighbors, [n + i], alive)[0])
+        live = [(i, j) for i, j in active if n + a + j in reach(i)]
+        if not live:
+            return frozenset()
+        sources = sorted({i for i, _ in live})
+        originals = [v for v in alive if v < n]
+        terminal_members = (set(inst.tu) | set(inst.tv)) & alive
+        if len(sources) == 1:
+            sinks = {n + a + j for _, j in live}
+            return min_vertex_cut(dd, [n + sources[0]], sinks, originals,
+                                  terminal_members, alive=alive)
+        mid = sources[len(sources) // 2]
+        j_max = max(j for i, j in live if i <= mid)
+        tv1 = {n + a + j for _, j in live if j <= j_max}
+        tu2 = {n + i for i in sources if i >= mid}
+        x0 = min_vertex_cut(dd, tu2, tv1, originals, terminal_members,
+                            alive=alive)
+        alive2 = alive - x0
+        a1 = set(bfs(dd.in_neighbors, sorted(tv1 & alive2), alive2)[0])
+        a2 = set(bfs(dd.out_neighbors, sorted(tu2 & alive2), alive2)[0])
+        pairs1 = [(i, j) for i, j in live if i < mid]
+        pairs2 = [(i, j) for i, j in live if i > mid and j > j_max]
+        return x0 | recurse(a1, pairs1) | recurse(a2, pairs2)
+
+    solution = recurse(set(dd.vertices()), index_pairs)
+    check(inst.base.is_multicut(solution), "skew solution is not a multicut")
+    return solution
+
+
+def ref_skew_on_copy(inst: SkewInstance, x: FractionalSolution,
+                     alive) -> frozenset[int]:
+    """``ref_skew_multicut`` on the renumbered copy of d[alive], mapped
+    back; terminals outside alive and their pairs drop out."""
+    sub = ref_induced_digraph(inst.base.d, alive)
+    m = sub.index
+    pairs = tuple((m[u], m[v]) for u, v in inst.base.terminals
+                  if u in m and v in m)
+    copy = SkewInstance(MulticutInstance(sub.graph, pairs),
+                        tuple(m[u] for u in inst.tu if u in m),
+                        tuple(m[v] for v in inst.tv if v in m))
+    return frozenset(sub.to_parent(ref_skew_multicut(copy, x.remapped(m))))
 
 
 class _RefSearch:

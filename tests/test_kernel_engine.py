@@ -1,6 +1,7 @@
 """The kernel engine against its straightforward references and pinned traces."""
 import hashlib
 import random
+import sys
 
 from chvd import kernel
 from chvd.chordal import clique_tree_of
@@ -8,6 +9,8 @@ from chvd.generate import GeneratorSpec, generate, kernel_instance_pool
 from chvd.graphs import delete_vertices, induced_subgraph
 from chvd.kernel import (
     _modulator_pairs,
+    find_oversized_clique,
+    rule3_reduce_clique,
     _subtree_contacts,
     _xy_good_bottommost,
     annotate,
@@ -16,6 +19,7 @@ from chvd.kernel import (
     kernelize,
     kernelize_annotated,
     rule4_components,
+    structural_report,
     template_toughness,
 )
 from bruteforce import (
@@ -194,6 +198,37 @@ def test_each_instance_builds_its_core_tree_once(monkeypatch):
         assert core_calls <= len(events) + 1, (core_calls, len(events))
         chains += 1
     assert chains == 11
+
+
+def test_each_instance_finds_its_nonneighbor_components_once(monkeypatch):
+    original = kernel.components_within
+    calls = []
+
+    def recording(g, allowed):
+        # only the searches behind nonneighbor_components count, by x
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "nonneighbor_components":
+            calls.append(caller.f_locals["x"])
+        return original(g, allowed)
+
+    monkeypatch.setattr(kernel, "components_within", recording)
+    states = 0
+    for inst in annotated_states(range(6)):
+        fresh = {x: original(inst.g, inst.selector(negatives=[x]))
+                 for x in inst.modulator}
+        calls.clear()
+        for _ in range(2):
+            rule4_components(inst)
+            build_separator(inst)
+            structural_report(inst)
+            clique = find_oversized_clique(inst)
+            if clique is not None:
+                rule3_reduce_clique(inst, clique)
+        assert len(calls) == len(set(calls)) <= len(inst.modulator)
+        for x, comps in fresh.items():
+            assert inst.nonneighbor_components(x) == tuple(comps)
+        states += 1
+    assert states >= 30
 
 
 def test_cached_tree_and_separator_match_fresh_builds():

@@ -29,7 +29,7 @@ from chvd.generate import (
 from chvd.lp import at_least
 from chvd.oracle import exact_multicut
 from bruteforce import bf_di_connected, bf_min_vertex_cut, \
-    ref_dijkstra_vertex_weights
+    ref_dijkstra_vertex_weights, ref_induced_digraph, ref_skew_on_copy
 
 
 def test_min_vertex_cut_single_path():
@@ -102,6 +102,35 @@ def test_skew_requires_staircase_closure():
         SkewInstance(MulticutInstance(d, ((0, 3),)), (0, 1), (2, 3))
 
 
+def test_skew_instance_rejects_a_repeated_source():
+    d = DiGraph(4, [(0, 1), (1, 3)])
+    with pytest.raises(ValueError, match="tu repeats a vertex"):
+        SkewInstance(MulticutInstance(d, ((0, 3),)), (0, 0), (3,))
+
+
+def test_skew_instance_rejects_a_repeated_target():
+    d = DiGraph(4, [(0, 1), (1, 3)])
+    with pytest.raises(ValueError, match="tv repeats a vertex"):
+        SkewInstance(MulticutInstance(d, ((0, 3),)), (0,), (3, 3))
+
+
+def test_min_vertex_cut_rejects_an_unknown_alive_id():
+    d = DiGraph(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(ValueError, match="unknown vertex id 9"):
+        min_vertex_cut(d, [0], [3], [1, 2], alive={0, 1, 2, 3, 9})
+    with pytest.raises(ValueError, match="unknown vertex id -1"):
+        min_vertex_cut(d, [0], [3], [1, 2], alive={-1, 0, 1, 2, 3})
+
+
+def test_skew_rejects_an_unknown_alive_id():
+    d = DiGraph(4, [(0, 1), (1, 2), (2, 3)])
+    inst = SkewInstance(MulticutInstance(d, ((0, 3),)), (0,), (3,))
+    x = FractionalSolution({1: 1.0})
+    with pytest.raises(ValueError, match="unknown vertex id 4"):
+        skew_multicut(inst, x, alive={0, 1, 2, 3, 4})
+    assert skew_multicut(inst, x, alive={0, 1, 2, 3}) == frozenset({1})
+
+
 def test_skew_rejects_infeasible_fraction():
     d = DiGraph(3, [(0, 1), (1, 2)])
     inst = SkewInstance(MulticutInstance(d, ((0, 2),)), (0,), (2,))
@@ -126,6 +155,76 @@ def test_skew_random_staircases_bound_and_validity():
         assert opt is not None and len(got) >= opt.optimum
         solved += 1
     assert solved >= 60
+
+
+def test_skew_on_alive_matches_the_copy_digraph_on_a_renumbered_copy():
+    """skew_multicut on d[alive] in d's ids gives the cut the copy-digraph
+    engine gives on the renumbered copy of d[alive], or refuses the same
+    infeasible x; dead terminals drop out of the instance."""
+    rng = random.Random(43)
+    refused = cut = dead_terminals = 0
+    for trial in range(300):
+        n = rng.randint(4, 18)
+        d, tu, tv, pairs = random_staircase(
+            trial, n=n, a=rng.randint(1, n // 2), b=rng.randint(1, n // 2),
+            p=rng.choice([0.2, 0.35, 0.5]))
+        alive = {v for v in d.vertices() if rng.random() < 0.8}
+        dead_terminals += bool((set(tu) | set(tv)) - alive)
+        sub = ref_induced_digraph(d, alive)
+        m = sub.index
+        local = tuple((m[u], m[v]) for u, v in pairs if u in m and v in m)
+        x_sub = solve_fractional(MulticutProblem(sub.graph, local))
+        scale = 0.6 if trial % 3 == 0 else 1.0
+        x = FractionalSolution({sub.old_of[v]: scale * w
+                                for v, w in x_sub.values.items()})
+        inst = SkewInstance(MulticutInstance(d, tuple(pairs)),
+                            tuple(tu), tuple(tv))
+        try:
+            want = ref_skew_on_copy(inst, x, alive)
+        except ValueError:
+            with pytest.raises(ValueError, match="infeasible"):
+                skew_multicut(inst, x, alive)
+            refused += 1
+            continue
+        got = skew_multicut(inst, x, alive)
+        assert got == want, trial
+        assert sorted(got) == sorted(want)
+        cut += bool(got)
+    assert refused >= 30 and cut >= 60 and dead_terminals >= 150, (
+        refused, cut, dead_terminals)
+
+
+def test_multicut_engines_build_no_digraph(monkeypatch):
+    instances = [out for seed in range(30)
+                 if (out := random_diffuse_downward(seed)) is not None]
+    staircases = [random_staircase(seed, n=24, a=6, b=6) for seed in range(10)]
+    xs = [solve_fractional(MulticutProblem(d, tuple(pairs)))
+          for d, _, _, pairs in staircases]
+    builds = []
+    original_init = DiGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        original_init(self, *args, **kwargs)
+
+    skews = []
+    original_skew = multicut.skew_multicut
+
+    def counting_skew(*args, **kwargs):
+        skews.append(args)
+        return original_skew(*args, **kwargs)
+
+    monkeypatch.setattr(DiGraph, "__init__", counting_init)
+    monkeypatch.setattr(multicut, "skew_multicut", counting_skew)
+    for inst, x in instances:
+        downward_multicut(inst, x)
+    reached = len(skews)
+    for (d, tu, tv, pairs), x in zip(staircases, xs):
+        skew = SkewInstance(MulticutInstance(d, tuple(pairs)),
+                            tuple(tu), tuple(tv))
+        multicut.skew_multicut(skew, x)
+    assert builds == []
+    assert reached >= 20
 
 
 # Recorded with the per-pair terminal path separator (one full search per

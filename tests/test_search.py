@@ -25,6 +25,7 @@ from bruteforce import (
     ref_di_bfs_path,
     ref_di_reachable,
     ref_dijkstra_vertex_weights,
+    ref_induced_digraph,
     ref_min_vertex_cut,
 )
 
@@ -141,7 +142,7 @@ def test_min_vertex_cut_on_alive_matches_the_induced_copy():
         sinks = rng.sample(range(n), rng.randint(1, min(4, n)))
         deletable = some(rng, n, rng.uniform(0.5, 1.0))
         avoid = some(rng, n, 0.3)
-        sub = d.induced(sorted(alive))
+        sub = ref_induced_digraph(d, alive)
         m = sub.index
 
         def local(vs):
