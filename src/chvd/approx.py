@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import AbstractSet, Optional, Union
 
-from .graphs import Graph, check, components_within, induced_subgraph
+from .graphs import Graph, check, components_within
 from .chordal import (
     central_bag,
     clique_tree_of,
@@ -51,13 +51,13 @@ class Decomposition:
     cliques: tuple[frozenset[int], ...]
     residue: frozenset[int]
 
-    def validate(self, g: Graph) -> None:
+    def validate(self, g: Graph, vertices: AbstractSet[int]) -> None:
         parts = [self.chordal_part, *self.cliques, self.residue]
         union: set[int] = set()
         for p in parts:
             check(not (union & p), "decomposition parts overlap")
             union |= p
-        check(union == set(g.vertices()), "decomposition misses vertices")
+        check(union == vertices, "decomposition misses vertices")
         check(is_chordal(g, self.chordal_part), "chordal part is not chordal")
         for kq in self.cliques:
             check(all(g.has_edge(u, v) for u in kq for v in kq if u < v),
@@ -85,25 +85,25 @@ def hit_holes_through(
     scope = part_a | part_b
     if all(find_hole_through(g, w, scope) is None for w in sorted(clique_l)):
         return frozenset()
-    # the multicut engines take a compact graph: renumber g[A] for them
-    sub = induced_subgraph(g, part_a)
-    tree = clique_tree_of(sub.graph)
-    l_local = frozenset(sub.to_sub(clique_l))
-    root = tree.first_bag_containing(l_local)
-    check(root is not None and tree.bags[root] == l_local,
+    tree = clique_tree_of(g, part_a)
+    root = tree.first_bag_containing(clique_l)
+    check(root is not None and tree.bags[root] == clique_l,
           "L is not a maximal clique of g[A]")
-    inst = build_downward(sub.graph, tree.reroot(root))
-    x_local = x.remapped(sub.index)
+    inst = build_downward(g, tree.reroot(root))
+    # the digraph has arcs only inside A, so every search stays there
+    members = sorted(part_a)
     pairs = []
-    for u in inst.digraph.vertices():
-        dist = dist_from(inst.digraph, x_local, u)
+    for u in members:
+        dist = dist_from(inst.digraph, x, u)
         pairs += [
             (u, v)
-            for v in sorted(inst.digraph.vertices())
+            for v in members
             if v != u and at_least(dist.get(v, float("inf")), 0.1)
         ]
-    cut = downward_multicut(inst.with_terminals(pairs), x_local.scaled(10.0))
-    result = frozenset(sub.to_parent(cut))
+    x10 = FractionalSolution(
+        {v: 10.0 * w for v, w in x.values.items() if v in part_a},
+        x.tolerance)
+    result = downward_multicut(inst.with_terminals(pairs), x10)
     for w in sorted(clique_l - result):
         check(find_hole_through(g, w, scope - result) is None,
               "a hole through L survived the multicut")
@@ -155,31 +155,34 @@ def chvd_clique_plus_chordal(
     return frozenset(solution)
 
 
-def _balanced_cut_exact(g: Graph, limit: float, budget: int) -> Optional[set[int]]:
-    """Smallest vertex set whose removal caps every component at limit."""
+def _balanced_cut_exact(g: Graph, rest: AbstractSet[int], limit: float,
+                        budget: int) -> Optional[set[int]]:
+    """Smallest vertex set whose removal caps every component of g[rest]
+    at limit."""
     from itertools import combinations
 
-    verts = sorted(g.vertices())
+    verts = sorted(rest)
     for size in range(min(budget, len(verts)) + 1):
         for subset in combinations(verts, size):
             removed = set(subset)
             if all(
                 len(c) <= limit
-                for c in components_within(g, set(verts) - removed)
+                for c in components_within(g, rest - removed)
             ):
                 return removed
     return None
 
 
-def _balanced_cut_greedy(g: Graph, limit: float, budget: int) -> Optional[set[int]]:
+def _balanced_cut_greedy(g: Graph, rest: AbstractSet[int], limit: float,
+                         budget: int) -> Optional[set[int]]:
     removed: set[int] = set()
     while len(removed) <= budget:
-        comps = components_within(g, set(g.vertices()) - removed)
+        comps = components_within(g, rest - removed)
         big = [c for c in comps if len(c) > limit]
         if not big:
             return removed
         target = max(big, key=len)
-        pick = max(sorted(target), key=lambda v: g.degree(v))
+        pick = max(sorted(target), key=lambda v: len(g.neighbor_set(v) & rest))
         removed.add(pick)
     return None
 
@@ -189,55 +192,59 @@ EXACT_CUT_LIMIT = 16
 
 
 def balanced_clique_cut(
-    g: Graph, k: int
+    g: Graph, k: int, vertices: AbstractSet[int]
 ) -> Union[NoInstance, tuple[frozenset[int], frozenset[int]]]:
-    """A set Z and clique K inside it with components of g - Z at most 3n/4.
+    """A set Z and clique K inside it with components of g[vertices] - Z
+    at most 3n/4, where n = |vertices|.
 
     A clique of size >= n/4 alone suffices; otherwise every maximal clique
-    is tried with a balanced vertex cut of g - K within budget k (exact by
-    enumeration at desk scale, greedy beyond).  NoInstance when no clique
-    admits a cut within budget, which certifies opt > k for C4-free g.
+    is tried with a balanced vertex cut of g[vertices] - K within budget k
+    (exact by enumeration at desk scale, greedy beyond).  NoInstance when
+    no clique admits a cut within budget, which certifies opt > k for
+    C4-free g[vertices].
     """
-    n = g.n
+    n = len(vertices)
     if n == 0:
         return frozenset(), frozenset()
-    cliques = maximal_cliques(g)
+    cliques = maximal_cliques(g, vertices)
     big = [c for c in cliques if 4 * len(c) >= n]
     if big:
         best = max(big, key=lambda c: (len(c), sorted(c)))
         return frozenset(best), frozenset(best)
     best_pair: Optional[tuple[frozenset[int], frozenset[int]]] = None
     for clique in cliques:
-        rest = induced_subgraph(g, set(g.vertices()) - clique)
-        limit = 2.0 * rest.graph.n / 3.0
-        if rest.graph.n <= EXACT_CUT_LIMIT:
-            cut = _balanced_cut_exact(rest.graph, limit, k)
+        rest = vertices - clique
+        limit = 2.0 * len(rest) / 3.0
+        if len(rest) <= EXACT_CUT_LIMIT:
+            cut = _balanced_cut_exact(g, rest, limit, k)
         else:
-            cut = _balanced_cut_greedy(rest.graph, limit, k)
+            cut = _balanced_cut_greedy(g, rest, limit, k)
         if cut is None:
             continue
-        z = frozenset(clique) | {rest.old_of[v] for v in cut}
+        z = frozenset(clique) | cut
         if best_pair is None or len(z) - len(clique) < \
                 len(best_pair[0]) - len(best_pair[1]):
             best_pair = (z, frozenset(clique))
     if best_pair is None:
         return NO_INSTANCE
     z, kq = best_pair
-    for comp in components_within(g, set(g.vertices()) - z):
+    for comp in components_within(g, vertices - z):
         check(4 * len(comp) <= 3 * n, "balanced cut leaves an oversized component")
     return best_pair
 
 
 def decompose(
-    g: Graph, k: int
+    g: Graph, k: int, vertices: AbstractSet[int]
 ) -> Union[NoInstance, Decomposition]:
-    """Repeated balanced clique cuts on non-chordal components.
+    """Repeated balanced clique cuts on the non-chordal components of
+    g[vertices].
 
     Charges one step per cut and aborts as NoInstance past
-    k * log_{3/2} n steps, matching the yes-instance termination bound.
+    k * log_{3/2} n steps, n = |vertices|, matching the yes-instance
+    termination bound.
     """
-    n = g.n
-    alive = set(g.vertices())
+    n = len(vertices)
+    alive = set(vertices)
     cliques: list[frozenset[int]] = []
     residue: set[int] = set()
     max_steps = 0 if n <= 1 else math.floor(k * math.log(n) / math.log(1.5))
@@ -253,18 +260,15 @@ def decompose(
         steps += 1
         if steps > max_steps:
             return NO_INSTANCE
-        sub = induced_subgraph(g, target)
-        res = balanced_clique_cut(sub.graph, k)
+        res = balanced_clique_cut(g, k, target)
         if isinstance(res, NoInstance):
             return NO_INSTANCE
-        z_local, k_local = res
-        z = {sub.old_of[v] for v in z_local}
-        kq = frozenset(sub.old_of[v] for v in k_local)
+        z, kq = res
         cliques.append(kq)
         residue |= z - kq
         alive -= z
     dec = Decomposition(frozenset(alive), tuple(cliques), frozenset(residue))
-    dec.validate(g)
+    dec.validate(g, vertices)
     check(len(cliques) <= max(max_steps, 0), "decomposition used too many cuts")
     return dec
 
@@ -294,14 +298,12 @@ def approximate(
     solution: set[int] = {
         v for v in g.vertices() if at_least(x.value(v), 0.25)
     }
-    work = induced_subgraph(g, set(g.vertices()) - solution)
-    dec = decompose(work.graph, k)
+    dec = decompose(g, k, set(g.vertices()) - solution)
     if isinstance(dec, NoInstance):
         return NO_INSTANCE
-    solution |= work.to_parent(dec.residue)
-    part_a = frozenset(work.to_parent(dec.chordal_part))
-    for clique in dec.cliques:
-        kq = frozenset(work.to_parent(clique))
+    solution |= dec.residue
+    part_a = dec.chordal_part
+    for kq in dec.cliques:
         cut = chvd_clique_plus_chordal(g, part_a, kq, x)
         solution |= cut
         part_a = (part_a | kq) - cut

@@ -4,8 +4,9 @@ The recognizer is certified: it returns a perfect elimination ordering for
 chordal inputs and a verified hole otherwise.  Clique trees support the
 queries used throughout the reduction and approximation pipelines: top(v),
 beta_inverse(v), adhesions, LCA, minimal connecting paths, and subtree
-distances.  Chordality checks, clique trees and independent sets of
-g[vertices] run on g itself, in its own ids, with no renumbered copy.
+distances.  Chordality checks, clique trees, independent sets, maximal
+cliques and hole searches of g[vertices] run on g itself, in its own ids,
+with no renumbered copy.
 """
 from __future__ import annotations
 
@@ -58,17 +59,19 @@ def find_hole_through(
     return None if found is None else found[0]
 
 
-def find_any_hole(g: Graph) -> Optional[Hole]:
-    """A shortest hole through the first vertex of g that lies on one, or
-    None if g is chordal.
+def find_any_hole(g: Graph,
+                  allowed: Optional[Iterable[int]] = None) -> Optional[Hole]:
+    """A shortest hole of g[allowed] (of g when allowed is None) through
+    its first vertex that lies on one, or None if g[allowed] is chordal.
 
     It stays first-found rather than globally shortest (``lightest_hole``):
     ``recognize`` returns this hole as its witness and
     ``chvd kernelize --auto-modulator`` deletes it, so a global search
     would move both outputs, and it would run a search through every
     vertex where this one stops at the first hit."""
-    for v in g.vertices():
-        h = find_hole_through(g, v)
+    inner = set(g.vertices() if allowed is None else allowed)
+    for v in sorted(inner):
+        h = find_hole_through(g, v, inner)
         if h is not None:
             return h
     return None
@@ -421,9 +424,12 @@ def central_bag(g: Graph, t: CliqueTree, weights: dict[int, float]) -> frozenset
     raise AssertionError  # unreachable
 
 
-def maximal_cliques(g: Graph) -> list[frozenset[int]]:
-    """All maximal cliques (Bron-Kerbosch with pivoting), sorted deterministically."""
-    if g.n == 0:
+def maximal_cliques(g: Graph, vertices: Optional[Iterable[int]] = None
+                    ) -> list[frozenset[int]]:
+    """All maximal cliques of g[vertices] (of g when vertices is None), in
+    g's own ids (Bron-Kerbosch with pivoting), sorted deterministically."""
+    inner = set(g.vertices() if vertices is None else vertices)
+    if not inner:
         return []
     out: list[frozenset[int]] = []
 
@@ -438,11 +444,10 @@ def maximal_cliques(g: Graph) -> list[frozenset[int]]:
             p.remove(v)
             x.add(v)
 
-    expand(set(), set(g.vertices()), set())
+    expand(set(), set(inner), set())
     for c in out:
         check(
-            not any(all(g.has_edge(u, w) for u in c) for w in
-                    set(g.vertices()) - c),
+            not any(all(g.has_edge(u, w) for u in c) for w in inner - c),
             "enumerated clique is not maximal",
         )
     return sorted(out, key=lambda c: sorted(c))

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .graphs import Graph, InvariantError, delete_vertices
+from .graphs import Graph, InvariantError
 from .chordal import find_any_hole, is_chordal
 from .approx import NoInstance, approximate
 from .generate import GeneratorSpec, generate, kernel_instance_pool
@@ -83,11 +83,10 @@ def cmd_gen(args) -> int:
 def _greedy_modulator(g: Graph) -> list[int]:
     removed: set[int] = set()
     while True:
-        rest = delete_vertices(g, removed)
-        hole = find_any_hole(rest.graph)
+        hole = find_any_hole(g, set(g.vertices()) - removed)
         if hole is None:
             return sorted(removed)
-        removed |= {rest.old_of[v] for v in hole.vertices}
+        removed.update(hole.vertices)
 
 
 def _rejects_forced(instance: InstanceFile, command: str) -> bool:

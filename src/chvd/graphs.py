@@ -7,7 +7,9 @@ Vertices are dense integers 0..n-1.  Graphs are immutable after
 construction; every mutating operation (vertex deletion, edge addition,
 induced subgraph) returns a new object.  Deletions remap vertex ids, and
 the remapping is always returned alongside the new graph so provenance
-survives chains of reductions.
+survives chains of reductions.  Renumbering happens only when a kernel
+event is applied: every other layer works on g restricted to a vertex
+set, in g's own ids.
 """
 from __future__ import annotations
 

@@ -50,6 +50,19 @@ class InstanceFile:
         )
 
 
+def _fail(lineno: int, message: str):
+    raise InstanceFormatError(f"line {lineno}: {message}")
+
+
+def _ints(lineno: int, parts: list[str], count: int) -> list[int]:
+    if len(parts) != count:
+        _fail(lineno, f"expected {count} integer fields, got {len(parts)}")
+    try:
+        return [int(p) for p in parts]
+    except ValueError:
+        _fail(lineno, f"non-integer field in {parts!r}")
+
+
 def parse(text: str) -> InstanceFile:
     header = None
     edges: list[tuple[int, int]] = []
@@ -57,17 +70,6 @@ def parse(text: str) -> InstanceFile:
     forced: list[tuple[int, int]] = []
     comments: list[str] = []
     seen_edges: set[tuple[int, int]] = set()
-
-    def fail(lineno: int, message: str):
-        raise InstanceFormatError(f"line {lineno}: {message}")
-
-    def ints(lineno: int, parts: list[str], count: int) -> list[int]:
-        if len(parts) != count:
-            fail(lineno, f"expected {count} integer fields, got {len(parts)}")
-        try:
-            return [int(p) for p in parts]
-        except ValueError:
-            fail(lineno, f"non-integer field in {parts!r}")
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -78,46 +80,46 @@ def parse(text: str) -> InstanceFile:
             comments.append(line[2:] if len(line) > 2 else "")
         elif tag == "p":
             if header is not None:
-                fail(lineno, "duplicate header")
+                _fail(lineno, "duplicate header")
             if not rest or rest[0] != "chvd":
-                fail(lineno, "header must read 'p chvd <n> <m> <k>'")
-            n, m, k = ints(lineno, rest[1:], 3)
+                _fail(lineno, "header must read 'p chvd <n> <m> <k>'")
+            n, m, k = _ints(lineno, rest[1:], 3)
             if n < 0 or m < 0:
-                fail(lineno, "negative size in header")
+                _fail(lineno, "negative size in header")
             if k < 0:
-                fail(lineno, "negative budget in header")
+                _fail(lineno, "negative budget in header")
             header = (n, m, k)
         elif tag == "e":
             if header is None:
-                fail(lineno, "edge before header")
-            u, v = ints(lineno, rest, 2)
+                _fail(lineno, "edge before header")
+            u, v = _ints(lineno, rest, 2)
             if not (0 <= u < header[0] and 0 <= v < header[0]):
-                fail(lineno, f"edge ({u},{v}) outside 0..{header[0] - 1}")
+                _fail(lineno, f"edge ({u},{v}) outside 0..{header[0] - 1}")
             if u == v:
-                fail(lineno, "self-loop")
+                _fail(lineno, "self-loop")
             key = (min(u, v), max(u, v))
             if key in seen_edges:
-                fail(lineno, f"duplicate edge ({u},{v})")
+                _fail(lineno, f"duplicate edge ({u},{v})")
             seen_edges.add(key)
             edges.append(key)
         elif tag == "m":
             if header is None:
-                fail(lineno, "modulator line before header")
-            (v,) = ints(lineno, rest, 1)
+                _fail(lineno, "modulator line before header")
+            (v,) = _ints(lineno, rest, 1)
             if not 0 <= v < header[0]:
-                fail(lineno, f"modulator vertex {v} outside range")
+                _fail(lineno, f"modulator vertex {v} outside range")
             if v in modulator:
-                fail(lineno, f"duplicate modulator vertex {v}")
+                _fail(lineno, f"duplicate modulator vertex {v}")
             modulator.append(v)
         elif tag == "f":
             if header is None:
-                fail(lineno, "forced pair before header")
-            x, y = ints(lineno, rest, 2)
+                _fail(lineno, "forced pair before header")
+            x, y = _ints(lineno, rest, 2)
             if not (0 <= x < header[0] and 0 <= y < header[0]) or x == y:
-                fail(lineno, f"bad forced pair ({x},{y})")
+                _fail(lineno, f"bad forced pair ({x},{y})")
             forced.append((min(x, y), max(x, y)))
         else:
-            fail(lineno, f"unknown line tag {tag!r}")
+            _fail(lineno, f"unknown line tag {tag!r}")
     if header is None:
         raise InstanceFormatError("line 0: missing 'p chvd' header")
     n, m, k = header
@@ -161,16 +163,17 @@ def parse_solution(text: str) -> frozenset[int]:
             continue
         tag, *rest = line.split()
         if tag == "s":
+            if size is not None:
+                _fail(lineno, "duplicate solution header")
             if len(rest) != 2 or rest[0] != "chvd":
-                raise InstanceFormatError(
-                    f"line {lineno}: bad solution header")
-            size = int(rest[1])
+                _fail(lineno, "bad solution header")
+            (size,) = _ints(lineno, rest[1:], 1)
         elif tag == "v":
             if len(rest) != 1:
-                raise InstanceFormatError(f"line {lineno}: bad vertex line")
-            vertices.add(int(rest[0]))
+                _fail(lineno, "bad vertex line")
+            vertices.update(_ints(lineno, rest, 1))
         else:
-            raise InstanceFormatError(f"line {lineno}: unknown tag {tag!r}")
+            _fail(lineno, f"unknown tag {tag!r}")
     if size is not None and size != len(vertices):
         raise InstanceFormatError(
             f"line 0: solution header promises {size} vertices, file has "

@@ -56,17 +56,6 @@ class FractionalSolution:
     def objective(self) -> float:
         return sum(self.values.values())
 
-    def scaled(self, factor: float) -> "FractionalSolution":
-        return FractionalSolution(
-            {v: factor * w for v, w in self.values.items()}, self.tolerance
-        )
-
-    def remapped(self, new_of: dict[int, int]) -> "FractionalSolution":
-        return FractionalSolution(
-            {new_of[v]: w for v, w in self.values.items() if v in new_of},
-            self.tolerance,
-        )
-
 
 def simplex_min_cover(
     n: int,

@@ -23,7 +23,7 @@ from .graphs import (
     dijkstra_vertex_weights,
     extract_path,
 )
-from .chordal import CliqueTree, is_chordal, minimal_path, recognize, PEO
+from .chordal import CliqueTree, _peo_of, is_chordal, minimal_path
 from .lp import FractionalSolution, at_least, separate_multicut
 
 
@@ -302,7 +302,7 @@ class DownwardInstance:
 
     g: Graph
     tree: CliqueTree
-    order: tuple[int, ...]          # vertices sorted by the total order
+    order: tuple[int, ...]          # the tree's vertices, by the total order
     digraph: DiGraph
     terminals: tuple[tuple[int, int], ...] = ()
 
@@ -316,10 +316,13 @@ class DownwardInstance:
 
 
 def build_downward(g: Graph, tree: CliqueTree) -> DownwardInstance:
-    """Orient a chordal graph downward: by top-node depth, then vertex id."""
-    order = sorted(g.vertices(), key=lambda v: (tree.depth(tree.top(v)), v))
+    """Orient g[S], S the union of the tree's bags, downward in g's ids:
+    by top-node depth, then vertex id."""
+    vertices = frozenset().union(*tree.bags)
+    order = sorted(vertices, key=lambda v: (tree.depth(tree.top(v)), v))
     rank = {v: i for i, v in enumerate(order)}
-    arcs = [(u, v) if rank[u] < rank[v] else (v, u) for u, v in g.edges()]
+    arcs = [(u, v) if rank[u] < rank[v] else (v, u) for u, v in g.edges()
+            if u in rank and v in rank]
     d = DiGraph(g.n, arcs)
     check(d.is_acyclic(), "downward orientation is not acyclic")
     return DownwardInstance(g, tree, tuple(order), d)
@@ -340,24 +343,18 @@ def dist_from(
 
 
 def clique_cover_chordal(h: Graph) -> list[frozenset[int]]:
-    """Partition a chordal graph into alpha(H) cliques (greedy over a PEO)."""
-    res = recognize(h)
-    if not isinstance(res, PEO):
+    """Partition a chordal graph into alpha(H) cliques (greedy over a PEO):
+    each vertex not yet covered, with its uncovered later neighbours."""
+    order, later = _peo_of(h, None)
+    if later is None:
         raise ValueError("clique cover requires a chordal graph")
-    pos = res.position()
-    assigned: dict[int, int] = {}
-    cliques: list[set[int]] = []
-    for v in res.ordering:
-        if v in assigned:
-            continue
-        group = {v}
-        assigned[v] = len(cliques)
-        for u in h.neighbors(v):
-            if pos[u] > pos[v] and u not in assigned:
-                group.add(u)
-                assigned[u] = len(cliques)
-        cliques.append(group)
-    out = [frozenset(c) for c in cliques]
+    assigned: set[int] = set()
+    out = []
+    for v, after in zip(order, later):
+        if v not in assigned:
+            group = frozenset([v, *(u for u in after if u not in assigned)])
+            assigned |= group
+            out.append(group)
     for c in out:
         check(all(h.has_edge(p, q) for p in c for q in c if p < q),
               "cover part is not a clique")
@@ -375,7 +372,8 @@ def downward_multicut(
     Stages: delete heavy vertices (x >= 1/8); build the auxiliary chordal
     graph H on surviving pairs via tree-interval overlap; cover H by
     cliques; per clique split pairs at fractional distance 1/2 from the
-    shared bag and solve one min cut plus one skew multicut.
+    shared bag and solve one min cut plus one skew multicut.  Vertices
+    outside ``inst.order`` have no arc and are never deleted.
     """
     d = inst.digraph
     pairs = list(inst.terminals)
@@ -383,10 +381,10 @@ def downward_multicut(
         raise ValueError("fractional solution is infeasible for the instance")
     rank = inst.rank()
     weights = [x.value(v) for v in d.vertices()]
-    x0 = {v for v in d.vertices() if at_least(weights[v], 1.0 / 8)}
+    x0 = {v for v in inst.order if at_least(weights[v], 1.0 / 8)}
     solution: set[int] = set(x0)
 
-    alive = set(d.vertices()) - x0
+    alive = set(inst.order) - x0
     # alive is fixed from here on, so each source's distances are computed
     # once; every source is alive.  Every distance read below is compared
     # with 1/2 or clipped at 1, so the searches stop at 1: entries below it

@@ -31,7 +31,11 @@ the hole searches of both.  ``ref_separator_marked_nodes`` builds one
 clique tree per modulator pair to list the cliques of G(x, y).
 ``ref_chvd_clique_plus_chordal`` and ``ref_hit_holes_through`` are the
 fold-back on a compact graph of exactly A + B, renumbering every
-component and scope they work on.
+component and scope they work on; ``_remap`` carries x onto such a copy.
+``ref_decompose`` and ``ref_balanced_clique_cut`` run the decomposition
+and its balanced cut on the renumbered copy of g[vertices], cutting a
+renumbered copy of every component and of every g - K, and map the
+result back.
 ``ref_induced_digraph`` is the renumbered copy of d[s] that
 ``DiGraph.induced`` built; ``ref_skew_multicut`` is the skew engine that
 built a copy digraph with the terminal copies, and ``ref_skew_on_copy``
@@ -62,8 +66,11 @@ from chvd.graphs import Graph, DiGraph, Hole, Subgraph, bfs, check, \
     components_within, extract_path, induced_subgraph, is_clique, \
     lightest_hole_through, shortcut_walk, verify_hole
 from chvd import oracle
+from chvd.approx import EXACT_CUT_LIMIT, NO_INSTANCE, Decomposition, \
+    NoInstance
 from chvd.chordal import PEO, CliqueTree, central_bag, clique_tree_of, \
-    find_any_hole, find_hole_through, is_chordal, is_peo, minimal_path
+    find_any_hole, find_hole_through, is_chordal, is_peo, maximal_cliques, \
+    minimal_path
 from chvd.generate import GeneratorSpec, generate
 from chvd.kernel import ReductionEvent, _core_neighborhood, _finish, \
     _modulator_pairs
@@ -687,7 +694,7 @@ def ref_skew_on_copy(inst: SkewInstance, x: FractionalSolution,
     copy = SkewInstance(MulticutInstance(sub.graph, pairs),
                         tuple(m[u] for u in inst.tu if u in m),
                         tuple(m[v] for v in inst.tv if v in m))
-    return frozenset(sub.to_parent(ref_skew_multicut(copy, x.remapped(m))))
+    return frozenset(sub.to_parent(ref_skew_multicut(copy, _remap(x, m))))
 
 
 class _RefSearch:
@@ -807,7 +814,7 @@ def ref_hit_holes_through(g: Graph, part_a, part_b, clique_l, x):
     check(root is not None and tree.bags[root] == l_local,
           "L is not a maximal clique of g[A]")
     inst = build_downward(sub.graph, tree.reroot(root))
-    x_local = x.remapped(sub.index)
+    x_local = _remap(x, sub.index)
     pairs = []
     for u in inst.digraph.vertices():
         dist = dist_from(inst.digraph, x_local, u)
@@ -816,7 +823,9 @@ def ref_hit_holes_through(g: Graph, part_a, part_b, clique_l, x):
             for v in sorted(inst.digraph.vertices())
             if v != u and at_least(dist.get(v, float("inf")), 0.1)
         ]
-    cut = downward_multicut(inst.with_terminals(pairs), x_local.scaled(10.0))
+    x10 = FractionalSolution(
+        {v: 10.0 * w for v, w in x_local.values.items()}, x_local.tolerance)
+    cut = downward_multicut(inst.with_terminals(pairs), x10)
     result = frozenset(sub.old_of[v] for v in cut)
     remaining = induced_subgraph(g, set(g.vertices()) - result)
     for w in sorted(clique_l - result):
@@ -863,7 +872,7 @@ def ref_chvd_clique_plus_chordal(g: Graph, part_a, part_b, x):
             frozenset(new_of[v] for v in heaviest),
             frozenset(new_of[v] for v in alive_b),
             frozenset(new_of[v] for v in clique_l),
-            x2.remapped(new_of),
+            _remap(x2, new_of),
         )
         cut_orig = {scope_sub.old_of[v] for v in cut}
         solution |= cut_orig
@@ -872,6 +881,122 @@ def ref_chvd_clique_plus_chordal(g: Graph, part_a, part_b, x):
     final = induced_subgraph(g, set(g.vertices()) - solution)
     check(is_chordal(final.graph), "clique-plus-chordal output is not chordal")
     return frozenset(solution)
+
+
+def _remap(x: FractionalSolution, new_of: dict[int, int]) -> FractionalSolution:
+    """x on a renumbered copy: the weights of the vertices in ``new_of``,
+    under their new ids, in x's order."""
+    return FractionalSolution(
+        {new_of[v]: w for v, w in x.values.items() if v in new_of},
+        x.tolerance)
+
+
+def _ref_balanced_cut_exact(g: Graph, limit: float, budget: int):
+    verts = sorted(g.vertices())
+    for size in range(min(budget, len(verts)) + 1):
+        for subset in combinations(verts, size):
+            removed = set(subset)
+            if all(
+                len(c) <= limit
+                for c in components_within(g, set(verts) - removed)
+            ):
+                return removed
+    return None
+
+
+def _ref_balanced_cut_greedy(g: Graph, limit: float, budget: int):
+    removed: set[int] = set()
+    while len(removed) <= budget:
+        comps = components_within(g, set(g.vertices()) - removed)
+        big = [c for c in comps if len(c) > limit]
+        if not big:
+            return removed
+        target = max(big, key=len)
+        pick = max(sorted(target), key=lambda v: g.degree(v))
+        removed.add(pick)
+    return None
+
+
+def _ref_balanced_clique_cut_compact(g: Graph, k: int):
+    n = g.n
+    if n == 0:
+        return frozenset(), frozenset()
+    cliques = maximal_cliques(g)
+    big = [c for c in cliques if 4 * len(c) >= n]
+    if big:
+        best = max(big, key=lambda c: (len(c), sorted(c)))
+        return frozenset(best), frozenset(best)
+    best_pair = None
+    for clique in cliques:
+        rest = induced_subgraph(g, set(g.vertices()) - clique)
+        limit = 2.0 * rest.graph.n / 3.0
+        if rest.graph.n <= EXACT_CUT_LIMIT:
+            cut = _ref_balanced_cut_exact(rest.graph, limit, k)
+        else:
+            cut = _ref_balanced_cut_greedy(rest.graph, limit, k)
+        if cut is None:
+            continue
+        z = frozenset(clique) | {rest.old_of[v] for v in cut}
+        if best_pair is None or len(z) - len(clique) < \
+                len(best_pair[0]) - len(best_pair[1]):
+            best_pair = (z, frozenset(clique))
+    if best_pair is None:
+        return NO_INSTANCE
+    z, kq = best_pair
+    for comp in components_within(g, set(g.vertices()) - z):
+        check(4 * len(comp) <= 3 * n, "balanced cut leaves an oversized component")
+    return best_pair
+
+
+def ref_balanced_clique_cut(g: Graph, k: int, vertices):
+    """``approx.balanced_clique_cut`` on the renumbered copy of
+    g[vertices], cutting a renumbered copy of every g - K, mapped back."""
+    sub = induced_subgraph(g, vertices)
+    res = _ref_balanced_clique_cut_compact(sub.graph, k)
+    if isinstance(res, NoInstance):
+        return res
+    return tuple(frozenset(sub.to_parent(part)) for part in res)
+
+
+def ref_decompose(g: Graph, k: int, vertices):
+    """``approx.decompose`` on the renumbered copy of g[vertices], which
+    cuts a renumbered copy of each component, mapped back."""
+    work = induced_subgraph(g, vertices)
+    h = work.graph
+    n = h.n
+    alive = set(h.vertices())
+    cliques: list[frozenset[int]] = []
+    residue: set[int] = set()
+    max_steps = 0 if n <= 1 else math.floor(k * math.log(n) / math.log(1.5))
+    steps = 0
+    while True:
+        target = None
+        for comp in components_within(h, alive):
+            if not is_chordal(h, comp):
+                target = comp
+                break
+        if target is None:
+            break
+        steps += 1
+        if steps > max_steps:
+            return NO_INSTANCE
+        sub = induced_subgraph(h, target)
+        res = _ref_balanced_clique_cut_compact(sub.graph, k)
+        if isinstance(res, NoInstance):
+            return NO_INSTANCE
+        z_local, k_local = res
+        z = {sub.old_of[v] for v in z_local}
+        kq = frozenset(sub.old_of[v] for v in k_local)
+        cliques.append(kq)
+        residue |= z - kq
+        alive -= z
+    dec = Decomposition(frozenset(alive), tuple(cliques), frozenset(residue))
+    dec.validate(h, set(h.vertices()))
+    check(len(cliques) <= max(max_steps, 0), "decomposition used too many cuts")
+    return Decomposition(
+        frozenset(work.to_parent(dec.chordal_part)),
+        tuple(frozenset(work.to_parent(c)) for c in dec.cliques),
+        frozenset(work.to_parent(dec.residue)))
 
 
 # -- chordality on renumbered copies -------------------------------------------

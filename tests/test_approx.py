@@ -6,7 +6,7 @@ import pytest
 
 from chvd import approx
 from chvd.graphs import Graph, InvariantError, induced_subgraph
-from chvd.chordal import is_chordal
+from chvd.chordal import clique_tree_of, is_chordal
 from chvd.lp import ChvdProblem, FractionalSolution, solve_fractional
 from chvd.approx import (
     NO_INSTANCE,
@@ -17,11 +17,16 @@ from chvd.approx import (
     hit_holes_through,
     approximate,
 )
-from chvd.generate import GeneratorSpec, clique_path_graph, generate
+from chvd.generate import GeneratorSpec, clique_path_graph, generate, \
+    random_chordal, random_gnp
+from chvd.multicut import downward_multicut as multicut_engine
 from chvd.oracle import exact_chvd
 from bruteforce import (
+    _remap,
     bf_chordal_after_delete,
+    ref_balanced_clique_cut,
     ref_chvd_clique_plus_chordal,
+    ref_decompose,
     ref_hit_holes_through,
 )
 
@@ -58,6 +63,41 @@ def test_hit_holes_through_long_hole():
     assert is_chordal(remaining.graph)
 
 
+def test_hit_holes_through_on_a_vertex_set_matches_the_compact_reference(
+        monkeypatch):
+    """A chordal A and one apex b at random ids of a larger graph: the
+    fold-back in g's ids cuts the holes through L as the reference on the
+    renumbered g[A + b] does, and many calls reach the downward multicut
+    with terminal pairs."""
+    with_pairs = []
+
+    def downward(inst, x):
+        with_pairs.append(bool(inst.terminals))
+        return multicut_engine(inst, x)
+
+    monkeypatch.setattr(approx, "downward_multicut", downward)
+    for seed in range(200):
+        rng = random.Random(seed)
+        core = random_chordal(rng, rng.randint(15, 35), rng.randint(8, 20), 1)
+        n = core.n + 1 + rng.randint(0, 5)
+        ids = rng.sample(range(n), core.n + 1)
+        edges = {tuple(sorted((ids[u], ids[v]))) for u, v in core.edges()}
+        edges |= {tuple(sorted((ids[-1], ids[u])))
+                  for u in rng.sample(range(core.n), rng.randint(2, 6))}
+        g = Graph(n, sorted(edges))
+        part_a, part_b = frozenset(ids[:-1]), frozenset(ids[-1:])
+        clique_l = rng.choice(clique_tree_of(g, part_a).bags)
+        x = FractionalSolution({v: rng.uniform(0, 1 / 11) for v in part_a})
+        scope = induced_subgraph(g, part_a | part_b)
+        want = ref_hit_holes_through(
+            scope.graph, *(frozenset(scope.to_sub(s))
+                           for s in (part_a, part_b, clique_l)),
+            _remap(x, scope.index))
+        assert hit_holes_through(g, part_a, part_b, clique_l, x) == \
+            frozenset(scope.to_parent(want))
+    assert sum(with_pairs) >= 40
+
+
 def test_chvd_clique_plus_chordal_chordal_graph():
     g = clique_path_graph([2, 2])
     x = FractionalSolution({v: 0.0 for v in g.vertices()})
@@ -77,7 +117,7 @@ def test_chvd_clique_plus_chordal_single_hole():
 
 def test_balanced_clique_cut_complete_graph():
     g = complete_graph(6)
-    res = balanced_clique_cut(g, 0)
+    res = balanced_clique_cut(g, 0, set(g.vertices()))
     assert not isinstance(res, NoInstance)
     z, kq = res
     assert z == kq == frozenset(range(6))
@@ -88,7 +128,7 @@ def test_balanced_clique_cut_two_cliques_joined():
     edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
     edges += [(u, v) for u in range(3, 7) for v in range(u + 1, 7)]
     g = Graph(7, edges)
-    res = balanced_clique_cut(g, 1)
+    res = balanced_clique_cut(g, 1, set(g.vertices()))
     assert not isinstance(res, NoInstance)
     z, kq = res
     from chvd.graphs import components_within
@@ -98,7 +138,7 @@ def test_balanced_clique_cut_two_cliques_joined():
 
 def test_decompose_chordal_graph():
     g = clique_path_graph([2, 3, 2])
-    dec = decompose(g, 2)
+    dec = decompose(g, 2, set(g.vertices()))
     assert not isinstance(dec, NoInstance)
     assert dec.chordal_part == frozenset(g.vertices())
     assert dec.cliques == () and dec.residue == frozenset()
@@ -106,14 +146,25 @@ def test_decompose_chordal_graph():
 
 def test_decompose_single_c4():
     g = cycle_graph(4)
-    dec = decompose(g, 2)
+    dec = decompose(g, 2, set(g.vertices()))
     assert not isinstance(dec, NoInstance)
-    dec.validate(g)
+    dec.validate(g, set(g.vertices()))
     assert len(dec.cliques) <= 1 or dec.cliques
 
 
 def test_decompose_k0_nonchordal_is_no_instance():
-    assert isinstance(decompose(cycle_graph(4), 0), NoInstance)
+    assert isinstance(decompose(cycle_graph(4), 0, set(range(4))), NoInstance)
+
+
+def test_decompose_bounds_its_steps_by_the_vertex_set():
+    """Ten disjoint C4s need ten cuts.  k log_{3/2} n allows nine for
+    their 40 vertices, and seventeen for the whole 1040-vertex graph."""
+    g = Graph(1040, [(4 * i + j, 4 * i + (j + 1) % 4)
+                     for i in range(10) for j in range(4)])
+    holes = set(range(40))
+    assert decompose(g, 1, holes) == NO_INSTANCE
+    assert ref_decompose(g, 1, holes) == NO_INSTANCE
+    assert len(decompose(g, 1, set(g.vertices())).cliques) == 10
 
 
 def test_approximate_chordal():
@@ -225,7 +276,7 @@ def test_fold_back_matches_the_compact_reference(monkeypatch):
             want = _outcome(refs[stage], scope.graph,
                             *(frozenset(scope.to_sub(s))
                               for s in (part_a, part_b, *cliques)),
-                            x.remapped(scope.index))
+                            _remap(x, scope.index))
             if not isinstance(want, str):
                 want = frozenset(scope.to_parent(want))
             assert got == want
@@ -266,3 +317,55 @@ def test_fold_back_matches_the_compact_reference(monkeypatch):
     assert runs == 80
     assert reach["fold"] >= 40 and reach["hit"] >= 10
     assert reach["downward"] >= 2
+
+
+def _embedded(rng, base):
+    """base at random ids of a larger graph whose extra vertices have
+    random edges to anything; returns the graph and base's image."""
+    n = base.n + rng.randint(2, 6)
+    ids = rng.sample(range(n), base.n)
+    edges = {tuple(sorted((ids[u], ids[v]))) for u, v in base.edges()}
+    for e in sorted(set(range(n)) - set(ids)):
+        edges |= {tuple(sorted((e, w))) for w in range(n)
+                  if w != e and rng.random() < 0.2}
+    return Graph(n, sorted(edges)), frozenset(ids)
+
+
+def test_decompose_and_balanced_cut_match_the_renumbered_reference():
+    """decompose and balanced_clique_cut on g restricted to a vertex set
+    give the outcome (result, NoInstance or InvariantError text) of the
+    same stages run on the renumbered copy of g[vertices], mapped back.
+
+    Each base graph sits at random ids inside a larger graph, and the
+    vertex sets are its image and that image less about a tenth.  Sparse
+    random graphs on 18 to 24 vertices run at k = 1 on their image, where
+    nearly all are no-instances that decompose finds in its first
+    balanced cut, so they are not cut a second time on their own."""
+    no_instances = with_clique = cuts = 0
+    for seed in range(110):
+        rng = random.Random(seed)
+        g, image = _embedded(rng, random_gnp(rng, rng.randint(18, 24),
+                                             rng.uniform(0.2, 0.3)))
+        got = _outcome(decompose, g, 1, image)
+        assert got == _outcome(ref_decompose, g, 1, image)
+        no_instances += isinstance(got, NoInstance)
+    for seed in range(26):
+        rng = random.Random(seed)
+        if seed < 20:
+            base, _, _ = generate(GeneratorSpec(
+                seed=seed, core_vertices=rng.randint(8, 16),
+                planted=rng.randint(1, 3), noise_edges=1))
+        else:
+            base = subdivided_grid(3, 3 + seed % 2)
+        g, image = _embedded(rng, base)
+        for vertices in (image, {v for v in image if rng.random() < 0.9}):
+            for k in (1, 2, 3, 5):
+                got = _outcome(decompose, g, k, vertices)
+                assert got == _outcome(ref_decompose, g, k, vertices)
+                no_instances += isinstance(got, NoInstance)
+                with_clique += not isinstance(got, (NoInstance, str)) and \
+                    bool(got.cliques)
+                got = _outcome(balanced_clique_cut, g, k, vertices)
+                assert got == _outcome(ref_balanced_clique_cut, g, k, vertices)
+                cuts += not isinstance(got, (NoInstance, str))
+    assert no_instances >= 100 and with_clique >= 100 and cuts >= 100

@@ -21,6 +21,7 @@ from chvd.chordal import (
     central_bag,
     chordal_with,
     clique_tree_of,
+    find_any_hole,
     find_hole_through,
     is_chordal,
     is_peo,
@@ -508,6 +509,29 @@ def test_chordality_in_place_matches_the_copying_reference():
         assert recognize(sub.graph) == ref_recognize(sub.graph)
         seen["chordal graph"] += isinstance(recognize(g), PEO)
     assert min(seen.values()) >= 50, seen
+
+
+def test_cliques_and_first_hole_in_place_match_the_renumbered_copy():
+    """maximal_cliques(g, S) and find_any_hole(g, S) equal the same calls
+    on the renumbered copy of g[S], mapped back."""
+    rng = random.Random(97)
+    holes = 0
+    for trial in range(400):
+        if trial % 2:
+            g, s = _random_graph_and_subset(rng)
+        else:
+            g = random_gnp(rng, rng.randint(4, 14), rng.choice((0.25, 0.4)))
+            s = {v for v in g.vertices() if rng.random() < 0.8}
+        sub = induced_subgraph(g, s)
+        assert maximal_cliques(g, s) == [
+            frozenset(sub.to_parent(c)) for c in maximal_cliques(sub.graph)]
+        want = find_any_hole(sub.graph)
+        got = find_any_hole(g, s)
+        assert got == (None if want is None else
+                       Hole(tuple(sub.old_of[v] for v in want.vertices)))
+        assert find_any_hole(g, None) == find_any_hole(g)
+        holes += got is not None
+    assert holes >= 75
 
 
 def test_chordality_queries_name_an_unknown_vertex():

@@ -102,6 +102,22 @@ def test_cli_check_rejects_non_solution(tmp_path, capsys):
     assert main(["check", str(inst_path), "--solution", str(sol_path)]) == 2
 
 
+@pytest.mark.parametrize("solution,fragment", [
+    ("s chvd 1\nv x\n", "line 2: non-integer field"),
+    ("s chvd one\nv 1\n", "line 1: non-integer field"),
+    ("c note\ns chvd 1\nv 1\ns chvd 1\n", "line 4: duplicate solution header"),
+])
+def test_cli_check_rejects_a_malformed_solution_with_its_line(
+        tmp_path, capsys, solution, fragment):
+    inst_path = tmp_path / "c4.chvd"
+    sol_path = tmp_path / "solution.txt"
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    inst_path.write_text(emit(InstanceFile.from_graph(g, 1)))
+    sol_path.write_text(solution)
+    assert main(["check", str(inst_path), "--solution", str(sol_path)]) == 2
+    assert fragment in capsys.readouterr().err
+
+
 def test_cli_kernelize_writes_kernel_and_trace(tmp_path):
     inst_path = tmp_path / "instance.chvd"
     out_path = tmp_path / "kernel.chvd"

@@ -346,7 +346,8 @@ def test_solve_fractional_below_integral_optimum():
         res = exact_chvd(g, g.n)
         assert x.objective <= res.optimum + 1e-6
         # scaling keeps feasibility
-        assert separate_chvd(g, x.scaled(1.5)) is None
+        assert separate_chvd(g, FractionalSolution(
+            {v: 1.5 * w for v, w in x.values.items()}, x.tolerance)) is None
 
 
 def test_solve_fractional_multicut():

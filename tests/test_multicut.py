@@ -6,8 +6,8 @@ import random
 import pytest
 
 from chvd import multicut
-from chvd.graphs import DiGraph, Graph, di_bfs_path
-from chvd.chordal import clique_tree_of
+from chvd.graphs import DiGraph, Graph, di_bfs_path, induced_subgraph
+from chvd.chordal import PEO, clique_tree_of, recognize
 from chvd.lp import FractionalSolution, MulticutProblem, solve_fractional
 from chvd.multicut import (
     DownwardInstance,
@@ -350,6 +350,45 @@ def test_build_downward_order_is_topological():
         for u, v in inst.digraph.arcs():
             assert r[u] < r[v]
         assert inst.digraph.is_acyclic()
+
+
+def test_build_downward_on_a_vertex_set_matches_the_renumbered_copy():
+    """build_downward(g, tree of g[A]) orients g[A] in g's ids, with the
+    order and arcs of the renumbered copy of g[A], mapped back, under any
+    root."""
+    rng = random.Random(61)
+    for _ in range(200):
+        g = random_chordal(rng, rng.randint(1, 16), rng.randint(1, 6), 2)
+        part = {v for v in g.vertices() if rng.random() < 0.7}
+        sub = induced_subgraph(g, part)
+        tree = clique_tree_of(g, part)
+        root = rng.randrange(len(tree.bags))
+        got = build_downward(g, tree.reroot(root))
+        want = build_downward(sub.graph,
+                              clique_tree_of(sub.graph).reroot(root))
+        assert got.digraph.n == g.n
+        assert got.order == tuple(sub.old_of[v] for v in want.order)
+        assert sorted(got.digraph.arcs()) == sorted(
+            (sub.old_of[u], sub.old_of[v]) for u, v in want.digraph.arcs())
+
+
+def test_clique_cover_chordal_is_the_greedy_cover_of_the_recognized_peo():
+    rng = random.Random(131)
+    for _ in range(60):
+        g = random_chordal(rng, rng.randint(0, 14), rng.randint(1, 6), 2)
+        order = recognize(g)
+        assert isinstance(order, PEO)
+        pos = order.position()
+        want, covered = [], set()
+        for v in order.ordering:
+            if v not in covered:
+                group = {v} | {u for u in g.neighbors(v)
+                               if pos[u] > pos[v] and u not in covered}
+                covered |= group
+                want.append(group)
+        assert clique_cover_chordal(g) == want
+    with pytest.raises(ValueError, match="requires a chordal graph"):
+        clique_cover_chordal(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
 
 
 def test_clique_cover_chordal_partitions():
