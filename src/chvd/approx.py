@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import AbstractSet, Optional, Union
 
-from .graphs import Graph, check, components_within
+from .graphs import Graph, check, components_within, is_clique
 from .chordal import (
     central_bag,
     clique_tree_of,
@@ -60,8 +60,7 @@ class Decomposition:
         check(union == vertices, "decomposition misses vertices")
         check(is_chordal(g, self.chordal_part), "chordal part is not chordal")
         for kq in self.cliques:
-            check(all(g.has_edge(u, v) for u in kq for v in kq if u < v),
-                  "clique part is not complete")
+            check(is_clique(g, kq), "clique part is not complete")
 
 
 def hit_holes_through(

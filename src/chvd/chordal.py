@@ -18,6 +18,7 @@ from typing import AbstractSet, Iterable, Optional, Sequence
 from .graphs import (
     Graph,
     Hole,
+    boundary,
     check,
     components_within,
     is_clique,
@@ -136,7 +137,7 @@ def chordal_with(g: Graph, core: AbstractSet[int], v: int) -> bool:
     """
     near = g.neighbor_set(v) & core
     for comp in components_within(g, core - near - {v}):
-        contact = {w for u in comp for w in g.neighbors(u)} & near
+        contact = boundary(g, comp) & near
         if not is_clique(g, contact):
             return False
     return True

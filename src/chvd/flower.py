@@ -6,7 +6,10 @@ under three improvement steps; a greedy pass over clique-tree cutpoints
 then produces a hitting set S with v not in S, g - S chordal, and
 |S| <= 12 * order(flower).  Both certificates are re-verified before
 being returned.  The search may run on an induced subgraph instead, in
-g's own ids, with the same results as on a renumbered copy.
+g's own ids, with the same results as on a renumbered copy.  Each
+shortest path it needs is one ``graphs.bfs_path`` search of g restricted
+to a vertex set; a shortest path has no chord, so a petal found that way
+is induced.
 """
 from __future__ import annotations
 
@@ -96,7 +99,8 @@ def two_disjoint_paths(
     everything = set(g.vertices() if allowed is None else allowed)
 
     def connected_avoiding(blocked: set[int]) -> bool:
-        return bfs_path(g, s2, [t2], allowed=everything - blocked) is not None
+        return bfs_path(g.neighbors, [s2], {t2},
+                        everything - blocked) is not None
 
     path1 = [s1]
     on_path = {s1}
@@ -105,7 +109,7 @@ def two_disjoint_paths(
         tip = path1[-1]
         if tip == t1:
             rest = everything - on_path
-            path2 = bfs_path(g, s2, [t2], allowed=rest)
+            path2 = bfs_path(g.neighbors, [s2], {t2}, rest)
             if path2 is not None:
                 return list(path1), path2
             return None
@@ -118,8 +122,8 @@ def two_disjoint_paths(
             path1.append(w)
             on_path.add(w)
             reach_ok = w == t1 or bfs_path(
-                g, w, [t1],
-                allowed=(everything - on_path - {s2, t2}) | {w},
+                g.neighbors, [w], {t1},
+                (everything - on_path - {s2, t2}) | {w},
             ) is not None
             if reach_ok and connected_avoiding(on_path):
                 found = extend()
@@ -160,16 +164,6 @@ class FlowerSearch:
         self.inside = core | {v}
 
 
-def _induced_path_between(
-    search: FlowerSearch, x: int, y: int, removed: set[int]
-) -> Optional[list[int]]:
-    """Induced xy-path in g[inside] - removed (endpoints excluded from
-    removal)."""
-    allowed = (search.inside - removed) | {x, y}
-    # A shortest path of g[allowed] has no chord, so it is already induced.
-    return bfs_path(search.g, x, [y], allowed=allowed)
-
-
 def _step_add_hole(search: FlowerSearch, f: Flower) -> Optional[Flower]:
     """Step I: a fresh hole through v avoiding the current flower."""
     g, v = search.g, search.v
@@ -181,8 +175,9 @@ def _step_add_hole(search: FlowerSearch, f: Flower) -> Optional[Flower]:
         for y in candidates[i + 1 :]:
             if g.has_edge(x, y):
                 continue
-            removed = (used | closed) - {x, y}
-            path = _induced_path_between(search, x, y, removed)
+            # A shortest path has no chord, so it is already induced.
+            path = bfs_path(g.neighbors, [x], {y},
+                            (search.inside - used - closed) | {x, y})
             if path is None:
                 continue
             petal = Hole(tuple([v] + path)).canonical()
@@ -220,7 +215,9 @@ def _step_shorten(search: FlowerSearch, f: Flower) -> Optional[Flower]:
                     continue
                 removed = ((closed - {s, t_new}) |
                            (used - petal_vertices - {v}))
-                new_path = _induced_path_between(search, s, t_new, removed)
+                # A shortest path has no chord, so it is already induced.
+                new_path = bfs_path(g.neighbors, [s], {t_new},
+                                    (search.inside - removed) | {s, t_new})
                 if new_path is None:
                     continue
                 petal = Hole(tuple([v] + new_path)).canonical()

@@ -1,7 +1,9 @@
 """Core graph types: undirected graphs, directed graphs, and holes, with
-the graph searches shared by every layer: one breadth-first search, one
-vertex-weighted search, maximum cardinality search, and the lightest
-hole, through a vertex or in the whole graph.
+the graph queries shared by every layer: the boundary N(S) - S of a
+vertex set, the clique test, one breadth-first search and one path
+search over any neighbours function, one vertex-weighted search, maximum
+cardinality search, and the lightest hole, through a vertex or in the
+whole graph.
 
 Vertices are dense integers 0..n-1.  Graphs are immutable after
 construction; every mutating operation (vertex deletion, edge addition,
@@ -19,7 +21,8 @@ from dataclasses import dataclass
 from collections import deque
 from functools import cached_property
 from typing import (
-    Callable, Collection, Container, Iterable, Iterator, Optional, Sequence,
+    AbstractSet, Callable, Collection, Container, Iterable, Iterator,
+    Optional, Sequence,
 )
 
 
@@ -191,6 +194,14 @@ def components_within(g: Graph, allowed: Iterable[int]) -> list[frozenset[int]]:
     return comps
 
 
+def boundary(g: Graph, s: AbstractSet[int]) -> frozenset[int]:
+    """N(s) - s: the vertices outside s with a neighbour in s."""
+    out: set[int] = set()
+    for v in s:
+        out.update(g.neighbors(v))
+    return frozenset(out - s)
+
+
 def is_clique(g: Graph, s: Iterable[int]) -> bool:
     vs = sorted(set(s))
     return all(g.has_edge(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :])
@@ -267,19 +278,20 @@ def mcs_order(g: Graph, vertices: Optional[Iterable[int]] = None) -> list[int]:
 
 
 def bfs_path(
-    g: Graph,
-    source: int,
-    targets: Iterable[int],
-    allowed: Optional[Iterable[int]] = None,
+    neighbors: Callable[[int], Iterable[int]],
+    sources: Iterable[int],
+    targets: Container[int],
+    allowed: Optional[Container[int]] = None,
 ) -> Optional[list[int]]:
-    """Shortest path (fewest vertices) from source to any target.
+    """A path with fewest vertices from the sources to any target inside
+    ``allowed`` (every vertex when None), or None.
 
-    Restricted to ``allowed`` vertices when given (which must include the
-    source and the reachable target).  Neighbors are explored in sorted
-    order, so the returned path is deterministic.
+    ``bfs`` finds it, on the same terms: ``neighbors`` gives out-neighbours,
+    so the search runs on a Graph or a DiGraph; sources are taken in the
+    order given; ``allowed`` binds sources and targets too.  The path is
+    the same one on every run.
     """
-    prev, t = bfs(g.neighbors, [source],
-                  None if allowed is None else set(allowed), set(targets))
+    prev, t = bfs(neighbors, sources, allowed, targets)
     return None if t is None else extract_path(prev, t)
 
 
@@ -342,7 +354,7 @@ def shortcut_walk(g: Graph, walk: Sequence[int]) -> list[int]:
     if not walk:
         raise ValueError("empty walk")
     s, t = walk[0], walk[-1]
-    path = bfs_path(g, s, [t], allowed=walk)
+    path = bfs_path(g.neighbors, [s], {t}, set(walk))
     check(path is not None, "walk endpoints disconnected within walk vertices")
     return path
 
@@ -616,18 +628,3 @@ class DiGraph:
     def __repr__(self) -> str:
         return f"DiGraph(n={self.n}, m={self.m})"
 
-
-def di_bfs_path(
-    d: DiGraph,
-    sources: Iterable[int],
-    targets: Iterable[int],
-    removed: Iterable[int] = (),
-) -> Optional[list[int]]:
-    """Shortest directed path from any source to any target avoiding removed."""
-    removed_set = set(removed)
-    target_set = set(targets) - removed_set
-    if not target_set:
-        return None
-    allowed = set(d.vertices()) - removed_set if removed_set else None
-    prev, t = bfs(d.out_neighbors, sorted(set(sources)), allowed, target_set)
-    return None if t is None else extract_path(prev, t)

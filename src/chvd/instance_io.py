@@ -159,9 +159,11 @@ def parse_solution(text: str) -> frozenset[int]:
     vertices: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("c"):
+        if not line:
             continue
         tag, *rest = line.split()
+        if tag == "c":
+            continue
         if tag == "s":
             if size is not None:
                 _fail(lineno, "duplicate solution header")

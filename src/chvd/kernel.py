@@ -16,9 +16,9 @@ first; each firing is recorded as one replayable trace event:
   7. bypass a component vertex outside the important set Z.
 
 The toughness template also runs inside rule 4 with per-pair separators.
-An instance is immutable, so it derives the clique tree of its core G - M,
-with bags in G's own ids, and the separator once; every rule of a round
-reads the same two.
+An instance is immutable, so it derives its core G - M, the clique tree
+of the core, with bags in G's own ids, and the separator once; every
+rule of a round reads the same three.
 Every event preserves the instance answer; the acceptance suite checks
 this against the exact oracle per event.
 """
@@ -29,7 +29,9 @@ from functools import cached_property
 from itertools import islice
 from typing import Iterable, Optional
 
-from .graphs import Graph, check, components_within, delete_vertices
+from .graphs import (
+    Graph, boundary, check, components_within, delete_vertices, is_clique,
+)
 from .chordal import CliqueTree, chordal_with, clique_tree_of, mis_chordal
 from .flower import flower_and_cover
 
@@ -55,16 +57,20 @@ class AChvdInstance:
         except ValueError:          # clique_tree_of found a hole in G - M
             tree = None
         check(tree is not None, "graph minus modulator is not chordal")
-        core = set(self.g.vertices()) - m
         for v in sorted(m):
-            check(chordal_with(self.g, core, v), "modulator is not tidy")
+            check(chordal_with(self.g, self.core, v), "modulator is not tidy")
 
     def forced_tuples(self) -> tuple[tuple[int, int], ...]:
         return tuple(tuple(sorted(p)) for p in sorted(self.forced, key=sorted))
 
     @cached_property
+    def core(self) -> frozenset[int]:
+        """The vertices of the core G - M."""
+        return frozenset(set(self.g.vertices()) - self.modulator)
+
+    @cached_property
     def tree(self) -> CliqueTree:
-        return clique_tree_of(self.g, set(self.g.vertices()) - self.modulator)
+        return clique_tree_of(self.g, self.core)
 
     @cached_property
     def separator(self) -> "SeparatorSet":
@@ -74,7 +80,7 @@ class AChvdInstance:
                  negatives: Iterable[int] = ()) -> frozenset[int]:
         """V(x1..xa, !y1..!yb): nonmodulator common neighbors of the
         positives avoiding all neighborhoods of the negatives."""
-        out = set(self.g.vertices()) - self.modulator
+        out = set(self.core)
         for x in positives:
             out &= self.g.neighbor_set(x)
         for y in negatives:
@@ -222,7 +228,7 @@ def template_toughness(
         return None
     candidates: dict[tuple[int, int], list[int]] = {}
     for idx, comp in enumerate(comps):
-        contact = sorted({w for v in comp for w in g.neighbors(v)} - comp)
+        contact = sorted(boundary(g, comp))
         for i, x in enumerate(contact):
             for y in contact[i + 1 :]:
                 candidates.setdefault((x, y), []).append(idx)
@@ -273,10 +279,8 @@ def _subtree_contacts(inst: AChvdInstance, tree: CliqueTree) -> Contacts:
         if tree.parent[q] is not None:
             below[tree.parent[q]] |= below[q]
     return [
-        frozenset(
-            frozenset(w for v in part for w in g.neighbors(v) if w in m)
-            for part in components_within(g, inside)
-        )
+        frozenset(boundary(g, part) & m
+                  for part in components_within(g, inside))
         for inside in below
     ]
 
@@ -424,13 +428,10 @@ def rule4_components(
         for y in ms:
             if y == x:
                 continue
-            boundary: set[int] = set()
-            for comp in comps_x:
-                if inst.g.neighbor_set(y) & comp:
-                    for v in comp:
-                        boundary.update(inst.g.neighbors(v))
-                    boundary -= comp
-            separator = frozenset(boundary) | inst.modulator
+            # A neighbour of one component of G(not x) lies in no other.
+            separator = inst.modulator.union(*(
+                boundary(inst.g, c) for c in comps_x
+                if inst.g.neighbor_set(y) & c))
             if separator in tried:
                 continue
             tried.add(separator)
@@ -478,10 +479,7 @@ def rule4_components(
 
 def _core_neighborhood(inst: AChvdInstance, comp: frozenset[int]) -> frozenset[int]:
     """Neighborhood of the component inside the chordal core."""
-    out: set[int] = set()
-    for v in comp:
-        out.update(inst.g.neighbors(v))
-    return frozenset(out - comp - inst.modulator)
+    return boundary(inst.g, comp) - inst.modulator
 
 
 @dataclass(frozen=True)
@@ -555,22 +553,14 @@ def rule5_separator_template(
     )
 
 
-DUMMY = -1
-
-
 @dataclass(frozen=True)
 class ComponentContext:
     """One component of the core minus the separator, with its boundary
     path and important-vertex machinery."""
 
     component: frozenset[int]
-    q_up: int
-    q_down: int                      # DUMMY for the virtual empty bag
-    path_nodes: tuple[int, ...]      # q_up .. q_down along the tree, DUMMY last
-    path_bags: tuple[frozenset[int], ...]
-    q2_positions: tuple[int, ...]
-    ridge_edges: tuple[int, ...]     # positions i: edge between bag i, i+1
-    important: frozenset[int]        # Z
+    path_bags: tuple[frozenset[int], ...]   # q_up .. q_down along the tree
+    important: frozenset[int]               # Z
 
 
 def component_context(inst: AChvdInstance,
@@ -602,35 +592,25 @@ def component_context(inst: AChvdInstance,
     check(len(others) <= 1,
           "more than two adhesion-carrying boundary nodes")
     if others:
-        q_down = others[0]
-        node_path = tree.node_path(q_up, q_down)
-        path_nodes = tuple(node_path)
+        path_nodes = tree.node_path(q_up, others[0])
+        q_down_bag: tuple[frozenset[int], ...] = ()
     else:
-        q_down = DUMMY
+        # q_down is a virtual empty bag below a leaf of the subtree
         leaves = [p for p in nodes_a
                   if not any(c in nodes_a for c in tree.children(p))]
-        leaf = min(leaves)
-        path_nodes = tuple(tree.node_path(q_up, leaf)) + (DUMMY,)
-    path_bags = tuple(frozenset() if q == DUMMY else tree.bags[q]
-                      for q in path_nodes)
-    outside = frozenset(
-        w
-        for v in comp
-        for w in inst.g.neighbors(v)
-        if w not in comp
-    )
-    check(outside <= inst.modulator | path_bags[0] | path_bags[-1],
+        path_nodes = tree.node_path(q_up, min(leaves))
+        q_down_bag = (frozenset(),)
+    path_bags = tuple(tree.bags[q] for q in path_nodes) + q_down_bag
+    check(boundary(inst.g, comp)
+          <= inst.modulator | path_bags[0] | path_bags[-1],
           "component neighborhood escapes the boundary bags")
     mod_nbhd = [inst.g.neighbor_set(v) & inst.modulator for v in sorted(comp)]
     check(all(nb == mod_nbhd[0] for nb in mod_nbhd),
           "component vertices disagree on modulator neighbors")
-    if mod_nbhd and mod_nbhd[0]:
-        anchor = sorted(mod_nbhd[0])
-        check(all(inst.g.has_edge(a, b) for i, a in enumerate(anchor)
-                  for b in anchor[i + 1 :]),
-              "modulator neighborhood of the component is not a clique")
+    check(not mod_nbhd or is_clique(inst.g, mod_nbhd[0]),
+          "modulator neighborhood of the component is not a clique")
 
-    positions = {0, len(path_nodes) - 1}
+    positions = {0, len(path_bags) - 1}
     for _ in range(2):
         layer = frozenset(
             v for i in positions for v in path_bags[i]
@@ -662,21 +642,12 @@ def component_context(inst: AChvdInstance,
     check(len(important) <= params.z_bound,
           "important set exceeds its marking-budget ceiling")
     return ComponentContext(
-        component=comp,
-        q_up=q_up,
-        q_down=q_down,
-        path_nodes=path_nodes,
-        path_bags=path_bags,
-        q2_positions=q2_positions,
-        ridge_edges=tuple(ridge),
-        important=important,
-    )
+        component=comp, path_bags=path_bags, important=important)
 
 
 def core_components_outside(inst: AChvdInstance,
                             sep: SeparatorSet) -> list[frozenset[int]]:
-    remaining = set(inst.g.vertices()) - inst.modulator - sep.vertices
-    return components_within(inst.g, remaining)
+    return components_within(inst.g, inst.core - sep.vertices)
 
 
 def rule6_irrelevant(

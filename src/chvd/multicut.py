@@ -18,10 +18,11 @@ from .graphs import (
     DiGraph,
     Graph,
     bfs,
+    bfs_path,
     check,
     check_vertex_ids,
     dijkstra_vertex_weights,
-    extract_path,
+    is_clique,
 )
 from .chordal import CliqueTree, _peo_of, is_chordal, minimal_path
 from .lp import FractionalSolution, at_least, separate_multicut
@@ -44,16 +45,6 @@ class MulticutInstance:
         reach = functools.cache(
             lambda s: bfs(self.d.out_neighbors, [s], alive)[0])
         return all(t not in reach(s) for s, t in self.terminals)
-
-
-def _st_path(
-    d: DiGraph, s: int, t: int, alive: AbstractSet[int]
-) -> Optional[list[int]]:
-    """A shortest st-path in d[alive], or None."""
-    if t not in alive:
-        return None
-    prev, found = bfs(d.out_neighbors, [s], alive, {t})
-    return None if found is None else extract_path(prev, found)
 
 
 @dataclass(frozen=True)
@@ -153,10 +144,9 @@ def min_vertex_cut(
 
     flow = 0
     while True:
-        prev, found = bfs(residual, [src], targets={dst})
-        if found is None:
+        path = bfs_path(residual, [src], {dst})
+        if path is None:
             break
-        path = extract_path(prev, dst)
         bottleneck = min(cap[a][b] for a, b in zip(path, path[1:]))
         for a, b in zip(path, path[1:]):
             cap[a][b] -= bottleneck
@@ -356,8 +346,7 @@ def clique_cover_chordal(h: Graph) -> list[frozenset[int]]:
             assigned |= group
             out.append(group)
     for c in out:
-        check(all(h.has_edge(p, q) for p in c for q in c if p < q),
-              "cover part is not a clique")
+        check(is_clique(h, c), "cover part is not a clique")
     check(sum(len(c) for c in out) == h.n and
           set().union(*out) == set(range(h.n)) if out else h.n == 0,
           "cover is not a partition")
@@ -395,7 +384,7 @@ def downward_multicut(
     live_pairs = []
     cores: dict[tuple[int, int], frozenset[int]] = {}
     for u, v in pairs:
-        path = _st_path(d, u, v, alive)
+        path = bfs_path(d.out_neighbors, [u], {v}, alive)
         if path is not None:
             live_pairs.append((u, v))
             cores[(u, v)] = frozenset(path[2:-2])

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .graphs import DiGraph, Graph, Hole, di_bfs_path, lightest_hole
+from .graphs import DiGraph, Graph, Hole, bfs_path, lightest_hole
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,8 @@ def exact_multicut(
     pairs = list(pairs)
 
     def find(deleted: frozenset[int]) -> Optional[tuple[int, ...]]:
-        paths = [di_bfs_path(d, [s], [t], removed=deleted) for s, t in pairs]
+        alive = set(d.vertices()) - deleted
+        paths = [bfs_path(d.out_neighbors, [s], {t}, alive) for s, t in pairs]
         path = min((p for p in paths if p is not None), key=len, default=None)
         if path is None:
             return None

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from chvd.graphs import Graph, delete_vertices, di_bfs_path, induced_subgraph
+from chvd.graphs import Graph, bfs_path, delete_vertices, induced_subgraph
 from chvd.chordal import is_chordal, minimal_path
 from chvd.flower import flower_and_cover
 from chvd.kernel import (
@@ -197,7 +197,8 @@ def test_criterion_5_downward_multicut_claims():
         inst, x = out
         got = downward_multicut(inst, x)
         assert all(
-            di_bfs_path(inst.digraph, [s], [t], removed=got) is None
+            bfs_path(inst.digraph.out_neighbors, [s], {t},
+                     set(inst.digraph.vertices()) - got) is None
             for s, t in inst.terminals
         )
         # claim: distance split sums to at least one (checked in-code too)
@@ -206,13 +207,15 @@ def test_criterion_5_downward_multicut_claims():
         live = [
             (u, v) for u, v in inst.terminals
             if u not in x0 and v not in x0
-            and di_bfs_path(inst.digraph, [u], [v], removed=x0) is not None
+            and bfs_path(inst.digraph.out_neighbors, [u], {v},
+                         set(inst.digraph.vertices()) - x0) is not None
         ]
         if live:
             deep += 1
             cores = {}
             for u, v in live:
-                path = di_bfs_path(inst.digraph, [u], [v], removed=x0)
+                path = bfs_path(inst.digraph.out_neighbors, [u], {v},
+                                set(inst.digraph.vertices()) - x0)
                 cores[(u, v)] = frozenset(path[2:-2])
                 nodes = minimal_path(inst.tree, u, v)
                 assert len(nodes) >= 3

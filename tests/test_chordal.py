@@ -191,7 +191,8 @@ def test_minimal_path_adhesions_cut_all_paths():
                     # deleting the adhesion must disconnect s from u
                     allowed = set(g.vertices()) - set(adh)
                     if s in allowed and u in allowed:
-                        assert bfs_path(g, s, [u], allowed=allowed) is None
+                        assert bfs_path(g.neighbors, [s], {u},
+                                        allowed) is None
 
 
 def test_induced_path_avoiding_p4():
@@ -213,7 +214,7 @@ def test_induced_path_avoiding_matches_bfs_oracle():
         forbidden = {v for v in verts if v not in (s, u) and rng.random() < 0.3}
         res = induced_path_avoiding(g, t, s, u, forbidden)
         allowed = set(verts) - forbidden
-        reachable = bfs_path(g, s, [u], allowed=allowed) is not None
+        reachable = bfs_path(g.neighbors, [s], {u}, allowed) is not None
         assert (res is not None) == reachable
         if res is not None:
             assert res[0] == s and res[-1] == u

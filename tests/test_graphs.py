@@ -10,8 +10,8 @@ from chvd.graphs import (
     Graph,
     Hole,
     bfs_path,
+    boundary,
     delete_vertices,
-    di_bfs_path,
     induced_subgraph,
     is_clique,
     is_induced_path,
@@ -103,12 +103,24 @@ def test_connected_components_partition_and_reachability():
             # every part passes a BFS-reachability check
             start = min(comp)
             for v in comp:
-                assert bfs_path(g, start, [v]) is not None
+                assert bfs_path(g.neighbors, [start], {v}) is not None
         assert union == set(g.vertices())
         for c1 in comps:
             for c2 in comps:
                 if c1 is not c2:
                     assert not any(g.has_edge(u, v) for u in c1 for v in c2)
+
+
+def test_boundary_is_the_open_neighbourhood_of_the_set():
+    rng = random.Random(17)
+    for trial in range(200):
+        n = rng.randint(1, 25)
+        g = random_gnp(rng, n, rng.uniform(0.0, 0.4))
+        s = (frozenset() if trial % 10 == 0 else
+             frozenset(v for v in g.vertices() if rng.random() < 0.3))
+        want = {w for w in g.vertices() if w not in s
+                and any(g.has_edge(w, v) for v in s)}
+        assert boundary(g, s) == want
 
 
 def test_is_clique():
@@ -158,9 +170,9 @@ def test_digraph_basics_and_acyclicity():
     assert d.has_arc(0, 1) and not d.has_arc(1, 0)
     assert d.is_acyclic()
     assert not DiGraph(2, [(0, 1), (1, 0)]).is_acyclic()
-    assert di_bfs_path(d, [0], [2]) == [0, 1, 2]
-    assert di_bfs_path(d, [2], [0]) is None
-    assert di_bfs_path(d, [0], [2], removed=[1]) is None
+    assert bfs_path(d.out_neighbors, [0], {2}) == [0, 1, 2]
+    assert bfs_path(d.out_neighbors, [2], {0}) is None
+    assert bfs_path(d.out_neighbors, [0], {2}, {0, 2}) is None
 
 
 def test_graph_copies_compare_and_hash_before_first_membership_query():

@@ -106,6 +106,8 @@ def test_cli_check_rejects_non_solution(tmp_path, capsys):
     ("s chvd 1\nv x\n", "line 2: non-integer field"),
     ("s chvd one\nv 1\n", "line 1: non-integer field"),
     ("c note\ns chvd 1\nv 1\ns chvd 1\n", "line 4: duplicate solution header"),
+    ("s chvd 1\nv 1\ncorrupt 5\nchvd 3\n", "line 3: unknown tag 'corrupt'"),
+    ("c\ns chvd 1\nv 1\nchvd 3\n", "line 4: unknown tag 'chvd'"),
 ])
 def test_cli_check_rejects_a_malformed_solution_with_its_line(
         tmp_path, capsys, solution, fragment):

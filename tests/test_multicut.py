@@ -6,7 +6,7 @@ import random
 import pytest
 
 from chvd import multicut
-from chvd.graphs import DiGraph, Graph, di_bfs_path, induced_subgraph
+from chvd.graphs import DiGraph, Graph, bfs_path, induced_subgraph
 from chvd.chordal import PEO, clique_tree_of, recognize
 from chvd.lp import FractionalSolution, MulticutProblem, solve_fractional
 from chvd.multicut import (
@@ -428,7 +428,7 @@ def _random_downward_instance(seed):
     candidates = [
         (u, v) for u in g.vertices() for v in g.vertices()
         if r[u] < r[v] and not g.has_edge(u, v)
-        and di_bfs_path(base.digraph, [u], [v]) is not None
+        and bfs_path(base.digraph.out_neighbors, [u], {v}) is not None
     ]
     if not candidates:
         return None
@@ -450,11 +450,13 @@ def test_downward_multicut_diffuse_instances_reach_cover_stage():
               if at_least(x.value(v), 1 / 8)}
         live = [
             (u, v) for u, v in inst.terminals
-            if di_bfs_path(inst.digraph, [u], [v], removed=x0) is not None
+            if bfs_path(inst.digraph.out_neighbors, [u], {v},
+                        set(inst.digraph.vertices()) - x0) is not None
         ]
         got = downward_multicut(inst, x)
         assert all(
-            di_bfs_path(inst.digraph, [s], [t], removed=got) is None
+            bfs_path(inst.digraph.out_neighbors, [s], {t},
+                     set(inst.digraph.vertices()) - got) is None
             for s, t in inst.terminals
         )
         if live:
@@ -471,7 +473,8 @@ def test_downward_multicut_random_instances():
         x = solve_fractional(MulticutProblem(inst.digraph, inst.terminals))
         got = downward_multicut(inst, x)
         assert all(
-            di_bfs_path(inst.digraph, [s], [t], removed=got) is None
+            bfs_path(inst.digraph.out_neighbors, [s], {t},
+                     set(inst.digraph.vertices()) - got) is None
             for s, t in inst.terminals
         )
         opt = exact_multicut(inst.digraph, list(inst.terminals), inst.g.n)

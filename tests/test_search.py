@@ -14,7 +14,6 @@ from chvd.graphs import (
     bfs,
     bfs_path,
     components_within,
-    di_bfs_path,
     dijkstra_vertex_weights,
 )
 from chvd.multicut import min_vertex_cut
@@ -69,7 +68,7 @@ def test_bfs_path_matches_reference():
             allowed = some(rng, n, rng.uniform(0.4, 1.0))
             if rng.random() < 0.8:
                 allowed.add(source)
-        assert (bfs_path(g, source, targets, allowed=allowed)
+        assert (bfs_path(g.neighbors, [source], set(targets), allowed)
                 == ref_bfs_path(g, source, targets, allowed=allowed))
 
 
@@ -85,9 +84,10 @@ def test_di_bfs_path_and_reach_match_reference():
         removed = some(rng, n, rng.uniform(0.0, 0.4))
         if rng.random() < 0.2:
             removed.add(targets[0])
-        assert (di_bfs_path(d, sources, targets, removed=removed)
-                == ref_di_bfs_path(d, sources, targets, removed=removed))
         alive = set(d.vertices()) - removed
+        assert (bfs_path(d.out_neighbors, sorted(set(sources)), set(targets),
+                         alive)
+                == ref_di_bfs_path(d, sources, targets, removed=removed))
         for reverse in (False, True):
             nbrs = d.in_neighbors if reverse else d.out_neighbors
             assert (set(bfs(nbrs, sorted(set(sources)), alive)[0])
