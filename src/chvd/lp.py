@@ -7,6 +7,14 @@ restricted problem.  Constraints are generated lazily by the separation
 oracles until none is violated; at that point the restricted optimum is
 feasible for the full LP and hence optimal.
 
+The cutting-plane loop keeps one tableau across rounds.  Each new
+constraint's column is brought in by replaying the recorded pivots on
+it, and pivoting goes on from the kept basis.  That is the path a cold
+start over the whole pool takes, with every value bit-equal, unless a
+recorded pivot entered a slack where Bland's rule would now enter the
+new column; then the round starts cold.  ``simplex_min_cover`` is the
+cold one-shot solve.
+
 Thresholds downstream (1/4, 1/8, 1/10, 1/20, 1/2) compare against these
 values; every such comparison treats ``>= t`` as ``>= t - 1e-9`` so float
 drift cannot flip a rule.
@@ -66,73 +74,135 @@ def simplex_min_cover(
 
     Works on the dual packing LP (slack basis feasible) and reads the
     primal solution off the slack reduced costs.  Bland's rule prevents
-    cycling.  With ``exact`` the tableau runs on Fractions.
+    cycling.  With ``exact`` the tableau runs on Fractions.  This is the
+    cold, one-shot solve; ``solve_fractional`` keeps its tableau across
+    rounds and reaches the same values.
     """
-    m = len(constraint_sets)
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
-    tol = Fraction(0) if exact else 1e-9
-    if m == 0 or n == 0:
-        return [zero] * n
-    # Dual: max sum y_j s.t. for each vertex v: sum_{j: v in P_j} y_j <= 1.
-    # Tableau rows = n vertex constraints; columns = m y-vars + n slacks + rhs.
-    width = m + n + 1
-    rows = []
-    for v in range(n):
-        row = [zero] * width
-        for j, cset in enumerate(constraint_sets):
-            if v in cset:
-                row[j] = one
-        row[m + v] = one
-        row[-1] = one
-        rows.append(row)
-    zrow = [one] * m + [zero] * n + [zero]
-    basis = [m + v for v in range(n)]
+    return _Tableau(n, constraint_sets, exact).solve()
 
-    max_pivots = 8000 + 40 * (n + m) * (n + m)
-    for _ in range(max_pivots):
-        enter = -1
-        for j in range(m + n):
-            if zrow[j] > tol:
-                enter = j
+
+def _pivot_budget(n: int, m: int) -> int:
+    """Pivots allowed to a cold solve over n vertices and m sets."""
+    return 8000 + 40 * (n + m) * (n + m)
+
+
+_SLACK_RANK = 1 << 62       # Bland's rule ranks every slack after every y
+
+
+class _Tableau:
+    """The dual packing tableau of a growing constraint pool, with a
+    record of every pivot made since its cold start.
+
+    Dual: max sum y_j s.t. for each vertex v: sum_{j: v in P_j} y_j <= 1.
+    Rows are the n vertex constraints, then the objective row; columns
+    are the n slacks, the right-hand side, then y_j in pool order.  Each
+    entry goes through the same operations, in the same order, as in a
+    cold tableau over the same pool, so every value is bit-equal.  A
+    pivot updates only the pivot row's nonzero columns: a skipped term is
+    a - f * 0, which can flip the sign of a zero but no comparison.
+    """
+
+    def __init__(self, n: int, constraint_sets: Sequence[frozenset[int]],
+                 exact: bool):
+        self.n = n
+        self.zero = zero = Fraction(0) if exact else 0.0
+        self.one = one = Fraction(1) if exact else 1.0
+        self.tol = Fraction(0) if exact else 1e-9
+        self.rows = [[zero] * n + [one] for _ in range(n)]
+        for v in range(n):
+            self.rows[v][v] = one
+        self.rows.append([zero] * (n + 1))
+        self.basis = [_SLACK_RANK + v for v in range(n)]
+        # per pivot: leaving row, whether a slack entered, the pivot
+        # value and the (row, multiplier) pairs, the objective row as n
+        self.record: list[tuple[int, bool, object, list]] = []
+        for cset in constraint_sets:
+            self.add(cset)
+
+    def add(self, cset: frozenset[int]) -> bool:
+        """Bring in the column of one more constraint set, or refuse.
+
+        The recorded pivots are replayed on the new column.  At a pivot
+        where a slack entered, a new column whose reduced cost is already
+        above the tolerance is the one a cold start's Bland rule would
+        have entered instead, so the paths part: refuse, and leave the
+        tableau as it was.
+        """
+        n, zero, tol = self.n, self.zero, self.tol
+        column = [self.one if v in cset else zero for v in range(n)]
+        column.append(self.one)
+        for leave, slack, piv, mults in self.record:
+            if slack and column[n] > tol:
+                return False
+            b = column[leave]
+            if b != zero:
+                b /= piv
+                column[leave] = b
+                for i, f in mults:
+                    column[i] -= f * b
+        for row, a in zip(self.rows, column):
+            row.append(a)
+        return True
+
+    def solve(self) -> list:
+        """Pivot to the optimum of the pool so far; return x.
+
+        The pivot budget counts every pivot since the cold start, against
+        the cold bound for the current pool.
+        """
+        n, zero, tol = self.n, self.zero, self.tol
+        rows, basis, record = self.rows, self.basis, self.record
+        zrow = rows[n]
+        m = len(zrow) - n - 1
+        if m == 0 or n == 0:
+            return [zero] * n
+        ys = range(n + 1, n + 1 + m)
+        max_pivots = _pivot_budget(n, m)
+        while True:
+            check(len(record) < max_pivots,
+                  "simplex exceeded its pivot budget")
+            enter = -1
+            for j in ys:
+                if zrow[j] > tol:
+                    enter = j
+                    break
+            else:
+                for j in range(n):
+                    if zrow[j] > tol:
+                        enter = j
+                        break
+            if enter < 0:
                 break
-        if enter < 0:
-            break
-        leave = -1
-        best = None
-        for i in range(n):
-            a = rows[i][enter]
-            if a > tol:
-                ratio = rows[i][-1] / a
-                if best is None or ratio < best - tol or (
-                    abs(ratio - best) <= tol
-                    and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best = ratio
-                    leave = i
-        check(leave >= 0, "dual packing LP is unbounded, which cannot happen")
-        # Update only the pivot row's nonzero columns: a skipped term is
-        # a - f * 0, which can flip the sign of a zero but no comparison.
-        prow = rows[leave]
-        piv = prow[enter]
-        nonzero = [k for k, b in enumerate(prow) if b != zero]
-        for k in nonzero:
-            prow[k] /= piv
-        entries = [(k, prow[k]) for k in nonzero]
-        for row in rows + [zrow]:
-            f = row[enter]
-            if row is not prow and f != zero:
-                for k, b in entries:
-                    row[k] -= f * b
-        basis[leave] = enter
-    else:
-        check(False, "simplex exceeded its pivot budget")
-    # Primal solution: x_v = -reduced cost of slack column v (shadow price).
-    xs = []
-    for v in range(n):
-        val = -zrow[m + v]
-        xs.append(val if val > zero else zero)
-    return xs
+            leave = -1
+            best = None
+            for i in range(n):
+                a = rows[i][enter]
+                if a > tol:
+                    ratio = rows[i][n] / a
+                    if best is None or ratio < best - tol or (
+                        abs(ratio - best) <= tol
+                        and (leave < 0 or basis[i] < basis[leave])
+                    ):
+                        best = ratio
+                        leave = i
+            check(leave >= 0, "dual packing LP is unbounded, which cannot happen")
+            prow = rows[leave]
+            piv = prow[enter]
+            nonzero = [k for k, b in enumerate(prow) if b != zero]
+            for k in nonzero:
+                prow[k] /= piv
+            entries = [(k, prow[k]) for k in nonzero]
+            mults = []
+            for i, row in enumerate(rows):
+                f = row[enter]
+                if i != leave and f != zero:
+                    mults.append((i, f))
+                    for k, b in entries:
+                        row[k] -= f * b
+            basis[leave] = enter - n - 1 if enter > n else _SLACK_RANK + enter
+            record.append((leave, enter < n, piv, mults))
+        # Primal solution: x_v = -reduced cost of slack column v (shadow price).
+        return [-z if -z > zero else zero for z in zrow[:n]]
 
 
 def separate_chvd(g: Graph, x: FractionalSolution) -> Optional[Hole]:
@@ -236,6 +306,7 @@ def solve_fractional(
     check_lp_options(tolerance, max_iters)
     n = problem.n
     pool: list[frozenset[int]] = []
+    tableau: Optional[_Tableau] = None
     x = FractionalSolution({v: 0.0 for v in range(n)}, tolerance)
     for _ in range(max_iters):
         violated = problem.separate(x)
@@ -244,6 +315,8 @@ def solve_fractional(
         check(violated not in pool,
               "separation returned a constraint already in the pool")
         pool.append(violated)
-        xs = simplex_min_cover(n, pool, exact=exact)
+        if tableau is None or not tableau.add(violated):
+            tableau = _Tableau(n, pool, exact)
+        xs = tableau.solve()
         x = FractionalSolution({v: float(xs[v]) for v in range(n)}, tolerance)
     raise CuttingPlaneCapExceeded(max_iters)

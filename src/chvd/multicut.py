@@ -5,14 +5,16 @@ Three layers: a minimum vertex cut (vertex-split max-flow), Skew Multicut
 and Multicut in downward-oriented chordal graphs (threshold deletion,
 chordal auxiliary graph, clique cover, then one min cut plus one skew
 instance per clique).  Every layer works in the caller's vertex ids and
-builds no digraph.  Every returned set is re-verified as a multicut.
+builds no digraph; the min cut builds no flow network either, only flow
+tables, and its cut does not depend on the order of the search.  Every
+returned set is re-verified as a multicut.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import AbstractSet, Optional, Sequence
+from typing import AbstractSet, Iterator, Optional, Sequence
 
 from .graphs import (
     DiGraph,
@@ -22,6 +24,7 @@ from .graphs import (
     check,
     check_vertex_ids,
     dijkstra_vertex_weights,
+    extract_path,
     is_clique,
 )
 from .chordal import CliqueTree, _peo_of, is_chordal, minimal_path
@@ -88,19 +91,31 @@ def min_vertex_cut(
 ) -> frozenset[int]:
     """Minimum-cardinality deletable vertex set disconnecting sources from sinks.
 
-    Vertex-split max-flow: v becomes v_in -> v_out with capacity one when
-    deletable, unbounded otherwise.  Raises ValueError when no deletable
-    cut exists (an all-undeletable path).
+    Vertex-split max-flow: v becomes v_in -> v_out with capacity
+    ``unit`` = |alive| + 2 when deletable and ``inf`` = unit * (|alive| + 1),
+    more than any deletable cut costs, otherwise.  The arcs of d, into
+    the sources and out of the sinks are unbounded: no minimum cut
+    crosses them, so a bound of ``inf`` on them would change no cut.
+    Raises ValueError when no deletable cut exists (an all-undeletable
+    path).
 
     ``prefer_avoiding`` is a soft secondary objective: among minimum
-    cuts, one using the fewest listed vertices is returned (capacities
-    are scaled so cardinality stays the primary criterion).
+    cuts, one using the fewest listed vertices is returned (their
+    capacity is unit + 1, so cardinality stays the primary criterion).
 
     ``alive`` (every vertex when None) restricts the problem to d[alive]:
-    other vertices, and terminals among them, are ignored.  The network
-    keeps d's ids, which orders its nodes as renumbering d[alive] would,
-    so the cut is the one the induced subgraph gives.  Raises ValueError
-    on an alive id outside 0..n-1.
+    other vertices, and terminals among them, are ignored.  Raises
+    ValueError on an alive id outside 0..n-1.
+
+    No network is built.  The flow through each split arc and the flow on
+    each used arc of d are the only tables, and the search reads the
+    residual arcs off ``d.out_neighbors`` and those tables.  Which
+    augmenting paths it takes does not matter: after any maximum flow,
+    the nodes reachable from the source in the residual network are the
+    same set, the intersection of the source sides of all minimum cuts.
+    So the cut, the flow value and the refusal are those of any other
+    order of search, and the last search, which fails, visits exactly
+    that set.  The cut iterates in ``alive`` order.
 
     d is a DiGraph or anything else with ``n`` and ``out_neighbors``.
     """
@@ -108,59 +123,75 @@ def min_vertex_cut(
         alive = range(d.n)
     else:
         check_vertex_ids(alive, d.n)
-    deletable_set = set(deletable)
-    avoid_set = set(prefer_avoiding) & deletable_set
     unit = len(alive) + 2
     inf = unit * (len(alive) + 1)
-    # node 2v = v_in, 2v+1 = v_out; 2n = super source, 2n+1 = super sink
-    src, dst = 2 * d.n, 2 * d.n + 1
-    cap: dict[int, dict[int, int]] = {src: {}, dst: {}}
-    for v in alive:
-        cap[2 * v] = {}
-        cap[2 * v + 1] = {}
+    avoid_set = set(prefer_avoiding)
+    capacity = {v: unit + 1 if v in avoid_set else unit for v in deletable}
+    out_neighbors = d.out_neighbors
+    # node 2v is v_in, 2v+1 is v_out.  through[v] is the flow on v's split
+    # arc; carried[w][v] is the flow on arc v -> w of d while positive.
+    through: dict[int, int] = {}
+    carried: dict[int, dict[int, int]] = {}
 
-    def add(a: int, b: int, c: int) -> None:
-        cap[a][b] = cap[a].get(b, 0) + c
-        cap[b].setdefault(a, 0)
-
-    for v in alive:
-        if v in deletable_set:
-            add(2 * v, 2 * v + 1, unit + 1 if v in avoid_set else unit)
+    def residual(a: int) -> Iterator[int]:
+        v = a >> 1
+        if a & 1:
+            for w in out_neighbors(v):
+                if w in alive:
+                    yield 2 * w
+            if through.get(v):
+                yield a - 1
         else:
-            add(2 * v, 2 * v + 1, inf)
-        for w in d.out_neighbors(v):
-            if w in alive:
-                add(2 * v + 1, 2 * w, inf)
-    for s in set(sources).intersection(alive):
-        add(src, 2 * s, inf)
-    for t in set(sinks).intersection(alive):
-        add(2 * t + 1, dst, inf)
-    # arcs are fixed from here on; only their residual capacities change
-    heads = {a: sorted(out) for a, out in cap.items()}
+            if through.get(v, 0) < capacity.get(v, inf):
+                yield a + 1
+            for u in carried.get(v, ()):
+                yield 2 * u + 1
 
-    def residual(a: int) -> list[int]:
-        out = cap[a]
-        return [b for b in heads[a] if out[b] > 0]
-
+    starts = [2 * s for s in set(sources).intersection(alive)]
+    ends = {2 * t + 1 for t in set(sinks).intersection(alive)}
     flow = 0
     while True:
-        path = bfs_path(residual, [src], {dst})
-        if path is None:
+        prev, end = bfs(residual, starts, targets=ends)
+        if end is None:
             break
-        bottleneck = min(cap[a][b] for a, b in zip(path, path[1:]))
-        for a, b in zip(path, path[1:]):
-            cap[a][b] -= bottleneck
-            cap[b][a] += bottleneck
+        path = extract_path(prev, end)
+        steps = list(zip(path, path[1:]))
+        # the least residual capacity of the split arcs and backward arcs
+        bottleneck = inf
+        for a, b in steps:
+            v, w = a >> 1, b >> 1
+            if v != w:
+                if not a & 1:           # arc w -> v of d, backward
+                    bottleneck = min(bottleneck, carried[v][w])
+            elif b > a:                 # v's split arc, forward
+                bottleneck = min(bottleneck,
+                                 capacity.get(v, inf) - through.get(v, 0))
+            else:                       # v's split arc, backward
+                bottleneck = min(bottleneck, through[v])
+        for a, b in steps:
+            v, w = a >> 1, b >> 1
+            if v != w:
+                if a & 1:
+                    into = carried.setdefault(w, {})
+                    into[v] = into.get(v, 0) + bottleneck
+                else:
+                    into = carried[v]
+                    into[w] -= bottleneck
+                    if not into[w]:
+                        del into[w]
+            elif b > a:
+                through[v] = through.get(v, 0) + bottleneck
+            else:
+                through[v] -= bottleneck
         flow += bottleneck
         if flow >= inf:
             raise ValueError(
                 "sources and sinks cannot be separated by deletable vertices"
             )
-    reach = bfs(residual, [src])[0]
     cut = frozenset(
-        v for v in alive if 2 * v in reach and 2 * v + 1 not in reach
+        v for v in alive if 2 * v in prev and 2 * v + 1 not in prev
     )
-    cost = sum(unit + 1 if v in avoid_set else unit for v in cut)
+    cost = sum(capacity.get(v, inf) for v in cut)
     check(cost == flow, "max-flow / min-cut mismatch")
     return cut
 

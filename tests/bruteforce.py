@@ -15,15 +15,19 @@ alive vertex, with no floor, under a unit table, so on the heap search.
 ``ref_separate_multicut`` runs one full ``ref_dijkstra_vertex_weights``
 search per terminal pair, with no cutoff and no sharing between pairs of
 one source.  ``ref_simplex_min_cover`` is the dense simplex
-whose pivots rewrite every column, not only the pivot row's nonzero ones.  ``ref_template_toughness`` tests
+whose pivots rewrite every column, not only the pivot row's nonzero ones,
+started cold on the whole pool; ``solve_fractional``'s kept tableau must
+reach its values every round.  ``ref_template_toughness`` tests
 every separator pair against every component, and
 ``ref_xy_good_bottommost`` recomputes every subtree for every pair; they
 share ``components_within`` and the event plumbing of ``chvd.kernel``.
 ``ref_bfs_path``, ``ref_di_bfs_path``, ``ref_di_reachable``,
 ``ref_components_within`` and ``ref_min_vertex_cut`` are the hand-written
 queue loops that one breadth-first search in ``chvd.graphs`` replaced;
-``ref_min_vertex_cut`` also builds its network over every vertex, so the
-``alive`` restriction is checked against it on an induced copy.
+``ref_min_vertex_cut`` also builds its split network over every vertex
+and scans each node's heads in sorted order, so the ``alive`` restriction
+is checked against it on an induced copy, and a search in any other
+order must still reach its cut.
 ``ref_exact_chvd`` and ``ref_exact_multicut`` are the exact searches without
 a pool of found sets: a fresh hole (or terminal-path) search at every node.
 They call ``oracle.shortest_hole_avoiding`` by name, so a test can count

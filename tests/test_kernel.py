@@ -301,6 +301,23 @@ def test_component_context_invariants():
             assert ctx.important <= comp
 
 
+def test_component_context_closes_a_one_sided_path_with_an_empty_bag():
+    """A component whose subtree carries an adhesion only towards its
+    parent ends its boundary path in a virtual empty bag, so the far end
+    adds nothing to the important set."""
+    path = [(i, i + 1) for i in range(1, 8)]
+    g = Graph(9, path + [(0, 1)])
+    inst = AChvdInstance(g, 0, frozenset({0}))
+    inst.validate()
+    # bags {1,2}, {2,3}, ..., {7,8}, rooted at {1,2}; the tail 5..8 meets
+    # the rest of the tree only through the adhesion {4} above it
+    ctx = component_context(inst, frozenset({5, 6, 7, 8}))
+    assert ctx.path_bags == (frozenset({3, 4}), frozenset({4, 5}),
+                             frozenset({5, 6}), frozenset({6, 7}),
+                             frozenset({7, 8}), frozenset())
+    assert ctx.important == {5, 6}
+
+
 def test_rule7_bypass_preserves_chordality_and_answer():
     # a long core path hanging between two bags: inner vertices get
     # bypassed once the other rules are exhausted

@@ -81,26 +81,131 @@ def test_simplex_matches_the_dense_reference():
         assert list(map(repr, got)) == list(map(repr, want))
 
 
+@dataclass(frozen=True)
+class ReferenceRounds:
+    """A problem whose separation first checks the round's x against the
+    dense reference over the pool so far, repr for repr, then asks the
+    inner problem and pools what it returns."""
+
+    inner: object
+    exact: bool
+    pools: list
+
+    @property
+    def n(self) -> int:
+        return self.inner.n
+
+    def separate(self, x):
+        pool = self.pools[-1] if self.pools else []
+        if pool:
+            want = ref_simplex_min_cover(self.n, pool, exact=self.exact)
+            assert list(map(repr, x.values.values())) == [
+                repr(float(w)) for w in want]
+        found = self.inner.separate(x)
+        if found is not None:
+            self.pools.append(pool + [found])
+        return found
+
+
+@dataclass(frozen=True)
+class Scripted:
+    """Separation that hands out the given sets in order, then None."""
+
+    n: int
+    sets: list
+
+    def separate(self, x):
+        return self.sets.pop(0) if self.sets else None
+
+
+def counting_adds(monkeypatch):
+    """Patch ``_Tableau.add`` to list, per call on a tableau that has
+    pivoted, whether the kept tableau took the column."""
+    outcomes = []
+    add = lp._Tableau.add
+
+    def counting(self, cset):
+        took = add(self, cset)
+        if self.record:
+            outcomes.append(took)
+        return took
+
+    monkeypatch.setattr(lp._Tableau, "add", counting)
+    return outcomes
+
+
 def test_simplex_matches_the_dense_reference_every_cutting_plane_round(
         monkeypatch):
-    calls = []
-
-    def both(n, sets, exact=False):
-        got = simplex_min_cover(n, sets, exact=exact)
-        assert list(map(repr, got)) == list(
-            map(repr, ref_simplex_min_cover(n, sets, exact=exact)))
-        calls.append(len(sets))
-        return got
-
-    monkeypatch.setattr(lp, "simplex_min_cover", both)
+    """solve_fractional keeps one tableau across rounds and starts cold
+    only when the kept one refuses a column; every round's x is still the
+    dense cold simplex's, float for float and Fraction for Fraction."""
+    outcomes = counting_adds(monkeypatch)
+    pools = []
     for seed in range(3):
         g, _, _ = generate(GeneratorSpec(seed=seed, core_vertices=30,
                                          tree_nodes=10, planted=4,
                                          noise_edges=1))
-        solve_fractional(ChvdProblem(g), exact=seed == 0)
+        problem = ReferenceRounds(ChvdProblem(g), seed == 0, [])
+        solve_fractional(problem, exact=problem.exact)
+        pools += problem.pools
         d, _, _, pairs = random_staircase(seed, n=40, a=8, b=8, p=0.3)
-        solve_fractional(MulticutProblem(d, tuple(pairs)))
-    assert len(calls) >= 50 and max(calls) >= 12
+        problem = ReferenceRounds(MulticutProblem(d, tuple(pairs)), False,
+                                  [])
+        solve_fractional(problem)
+        pools += problem.pools
+    assert len(pools) >= 50 and max(map(len, pools)) >= 12
+    assert outcomes.count(True) >= 10 and outcomes.count(False) >= 3
+
+
+# Each set is violated by the x of the round that adds it.  The third
+# round ends on a pivot that entered a slack, where the fourth column
+# {0, 1} already has reduced cost 1: a cold start enters that column
+# there instead, so the kept tableau refuses it and the fourth round
+# starts cold.  The fifth column is taken again.  Taking the fourth too
+# would end at x = (0, 1, 0, 1), not the cold (1/2, 1/2, 1/2, 1/2).
+REFUSED_POOL = ({0, 1, 2}, {1, 3}, {2, 3}, {0, 1}, {0, 3})
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_slack_pivot_refuses_the_column_a_cold_start_would_enter(
+        monkeypatch, exact):
+    outcomes = counting_adds(monkeypatch)
+    sets = [frozenset(s) for s in REFUSED_POOL]
+    problem = ReferenceRounds(Scripted(4, list(sets)), exact, [])
+    x = solve_fractional(problem, exact=exact)
+    assert outcomes == [True, True, False, True]
+    assert len(problem.pools) == 5
+    assert x.values == {v: 0.5 for v in range(4)}
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_the_kept_tableau_spends_the_cold_pivot_budget(monkeypatch, exact):
+    """The budget counts every pivot since the cold start against the
+    cold bound for the current pool, and raises where a cold solve of the
+    whole pool raises."""
+    sets = [frozenset(s) for s in REFUSED_POOL]
+    cold = {}
+    for m in range(1, len(sets) + 1):
+        tableau = lp._Tableau(4, sets[:m], exact)
+        tableau.solve()
+        cold[m] = len(tableau.record)
+    # the last round continues the fourth round's cold start, so its own
+    # pivots alone stay below the budget
+    assert cold[5] > cold[5] - cold[4] > 0
+    for spare, raises in ((0, True), (1, False)):
+        monkeypatch.setattr(lp, "_pivot_budget", lambda n, m: (
+            cold[m] + spare if m == len(sets) else 10 ** 6))
+        problem = Scripted(4, list(sets))
+        if raises:
+            with pytest.raises(graphs.InvariantError, match="pivot budget"):
+                simplex_min_cover(4, sets, exact=exact)
+            with pytest.raises(graphs.InvariantError, match="pivot budget"):
+                solve_fractional(problem, exact=exact)
+        else:
+            assert simplex_min_cover(4, sets, exact=exact) == \
+                ref_simplex_min_cover(4, sets, exact=exact)
+            assert solve_fractional(problem, exact=exact).values == {
+                v: 0.5 for v in range(4)}
 
 
 def test_simplex_value_is_lp_optimal_vs_enumeration():

@@ -163,6 +163,63 @@ def test_min_vertex_cut_on_alive_matches_the_induced_copy():
     assert refused >= 20 and cut >= 50
 
 
+class ReorderedView:
+    """d, read-only, with every out- and in-neighbour tuple reordered."""
+
+    def __init__(self, d, reorder):
+        self.n = d.n
+        out = [reorder(d.out_neighbors(v)) for v in d.vertices()]
+        into = [reorder(d.in_neighbors(v)) for v in d.vertices()]
+        self.out_neighbors = out.__getitem__
+        self.in_neighbors = into.__getitem__
+
+
+def test_min_vertex_cut_does_not_depend_on_neighbour_order():
+    """Every maximum flow leaves the same residual reach, so any order of
+    search gives the reference cut, listed in alive order, and refuses
+    where the reference refuses."""
+    rng = random.Random(16)
+    refused = cut = avoided = 0
+    for trial in range(300):
+        n = rng.randint(2, 24)
+        p = rng.uniform(0.05, 0.3)
+        d = random_dag(rng, n, p) if trial % 2 else random_digraph(rng, n, p)
+        alive = some(rng, n, rng.uniform(0.3, 1.0)) if trial % 3 else None
+        sources = rng.sample(range(n), rng.randint(1, min(4, n)))
+        sinks = rng.sample(range(n), rng.randint(1, min(4, n)))
+        deletable = some(rng, n, rng.uniform(0.5, 1.0))
+        avoid = some(rng, n, rng.uniform(0.2, 0.6))
+        sub = ref_induced_digraph(d, range(n) if alive is None else alive)
+        m = sub.index
+
+        def local(vs):
+            return [m[v] for v in vs if v in m]
+
+        try:
+            want = frozenset(sub.old_of[v] for v in ref_min_vertex_cut(
+                sub.graph, local(sources), local(sinks), local(deletable),
+                local(avoid)))
+        except ValueError:
+            want = None
+        order = range(n) if alive is None else alive
+        for reorder in (lambda t: t[::-1],
+                        lambda t: tuple(rng.sample(t, len(t)))):
+            view = ReorderedView(d, reorder)
+            if want is None:
+                with pytest.raises(ValueError):
+                    min_vertex_cut(view, sources, sinks, deletable, avoid,
+                                   alive=alive)
+                continue
+            got = min_vertex_cut(view, sources, sinks, deletable, avoid,
+                                 alive=alive)
+            assert got == want
+            assert list(got) == list(frozenset(v for v in order if v in want))
+        refused += want is None
+        cut += bool(want)
+        avoided += bool(want and want & avoid)
+    assert refused >= 25 and cut >= 100 and avoided >= 40
+
+
 def test_vertex_weighted_search_matches_the_heap_reference():
     """Unit weights run by layers and tables run on the heap; both give
     the frozen heap search's distances and predecessors, values and
