@@ -560,7 +560,7 @@ class DiGraph:
     of the type and is checked by callers where required.
     """
 
-    __slots__ = ("_out", "_in", "_outset", "_m")
+    __slots__ = ("_out", "_in", "_m")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
         out: list[set[int]] = [set() for _ in range(n)]
@@ -578,7 +578,6 @@ class DiGraph:
             m += 1
         self._out = tuple(tuple(sorted(s)) for s in out)
         self._in = tuple(tuple(sorted(s)) for s in into)
-        self._outset = tuple(frozenset(s) for s in out)
         self._m = m
 
     @property
@@ -597,9 +596,6 @@ class DiGraph:
 
     def in_neighbors(self, v: int) -> tuple[int, ...]:
         return self._in[v]
-
-    def has_arc(self, u: int, v: int) -> bool:
-        return v in self._outset[u]
 
     def arcs(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):

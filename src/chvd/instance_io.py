@@ -45,7 +45,7 @@ class InstanceFile:
             k=k,
             edges=tuple(sorted((min(u, v), max(u, v)) for u, v in g.edges())),
             modulator=tuple(sorted(set(modulator))),
-            forced=tuple(sorted((min(x, y), max(x, y)) for x, y in forced)),
+            forced=tuple(sorted({(min(x, y), max(x, y)) for x, y in forced})),
             comments=tuple(comments),
         )
 
@@ -67,7 +67,7 @@ def parse(text: str) -> InstanceFile:
     header = None
     edges: list[tuple[int, int]] = []
     modulator: list[int] = []
-    forced: list[tuple[int, int]] = []
+    forced: set[tuple[int, int]] = set()
     comments: list[str] = []
     seen_edges: set[tuple[int, int]] = set()
 
@@ -117,7 +117,10 @@ def parse(text: str) -> InstanceFile:
             x, y = _ints(lineno, rest, 2)
             if not (0 <= x < header[0] and 0 <= y < header[0]) or x == y:
                 _fail(lineno, f"bad forced pair ({x},{y})")
-            forced.append((min(x, y), max(x, y)))
+            key = (min(x, y), max(x, y))
+            if key in forced:
+                _fail(lineno, f"duplicate forced pair ({x},{y})")
+            forced.add(key)
         else:
             _fail(lineno, f"unknown line tag {tag!r}")
     if header is None:
@@ -131,7 +134,7 @@ def parse(text: str) -> InstanceFile:
         k=k,
         edges=tuple(sorted(edges)),
         modulator=tuple(sorted(modulator)),
-        forced=tuple(sorted(set(forced))),
+        forced=tuple(sorted(forced)),
         comments=tuple(comments),
     )
 

@@ -17,14 +17,15 @@ first; each firing is recorded as one replayable trace event:
 
 The toughness template also runs inside rule 4 with per-pair separators.
 An instance is immutable, so it derives its core G - M, the clique tree
-of the core, with bags in G's own ids, and the separator once; every
-rule of a round reads the same three.
+of the core, with bags in G's own ids, the separator and the contexts of
+the components of the core minus the separator once.  Every rule takes
+only the instance and reads these as it needs them.
 Every event preserves the instance answer; the acceptance suite checks
 this against the exact oracle per event.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import islice
 from typing import Iterable, Optional
@@ -75,6 +76,14 @@ class AChvdInstance:
     @cached_property
     def separator(self) -> "SeparatorSet":
         return build_separator(self)
+
+    @cached_property
+    def contexts(self) -> tuple["ComponentContext", ...]:
+        """The context of each component of the core minus the separator,
+        in component order."""
+        return tuple(
+            component_context(self, comp) for comp in components_within(
+                self.g, self.core - self.separator.vertices))
 
     def selector(self, positives: Iterable[int] = (),
                  negatives: Iterable[int] = ()) -> frozenset[int]:
@@ -176,9 +185,7 @@ def _finish(inst: AChvdInstance, event: ReductionEvent) -> tuple[
     out = apply_event(inst, event)
     counters = (("n", out.g.n), ("m", out.g.m),
                 ("modulator", len(out.modulator)), ("forced", len(out.forced)))
-    return out, ReductionEvent(event.rule, event.witness, event.deleted,
-                               event.added_edges, event.forced_pair,
-                               event.k_delta, counters)
+    return out, replace(event, counters=counters)
 
 
 def _modulator_pairs(inst: AChvdInstance, adjacent: bool) -> list[tuple[int, int]]:
@@ -331,18 +338,22 @@ def _mark_up_to(candidates: list[int], budget: int, marked: set[int]) -> None:
 
 
 def rule3_reduce_clique(
-    inst: AChvdInstance, clique: frozenset[int]
+    inst: AChvdInstance,
 ) -> Optional[tuple[AChvdInstance, ReductionEvent]]:
     """Delete an unmarked vertex of an oversized core clique.
 
-    Re-checks the path-forcing rule against the re-rooted tree first (its
-    bound is rooting-dependent), then marks per the four point classes and
-    deletes the smallest unmarked clique vertex.
+    The clique is the largest bag above the clique-size bound, the first
+    by sorted members among ties.  Re-checks the path-forcing rule against
+    the tree re-rooted at it first (its bound is rooting-dependent), then
+    marks per the four point classes and deletes the smallest unmarked
+    clique vertex.
     """
     params = KernelParams.of(inst)
-    check(len(clique) > params.omega_bound, "clique is not oversized")
-    root = inst.tree.first_bag_containing(clique)
-    check(root is not None, "oversized clique not contained in any bag")
+    # bags come sorted by their sorted members, and max keeps the first
+    root = max(inst.tree.nodes(), key=lambda q: len(inst.tree.bags[q]))
+    clique = inst.tree.bags[root]
+    if len(clique) <= params.omega_bound:
+        return None
     tree = inst.tree.reroot(root)
     contacts = _subtree_contacts(inst, tree)
 
@@ -399,14 +410,6 @@ def rule3_reduce_clique(
         deleted=(unmarked[0],),
     )
     return _finish(inst, event)
-
-
-def find_oversized_clique(inst: AChvdInstance) -> Optional[frozenset[int]]:
-    params = KernelParams.of(inst)
-    oversized = [bag for bag in inst.tree.bags if len(bag) > params.omega_bound]
-    if not oversized:
-        return None
-    return sorted(oversized, key=lambda c: (-len(c), sorted(c)))[0]
 
 
 def rule4_components(
@@ -484,17 +487,11 @@ def _core_neighborhood(inst: AChvdInstance, comp: frozenset[int]) -> frozenset[i
 
 @dataclass(frozen=True)
 class SeparatorSet:
-    """Marked nodes, their LCA closure, and the union of their bags.
-
-    ``ceilings`` logs the explicit numeric bounds implied by the marking
-    budgets (marked-node count, separator size); they are asserted when
-    the clique-size bound already holds.
-    """
+    """Marked nodes, their LCA closure, and the union of their bags."""
 
     marked_nodes: frozenset[int]
     closed_nodes: frozenset[int]
     vertices: frozenset[int]        # S_Q
-    ceilings: tuple[tuple[str, int], ...] = ()
 
 
 def build_separator(inst: AChvdInstance) -> SeparatorSet:
@@ -534,23 +531,21 @@ def build_separator(inst: AChvdInstance) -> SeparatorSet:
     q0_ceiling = m * m * (k + 2) * params.omega_bound \
         + m * params.component_count_bound
     sep_ceiling = (1 + 2 * q0_ceiling) * params.omega_bound + m
+    # the marking budgets bound the separator once cliques are bounded
     omega_core = max((len(bag) for bag in tree.bags), default=0)
     if omega_core <= params.omega_bound:
         check(len(q0) <= q0_ceiling, "marked-node count exceeds its ceiling")
         check(len(vertices | inst.modulator) <= sep_ceiling,
               "separator size exceeds its ceiling")
-    return SeparatorSet(
-        frozenset(q0), frozenset(closed), vertices,
-        ceilings=(("marked_nodes", q0_ceiling), ("separator", sep_ceiling)),
-    )
+    return SeparatorSet(frozenset(q0), frozenset(closed), vertices)
 
 
 def rule5_separator_template(
-    inst: AChvdInstance, sep: SeparatorSet
+    inst: AChvdInstance,
 ) -> Optional[tuple[AChvdInstance, ReductionEvent]]:
     return template_toughness(
-        inst, sep.vertices | inst.modulator, "rule5", ("separator",)
-    )
+        inst, inst.separator.vertices | inst.modulator, "rule5",
+        ("separator",))
 
 
 @dataclass(frozen=True)
@@ -645,23 +640,17 @@ def component_context(inst: AChvdInstance,
         component=comp, path_bags=path_bags, important=important)
 
 
-def core_components_outside(inst: AChvdInstance,
-                            sep: SeparatorSet) -> list[frozenset[int]]:
-    return components_within(inst.g, inst.core - sep.vertices)
-
-
 def rule6_irrelevant(
-    inst: AChvdInstance, sep: SeparatorSet
+    inst: AChvdInstance,
 ) -> Optional[tuple[AChvdInstance, ReductionEvent]]:
     """Delete a component vertex whose bags all miss the boundary path."""
-    for comp in core_components_outside(inst, sep):
-        ctx = component_context(inst, comp)
+    for ctx in inst.contexts:
         on_path = frozenset(v for bag in ctx.path_bags for v in bag)
-        stranded = sorted(comp - on_path)
+        stranded = sorted(ctx.component - on_path)
         if stranded:
             event = ReductionEvent(
                 rule="rule6",
-                witness=(min(comp),),
+                witness=(min(ctx.component),),
                 deleted=(stranded[0],),
             )
             return _finish(inst, event)
@@ -669,13 +658,12 @@ def rule6_irrelevant(
 
 
 def rule7_bypass(
-    inst: AChvdInstance, sep: SeparatorSet
+    inst: AChvdInstance,
 ) -> Optional[tuple[AChvdInstance, ReductionEvent]]:
     """Bypass a component vertex outside Z: cliquify its neighborhood,
     then delete it."""
-    for comp in core_components_outside(inst, sep):
-        ctx = component_context(inst, comp)
-        rest = sorted(comp - ctx.important)
+    for ctx in inst.contexts:
+        rest = sorted(ctx.component - ctx.important)
         if not rest:
             continue
         v = rest[0]
@@ -688,7 +676,7 @@ def rule7_bypass(
         )
         event = ReductionEvent(
             rule="rule7",
-            witness=(min(comp), v),
+            witness=(min(ctx.component), v),
             deleted=(v,),
             added_edges=fill,
         )
@@ -729,11 +717,7 @@ def structural_report(inst: AChvdInstance) -> StructuralReport:
     counts = tuple(
         (x, len(inst.nonneighbor_components(x))) for x in sorted(inst.modulator)
     )
-    sep = inst.separator
-    z_sizes = tuple(
-        len(component_context(inst, comp).important)
-        for comp in core_components_outside(inst, sep)
-    )
+    z_sizes = tuple(len(ctx.important) for ctx in inst.contexts)
     return StructuralReport(
         omega_core=max(len(bag) for bag in inst.tree.bags),
         omega_bound=params.omega_bound,
@@ -762,22 +746,12 @@ def kernelize_annotated(
     cap = 16 + 2 * (inst.g.n + inst.g.n * inst.g.n)
     while True:
         check(len(trace) <= cap, "reduction loop exceeded its firing bound")
-        fired = rule1_common_neighbours(inst)
-        if fired is None:
-            fired = rule2_xy_good(inst)
-        if fired is None:
-            clique = find_oversized_clique(inst)
-            if clique is not None:
-                fired = rule3_reduce_clique(inst, clique)
-        if fired is None:
-            fired = rule4_components(inst)
-        if fired is None:
-            sep = inst.separator
-            fired = rule5_separator_template(inst, sep)
-            if fired is None:
-                fired = rule6_irrelevant(inst, sep)
-            if fired is None:
-                fired = rule7_bypass(inst, sep)
+        # called by their module names, so a wrapper set on the module
+        # sees every rule
+        fired = (rule1_common_neighbours(inst) or rule2_xy_good(inst)
+                 or rule3_reduce_clique(inst) or rule4_components(inst)
+                 or rule5_separator_template(inst) or rule6_irrelevant(inst)
+                 or rule7_bypass(inst))
         if fired is None:
             break
         inst, event = fired
@@ -805,7 +779,6 @@ def annotate(
                              f"graph (ids 0..{g.n - 1})")
     trace: list[ReductionEvent] = []
     while True:
-        restart = False
         hitting: dict[int, frozenset[int]] = {}
         core = set(g.vertices()) - m0
         try:
@@ -828,10 +801,9 @@ def annotate(
                 g, k, m0 = nxt.g, nxt.k, nxt.modulator
                 if k < 0:
                     return None
-                restart = True
                 break
             hitting[v] = cover
-        if not restart:
+        else:
             break
     extended = set(m0)
     for v in sorted(hitting):

@@ -65,12 +65,23 @@ def test_round_trip_fuzzed_instances():
     ("p chvd 2 0 0\nm 7\n", "outside range"),
     ("p chvd 2 0 0\nz 1\n", "unknown line tag"),
     ("p chvd 1 0 0\np chvd 1 0 0\n", "duplicate header"),
+    ("p chvd 3 0 0\nf 0 2\nf 2 0\n", "line 3: duplicate forced pair (2,0)"),
     ("p chvd 4 4 -1\ne 0 1\ne 1 2\ne 2 3\ne 0 3\n", "negative budget"),
 ])
 def test_parse_rejects_malformed(text, fragment):
     with pytest.raises(InstanceFormatError) as err:
         parse(text)
     assert fragment in str(err.value)
+
+
+def test_from_graph_merges_duplicate_forced_pairs():
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    inst = InstanceFile.from_graph(g, 1, modulator=[0, 2, 0],
+                                   forced=[(0, 2), (2, 0), (0, 2)])
+    assert (inst.modulator, inst.forced) == ((0, 2), ((0, 2),))
+    text = emit(inst)
+    assert text.count("f 0 2") == 1
+    assert parse(text) == inst
 
 
 def test_solution_round_trip():

@@ -15,8 +15,6 @@ from chvd.kernel import (
     canonical_no_graph,
     canonical_yes_annotated,
     component_context,
-    core_components_outside,
-    find_oversized_clique,
     gadgetize,
     kernelize,
     kernelize_annotated,
@@ -164,13 +162,12 @@ def rule3_instance():
 def test_rule3_deletes_unmarked_clique_vertex():
     inst = rule3_instance()
     inst.validate()
-    clique = find_oversized_clique(inst)
-    assert clique is not None and len(clique) == 6
     before = instance_answer(inst)
-    fired = rule3_reduce_clique(inst, clique)
+    fired = rule3_reduce_clique(inst)
     assert fired is not None
     out, event = fired
     assert event.rule == "rule3" and len(event.deleted) == 1
+    assert event.witness[1] == 6        # the clique's size
     out.validate()
     assert instance_answer(out) == before
 
@@ -178,9 +175,26 @@ def test_rule3_deletes_unmarked_clique_vertex():
 def test_rule3_requires_oversized_clique():
     edges = [(u, v) for u in range(1, 4) for v in range(u + 1, 4)]
     inst = AChvdInstance(Graph(4, edges), 0, frozenset({0}))
-    assert find_oversized_clique(inst) is None
-    with pytest.raises(AssertionError):
-        rule3_reduce_clique(inst, frozenset({1, 2, 3}))
+    assert rule3_reduce_clique(inst) is None
+
+
+def cliques_instance(*cliques):
+    # disjoint core cliques beside a lone isolated modulator vertex 0
+    edges = [(u, v) for c in cliques for u in c for v in c if u < v]
+    return AChvdInstance(Graph(1 + sum(map(len, cliques)), edges), 0,
+                         frozenset({0}))
+
+
+def test_rule3_picks_the_largest_oversized_bag():
+    # the clique bound for (k=0, |M|=1) is 4; K7 outranks K6
+    inst = cliques_instance(range(1, 7), range(7, 14))
+    assert KernelParams.of(inst).omega_bound == 4
+    _, event = rule3_reduce_clique(inst)
+    assert (event.witness, event.deleted) == ((7, 7), (8,))
+    # between equal cliques the first by sorted members wins
+    _, event = rule3_reduce_clique(cliques_instance(range(1, 7),
+                                                    range(7, 13)))
+    assert event.witness == (1, 6)
 
 
 def test_rule3_preserves_planted_hole_class():
@@ -199,12 +213,10 @@ def test_rule3_preserves_planted_hole_class():
     assert instance_answer(inst) is False
     assert rule1_common_neighbours(inst) is None
     assert rule2_xy_good(inst) is None
-    clique_set = find_oversized_clique(inst)
-    assert clique_set is not None and len(clique_set) == 21
-    fired = rule3_reduce_clique(inst, clique_set)
+    fired = rule3_reduce_clique(inst)
     assert fired is not None
     out, event = fired
-    assert event.rule == "rule3"
+    assert event.rule == "rule3" and event.witness[1] == 21
     out.validate()
     assert instance_answer(out) is False
     # some witness hole through the shared clique range survived; deletion
@@ -289,9 +301,8 @@ def test_component_context_invariants():
         inst, _ = res
         if inst.k >= len(inst.modulator):
             continue
-        sep = build_separator(inst)
-        for comp in core_components_outside(inst, sep):
-            ctx = component_context(inst, comp)
+        for ctx in inst.contexts:
+            comp = ctx.component
             # boundary bags plus modulator absorb the neighborhood
             outside = {
                 w for v in comp for w in inst.g.neighbors(v) if w not in comp
@@ -326,8 +337,7 @@ def test_rule7_bypass_preserves_chordality_and_answer():
     inst = AChvdInstance(g, 0, frozenset({0}))
     inst.validate()
     before = instance_answer(inst)
-    sep = build_separator(inst)
-    fired = rule6_irrelevant(inst, sep) or rule7_bypass(inst, sep)
+    fired = rule6_irrelevant(inst) or rule7_bypass(inst)
     if fired is not None:
         out, event = fired
         out.validate()

@@ -6,10 +6,9 @@ import sys
 from chvd import kernel
 from chvd.chordal import clique_tree_of
 from chvd.generate import GeneratorSpec, generate, kernel_instance_pool
-from chvd.graphs import delete_vertices, induced_subgraph
+from chvd.graphs import components_within, delete_vertices, induced_subgraph
 from chvd.kernel import (
     _modulator_pairs,
-    find_oversized_clique,
     rule3_reduce_clique,
     _subtree_contacts,
     _xy_good_bottommost,
@@ -19,6 +18,8 @@ from chvd.kernel import (
     kernelize,
     kernelize_annotated,
     rule4_components,
+    rule6_irrelevant,
+    rule7_bypass,
     structural_report,
     template_toughness,
 )
@@ -221,12 +222,33 @@ def test_each_instance_finds_its_nonneighbor_components_once(monkeypatch):
             rule4_components(inst)
             build_separator(inst)
             structural_report(inst)
-            clique = find_oversized_clique(inst)
-            if clique is not None:
-                rule3_reduce_clique(inst, clique)
+            rule3_reduce_clique(inst)
         assert len(calls) == len(set(calls)) <= len(inst.modulator)
         for x, comps in fresh.items():
             assert inst.nonneighbor_components(x) == tuple(comps)
+        states += 1
+    assert states >= 30
+
+
+def test_each_instance_builds_each_component_context_once(monkeypatch):
+    original = kernel.component_context
+    calls = []
+
+    def recording(inst, comp):
+        calls.append(comp)
+        return original(inst, comp)
+
+    monkeypatch.setattr(kernel, "component_context", recording)
+    states = 0
+    for inst in annotated_states(range(6)):
+        comps = components_within(inst.g, inst.core - inst.separator.vertices)
+        calls.clear()
+        for _ in range(2):
+            rule6_irrelevant(inst)
+            rule7_bypass(inst)
+            structural_report(inst)
+        assert len(calls) <= len(comps), (len(calls), len(comps))
+        assert calls == comps[:len(calls)]
         states += 1
     assert states >= 30
 
