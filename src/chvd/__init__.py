@@ -1,7 +1,7 @@
 """Chordal vertex deletion: kernelization, approximation, exact solving."""
 
 from .graphs import DiGraph, Graph, Hole, InvariantError
-from .chordal import CliqueTree, PEO, build_clique_tree, is_chordal, recognize
+from .chordal import CliqueTree, PEO, is_chordal, recognize
 from .flower import Flower, flower_and_cover, two_flower
 from .kernel import AChvdInstance, KernelResult, kernelize
 from .lp import ChvdProblem, CuttingPlaneCapExceeded, FractionalSolution, \
@@ -34,7 +34,6 @@ __all__ = [
     "SearchBudgetExceeded",
     "SkewInstance",
     "approximate",
-    "build_clique_tree",
     "build_downward",
     "downward_multicut",
     "exact_chvd",

@@ -277,13 +277,16 @@ def approximate(
 ) -> Union[NoInstance, frozenset[int]]:
     """Either conclude no-instance or return X with g - X chordal.
 
-    Exact routing when k <= 1 or n > 2^(k log k), where the exact search
-    runs in time polynomial in n; otherwise the LP pipeline: no-instance
-    when |x| > 2k, then the 1/4 threshold, the decomposition, and the
-    clique fold-back.  Raises ValueError unless 0 <= tolerance < 1 and
-    max_iters >= 1, on every route.
+    A negative budget is a no-instance.  Exact routing when k <= 1 or
+    n > 2^(k log k), where the exact search runs in time polynomial in n;
+    otherwise the LP pipeline: no-instance when |x| > 2k, then the 1/4
+    threshold, the decomposition, and the clique fold-back.  Raises
+    ValueError unless 0 <= tolerance < 1 and max_iters >= 1, on every
+    route.
     """
     check_lp_options(tolerance, max_iters)
+    if k < 0:
+        return NO_INSTANCE
     n = g.n
     if n <= 1:
         return frozenset()

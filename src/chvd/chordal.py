@@ -344,17 +344,6 @@ def _clique_tree(g: Graph, order: Sequence[int],
     return CliqueTree(bags, parent, 0, g.n)
 
 
-def build_clique_tree(g: Graph, peo: PEO) -> CliqueTree:
-    """Clique tree from a PEO: maximal cliques as bags, edges by a
-    maximum-weight spanning tree over bag intersections."""
-    order = peo.ordering
-    later = (_later_neighbours(g, order)
-             if sorted(order) == list(range(g.n)) else None)
-    if later is None:
-        raise ValueError("ordering is not a perfect elimination ordering for g")
-    return _clique_tree(g, order, later)
-
-
 def clique_tree_of(g: Graph,
                    vertices: Optional[Iterable[int]] = None) -> CliqueTree:
     """Clique tree of g[vertices] (of g when vertices is None) with bags in

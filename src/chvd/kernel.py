@@ -18,16 +18,21 @@ first; each firing is recorded as one replayable trace event:
 The toughness template also runs inside rule 4 with per-pair separators.
 An instance is immutable, so it derives its core G - M, the clique tree
 of the core, with bags in G's own ids, the separator and the contexts of
-the components of the core minus the separator once.  Every rule takes
-only the instance and reads these as it needs them.
+the components of the core minus the separator once.  Two tables hold
+the facts the rules share: per modulator vertex x, the components of
+G(not x) with their boundaries (one table per instance, read by rules 3
+and 4 and the separator), and per nonadjacent modulator pair, the
+bottommost xy-good nodes of a rooted tree (``bottommost_good``, built
+once per rooting, read by rules 2 and 3).  Every rule takes only the
+instance and reads these as it needs them.
 Every event preserves the instance answer; the acceptance suite checks
 this against the exact oracle per event.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import islice
+from itertools import combinations, islice
 from typing import Iterable, Optional
 
 from .graphs import (
@@ -45,6 +50,10 @@ class AChvdInstance:
     k: int
     modulator: frozenset[int]
     forced: frozenset[frozenset[int]] = frozenset()
+    # nonneighbor_components' table, filled per modulator vertex
+    _nonneighbors: dict[int, tuple[tuple[frozenset[int], frozenset[int]],
+                                   ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def validate(self) -> None:
         m = self.modulator
@@ -96,17 +105,15 @@ class AChvdInstance:
             out -= self.g.neighbor_set(y)
         return frozenset(out)
 
-    @cached_property
-    def _nonneighbor_components(self) -> dict[int, tuple[frozenset[int], ...]]:
-        return {}
-
-    def nonneighbor_components(self, x: int) -> tuple[frozenset[int], ...]:
-        """Connected components of G(not x), computed once per x."""
-        cache = self._nonneighbor_components
-        if x not in cache:
-            cache[x] = tuple(
+    def nonneighbor_components(self, x: int) -> tuple[
+            tuple[frozenset[int], frozenset[int]], ...]:
+        """The components C of G(not x) in component order, each with its
+        boundary N(C) - C; built on the first read of x, once."""
+        if x not in self._nonneighbors:
+            self._nonneighbors[x] = tuple(
+                (comp, boundary(self.g, comp)) for comp in
                 components_within(self.g, self.selector(negatives=[x])))
-        return cache[x]
+        return self._nonneighbors[x]
 
 
 @dataclass(frozen=True)
@@ -269,58 +276,44 @@ def _has_avoiding_path(g: Graph, comp: frozenset[int], x: int, y: int) -> bool:
     return False
 
 
-# Per clique-tree node, the distinct modulator contacts of the components
-# below it (see _subtree_contacts).
-Contacts = list[frozenset[frozenset[int]]]
+def bottommost_good(inst: AChvdInstance,
+                    tree: CliqueTree) -> dict[tuple[int, int], list[int]]:
+    """Per nonadjacent modulator pair x < y, in pair order, the maximally
+    bottommost nodes q of ``tree`` (a rooting of ``inst.tree``) admitting
+    an xy-path whose interior stays in core vertices represented only
+    inside the subtree of q, in node order.
 
-
-def _subtree_contacts(inst: AChvdInstance, tree: CliqueTree) -> Contacts:
-    """Per node q, the modulator contacts N(C) & M of the components C of
-    the core vertices whose topmost bag lies in the subtree of q."""
+    One pass over the nodes: the core vertices whose topmost bag lies in
+    the subtree of q split into components C, and q is xy-good when some
+    contact N(C) & M holds both x and y.
+    """
     g, m = inst.g, inst.modulator
     below: list[set[int]] = [set() for _ in tree.nodes()]
-    for v in g.vertices():
-        if v not in m:
-            below[tree.top(v)].add(v)
+    for v in inst.core:
+        below[tree.top(v)].add(v)
     for q in sorted(tree.nodes(), key=tree.depth, reverse=True):
         if tree.parent[q] is not None:
             below[tree.parent[q]] |= below[q]
-    return [
-        frozenset(boundary(g, part) & m
-                  for part in components_within(g, inside))
-        for inside in below
-    ]
+    table: dict[tuple[int, int], list[int]] = {
+        pair: [] for pair in _modulator_pairs(inst, adjacent=False)}
+    good: list[set[tuple[int, int]]] = []
+    for inside in below:
+        pairs: set[tuple[int, int]] = set()
+        for part in components_within(g, inside):
+            pairs.update(combinations(sorted(boundary(g, part) & m), 2))
+        good.append(pairs & table.keys())
+    for q in tree.nodes():
+        for pair in good[q].difference(*(good[c] for c in tree.children(q))):
+            table[pair].append(q)
+    return table
 
 
-def _xy_good_bottommost(
-    tree: CliqueTree, contacts: Contacts, x: int, y: int
-) -> list[int]:
-    """Maximally bottommost nodes q admitting an xy-path whose interior
-    stays in core vertices represented only inside the subtree of q;
-    ``contacts`` is ``_subtree_contacts`` of the same tree."""
-    good = [any(x in c and y in c for c in cs) for cs in contacts]
-    return [
-        q for q in tree.nodes()
-        if good[q] and not any(good[c] for c in tree.children(q))
-    ]
-
-
-def rule2_xy_good(
-    inst: AChvdInstance,
-    tree: Optional[CliqueTree] = None,
-    contacts: Optional[Contacts] = None,
+def _force_good_pair(
+    inst: AChvdInstance, good: dict[tuple[int, int], list[int]]
 ) -> Optional[tuple[AChvdInstance, ReductionEvent]]:
-    """Force xy when k + 2 maximally bottommost nodes carry xy-paths.
-
-    ``tree`` is a rooting of ``inst.tree`` (by default that tree itself);
-    ``contacts``, when given, is ``_subtree_contacts(inst, tree)``.
-    """
-    if tree is None:
-        tree = inst.tree
-    if contacts is None:
-        contacts = _subtree_contacts(inst, tree)
-    for x, y in _modulator_pairs(inst, adjacent=False):
-        nodes = _xy_good_bottommost(tree, contacts, x, y)
+    """Rule 2's event for the first pair with k + 2 bottommost good nodes
+    in ``good``, a ``bottommost_good`` table."""
+    for (x, y), nodes in good.items():
         if len(nodes) >= inst.k + 2:
             event = ReductionEvent(
                 rule="rule2",
@@ -330,6 +323,13 @@ def rule2_xy_good(
             )
             return _finish(inst, event)
     return None
+
+
+def rule2_xy_good(
+    inst: AChvdInstance,
+) -> Optional[tuple[AChvdInstance, ReductionEvent]]:
+    """Force xy when k + 2 maximally bottommost nodes carry xy-paths."""
+    return _force_good_pair(inst, bottommost_good(inst, inst.tree))
 
 
 def _mark_up_to(candidates: list[int], budget: int, marked: set[int]) -> None:
@@ -355,9 +355,9 @@ def rule3_reduce_clique(
     if len(clique) <= params.omega_bound:
         return None
     tree = inst.tree.reroot(root)
-    contacts = _subtree_contacts(inst, tree)
+    good = bottommost_good(inst, tree)
 
-    forced = rule2_xy_good(inst, tree, contacts=contacts)
+    forced = _force_good_pair(inst, good)
     if forced is not None:
         return forced
 
@@ -371,8 +371,7 @@ def rule3_reduce_clique(
                 cands = sorted(clique & inst.selector([x1, x2], [y]))
                 _mark_up_to(cands, k + 1, marked)
     # point (b): per nonadjacent pair and bottommost node, farthest first
-    for x1, y1 in _modulator_pairs(inst, adjacent=False):
-        nodes = _xy_good_bottommost(tree, contacts, x1, y1)
+    for (x1, y1), nodes in good.items():
         common = clique & inst.selector([x1, y1])
         for q in nodes:
             cands = sorted(common,
@@ -381,15 +380,15 @@ def rule3_reduce_clique(
     # points (c) and (d): nearest to the boundary node of A^y
     boundary_node: dict[int, int] = {}
     for y in ms:
-        comp = next(
-            (c for c in inst.nonneighbor_components(y)
+        bnd = next(
+            (b for c, b in inst.nonneighbor_components(y)
              if c & tree.bags[root]),
             None,
         )
-        if comp is None:
+        if bnd is None:
             boundary_node[y] = root
             continue
-        node = tree.first_bag_containing(_core_neighborhood(inst, comp))
+        node = tree.first_bag_containing(bnd - inst.modulator)
         check(node is not None, "component boundary is not inside a bag")
         boundary_node[y] = node
     for x in ms:
@@ -427,13 +426,12 @@ def rule4_components(
     # already came back empty.
     tried: set[frozenset[int]] = set()
     for x in ms:
-        comps_x = inst.nonneighbor_components(x)
         for y in ms:
             if y == x:
                 continue
             # A neighbour of one component of G(not x) lies in no other.
             separator = inst.modulator.union(*(
-                boundary(inst.g, c) for c in comps_x
+                b for c, b in inst.nonneighbor_components(x)
                 if inst.g.neighbor_set(y) & c))
             if separator in tried:
                 continue
@@ -451,25 +449,26 @@ def rule4_components(
                 continue
             if not inst.g.has_edge(x, y):
                 eligible = [
-                    i for i, c in enumerate(comps)
+                    i for i, (c, _) in enumerate(comps)
                     if inst.g.neighbor_set(y) & c
                 ]
                 _mark_up_to(eligible, params.component_mark_bound, marked)
             else:
+                # some core boundary vertex of c misses y
                 eligible = [
-                    i for i, c in enumerate(comps)
+                    i for i, (c, b) in enumerate(comps)
                     if (inst.g.neighbor_set(y) & c)
-                    and _core_neighborhood(inst, c) - inst.g.neighbor_set(y)
+                    and b - inst.modulator - inst.g.neighbor_set(y)
                 ]
                 _mark_up_to(eligible, inst.k + 1, marked)
         for y1, y2 in _modulator_pairs(inst, adjacent=False):
             eligible = [
-                i for i, c in enumerate(comps)
+                i for i, (c, _) in enumerate(comps)
                 if (inst.g.neighbor_set(y1) & c)
                 and (inst.g.neighbor_set(y2) & c)
             ]
             _mark_up_to(eligible, inst.k + 1, marked)
-        for i, comp in enumerate(comps):
+        for i, (comp, _) in enumerate(comps):
             if i not in marked:
                 event = ReductionEvent(
                     rule="rule4",
@@ -478,11 +477,6 @@ def rule4_components(
                 )
                 return _finish(inst, event)
     return None
-
-
-def _core_neighborhood(inst: AChvdInstance, comp: frozenset[int]) -> frozenset[int]:
-    """Neighborhood of the component inside the chordal core."""
-    return boundary(inst.g, comp) - inst.modulator
 
 
 @dataclass(frozen=True)
@@ -508,8 +502,8 @@ def build_separator(inst: AChvdInstance) -> SeparatorSet:
             if not any(clique < other for other in cuts):
                 q0.add(tree.first_bag_containing(clique))
     for x in sorted(inst.modulator):
-        for comp in inst.nonneighbor_components(x):
-            node = tree.first_bag_containing(_core_neighborhood(inst, comp))
+        for _, bnd in inst.nonneighbor_components(x):
+            node = tree.first_bag_containing(bnd - inst.modulator)
             check(node is not None, "component boundary not inside a bag")
             q0.add(node)
     closed = set(q0) | {tree.root}
@@ -764,7 +758,8 @@ def kernelize_annotated(
 def annotate(
     g: Graph, k: int, modulator: Iterable[int]
 ) -> Optional[tuple[AChvdInstance, list[ReductionEvent]]]:
-    """Tidy the modulator via flowers; None means a certified no-instance.
+    """Tidy the modulator via flowers; None means a certified no-instance,
+    among them every negative budget.
 
     Vertices with a flower of order above k are deleted with a budget
     decrement; the hitting sets of the survivors join the modulator.
@@ -777,6 +772,8 @@ def annotate(
         if not 0 <= v < g.n:
             raise ValueError(f"modulator vertex {v} is not a vertex of the "
                              f"graph (ids 0..{g.n - 1})")
+    if k < 0:
+        return None
     trace: list[ReductionEvent] = []
     while True:
         hitting: dict[int, frozenset[int]] = {}

@@ -66,8 +66,8 @@ from itertools import combinations
 import math
 from fractions import Fraction
 
-from chvd.graphs import Graph, DiGraph, Hole, Subgraph, bfs, check, \
-    components_within, extract_path, induced_subgraph, is_clique, \
+from chvd.graphs import Graph, DiGraph, Hole, Subgraph, bfs, boundary, \
+    check, components_within, extract_path, induced_subgraph, is_clique, \
     lightest_hole_through, shortcut_walk, verify_hole
 from chvd import oracle
 from chvd.approx import EXACT_CUT_LIMIT, NO_INSTANCE, Decomposition, \
@@ -76,8 +76,7 @@ from chvd.chordal import PEO, CliqueTree, central_bag, clique_tree_of, \
     find_any_hole, find_hole_through, is_chordal, is_peo, maximal_cliques, \
     minimal_path
 from chvd.generate import GeneratorSpec, generate
-from chvd.kernel import ReductionEvent, _core_neighborhood, _finish, \
-    _modulator_pairs
+from chvd.kernel import ReductionEvent, _finish, _modulator_pairs
 from chvd.lp import FractionalSolution, at_least, separate_multicut
 from chvd.multicut import MulticutInstance, SkewInstance, build_downward, \
     dist_from, downward_multicut, min_vertex_cut
@@ -787,7 +786,8 @@ def ref_exact_multicut(d: DiGraph, pairs, k: int):
 
 def ref_separator_marked_nodes(inst) -> frozenset[int]:
     """Marked nodes of ``build_separator``, listing the maximal cliques of
-    every G(x, y) from a clique tree of its own."""
+    every G(x, y) from a clique tree of its own and the nonneighbour
+    components of every x, with their boundaries, by its own search."""
     tree = inst.tree
     q0: set[int] = set()
     for x, y in _modulator_pairs(inst, adjacent=False):
@@ -797,8 +797,10 @@ def ref_separator_marked_nodes(inst) -> frozenset[int]:
         for bag in clique_tree_of(inst.g, common).bags:
             q0.add(tree.first_bag_containing(bag))
     for x in sorted(inst.modulator):
-        for comp in inst.nonneighbor_components(x):
-            q0.add(tree.first_bag_containing(_core_neighborhood(inst, comp)))
+        for comp in ref_components_within(inst.g,
+                                          inst.selector(negatives=[x])):
+            core_boundary = boundary(inst.g, comp) - inst.modulator
+            q0.add(tree.first_bag_containing(core_boundary))
     return frozenset(q0)
 
 

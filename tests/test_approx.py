@@ -172,6 +172,12 @@ def test_approximate_chordal():
     assert approximate(g, 2) == frozenset()
 
 
+def test_approximate_answers_no_to_a_negative_budget():
+    # the n <= 1 shortcut would answer the empty set
+    for n in (0, 1, 3):
+        assert approximate(Graph(n), -1) == NO_INSTANCE
+
+
 def test_approximate_disjoint_c4s():
     t = 3
     edges = []

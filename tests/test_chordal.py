@@ -17,7 +17,6 @@ from chvd.graphs import (
 )
 from chvd.chordal import (
     PEO,
-    build_clique_tree,
     central_bag,
     chordal_with,
     clique_tree_of,
@@ -115,12 +114,6 @@ def test_build_clique_tree_k5_single_bag():
     assert len(t.bags) == 1
     assert t.bags[0] == frozenset(range(5))
     validate_clique_tree(g, t)
-
-
-def test_build_clique_tree_rejects_bad_peo():
-    g = cycle_graph(4)
-    with pytest.raises(ValueError):
-        build_clique_tree(g, PEO((0, 1, 2, 3)))
 
 
 def test_clique_tree_invariants_random():

@@ -255,7 +255,8 @@ def test_rule4_absorbs_component_for_lone_modulator():
 
 def test_nonneighbor_component_boundaries_are_cliques():
     # standing proposition: for every modulator vertex and component of
-    # its nonneighbors, the core boundary of the component is a clique
+    # its nonneighbors, the core boundary of the component is a clique;
+    # the instance stores the whole boundary N(C) - C with the component
     for seed in range(12):
         g, k, planted = generate(GeneratorSpec(seed=seed, core_vertices=11,
                                                planted=2, noise_edges=1))
@@ -264,12 +265,13 @@ def test_nonneighbor_component_boundaries_are_cliques():
             continue
         inst, _ = res
         for v in sorted(inst.modulator):
-            for comp in inst.nonneighbor_components(v):
+            for comp, stored in inst.nonneighbor_components(v):
                 boundary = set()
                 for u in comp:
                     boundary.update(inst.g.neighbors(u))
-                boundary -= comp | inst.modulator
-                bl = sorted(boundary)
+                boundary -= comp
+                assert stored == boundary
+                bl = sorted(boundary - inst.modulator)
                 assert all(inst.g.has_edge(p, q) for i, p in enumerate(bl)
                            for q in bl[i + 1 :])
 
@@ -478,6 +480,19 @@ def test_kernelize_c4_no_budget():
     res = kernelize(g, 0, [0])
     assert res.verdict == "no"
     assert exact_chvd(res.graph, res.k) is None
+
+
+def test_kernelize_answers_no_to_a_negative_budget(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("flower search on a negative budget")
+
+    monkeypatch.setattr(kernel, "flower_and_cover", no_search)
+    # chordal, and with an empty modulator, but k < 0 is still a no
+    res = kernelize(Graph(3, [(0, 1)]), -1, [])
+    assert (res.verdict, res.k) == ("no", 0)
+    assert exact_chvd(res.graph, res.k) is None
+    assert annotate(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), -1, [0]) \
+        is None
 
 
 def test_kernelize_pipeline_equivalence_random():

@@ -10,10 +10,9 @@ from chvd.graphs import components_within, delete_vertices, induced_subgraph
 from chvd.kernel import (
     _modulator_pairs,
     rule3_reduce_clique,
-    _subtree_contacts,
-    _xy_good_bottommost,
     annotate,
     apply_event,
+    bottommost_good,
     build_separator,
     kernelize,
     kernelize_annotated,
@@ -101,7 +100,7 @@ def rule4_separators(inst):
     """The per-pair boundary separators rule 4 hands to the template."""
     ms = sorted(inst.modulator)
     for x in ms:
-        comps_x = inst.nonneighbor_components(x)
+        comps_x = components_within(inst.g, inst.selector(negatives=[x]))
         for y in ms:
             if y == x:
                 continue
@@ -140,11 +139,12 @@ def test_xy_good_bottommost_matches_reference_on_rerooted_trees():
             continue
         base = clique_tree_of(core.graph)
         for root in base.nodes():
-            tree = inst.tree.reroot(root)
             ref_tree = base.reroot(root)
-            contacts = _subtree_contacts(inst, tree)
-            for x, y in _modulator_pairs(inst, adjacent=False):
-                got = _xy_good_bottommost(tree, contacts, x, y)
+            good = bottommost_good(inst, inst.tree.reroot(root))
+            pairs = _modulator_pairs(inst, adjacent=False)
+            assert list(good) == pairs
+            for x, y in pairs:
+                got = good[(x, y)]
                 assert got == ref_xy_good_bottommost(inst, core, ref_tree,
                                                      x, y)
                 pairs_with_nodes += bool(got)
@@ -206,9 +206,10 @@ def test_each_instance_finds_its_nonneighbor_components_once(monkeypatch):
     calls = []
 
     def recording(g, allowed):
-        # only the searches behind nonneighbor_components count, by x
+        # only the searches of the instance's nonneighbour table count, by x
         caller = sys._getframe(1)
-        if caller.f_code.co_name == "nonneighbor_components":
+        if caller.f_code is kernel.AChvdInstance.nonneighbor_components \
+                .__code__:
             calls.append(caller.f_locals["x"])
         return original(g, allowed)
 
@@ -223,11 +224,50 @@ def test_each_instance_finds_its_nonneighbor_components_once(monkeypatch):
             build_separator(inst)
             structural_report(inst)
             rule3_reduce_clique(inst)
-        assert len(calls) == len(set(calls)) <= len(inst.modulator)
+        # the separator and the report read every x
+        assert sorted(calls) == sorted(inst.modulator)
         for x, comps in fresh.items():
-            assert inst.nonneighbor_components(x) == tuple(comps)
+            assert [c for c, _ in inst.nonneighbor_components(x)] == comps
         states += 1
     assert states >= 30
+
+
+def test_each_instance_finds_each_nonneighbor_boundary_once(monkeypatch):
+    original = kernel.boundary
+    # these take boundaries of components of other vertex sets, which may
+    # coincide with a nonneighbour component
+    elsewhere = {kernel.template_toughness.__code__,
+                 kernel.component_context.__code__,
+                 kernel.bottommost_good.__code__}
+    calls = []
+
+    def recording(g, comp):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code not in elsewhere:
+            frame = frame.f_back
+        if frame is None:
+            calls.append(comp)
+        return original(g, comp)
+
+    monkeypatch.setattr(kernel, "boundary", recording)
+    states = shared = 0
+    for inst in annotated_states(range(6)):
+        comps = [c for x in sorted(inst.modulator)
+                 for c in components_within(inst.g,
+                                            inst.selector(negatives=[x]))]
+        calls.clear()
+        for _ in range(2):
+            rule4_components(inst)
+            rule3_reduce_clique(inst)
+            build_separator(inst)
+            structural_report(inst)
+        assert sorted(calls, key=sorted) == sorted(comps, key=sorted)
+        # rule 4 reads a component once for every modulator neighbour
+        shared += any(
+            sum(bool(inst.g.neighbor_set(y) & c) for y in inst.modulator) > 1
+            for c in comps)
+        states += 1
+    assert states >= 30 and shared >= 10
 
 
 def test_each_instance_builds_each_component_context_once(monkeypatch):
