@@ -9,6 +9,7 @@ original algorithm's guard for when its FPT running time is polynomial in n.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import AbstractSet, Optional, Union
@@ -24,7 +25,7 @@ from .chordal import (
 from .lp import ChvdProblem, FractionalSolution, at_least, check_lp_options, \
     solve_fractional
 from .multicut import build_downward, dist_from, downward_multicut
-from .oracle import exact_chvd
+from .oracle import SearchBudgetExceeded, exact_chvd
 
 
 class NoInstance:
@@ -155,14 +156,20 @@ def chvd_clique_plus_chordal(
 
 
 def _balanced_cut_exact(g: Graph, rest: AbstractSet[int], limit: float,
-                        budget: int) -> Optional[set[int]]:
+                        budget: int,
+                        tried: Optional[itertools.count] = None,
+                        ) -> Optional[set[int]]:
     """Smallest vertex set whose removal caps every component of g[rest]
-    at limit."""
-    from itertools import combinations
+    at limit.
 
+    ``tried``, a counter shared between calls, counts every subset
+    tested; past EXACT_CUT_BUDGET of them, SearchBudgetExceeded.
+    """
     verts = sorted(rest)
     for size in range(min(budget, len(verts)) + 1):
-        for subset in combinations(verts, size):
+        for subset in itertools.combinations(verts, size):
+            if tried is not None and next(tried) > EXACT_CUT_BUDGET:
+                raise SearchBudgetExceeded(EXACT_CUT_BUDGET)
             removed = set(subset)
             if all(
                 len(c) <= limit
@@ -188,6 +195,8 @@ def _balanced_cut_greedy(g: Graph, rest: AbstractSet[int], limit: float,
 
 # g - K at most this large gets the exact balanced cut, larger the greedy one
 EXACT_CUT_LIMIT = 16
+# subsets the exact cut may test to find a cut the greedy one missed
+EXACT_CUT_BUDGET = 100_000
 
 
 def balanced_clique_cut(
@@ -198,9 +207,13 @@ def balanced_clique_cut(
 
     A clique of size >= n/4 alone suffices; otherwise every maximal clique
     is tried with a balanced vertex cut of g[vertices] - K within budget k
-    (exact by enumeration at desk scale, greedy beyond).  NoInstance when
-    no clique admits a cut within budget, which certifies opt > k for
-    C4-free g[vertices].
+    (exact by enumeration at desk scale, greedy beyond).  The greedy cut
+    can miss one, so when no clique has a cut the exact oracle decides:
+    opt > k on g[vertices] is NoInstance; otherwise every clique whose
+    greedy cut failed is tried again by enumeration, under
+    EXACT_CUT_BUDGET tested subsets in all, past which
+    SearchBudgetExceeded.  NoInstance after that enumeration can happen
+    only when g[vertices] has a C4.
     """
     n = len(vertices)
     if n == 0:
@@ -210,7 +223,8 @@ def balanced_clique_cut(
     if big:
         best = max(big, key=lambda c: (len(c), sorted(c)))
         return frozenset(best), frozenset(best)
-    best_pair: Optional[tuple[frozenset[int], frozenset[int]]] = None
+    found = []
+    greedy_failed = []
     for clique in cliques:
         rest = vertices - clique
         limit = 2.0 * len(rest) / 3.0
@@ -218,18 +232,30 @@ def balanced_clique_cut(
             cut = _balanced_cut_exact(g, rest, limit, k)
         else:
             cut = _balanced_cut_greedy(g, rest, limit, k)
-        if cut is None:
-            continue
-        z = frozenset(clique) | cut
-        if best_pair is None or len(z) - len(clique) < \
-                len(best_pair[0]) - len(best_pair[1]):
-            best_pair = (z, frozenset(clique))
-    if best_pair is None:
+            if cut is None:
+                greedy_failed.append(clique)
+        if cut is not None:
+            found.append((clique, cut))
+    if not found and greedy_failed:
+        # g[vertices] in g's ids: every other vertex is isolated, on no hole
+        within = Graph(g.n, [(u, v) for u, v in g.edges()
+                             if u in vertices and v in vertices])
+        if exact_chvd(within, k) is not None:
+            tried = itertools.count(1)
+            for clique in greedy_failed:
+                rest = vertices - clique
+                cut = _balanced_cut_exact(g, rest, 2.0 * len(rest) / 3.0, k,
+                                          tried)
+                if cut is not None:
+                    found.append((clique, cut))
+    if not found:
         return NO_INSTANCE
-    z, kq = best_pair
+    # the smallest cut, from the earliest clique on a tie
+    clique, cut = min(found, key=lambda pair: len(pair[1]))
+    z = frozenset(clique) | cut
     for comp in components_within(g, vertices - z):
         check(4 * len(comp) <= 3 * n, "balanced cut leaves an oversized component")
-    return best_pair
+    return z, frozenset(clique)
 
 
 def decompose(
@@ -282,7 +308,8 @@ def approximate(
     otherwise the LP pipeline: no-instance when |x| > 2k, then the 1/4
     threshold, the decomposition, and the clique fold-back.  Raises
     ValueError unless 0 <= tolerance < 1 and max_iters >= 1, on every
-    route.
+    route, and SearchBudgetExceeded when the exact search, or the
+    decomposition's search for a balanced cut, runs past its budget.
     """
     check_lp_options(tolerance, max_iters)
     if k < 0:

@@ -7,13 +7,18 @@ restricted problem.  Constraints are generated lazily by the separation
 oracles until none is violated; at that point the restricted optimum is
 feasible for the full LP and hence optimal.
 
+A problem's ``separate(x)`` returns a list of violated sets, empty when x
+is feasible: one hole for ChVD, up to ``MAX_PATHS_PER_ROUND``
+vertex-disjoint terminal paths for multicut.
+
 The cutting-plane loop keeps one tableau across rounds.  Each new
 constraint's column is brought in by replaying the recorded pivots on
 it, and pivoting goes on from the kept basis.  That is the path a cold
 start over the whole pool takes, with every value bit-equal, unless a
 recorded pivot entered a slack where Bland's rule would now enter the
-new column; then the round starts cold.  ``simplex_min_cover`` is the
-cold one-shot solve.
+new column; then the tableau refuses it, the round offers none of its
+later sets, and it starts cold.  ``simplex_min_cover`` is the cold
+one-shot solve.
 
 Thresholds downstream (1/4, 1/8, 1/10, 1/20, 1/2) compare against these
 values; every such comparison treats ``>= t`` as ``>= t - 1e-9`` so float
@@ -214,36 +219,56 @@ def separate_chvd(g: Graph, x: FractionalSolution) -> Optional[Hole]:
     return None if found is None else found[0]
 
 
+# most terminal paths one multicut separation round returns
+MAX_PATHS_PER_ROUND = 16
+
+
 def separate_multicut(
     d: DiGraph,
     pairs: Sequence[tuple[int, int]],
     x: FractionalSolution,
     allowed: Optional[Container[int]] = None,
-) -> Optional[list[int]]:
-    """A terminal path of weight < 1 - tolerance, or None: the lightest,
-    from the earliest pair within 1e-12.
+) -> list[list[int]]:
+    """Pairwise vertex-disjoint terminal paths of weight < 1 - tolerance,
+    at most ``MAX_PATHS_PER_ROUND``; empty when x cuts every pair.
 
-    One bounded search per distinct source, kept for the source's later
-    pairs.  Its cutoff is the test's bound when the source is first
-    searched: every distance below it is exact, every other entry fails
-    the test, and the bound only falls.  ``allowed`` goes to every search
-    as ``dijkstra_vertex_weights`` takes it, so a path leaves a source
-    only through allowed vertices.
+    The first is the lightest path, from the earliest pair within 1e-12.
+    The other violated pairs follow in ascending (weight, pair index),
+    each kept only if its path shares no vertex with one kept before.
+
+    One search per distinct source, cut off at 1 - tolerance - 1e-12:
+    every distance below it is exact, with the predecessors any larger
+    cutoff would give, and every other entry fails the test.
+    ``allowed`` goes to every search as ``dijkstra_vertex_weights`` takes
+    it, so a path leaves a source only through allowed vertices.
     """
-    best: Optional[list[int]] = None
-    best_weight = 1.0 - x.tolerance
+    cutoff = 1.0 - x.tolerance - 1e-12
     weights = [x.value(v) for v in d.vertices()]
     searches: dict[int, tuple[dict[int, float], dict[int, int]]] = {}
-    for s, t in pairs:
+    violated: list[tuple[float, int]] = []
+    first: Optional[tuple[float, int]] = None
+    for i, (s, t) in enumerate(pairs):
         if s not in searches:
             searches[s] = dijkstra_vertex_weights(
-                d.out_neighbors, s, weights, allowed=allowed,
-                cutoff=best_weight - 1e-12)
-        dist, prev = searches[s]
-        if t in dist and dist[t] < best_weight - 1e-12:
-            best = extract_path(prev, t)
-            best_weight = dist[t]
-    return best
+                d.out_neighbors, s, weights, allowed=allowed, cutoff=cutoff)
+        dist = searches[s][0]
+        if t in dist and dist[t] < cutoff:
+            violated.append((dist[t], i))
+            if first is None or dist[t] < first[0] - 1e-12:
+                first = violated[-1]
+    if first is None:
+        return []
+    paths: list[list[int]] = []
+    used: set[int] = set()
+    for _, i in [first] + sorted(violated):
+        s, t = pairs[i]
+        path = extract_path(searches[s][1], t)
+        if used.isdisjoint(path):
+            paths.append(path)
+            used.update(path)
+            if len(paths) == MAX_PATHS_PER_ROUND:
+                break
+    return paths
 
 
 @dataclass(frozen=True)
@@ -254,9 +279,9 @@ class ChvdProblem:
     def n(self) -> int:
         return self.g.n
 
-    def separate(self, x: FractionalSolution) -> Optional[frozenset[int]]:
+    def separate(self, x: FractionalSolution) -> list[frozenset[int]]:
         hole = separate_chvd(self.g, x)
-        return None if hole is None else hole.vertex_set()
+        return [] if hole is None else [hole.vertex_set()]
 
 
 @dataclass(frozen=True)
@@ -268,9 +293,9 @@ class MulticutProblem:
     def n(self) -> int:
         return self.d.n
 
-    def separate(self, x: FractionalSolution) -> Optional[frozenset[int]]:
-        path = separate_multicut(self.d, self.pairs, x)
-        return None if path is None else frozenset(path)
+    def separate(self, x: FractionalSolution) -> list[frozenset[int]]:
+        return [frozenset(path)
+                for path in separate_multicut(self.d, self.pairs, x)]
 
 
 class CuttingPlaneCapExceeded(RuntimeError):
@@ -299,6 +324,11 @@ def solve_fractional(
 ) -> FractionalSolution:
     """Cutting-plane loop: restricted LP + separation until feasible.
 
+    ``problem.separate(x)`` returns a list of violated sets, empty when
+    x is feasible.  A round pools its sets in order and offers each to
+    the kept tableau; at the first refusal it stops offering and starts
+    cold over the whole pool, so every round's x is a cold simplex's.
+
     Raises ValueError unless 0 <= tolerance < 1 and max_iters >= 1, and
     CuttingPlaneCapExceeded after max_iters rounds that each still found
     a violated constraint.
@@ -310,12 +340,13 @@ def solve_fractional(
     x = FractionalSolution({v: 0.0 for v in range(n)}, tolerance)
     for _ in range(max_iters):
         violated = problem.separate(x)
-        if violated is None:
+        if not violated:
             return x
-        check(violated not in pool,
-              "separation returned a constraint already in the pool")
-        pool.append(violated)
-        if tableau is None or not tableau.add(violated):
+        for cset in violated:
+            check(cset not in pool,
+                  "separation returned a constraint already in the pool")
+            pool.append(cset)
+        if tableau is None or not all(map(tableau.add, violated)):
             tableau = _Tableau(n, pool, exact)
         xs = tableau.solve()
         x = FractionalSolution({v: float(xs[v]) for v in range(n)}, tolerance)

@@ -249,7 +249,7 @@ def skew_multicut(
         tu = [u for u in tu if u in alive]
         tv = [v for v in tv if v in alive]
         pairs = [(u, v) for u, v in pairs if u in alive and v in alive]
-    if separate_multicut(d, pairs, x, allowed=alive) is not None:
+    if separate_multicut(d, pairs, x, allowed=alive):
         raise ValueError("fractional solution is infeasible for the instance")
     a = len(tu)
     view = _CopyView(d, tu, tv)
@@ -397,7 +397,7 @@ def downward_multicut(
     """
     d = inst.digraph
     pairs = list(inst.terminals)
-    if separate_multicut(d, pairs, x) is not None:
+    if separate_multicut(d, pairs, x):
         raise ValueError("fractional solution is infeasible for the instance")
     rank = inst.rank()
     weights = [x.value(v) for v in d.vertices()]

@@ -14,7 +14,9 @@ the loop ``lightest_hole`` replaced: ``lightest_hole_through`` for every
 alive vertex, with no floor, under a unit table, so on the heap search.
 ``ref_separate_multicut`` runs one full ``ref_dijkstra_vertex_weights``
 search per terminal pair, with no cutoff and no sharing between pairs of
-one source.  ``ref_simplex_min_cover`` is the dense simplex
+one source, for the lightest violated path;
+``ref_separate_multicut_paths`` adds the vertex-disjoint ones a multicut
+round also returns.  ``ref_simplex_min_cover`` is the dense simplex
 whose pivots rewrite every column, not only the pivot row's nonzero ones,
 started cold on the whole pool; ``solve_fractional``'s kept tableau must
 reach its values every round.  ``ref_template_toughness`` tests
@@ -39,7 +41,8 @@ component and scope they work on; ``_remap`` carries x onto such a copy.
 ``ref_decompose`` and ``ref_balanced_clique_cut`` run the decomposition
 and its balanced cut on the renumbered copy of g[vertices], cutting a
 renumbered copy of every component and of every g - K, and map the
-result back.
+result back; where every greedy cut fails they ask ``ref_exact_chvd``,
+and enumerate with no budget.
 ``ref_induced_digraph`` is the renumbered copy of d[s] that
 ``DiGraph.induced`` built; ``ref_skew_multicut`` is the skew engine that
 built a copy digraph with the terminal copies, and ``ref_skew_on_copy``
@@ -54,7 +57,8 @@ candidate cliques and of bags.  They share ``is_peo`` and
 
 The last section holds helpers that only tests call and the library does
 not need: a clique-tree invariant checker, an induced path through a
-clique tree's adhesions, whole-graph components and a one-apex generator.
+clique tree's adhesions, whole-graph components, a generator of graphs
+with no induced C4 and a one-apex generator.
 """
 from __future__ import annotations
 
@@ -342,6 +346,27 @@ def ref_separate_multicut(d: DiGraph, pairs, x) -> list[int] | None:
             best = extract_path(prev, t)
             best_weight = dist[t]
     return best
+
+
+def ref_separate_multicut_paths(d: DiGraph, pairs, x,
+                                cap: int) -> list[list[int]]:
+    """Up to cap pairwise vertex-disjoint violated terminal paths, each
+    from a full search of its own pair: ``ref_separate_multicut``'s path
+    first, then the violated pairs by (weight, pair index), each kept
+    when it meets no path kept before."""
+    first = ref_separate_multicut(d, pairs, x)
+    if first is None:
+        return []
+    violated = []
+    for i, (s, t) in enumerate(pairs):
+        dist, prev = ref_dijkstra_vertex_weights(d.out_neighbors, s, x.value)
+        if t in dist and dist[t] < 1.0 - x.tolerance - 1e-12:
+            violated.append((dist[t], i, extract_path(prev, t)))
+    paths = [first]
+    for _, _, path in sorted(violated):
+        if len(paths) < cap and all(set(path).isdisjoint(p) for p in paths):
+            paths.append(path)
+    return paths
 
 
 def ref_simplex_min_cover(n: int, constraint_sets, exact: bool = False) -> list:
@@ -643,7 +668,7 @@ def ref_skew_multicut(inst: SkewInstance,
     """Skew multicut on a copy digraph: d plus source copy n+i of tu[i]
     and target copy n+a+j of tv[j]."""
     d, pairs = inst.base.d, list(inst.base.terminals)
-    if separate_multicut(d, pairs, x) is not None:
+    if separate_multicut(d, pairs, x):
         raise ValueError("fractional solution is infeasible for the instance")
     n = d.n
     a, b = len(inst.tu), len(inst.tv)
@@ -933,6 +958,15 @@ def _ref_balanced_clique_cut_compact(g: Graph, k: int):
         best = max(big, key=lambda c: (len(c), sorted(c)))
         return frozenset(best), frozenset(best)
     best_pair = None
+    greedy_failed = []
+
+    def keep(clique, rest, cut):
+        nonlocal best_pair
+        z = frozenset(clique) | {rest.old_of[v] for v in cut}
+        if best_pair is None or len(z) - len(clique) < \
+                len(best_pair[0]) - len(best_pair[1]):
+            best_pair = (z, frozenset(clique))
+
     for clique in cliques:
         rest = induced_subgraph(g, set(g.vertices()) - clique)
         limit = 2.0 * rest.graph.n / 3.0
@@ -940,12 +974,18 @@ def _ref_balanced_clique_cut_compact(g: Graph, k: int):
             cut = _ref_balanced_cut_exact(rest.graph, limit, k)
         else:
             cut = _ref_balanced_cut_greedy(rest.graph, limit, k)
-        if cut is None:
-            continue
-        z = frozenset(clique) | {rest.old_of[v] for v in cut}
-        if best_pair is None or len(z) - len(clique) < \
-                len(best_pair[0]) - len(best_pair[1]):
-            best_pair = (z, frozenset(clique))
+            if cut is None:
+                greedy_failed.append(clique)
+        if cut is not None:
+            keep(clique, rest, cut)
+    if best_pair is None and greedy_failed and \
+            ref_exact_chvd(g, k) is not None:
+        for clique in greedy_failed:
+            rest = induced_subgraph(g, set(g.vertices()) - clique)
+            cut = _ref_balanced_cut_exact(rest.graph, 2.0 * rest.graph.n / 3.0,
+                                          k)
+            if cut is not None:
+                keep(clique, rest, cut)
     if best_pair is None:
         return NO_INSTANCE
     z, kq = best_pair
@@ -1210,6 +1250,20 @@ def induced_path_avoiding(
 def connected_components(g: Graph) -> list[frozenset[int]]:
     """Partition of V(g) into connected components, ordered by smallest member."""
     return components_within(g, g.vertices())
+
+
+def random_c4_free(rng, n: int, tries: int) -> Graph:
+    """A graph with no induced C4: ``tries`` random vertex pairs in turn,
+    each joined unless the edge u-v would close an induced C4 u-v-b-a."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for _ in range(tries):
+        u, v = rng.sample(range(n), 2)
+        b_side = adj[v] - adj[u] - {u}
+        if any(adj[a] & b_side for a in adj[u] - adj[v] - {v}):
+            continue
+        adj[u].add(v)
+        adj[v].add(u)
+    return Graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
 
 
 def random_near_chordal(seed: int, core_vertices: int = 12, tree_nodes: int = 6,

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from chvd import approx
-from chvd.graphs import Graph, InvariantError, induced_subgraph
+from chvd.graphs import Graph, InvariantError, components_within, \
+    induced_subgraph, is_clique
 from chvd.chordal import clique_tree_of, is_chordal
 from chvd.lp import ChvdProblem, FractionalSolution, solve_fractional
 from chvd.approx import (
@@ -20,10 +21,11 @@ from chvd.approx import (
 from chvd.generate import GeneratorSpec, clique_path_graph, generate, \
     random_chordal, random_gnp
 from chvd.multicut import downward_multicut as multicut_engine
-from chvd.oracle import exact_chvd
+from chvd.oracle import SearchBudgetExceeded, exact_chvd
 from bruteforce import (
     _remap,
     bf_chordal_after_delete,
+    random_c4_free,
     ref_balanced_clique_cut,
     ref_chvd_clique_plus_chordal,
     ref_decompose,
@@ -134,6 +136,57 @@ def test_balanced_clique_cut_two_cliques_joined():
     from chvd.graphs import components_within
     for comp in components_within(g, set(g.vertices()) - z):
         assert 4 * len(comp) <= 3 * g.n
+
+
+# C4-free, and chordal once vertex 8 is deleted, yet no maximal clique K
+# has a greedy balanced cut of one vertex: the one-vertex cut {8} of
+# g - {1, 10} is found only by enumeration
+MISSED_BY_GREEDY = Graph(27, [
+    (0, 3), (1, 5), (1, 10), (2, 5), (2, 18), (2, 20), (2, 22), (3, 4),
+    (3, 16), (3, 21), (5, 23), (6, 7), (6, 13), (7, 14), (7, 19), (7, 26),
+    (8, 9), (8, 13), (8, 16), (8, 18), (9, 10), (9, 11), (10, 19), (10, 21),
+    (11, 12), (14, 24), (15, 16), (17, 19), (17, 25), (18, 22), (19, 26),
+    (20, 22)])
+
+
+def test_balanced_clique_cut_finds_the_cut_the_greedy_search_misses():
+    g = MISSED_BY_GREEDY
+    vertices = set(g.vertices())
+    assert is_chordal(g, vertices - {8})
+    assert all(len(vertices - clique) > approx.EXACT_CUT_LIMIT
+               for clique in approx.maximal_cliques(g, vertices))
+    assert balanced_clique_cut(g, 1, vertices) == (
+        frozenset({1, 8, 10}), frozenset({1, 10}))
+    assert ref_balanced_clique_cut(g, 1, vertices) == (
+        frozenset({1, 8, 10}), frozenset({1, 10}))
+
+
+def test_balanced_clique_cut_spends_a_budget_on_the_missed_cut(monkeypatch):
+    monkeypatch.setattr(approx, "EXACT_CUT_BUDGET", 100)
+    g = MISSED_BY_GREEDY
+    with pytest.raises(SearchBudgetExceeded):
+        balanced_clique_cut(g, 1, set(g.vertices()))
+
+
+def test_balanced_clique_cut_says_no_only_when_the_exact_search_does():
+    rng = random.Random(151)
+    answers = {"no": 0, "cut": 0}
+    for trial in range(150):
+        n = rng.randint(20, 33)
+        g = random_c4_free(rng, n, rng.randint(n, 2 * n))
+        k = rng.choice([1, 2, 3])
+        vertices = set(g.vertices())
+        res = balanced_clique_cut(g, k, vertices)
+        if isinstance(res, NoInstance):
+            assert exact_chvd(g, k) is None
+            answers["no"] += 1
+        else:
+            z, kq = res
+            assert kq <= z and is_clique(g, kq) and len(z - kq) <= k
+            for comp in components_within(g, vertices - z):
+                assert 4 * len(comp) <= 3 * n
+            answers["cut"] += 1
+    assert answers["no"] >= 10 and answers["cut"] >= 10
 
 
 def test_decompose_chordal_graph():

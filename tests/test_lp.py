@@ -23,7 +23,8 @@ from chvd.generate import GeneratorSpec, generate, random_dag, random_gnp, \
     random_staircase
 from chvd.oracle import exact_chvd
 from bruteforce import bf_all_holes, ref_dijkstra_vertex_weights, \
-    ref_separate_chvd, ref_separate_multicut, ref_simplex_min_cover
+    ref_separate_chvd, ref_separate_multicut, ref_separate_multicut_paths, \
+    ref_simplex_min_cover
 
 
 def cycle_graph(n):
@@ -85,7 +86,7 @@ def test_simplex_matches_the_dense_reference():
 class ReferenceRounds:
     """A problem whose separation first checks the round's x against the
     dense reference over the pool so far, repr for repr, then asks the
-    inner problem and pools what it returns."""
+    inner problem and pools every set it returns."""
 
     inner: object
     exact: bool
@@ -102,20 +103,21 @@ class ReferenceRounds:
             assert list(map(repr, x.values.values())) == [
                 repr(float(w)) for w in want]
         found = self.inner.separate(x)
-        if found is not None:
-            self.pools.append(pool + [found])
+        if found:
+            self.pools.append(pool + found)
         return found
 
 
 @dataclass(frozen=True)
 class Scripted:
-    """Separation that hands out the given sets in order, then None."""
+    """Separation that hands out the given rounds of sets in order, then
+    an empty list."""
 
     n: int
-    sets: list
+    rounds: list
 
     def separate(self, x):
-        return self.sets.pop(0) if self.sets else None
+        return self.rounds.pop(0) if self.rounds else []
 
 
 def counting_adds(monkeypatch):
@@ -141,7 +143,7 @@ def test_simplex_matches_the_dense_reference_every_cutting_plane_round(
     dense cold simplex's, float for float and Fraction for Fraction."""
     outcomes = counting_adds(monkeypatch)
     pools = []
-    for seed in range(3):
+    for seed in range(4):
         g, _, _ = generate(GeneratorSpec(seed=seed, core_vertices=30,
                                          tree_nodes=10, planted=4,
                                          noise_edges=1))
@@ -171,11 +173,39 @@ def test_a_slack_pivot_refuses_the_column_a_cold_start_would_enter(
         monkeypatch, exact):
     outcomes = counting_adds(monkeypatch)
     sets = [frozenset(s) for s in REFUSED_POOL]
-    problem = ReferenceRounds(Scripted(4, list(sets)), exact, [])
+    problem = ReferenceRounds(Scripted(4, [[s] for s in sets]), exact, [])
     x = solve_fractional(problem, exact=exact)
     assert outcomes == [True, True, False, True]
     assert len(problem.pools) == 5
     assert x.values == {v: 0.5 for v in range(4)}
+
+
+# The fourth round hands out three sets, each violated by the third
+# round's x = (0, 1/2, 1/2, 1/2).  The kept tableau takes {2} and refuses
+# {0, 1}, as above; {0, 3} is not offered, and the round starts cold over
+# all six sets.  The fifth round's two sets are both taken.
+MULTI_SET_ROUNDS = ([{0, 1, 2}], [{1, 3}], [{2, 3}], [{2}, {0, 1}, {0, 3}],
+                    [{1}, {3}])
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_round_starts_cold_at_its_first_refused_column(monkeypatch, exact):
+    outcomes = counting_adds(monkeypatch)
+    cold_pools = []
+    init = lp._Tableau.__init__
+
+    def counting_init(self, n, constraint_sets, exact):
+        cold_pools.append(len(constraint_sets))
+        init(self, n, constraint_sets, exact)
+
+    monkeypatch.setattr(lp._Tableau, "__init__", counting_init)
+    rounds = [[frozenset(s) for s in r] for r in MULTI_SET_ROUNDS]
+    problem = ReferenceRounds(Scripted(4, rounds), exact, [])
+    x = solve_fractional(problem, exact=exact)
+    assert outcomes == [True, True, True, False, True, True]
+    assert cold_pools == [1, 6]
+    assert list(map(len, problem.pools)) == [1, 2, 3, 6, 8]
+    assert x.values == {0: 0.0, 1: 1.0, 2: 1.0, 3: 1.0}
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -195,7 +225,7 @@ def test_the_kept_tableau_spends_the_cold_pivot_budget(monkeypatch, exact):
     for spare, raises in ((0, True), (1, False)):
         monkeypatch.setattr(lp, "_pivot_budget", lambda n, m: (
             cold[m] + spare if m == len(sets) else 10 ** 6))
-        problem = Scripted(4, list(sets))
+        problem = Scripted(4, [[s] for s in sets])
         if raises:
             with pytest.raises(graphs.InvariantError, match="pivot budget"):
                 simplex_min_cover(4, sets, exact=exact)
@@ -308,7 +338,7 @@ class BothSeparators:
         hole = separate_chvd(self.g, x)
         assert hole == ref_separate_chvd(self.g, x)
         self.rounds.append(hole)
-        return None if hole is None else hole.vertex_set()
+        return [] if hole is None else [hole.vertex_set()]
 
 
 def test_separate_chvd_matches_reference_every_cutting_plane_round():
@@ -336,17 +366,29 @@ def test_separate_chvd_runs_one_search_per_vertex_neighbour_pair(monkeypatch):
 def test_separate_multicut_basic():
     d = DiGraph(4, [(0, 1), (1, 2), (2, 3)])
     x = FractionalSolution({v: 0.0 for v in d.vertices()})
-    path = separate_multicut(d, [(0, 3)], x)
-    assert path == [0, 1, 2, 3]
+    paths = separate_multicut(d, [(0, 3)], x)
+    assert paths == [[0, 1, 2, 3]]
     x = FractionalSolution({1: 1.0})
-    assert separate_multicut(d, [(0, 3)], x) is None
-    assert separate_multicut(d, [(3, 0)], x) is None
+    assert separate_multicut(d, [(0, 3)], x) == []
+    assert separate_multicut(d, [(3, 0)], x) == []
+    # the first path is the earliest pair's unless a later one is lighter
+    # by more than 1e-12
+    d = DiGraph(4, [(0, 1), (2, 3)])
+    pairs = [(0, 1), (2, 3)]
+    for lighter, first in ((5e-13, 0), (1e-9, 1)):
+        x = FractionalSolution({0: 0.5, 2: 0.5 - lighter})
+        paths = separate_multicut(d, pairs, x)
+        assert paths == [list(pairs[first]), list(pairs[1 - first])]
+        assert paths[0] == ref_separate_multicut(d, pairs, x)
 
 
-def test_separate_multicut_matches_reference_on_random_dags():
-    rng = random.Random(113)
-    found = 0
-    for trial in range(40):
+def random_separation_cases(seed, trials=40):
+    """Random DAGs with pairs from few sources, each with two weightings
+    as FractionalSolutions: a heavy draw, and a light one scaled so that
+    the lightest terminal path sits just below, at or just above the
+    threshold."""
+    rng = random.Random(seed)
+    for trial in range(trials):
         d = random_dag(rng, rng.randint(4, 18), rng.choice([0.2, 0.3, 0.45]))
         # few sources, so that each is shared by several pairs
         sources = rng.sample(range(d.n), rng.randint(1, 3))
@@ -366,17 +408,69 @@ def test_separate_multicut_matches_reference_on_random_dags():
         if 0 < lightest < math.inf:
             target = 1 - 1e-6 - rng.choice([1e-3, 1e-9, 2e-12, 0.0, -1e-9])
             light = {v: w * target / lightest for v, w in light.items()}
-        for values in (heavy, light):
-            x = FractionalSolution(values)
+        yield d, pairs, [FractionalSolution(heavy), FractionalSolution(light)]
+
+
+def test_separate_multicut_matches_reference_on_random_dags():
+    found = 0
+    for d, pairs, xs in random_separation_cases(113):
+        for x in xs:
             got = separate_multicut(d, pairs, x)
-            assert got == ref_separate_multicut(d, pairs, x)
-            found += got is not None
+            want = ref_separate_multicut(d, pairs, x)
+            assert (got == []) == (want is None)
+            if got:
+                assert got[0] == want
+            found += bool(got)
     assert 0 < found < 80
+
+
+def test_separate_multicut_returns_disjoint_violated_paths_on_random_dags():
+    pick = random.Random(127)
+    several = 0
+    for d, pairs, xs in random_separation_cases(131, trials=60):
+        allowed = set(pick.sample(range(d.n), pick.randint(d.n // 2, d.n)))
+        # a search admits its source outside allowed, so the reference
+        # runs on d without the arcs into the other vertices outside it
+        d_allowed = DiGraph(d.n, [(u, w) for u, w in d.arcs() if w in allowed])
+        for x in xs:
+            for restrict, graph in ((None, d), (allowed, d_allowed)):
+                paths = separate_multicut(d, pairs, x, allowed=restrict)
+                assert len(paths) <= lp.MAX_PATHS_PER_ROUND == 16
+                used = set()
+                for path in paths:
+                    assert (path[0], path[-1]) in pairs
+                    assert all(w in graph.out_neighbors(u)
+                               for u, w in zip(path, path[1:]))
+                    assert x.mass(path) < 1 - x.tolerance
+                    assert used.isdisjoint(path)
+                    used.update(path)
+                want = ref_separate_multicut(graph, pairs, x)
+                assert (paths == []) == (want is None)
+                if paths:
+                    assert paths[0] == want
+                assert paths == ref_separate_multicut_paths(graph, pairs, x,
+                                                            16)
+                several += len(paths) > 1
+    assert several >= 10
+
+
+def test_separate_multicut_keeps_at_most_sixteen_paths():
+    d = DiGraph(40, [(2 * i, 2 * i + 1) for i in range(20)])
+    pairs = [(2 * i, 2 * i + 1) for i in range(20)]
+    # pair i weighs (i mod 5) / 10: the first path is pair 0's, then the
+    # others by (weight, index) until sixteen are kept
+    x = FractionalSolution({2 * i: (i % 5) / 10 for i in range(20)})
+    paths = separate_multicut(d, pairs, x)
+    assert paths == [list(pairs[i]) for i in
+                     (0, 5, 10, 15, 1, 6, 11, 16, 2, 7, 12, 17, 3, 8, 13, 18)]
+    assert paths == ref_separate_multicut_paths(d, pairs, x, 16)
 
 
 @dataclass(frozen=True)
 class BothMulticutSeparators:
-    """A MulticutProblem that runs both separators and asserts they agree."""
+    """A MulticutProblem that runs both separators and asserts that the
+    first path is the reference's, and that there is none exactly when the
+    reference finds none."""
 
     d: DiGraph
     pairs: tuple
@@ -387,17 +481,20 @@ class BothMulticutSeparators:
         return self.d.n
 
     def separate(self, x):
-        path = separate_multicut(self.d, self.pairs, x)
-        assert path == ref_separate_multicut(self.d, self.pairs, x)
-        self.rounds.append(path)
-        return None if path is None else frozenset(path)
+        paths = separate_multicut(self.d, self.pairs, x)
+        want = ref_separate_multicut(self.d, self.pairs, x)
+        assert (paths == []) == (want is None)
+        if paths:
+            assert paths[0] == want
+        self.rounds.append(paths)
+        return [frozenset(path) for path in paths]
 
 
 def test_separate_multicut_matches_reference_every_cutting_plane_round():
     d, _, _, pairs = random_staircase(0, n=72, a=12, b=12, p=0.25)
     problem = BothMulticutSeparators(d, tuple(pairs), [])
     solve_fractional(problem)
-    assert len(problem.rounds) > 1 and problem.rounds[-1] is None
+    assert len(problem.rounds) > 1 and problem.rounds[-1] == []
 
 
 def test_separate_multicut_runs_one_search_per_source(monkeypatch):
@@ -414,7 +511,7 @@ def test_separate_multicut_runs_one_search_per_source(monkeypatch):
     # lp imports the search by name, so patch it there
     monkeypatch.setattr(lp, "dijkstra_vertex_weights", counting)
     zero = FractionalSolution({v: 0.0 for v in d.vertices()})
-    assert separate_multicut(d, pairs, zero) is not None
+    assert separate_multicut(d, pairs, zero)
     assert 0 < len(calls) <= len(sources)
 
 
@@ -458,7 +555,7 @@ def test_solve_fractional_below_integral_optimum():
 def test_solve_fractional_multicut():
     d = DiGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     x = solve_fractional(MulticutProblem(d, ((0, 4), (1, 3))))
-    assert separate_multicut(d, [(0, 4), (1, 3)], x) is None
+    assert separate_multicut(d, [(0, 4), (1, 3)], x) == []
     assert x.objective <= 1.0 + 1e-6
 
 
@@ -471,7 +568,7 @@ def test_solve_fractional_multicut_random():
             tuple(rng.sample(verts, 2)) for _ in range(rng.randint(1, 3))
         )
         x = solve_fractional(MulticutProblem(d, pairs))
-        assert separate_multicut(d, list(pairs), x) is None
+        assert separate_multicut(d, list(pairs), x) == []
 
 
 def test_solve_fractional_exact_mode_cross_check():
