@@ -37,18 +37,6 @@ class PEO:
         return {v: i for i, v in enumerate(self.ordering)}
 
 
-def is_peo(g: Graph, ordering: Iterable[int]) -> bool:
-    order = list(ordering)
-    if sorted(order) != list(range(g.n)):
-        return False
-    pos = {v: i for i, v in enumerate(order)}
-    for v in order:
-        later = [u for u in g.neighbors(v) if pos[u] > pos[v]]
-        if not is_clique(g, later):
-            return False
-    return True
-
-
 def find_hole_through(
     g: Graph, v: int, allowed: Optional[Iterable[int]] = None
 ) -> Optional[Hole]:

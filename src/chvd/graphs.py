@@ -527,6 +527,20 @@ def lightest_hole(
     and returns the last ``(hole, weight)`` found.  ``weights`` is a table
     indexed by vertex id, nonnegative, or None for unit weights.
 
+    Each hole is searched once, at its least vertex: a vertex leaves the
+    search once its own search has returned, so the search through v runs
+    in g[allowed] less every vertex before v.  This returns what searching
+    all of g[allowed] at every vertex would.  When v's turn comes, every
+    earlier vertex w has had its own search, under a bound no lower than
+    the current one, so every hole through w weighs at least
+    bound - 1e-12, and no search at v could accept one.
+    Under unit weights a shortest path is induced, so a chain through w
+    that passed the test would itself close a hole through w below the
+    bound, which is impossible; the search at v settles every chain it
+    accepts as it would with w present.  Under zero weights the shortcut
+    may drop a zero-weight w from a chain, and ties are settled by the
+    property test against the loop that drops nothing.
+
     The loop stops at a floor.  A hole has at least four vertices, so its
     weight, summed as ``lightest_hole_through`` sums it, is at least the
     floor: four copies of the least allowed weight, added the same way
@@ -545,6 +559,7 @@ def lightest_hole(
         if v not in inner:
             continue
         found = lightest_hole_through(g, v, weights, inner, below)
+        inner.discard(v)
         if found is not None:
             best = found
             below = found[1]

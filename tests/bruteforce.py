@@ -12,6 +12,8 @@ a weight callable, before unit weights ran by layers.
 the hole helpers of ``chvd.graphs``.  ``ref_shortest_hole_avoiding`` is
 the loop ``lightest_hole`` replaced: ``lightest_hole_through`` for every
 alive vertex, with no floor, under a unit table, so on the heap search.
+``ref_lightest_hole`` is ``lightest_hole`` before it dropped each
+vertex it had searched: every search runs in all of g[allowed].
 ``ref_separate_multicut`` runs one full ``ref_dijkstra_vertex_weights``
 search per terminal pair, with no cutoff and no sharing between pairs of
 one source, for the lightest violated path;
@@ -52,13 +54,14 @@ maximum cardinality search; ``ref_recognize``, ``ref_is_chordal``,
 ``ref_build_clique_tree``, ``ref_clique_tree_of`` and ``ref_mis_chordal``
 are the recognition, clique trees and independent sets built on it, which
 copy g[vertices] into a renumbered graph and compare every pair of
-candidate cliques and of bags.  They share ``is_peo`` and
-``find_any_hole`` with ``chvd.chordal``.
+candidate cliques and of bags.  They share ``find_any_hole`` with
+``chvd.chordal``.
 
 The last section holds helpers that only tests call and the library does
-not need: a clique-tree invariant checker, an induced path through a
-clique tree's adhesions, whole-graph components, a generator of graphs
-with no induced C4 and a one-apex generator.
+not need: a perfect elimination ordering check, a clique-tree invariant
+checker, an induced path through a clique tree's adhesions, whole-graph
+components, a generator of graphs with no induced C4 and a one-apex
+generator.
 """
 from __future__ import annotations
 
@@ -77,7 +80,7 @@ from chvd import oracle
 from chvd.approx import EXACT_CUT_LIMIT, NO_INSTANCE, Decomposition, \
     NoInstance
 from chvd.chordal import PEO, CliqueTree, central_bag, clique_tree_of, \
-    find_any_hole, find_hole_through, is_chordal, is_peo, maximal_cliques, \
+    find_any_hole, find_hole_through, is_chordal, maximal_cliques, \
     minimal_path
 from chvd.generate import GeneratorSpec, generate
 from chvd.kernel import ReductionEvent, _finish, _modulator_pairs
@@ -333,6 +336,27 @@ def ref_shortest_hole_avoiding(g: Graph, deleted) -> Hole | None:
         found = lightest_hole_through(g, b, unit, alive, length)
         if found is not None:
             best, length = found
+    return best
+
+
+def ref_lightest_hole(g: Graph, weights, allowed, below):
+    """``lightest_hole`` before it dropped each vertex it had finished
+    with: every search runs in all of g[allowed], so a hole is searched
+    once through each of its vertices."""
+    inner = set(allowed)
+    low = (1 if weights is None
+           else min((weights[v] for v in inner), default=0))
+    floor = low + low + low + low
+    best = None
+    for v in g.vertices():
+        if v not in inner:
+            continue
+        found = lightest_hole_through(g, v, weights, inner, below)
+        if found is not None:
+            best = found
+            below = found[1]
+            if below - 1e-12 <= floor:
+                break
     return best
 
 
@@ -1184,6 +1208,20 @@ def ref_mis_chordal(g: Graph) -> frozenset[int]:
 
 
 # -- test-only helpers --------------------------------------------------------
+
+def is_peo(g: Graph, ordering) -> bool:
+    """True iff ordering lists every vertex of g once and the later
+    neighbours of each vertex form a clique."""
+    order = list(ordering)
+    if sorted(order) != list(range(g.n)):
+        return False
+    pos = {v: i for i, v in enumerate(order)}
+    for v in order:
+        later = [u for u in g.neighbors(v) if pos[u] > pos[v]]
+        if not is_clique(g, later):
+            return False
+    return True
+
 
 def validate_clique_tree(g: Graph, t: CliqueTree) -> None:
     """Check every CliqueTree invariant against g; raises InvariantError."""

@@ -428,3 +428,39 @@ def test_decompose_and_balanced_cut_match_the_renumbered_reference():
                 assert got == _outcome(ref_balanced_clique_cut, g, k, vertices)
                 cuts += not isinstance(got, (NoInstance, str))
     assert no_instances >= 100 and with_clique >= 100 and cuts >= 100
+
+
+def test_approximate_says_no_only_when_the_exact_search_does(monkeypatch):
+    """At k = 2-4 every NoInstance of approximate() is confirmed by
+    exact_chvd and every returned set leaves g chordal.  The middle
+    family is dense enough that the LP route sometimes leaves holes below
+    the 1/4 threshold, so the decomposition's balanced cut runs."""
+    cuts = []
+    cut = approx.balanced_clique_cut
+
+    def counting(*args, **kwargs):
+        cuts.append(1)
+        return cut(*args, **kwargs)
+
+    monkeypatch.setattr(approx, "balanced_clique_cut", counting)
+    rng = random.Random(3)
+    answers = {"no": 0, "set": 0, "cut": 0}
+    for trial in range(90):
+        k = rng.randint(2, 4)
+        if trial % 3 == 0:
+            g = random_gnp(rng, rng.randint(6, 14), rng.uniform(0.3, 0.5))
+        elif trial % 3 == 1:
+            g = random_gnp(rng, rng.randint(16, 24), rng.uniform(0.2, 0.25))
+        else:
+            n = rng.randint(10, 26)
+            g = random_c4_free(rng, n, rng.randint(n, 3 * n))
+        cuts.clear()
+        got = approximate(g, k)
+        answers["cut"] += bool(cuts)
+        if isinstance(got, NoInstance):
+            assert exact_chvd(g, k) is None
+            answers["no"] += 1
+        else:
+            assert is_chordal(g, set(g.vertices()) - got)
+            answers["set"] += 1
+    assert answers["no"] >= 10 and answers["set"] >= 50 and answers["cut"]

@@ -23,7 +23,6 @@ from chvd.chordal import (
     find_any_hole,
     find_hole_through,
     is_chordal,
-    is_peo,
     maximal_cliques,
     minimal_path,
     mis_chordal,
@@ -36,6 +35,7 @@ from bruteforce import (
     bf_is_chordal,
     bf_max_independent_set,
     induced_path_avoiding,
+    is_peo,
     path_adhesions,
     ref_clique_tree_of,
     ref_is_chordal,

@@ -1,6 +1,7 @@
-"""The one breadth-first search against the queue loops it replaced, and
-the one vertex-weighted search against the heap search with a weight
-callable."""
+"""The one breadth-first search against the queue loops it replaced, the
+one vertex-weighted search against the heap search with a weight
+callable, and the lightest-hole loop against the one that searched every
+hole through each of its vertices."""
 import ast
 import math
 import random
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from chvd import graphs
 from chvd.generate import random_dag, random_gnp
 from chvd.graphs import (
     DiGraph,
@@ -15,6 +17,7 @@ from chvd.graphs import (
     bfs_path,
     components_within,
     dijkstra_vertex_weights,
+    lightest_hole,
 )
 from chvd.multicut import min_vertex_cut
 from bruteforce import (
@@ -25,6 +28,7 @@ from bruteforce import (
     ref_di_reachable,
     ref_dijkstra_vertex_weights,
     ref_induced_digraph,
+    ref_lightest_hole,
     ref_min_vertex_cut,
 )
 
@@ -255,6 +259,68 @@ def test_vertex_weighted_search_matches_the_heap_reference():
             stopped += targets != [] and len(got[0]) < len(full[0])
             cut += cutoff < math.inf and len(got[0]) < len(full[0])
     assert stopped >= 100 and cut >= 100
+
+
+def hole_weightings(rng, n):
+    """Unit, all zero, zero-heavy dyadic and uniform small weights: the
+    zero-heavy ones put many holes on one weight, where ties decide."""
+    return (None,
+            [0.0] * n,
+            [rng.choice([0, 0.25, 0.5]) for _ in range(n)],
+            [rng.choice([0, 0, 1 / 8, 1 / 3]) for _ in range(n)],
+            [rng.uniform(0.0, 0.4) for _ in range(n)])
+
+
+def test_lightest_hole_matches_the_loop_that_drops_no_vertex():
+    """Dropping each vertex once its search has returned gives the same
+    hole and weight as searching all of g[allowed] at every vertex, under
+    any allowed set and bound."""
+    rng = random.Random(31)
+    found = none = 0
+    for _ in range(3000):
+        n = rng.randint(5, 22)
+        g = random_gnp(rng, n, rng.choice([0.15, 0.2, 0.3, 0.45]))
+        allowed = (range(n) if rng.random() < 0.5
+                   else some(rng, n, rng.uniform(0.5, 1.0)))
+        # a unit hole weighs at least 4, so a length bounds it
+        length = rng.choice([5, 6, math.inf])
+        below = rng.choice([1 - 1e-6, 0.75, math.inf])
+        for weights in hole_weightings(rng, n):
+            bound = length if weights is None else below
+            got = lightest_hole(g, weights, allowed, bound)
+            assert got == ref_lightest_hole(g, weights, allowed, bound)
+            found += got is not None
+            none += got is None
+    assert found >= 3000 and none >= 3000
+
+
+def test_lightest_hole_searches_through_v_without_earlier_vertices(
+        monkeypatch):
+    """The search through v sees the allowed vertices from v on, and
+    every allowed vertex is searched until the floor stops the loop."""
+    rng = random.Random(37)
+    calls = []
+    search = graphs.lightest_hole_through
+
+    def spying(g, v, weights, allowed, below):
+        calls.append((v, set(allowed)))
+        return search(g, v, weights, allowed, below)
+
+    monkeypatch.setattr(graphs, "lightest_hole_through", spying)
+    full = 0
+    for _ in range(300):
+        n = rng.randint(5, 16)
+        g = random_gnp(rng, n, rng.choice([0.2, 0.3]))
+        allowed = some(rng, n, rng.uniform(0.5, 1.0))
+        for weights in hole_weightings(rng, n):
+            calls.clear()
+            lightest_hole(g, weights, allowed, math.inf)
+            for v, seen in calls:
+                assert seen == {u for u in allowed if u >= v}
+            searched = [v for v, _ in calls]
+            assert searched == sorted(allowed)[:len(searched)]
+            full += len(searched) == len(allowed) > 1
+    assert full >= 300
 
 
 def test_only_graphs_module_writes_a_search():
