@@ -264,15 +264,28 @@ def decompose(
     """Repeated balanced clique cuts on the non-chordal components of
     g[vertices].
 
-    Charges one step per cut and aborts as NoInstance past
-    k * log_{3/2} n steps, n = |vertices|, matching the yes-instance
-    termination bound.
+    Charges one step per cut and aborts as NoInstance past ``max_steps``,
+    n = |vertices|.  That many suffice on a yes-instance whose cuts all
+    succeed, as ``balanced_clique_cut``'s do on C4-free inputs.  The
+    targets among g[vertices]'s own components are generation 0; the
+    components that a cut of a generation-i target leaves are generation
+    i + 1, until they are cut in turn.  The targets of one generation are
+    disjoint and each holds a hole, which a solution must meet, so a
+    generation has at most k targets.  A generation-i target has at most
+    (3/4)^i n vertices (``balanced_clique_cut`` checks the 3/4) and a hole
+    at least 4, so i <= log_{4/3}(n/4): at most
+    k * (floor(log_{4/3}(n/4)) + 1) cuts in all.  The older bound
+    k * log_{3/2} n is below it for some n >= 80 (11 against 12 cuts at
+    n = 100, k = 1) and has no such proof, so ``max_steps`` takes the
+    larger of the two.
     """
     n = len(vertices)
     alive = set(vertices)
     cliques: list[frozenset[int]] = []
     residue: set[int] = set()
-    max_steps = 0 if n <= 1 else math.floor(k * math.log(n) / math.log(1.5))
+    max_steps = 0 if n <= 1 else max(
+        math.floor(k * math.log(n) / math.log(1.5)),
+        k * (math.floor(math.log(n / 4) / math.log(4 / 3)) + 1))
     steps = 0
     while True:
         target = None

@@ -189,10 +189,6 @@ class CliqueTree:
             raise ValueError("root has no parent edge")
         return self.bags[node] & self.bags[par]
 
-    def tree_edges(self) -> list[tuple[int, int]]:
-        """Edges as (child, parent) pairs."""
-        return [(c, p) for c, p in enumerate(self.parent) if p is not None]
-
     def lca(self, p: int, q: int) -> int:
         while p != q:
             if self._depth[p] < self._depth[q]:
@@ -251,22 +247,20 @@ class CliqueTree:
         return out
 
     def reroot(self, new_root: int) -> "CliqueTree":
-        n_vertices = len(self._inv)
-        adj: list[list[int]] = [[] for _ in self.bags]
-        for c, p in self.tree_edges():
-            adj[c].append(p)
-            adj[p].append(c)
-        parent: list[Optional[int]] = [None] * len(self.bags)
-        stack = [new_root]
-        seen = {new_root}
-        while stack:
-            p = stack.pop()
-            for q in adj[p]:
-                if q not in seen:
-                    seen.add(q)
-                    parent[q] = p
-                    stack.append(q)
-        return CliqueTree(list(self.bags), parent, new_root, n_vertices)
+        parent = list(self.parent)
+        _hang(parent, new_root, None)
+        return CliqueTree(list(self.bags), parent, new_root, len(self._inv))
+
+
+def _hang(parent: list[Optional[int]], node: int,
+          above: Optional[int]) -> None:
+    """Make node the root of its tree in the forest ``parent`` by
+    reversing the links on its path to the old root, then hang it below
+    ``above`` (None leaves it a root)."""
+    while node is not None:
+        up = parent[node]
+        parent[node] = above
+        above, node = node, up
 
 
 def _clique_tree(g: Graph, order: Sequence[int],
@@ -308,7 +302,7 @@ def _clique_tree(g: Graph, order: Sequence[int],
             x = comp[x]
         return x
 
-    adj: list[list[int]] = [[] for _ in range(b)]
+    parent: list[Optional[int]] = [None] * b
     used = 0
     for i, j in chain(pairs, combinations(range(b), 2)):
         if used == b - 1:
@@ -316,19 +310,9 @@ def _clique_tree(g: Graph, order: Sequence[int],
         ri, rj = find(i), find(j)
         if ri != rj:
             comp[ri] = rj
-            adj[i].append(j)
-            adj[j].append(i)
+            _hang(parent, i, j)
             used += 1
-    parent: list[Optional[int]] = [None] * b
-    stack = [0]
-    seen = {0}
-    while stack:
-        p = stack.pop()
-        for q in sorted(adj[p]):
-            if q not in seen:
-                seen.add(q)
-                parent[q] = p
-                stack.append(q)
+    _hang(parent, 0, None)
     return CliqueTree(bags, parent, 0, g.n)
 
 
@@ -363,21 +347,52 @@ def minimal_path(t: CliqueTree, s: int, u: int) -> list[int]:
     return full[last_s : first_u + 1]
 
 
+def _greedy_cliques(g: Graph, vertices: Optional[Iterable[int]]
+                    ) -> Optional[list[list[int]]]:
+    """The greedy clique cover of g[vertices] over a PEO: each vertex not
+    yet covered opens a clique with its uncovered later neighbours.  None
+    when g[vertices] is not chordal.
+
+    A vertex opens a clique exactly when no earlier opener is adjacent to
+    it, so the openers, each clique's first member, are the greedy
+    independent set of the same scan, which is maximum on a chordal
+    graph; the cover then has alpha(g[vertices]) cliques."""
+    order, later = _peo_of(g, vertices)
+    if later is None:
+        return None
+    covered: set[int] = set()
+    out = []
+    for v, after in zip(order, later):
+        if v not in covered:
+            clique = [v, *(u for u in after if u not in covered)]
+            covered.update(clique)
+            out.append(clique)
+    return out
+
+
 def mis_chordal(g: Graph,
                 vertices: Optional[Iterable[int]] = None) -> frozenset[int]:
     """Maximum independent set of the chordal graph g[vertices] (of g when
     vertices is None), greedy over a PEO, in g's own ids."""
-    order, later = _peo_of(g, vertices)
-    if later is None:
+    cliques = _greedy_cliques(g, vertices)
+    if cliques is None:
         raise ValueError("graph is not chordal")
-    taken = []
-    blocked = set()
-    for v in order:
-        if v not in blocked:
-            taken.append(v)
-            blocked.add(v)
-            blocked.update(g.neighbors(v))
-    return frozenset(taken)
+    return frozenset(c[0] for c in cliques)
+
+
+def clique_cover_chordal(h: Graph) -> list[frozenset[int]]:
+    """Partition a chordal graph into alpha(H) cliques (greedy over a PEO):
+    each vertex not yet covered, with its uncovered later neighbours."""
+    cliques = _greedy_cliques(h, None)
+    if cliques is None:
+        raise ValueError("clique cover requires a chordal graph")
+    out = [frozenset(c) for c in cliques]
+    for c in out:
+        check(is_clique(h, c), "cover part is not a clique")
+    check(sum(len(c) for c in out) == h.n and
+          set().union(*out) == set(range(h.n)) if out else h.n == 0,
+          "cover is not a partition")
+    return out
 
 
 def central_bag(g: Graph, t: CliqueTree, weights: dict[int, float]) -> frozenset[int]:

@@ -506,18 +506,10 @@ def build_separator(inst: AChvdInstance) -> SeparatorSet:
             node = tree.first_bag_containing(bnd - inst.modulator)
             check(node is not None, "component boundary not inside a bag")
             q0.add(node)
-    closed = set(q0) | {tree.root}
-    frontier = sorted(closed)
-    while True:
-        extra = {
-            tree.lca(p, q)
-            for i, p in enumerate(frontier)
-            for q in frontier[i + 1 :]
-        }
-        if extra <= closed:
-            break
-        closed |= extra
-        frontier = sorted(closed)
+    # pairwise LCAs are closed under LCA: the LCA of lca(a, b) and
+    # lca(c, d) is the LCA of two of a, b, c, d
+    ends = sorted(q0 | {tree.root})
+    closed = {tree.lca(p, q) for i, p in enumerate(ends) for q in ends[i:]}
     check(len(closed) <= 1 + 2 * len(q0), "LCA closure exceeded 1 + 2|Q0|")
     vertices = frozenset(v for node in closed for v in tree.bags[node])
     params = KernelParams.of(inst)
@@ -566,18 +558,14 @@ def component_context(inst: AChvdInstance,
     check(tree.parent[topmost] is not None,
           "component occupies the root bag")
     q_up = tree.parent[topmost]
-    carriers = []
-    for q in tree.nodes():
-        if q in nodes_a:
-            continue
-        touching = [p for p in nodes_a
-                    if tree.parent[q] == p or tree.parent[p] == q]
-        if not touching:
-            continue
-        check(len(touching) == 1, "boundary node touches the subtree twice")
-        if tree.bags[q] & tree.bags[touching[0]]:
-            carriers.append(q)
-    others = [q for q in carriers if q != q_up]
+    # topmost is the one subtree node whose parent lies outside, so the
+    # nodes next to the subtree are q_up and its nodes' outside children
+    below = [(c, p) for p in nodes_a for c in tree.children(p)
+             if c not in nodes_a]
+    next_to = [q_up] + [c for c, _ in below]
+    check(len(set(next_to)) == len(next_to),
+          "boundary node touches the subtree twice")
+    others = [c for c, p in below if tree.bags[c] & tree.bags[p]]
     check(len(others) <= 1,
           "more than two adhesion-carrying boundary nodes")
     if others:

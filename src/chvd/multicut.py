@@ -25,9 +25,13 @@ from .graphs import (
     check_vertex_ids,
     dijkstra_vertex_weights,
     extract_path,
-    is_clique,
 )
-from .chordal import CliqueTree, _peo_of, is_chordal, minimal_path
+from .chordal import (
+    CliqueTree,
+    clique_cover_chordal,
+    is_chordal,
+    minimal_path,
+)
 from .lp import FractionalSolution, at_least, separate_multicut
 
 
@@ -361,27 +365,6 @@ def dist_from(
     weights = [x.value(v) for v in d.vertices()]
     return dijkstra_vertex_weights(d.out_neighbors, source, weights,
                                    allowed=alive)[0]
-
-
-def clique_cover_chordal(h: Graph) -> list[frozenset[int]]:
-    """Partition a chordal graph into alpha(H) cliques (greedy over a PEO):
-    each vertex not yet covered, with its uncovered later neighbours."""
-    order, later = _peo_of(h, None)
-    if later is None:
-        raise ValueError("clique cover requires a chordal graph")
-    assigned: set[int] = set()
-    out = []
-    for v, after in zip(order, later):
-        if v not in assigned:
-            group = frozenset([v, *(u for u in after if u not in assigned)])
-            assigned |= group
-            out.append(group)
-    for c in out:
-        check(is_clique(h, c), "cover part is not a clique")
-    check(sum(len(c) for c in out) == h.n and
-          set().union(*out) == set(range(h.n)) if out else h.n == 0,
-          "cover is not a partition")
-    return out
 
 
 def downward_multicut(

@@ -833,6 +833,17 @@ def ref_exact_multicut(d: DiGraph, pairs, k: int):
     return _RefMulticut(d, list(pairs)).minimum(k)
 
 
+def ref_lca_closure(tree, nodes) -> frozenset[int]:
+    """The least LCA-closed set of tree nodes holding ``nodes``: the LCAs
+    of all pairs are added until a round adds none."""
+    closed = set(nodes)
+    while True:
+        extra = {tree.lca(p, q) for p in closed for q in closed} - closed
+        if not extra:
+            return frozenset(closed)
+        closed |= extra
+
+
 def ref_separator_marked_nodes(inst) -> frozenset[int]:
     """Marked nodes of ``build_separator``, listing the maximal cliques of
     every G(x, y) from a clique tree of its own and the nonneighbour
@@ -1037,7 +1048,9 @@ def ref_decompose(g: Graph, k: int, vertices):
     alive = set(h.vertices())
     cliques: list[frozenset[int]] = []
     residue: set[int] = set()
-    max_steps = 0 if n <= 1 else math.floor(k * math.log(n) / math.log(1.5))
+    max_steps = 0 if n <= 1 else max(
+        math.floor(k * math.log(n) / math.log(1.5)),
+        k * (math.floor(math.log(n / 4) / math.log(4 / 3)) + 1))
     steps = 0
     while True:
         target = None

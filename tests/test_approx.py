@@ -210,14 +210,33 @@ def test_decompose_k0_nonchordal_is_no_instance():
 
 
 def test_decompose_bounds_its_steps_by_the_vertex_set():
-    """Ten disjoint C4s need ten cuts.  k log_{3/2} n allows nine for
-    their 40 vertices, and seventeen for the whole 1040-vertex graph."""
+    """Ten disjoint C4s need ten cuts.  The step bound allows nine for
+    their 40 vertices, and twenty for the whole 1040-vertex graph."""
     g = Graph(1040, [(4 * i + j, 4 * i + (j + 1) % 4)
                      for i in range(10) for j in range(4)])
     holes = set(range(40))
     assert decompose(g, 1, holes) == NO_INSTANCE
     assert ref_decompose(g, 1, holes) == NO_INSTANCE
     assert len(decompose(g, 1, set(g.vertices())).cliques) == 10
+
+
+def test_decompose_never_says_no_to_a_c4_free_yes_instance():
+    """The step bound suffices on C4-free inputs with opt <= k."""
+    rng = random.Random(163)
+    yes = several = 0
+    for _ in range(200):
+        n = rng.randint(20, 40)
+        g = random_c4_free(rng, n, rng.randint(n, 2 * n))
+        k = rng.choice([1, 2, 3])
+        if exact_chvd(g, k) is None:
+            continue
+        vertices = set(g.vertices())
+        dec = decompose(g, k, vertices)
+        assert not isinstance(dec, NoInstance)
+        dec.validate(g, vertices)
+        yes += 1
+        several += len(dec.cliques) >= 2
+    assert yes >= 50 and several >= 25
 
 
 def test_approximate_chordal():

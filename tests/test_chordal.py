@@ -138,6 +138,39 @@ def test_top_and_reroot():
     assert t.top(2) == mid
 
 
+def test_reroot_at_every_node_is_the_bfs_rooting_of_the_same_edges():
+    def edges(parent):
+        return {frozenset((c, p)) for c, p in enumerate(parent)
+                if p is not None}
+
+    rng = random.Random(29)
+    shapes = 0
+    for _ in range(60):
+        g = random_chordal(rng, rng.randint(4, 30), rng.randint(2, 14),
+                           rng.randint(0, 2))
+        t = clique_tree_of(g)
+        adj = {q: [] for q in t.nodes()}
+        for c, p in edges(t.parent):
+            adj[c].append(p)
+            adj[p].append(c)
+        shapes += len(t.bags) >= 4
+        for r in t.nodes():
+            got = t.reroot(r)
+            assert got.root == r and got.bags == t.bags
+            assert edges(got.parent) == edges(t.parent)
+            want = [None] * len(t.bags)
+            queue, seen = [r], {r}
+            for p in queue:
+                for q in adj[p]:
+                    if q not in seen:
+                        seen.add(q)
+                        want[q] = p
+                        queue.append(q)
+            assert list(got.parent) == want
+            assert got.reroot(t.root).parent == t.parent
+    assert shapes >= 30
+
+
 def test_lca_against_naive_root_paths():
     rng = random.Random(31)
     for trial in range(30):

@@ -157,6 +157,19 @@ def test_cli_kernelize_requires_modulator(tmp_path):
                  "-o", str(out_path)]) in (0, 1)
 
 
+def test_cli_kernelize_rejects_a_modulator_that_leaves_a_hole(tmp_path,
+                                                              capsys):
+    # two disjoint C4s: deleting vertex 0 leaves the second one whole
+    inst_path = tmp_path / "two_c4.chvd"
+    inst_path.write_text(emit(InstanceFile.from_graph(
+        Graph(8, [(b + i, b + (i + 1) % 4) for b in (0, 4) for i in range(4)]),
+        2, modulator=[0])))
+    out_path = tmp_path / "kernel.chvd"
+    assert main(["kernelize", str(inst_path), "-o", str(out_path)]) == 2
+    assert "not chordal" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_cli_no_instance_exit_code(tmp_path):
     inst_path = tmp_path / "no.chvd"
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])

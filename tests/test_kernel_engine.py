@@ -23,6 +23,7 @@ from chvd.kernel import (
     template_toughness,
 )
 from bruteforce import (
+    ref_lca_closure,
     ref_separator_marked_nodes,
     ref_template_toughness,
     ref_xy_good_bottommost,
@@ -303,6 +304,21 @@ def test_cached_tree_and_separator_match_fresh_builds():
         sep = build_separator(inst)
         assert inst.separator.vertices == sep.vertices
         assert inst.separator.closed_nodes == sep.closed_nodes
+
+
+def test_separator_closes_its_marked_nodes_under_lca_in_one_round():
+    closing = 0
+    for seed in range(40):
+        g, k, planted = generate(GeneratorSpec(
+            seed=seed, core_vertices=60, tree_nodes=20, planted=4,
+            noise_edges=1))
+        inst, _ = annotate(g, k, sorted(planted))
+        sep = build_separator(inst)
+        ends = sep.marked_nodes | {inst.tree.root}
+        assert sep.closed_nodes == ref_lca_closure(inst.tree, ends)
+        closing += sep.closed_nodes != ends
+    # the closure adds a node in seeds 34, 35 and 39
+    assert closing >= 3
 
 
 def test_separator_matches_per_pair_trees_and_builds_none(monkeypatch):

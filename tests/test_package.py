@@ -33,3 +33,15 @@ def test_only_kernel_events_renumber_vertices():
             if names & RENUMBERING:
                 users.add(path.name)
     assert users - {"graphs.py", "kernel.py"} == set()
+
+
+def test_no_module_imports_another_modules_private_names():
+    """A name with a leading underscore stays inside its own module."""
+    borrowed = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").startswith("chvd")):
+                borrowed += [(path.name, alias.name) for alias in node.names
+                             if alias.name.startswith("_")]
+    assert borrowed == []
