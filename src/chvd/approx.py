@@ -9,7 +9,6 @@ original algorithm's guard for when its FPT running time is polynomial in n.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import AbstractSet, Optional, Union
@@ -25,7 +24,7 @@ from .chordal import (
 from .lp import ChvdProblem, FractionalSolution, at_least, check_lp_options, \
     solve_fractional
 from .multicut import build_downward, dist_from, downward_multicut
-from .oracle import SearchBudgetExceeded, exact_chvd
+from .oracle import exact_chvd
 
 
 class NoInstance:
@@ -155,30 +154,6 @@ def chvd_clique_plus_chordal(
     return frozenset(solution)
 
 
-def _balanced_cut_exact(g: Graph, rest: AbstractSet[int], limit: float,
-                        budget: int,
-                        tried: Optional[itertools.count] = None,
-                        ) -> Optional[set[int]]:
-    """Smallest vertex set whose removal caps every component of g[rest]
-    at limit.
-
-    ``tried``, a counter shared between calls, counts every subset
-    tested; past EXACT_CUT_BUDGET of them, SearchBudgetExceeded.
-    """
-    verts = sorted(rest)
-    for size in range(min(budget, len(verts)) + 1):
-        for subset in itertools.combinations(verts, size):
-            if tried is not None and next(tried) > EXACT_CUT_BUDGET:
-                raise SearchBudgetExceeded(EXACT_CUT_BUDGET)
-            removed = set(subset)
-            if all(
-                len(c) <= limit
-                for c in components_within(g, rest - removed)
-            ):
-                return removed
-    return None
-
-
 def _balanced_cut_greedy(g: Graph, rest: AbstractSet[int], limit: float,
                          budget: int) -> Optional[set[int]]:
     removed: set[int] = set()
@@ -193,12 +168,6 @@ def _balanced_cut_greedy(g: Graph, rest: AbstractSet[int], limit: float,
     return None
 
 
-# g - K at most this large gets the exact balanced cut, larger the greedy one
-EXACT_CUT_LIMIT = 16
-# subsets the exact cut may test to find a cut the greedy one missed
-EXACT_CUT_BUDGET = 100_000
-
-
 def balanced_clique_cut(
     g: Graph, k: int, vertices: AbstractSet[int]
 ) -> Union[NoInstance, tuple[frozenset[int], frozenset[int]]]:
@@ -206,14 +175,13 @@ def balanced_clique_cut(
     at most 3n/4, where n = |vertices|.
 
     A clique of size >= n/4 alone suffices; otherwise every maximal clique
-    is tried with a balanced vertex cut of g[vertices] - K within budget k
-    (exact by enumeration at desk scale, greedy beyond).  The greedy cut
-    can miss one, so when no clique has a cut the exact oracle decides:
-    opt > k on g[vertices] is NoInstance; otherwise every clique whose
-    greedy cut failed is tried again by enumeration, under
-    EXACT_CUT_BUDGET tested subsets in all, past which
-    SearchBudgetExceeded.  NoInstance after that enumeration can happen
-    only when g[vertices] has a C4.
+    is tried with a greedy balanced vertex cut of g[vertices] - K within
+    budget k, and the smallest cut wins.  The greedy cut can miss one, so
+    when no clique has a cut the exact oracle decides: opt > k on
+    g[vertices] is NoInstance, and otherwise its solution X and a central
+    bag K of the chordal g[vertices] - X give Z = K + X, which leaves no
+    component above (n - |X|)/2.  SearchBudgetExceeded comes only from
+    the oracle.
     """
     n = len(vertices)
     if n == 0:
@@ -224,34 +192,25 @@ def balanced_clique_cut(
         best = max(big, key=lambda c: (len(c), sorted(c)))
         return frozenset(best), frozenset(best)
     found = []
-    greedy_failed = []
     for clique in cliques:
         rest = vertices - clique
-        limit = 2.0 * len(rest) / 3.0
-        if len(rest) <= EXACT_CUT_LIMIT:
-            cut = _balanced_cut_exact(g, rest, limit, k)
-        else:
-            cut = _balanced_cut_greedy(g, rest, limit, k)
-            if cut is None:
-                greedy_failed.append(clique)
+        cut = _balanced_cut_greedy(g, rest, 2.0 * len(rest) / 3.0, k)
         if cut is not None:
             found.append((clique, cut))
-    if not found and greedy_failed:
+    if found:
+        # the smallest cut, from the earliest clique on a tie
+        clique, cut = min(found, key=lambda pair: len(pair[1]))
+    else:
         # g[vertices] in g's ids: every other vertex is isolated, on no hole
         within = Graph(g.n, [(u, v) for u, v in g.edges()
                              if u in vertices and v in vertices])
-        if exact_chvd(within, k) is not None:
-            tried = itertools.count(1)
-            for clique in greedy_failed:
-                rest = vertices - clique
-                cut = _balanced_cut_exact(g, rest, 2.0 * len(rest) / 3.0, k,
-                                          tried)
-                if cut is not None:
-                    found.append((clique, cut))
-    if not found:
-        return NO_INSTANCE
-    # the smallest cut, from the earliest clique on a tie
-    clique, cut = min(found, key=lambda pair: len(pair[1]))
+        res = exact_chvd(within, k)
+        if res is None:
+            return NO_INSTANCE
+        cut = res.solution
+        chordal = vertices - cut
+        clique = central_bag(g, clique_tree_of(g, chordal),
+                             {v: 1.0 for v in chordal})
     z = frozenset(clique) | cut
     for comp in components_within(g, vertices - z):
         check(4 * len(comp) <= 3 * n, "balanced cut leaves an oversized component")
@@ -265,8 +224,9 @@ def decompose(
     g[vertices].
 
     Charges one step per cut and aborts as NoInstance past ``max_steps``,
-    n = |vertices|.  That many suffice on a yes-instance whose cuts all
-    succeed, as ``balanced_clique_cut``'s do on C4-free inputs.  The
+    n = |vertices|.  That many suffice on a yes-instance, where every cut
+    succeeds: ``balanced_clique_cut`` says no only when the exact oracle
+    finds opt > k on its target, a subgraph of g[vertices].  The
     targets among g[vertices]'s own components are generation 0; the
     components that a cut of a generation-i target leaves are generation
     i + 1, until they are cut in turn.  The targets of one generation are
@@ -321,8 +281,9 @@ def approximate(
     otherwise the LP pipeline: no-instance when |x| > 2k, then the 1/4
     threshold, the decomposition, and the clique fold-back.  Raises
     ValueError unless 0 <= tolerance < 1 and max_iters >= 1, on every
-    route, and SearchBudgetExceeded when the exact search, or the
-    decomposition's search for a balanced cut, runs past its budget.
+    route, and SearchBudgetExceeded when the exact search runs past its
+    node budget, on the exact route or in a balanced cut of the
+    decomposition.
     """
     check_lp_options(tolerance, max_iters)
     if k < 0:

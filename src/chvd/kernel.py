@@ -559,13 +559,11 @@ def component_context(inst: AChvdInstance,
           "component occupies the root bag")
     q_up = tree.parent[topmost]
     # topmost is the one subtree node whose parent lies outside, so the
-    # nodes next to the subtree are q_up and its nodes' outside children
-    below = [(c, p) for p in nodes_a for c in tree.children(p)
-             if c not in nodes_a]
-    next_to = [q_up] + [c for c, _ in below]
-    check(len(set(next_to)) == len(next_to),
-          "boundary node touches the subtree twice")
-    others = [c for c, p in below if tree.bags[c] & tree.bags[p]]
+    # nodes next to the subtree are q_up and its nodes' outside children;
+    # none twice: a node has one parent, and q_up lies above topmost
+    # each with an adhesion: empty ones hang from the root, not in the subtree
+    others = [c for p in nodes_a for c in tree.children(p)
+              if c not in nodes_a]
     check(len(others) <= 1,
           "more than two adhesion-carrying boundary nodes")
     if others:

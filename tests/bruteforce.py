@@ -43,8 +43,9 @@ component and scope they work on; ``_remap`` carries x onto such a copy.
 ``ref_decompose`` and ``ref_balanced_clique_cut`` run the decomposition
 and its balanced cut on the renumbered copy of g[vertices], cutting a
 renumbered copy of every component and of every g - K, and map the
-result back; where every greedy cut fails they ask ``ref_exact_chvd``,
-and enumerate with no budget.
+result back; where every greedy cut fails the cut is the deletion set
+of the library's ``exact_chvd`` on that copy, which maps back to the
+same set, plus a central bag of what it leaves.
 ``ref_induced_digraph`` is the renumbered copy of d[s] that
 ``DiGraph.induced`` built; ``ref_skew_multicut`` is the skew engine that
 built a copy digraph with the terminal copies, and ``ref_skew_on_copy``
@@ -77,8 +78,7 @@ from chvd.graphs import Graph, DiGraph, Hole, Subgraph, bfs, boundary, \
     check, components_within, extract_path, induced_subgraph, is_clique, \
     lightest_hole_through, shortcut_walk, verify_hole
 from chvd import oracle
-from chvd.approx import EXACT_CUT_LIMIT, NO_INSTANCE, Decomposition, \
-    NoInstance
+from chvd.approx import NO_INSTANCE, Decomposition, NoInstance
 from chvd.chordal import PEO, CliqueTree, central_bag, clique_tree_of, \
     find_any_hole, find_hole_through, is_chordal, maximal_cliques, \
     minimal_path
@@ -957,19 +957,6 @@ def _remap(x: FractionalSolution, new_of: dict[int, int]) -> FractionalSolution:
         x.tolerance)
 
 
-def _ref_balanced_cut_exact(g: Graph, limit: float, budget: int):
-    verts = sorted(g.vertices())
-    for size in range(min(budget, len(verts)) + 1):
-        for subset in combinations(verts, size):
-            removed = set(subset)
-            if all(
-                len(c) <= limit
-                for c in components_within(g, set(verts) - removed)
-            ):
-                return removed
-    return None
-
-
 def _ref_balanced_cut_greedy(g: Graph, limit: float, budget: int):
     removed: set[int] = set()
     while len(removed) <= budget:
@@ -993,36 +980,22 @@ def _ref_balanced_clique_cut_compact(g: Graph, k: int):
         best = max(big, key=lambda c: (len(c), sorted(c)))
         return frozenset(best), frozenset(best)
     best_pair = None
-    greedy_failed = []
-
-    def keep(clique, rest, cut):
-        nonlocal best_pair
-        z = frozenset(clique) | {rest.old_of[v] for v in cut}
-        if best_pair is None or len(z) - len(clique) < \
-                len(best_pair[0]) - len(best_pair[1]):
-            best_pair = (z, frozenset(clique))
-
     for clique in cliques:
         rest = induced_subgraph(g, set(g.vertices()) - clique)
-        limit = 2.0 * rest.graph.n / 3.0
-        if rest.graph.n <= EXACT_CUT_LIMIT:
-            cut = _ref_balanced_cut_exact(rest.graph, limit, k)
-        else:
-            cut = _ref_balanced_cut_greedy(rest.graph, limit, k)
-            if cut is None:
-                greedy_failed.append(clique)
+        cut = _ref_balanced_cut_greedy(rest.graph, 2.0 * rest.graph.n / 3.0, k)
         if cut is not None:
-            keep(clique, rest, cut)
-    if best_pair is None and greedy_failed and \
-            ref_exact_chvd(g, k) is not None:
-        for clique in greedy_failed:
-            rest = induced_subgraph(g, set(g.vertices()) - clique)
-            cut = _ref_balanced_cut_exact(rest.graph, 2.0 * rest.graph.n / 3.0,
-                                          k)
-            if cut is not None:
-                keep(clique, rest, cut)
+            z = frozenset(clique) | {rest.old_of[v] for v in cut}
+            if best_pair is None or len(z) - len(clique) < \
+                    len(best_pair[0]) - len(best_pair[1]):
+                best_pair = (z, frozenset(clique))
     if best_pair is None:
-        return NO_INSTANCE
+        res = oracle.exact_chvd(g, k)
+        if res is None:
+            return NO_INSTANCE
+        chordal = set(g.vertices()) - res.solution
+        bag = central_bag(g, clique_tree_of(g, chordal),
+                          {v: 1.0 for v in chordal})
+        best_pair = (bag | res.solution, bag)
     z, kq = best_pair
     for comp in components_within(g, set(g.vertices()) - z):
         check(4 * len(comp) <= 3 * n, "balanced cut leaves an oversized component")

@@ -1,4 +1,5 @@
 """Approximation pipeline: decomposition, clique fold-back, end to end."""
+import functools
 import math
 import random
 
@@ -139,8 +140,8 @@ def test_balanced_clique_cut_two_cliques_joined():
 
 
 # C4-free, and chordal once vertex 8 is deleted, yet no maximal clique K
-# has a greedy balanced cut of one vertex: the one-vertex cut {8} of
-# g - {1, 10} is found only by enumeration
+# has a greedy balanced cut of one vertex: the cut {8} of g - {1, 10} is
+# the exact oracle's deletion set, and {1, 10} a central bag of g - {8}
 MISSED_BY_GREEDY = Graph(27, [
     (0, 3), (1, 5), (1, 10), (2, 5), (2, 18), (2, 20), (2, 22), (3, 4),
     (3, 16), (3, 21), (5, 23), (6, 7), (6, 13), (7, 14), (7, 19), (7, 26),
@@ -153,8 +154,10 @@ def test_balanced_clique_cut_finds_the_cut_the_greedy_search_misses():
     g = MISSED_BY_GREEDY
     vertices = set(g.vertices())
     assert is_chordal(g, vertices - {8})
-    assert all(len(vertices - clique) > approx.EXACT_CUT_LIMIT
-               for clique in approx.maximal_cliques(g, vertices))
+    for clique in approx.maximal_cliques(g, vertices):
+        rest = vertices - clique
+        assert approx._balanced_cut_greedy(g, rest, 2.0 * len(rest) / 3.0,
+                                           1) is None
     assert balanced_clique_cut(g, 1, vertices) == (
         frozenset({1, 8, 10}), frozenset({1, 10}))
     assert ref_balanced_clique_cut(g, 1, vertices) == (
@@ -162,19 +165,46 @@ def test_balanced_clique_cut_finds_the_cut_the_greedy_search_misses():
 
 
 def test_balanced_clique_cut_spends_a_budget_on_the_missed_cut(monkeypatch):
-    monkeypatch.setattr(approx, "EXACT_CUT_BUDGET", 100)
+    monkeypatch.setattr(approx, "exact_chvd",
+                        functools.partial(exact_chvd, node_budget=1))
     g = MISSED_BY_GREEDY
     with pytest.raises(SearchBudgetExceeded):
         balanced_clique_cut(g, 1, set(g.vertices()))
 
 
-def test_balanced_clique_cut_says_no_only_when_the_exact_search_does():
+def test_balanced_clique_cut_says_no_only_when_the_exact_search_does(
+        monkeypatch):
+    """Every NoInstance is confirmed by exact_chvd on g[vertices] and every
+    cut is valid.  The first family is C4-free.  In the second, sparse
+    random graphs with C4s, most greedy cuts miss and the oracle says no.
+    In the third, relabelings of MISSED_BY_GREEDY, the greedy cut misses
+    on some and the oracle's deletion set with a central bag is the cut."""
+    oracle_answers = []
+    oracle = approx.exact_chvd
+
+    def recording(*args, **kwargs):
+        res = oracle(*args, **kwargs)
+        oracle_answers.append(res is not None)
+        return res
+
+    monkeypatch.setattr(approx, "exact_chvd", recording)
     rng = random.Random(151)
-    answers = {"no": 0, "cut": 0}
+    draws = []
     for trial in range(150):
         n = rng.randint(20, 33)
-        g = random_c4_free(rng, n, rng.randint(n, 2 * n))
-        k = rng.choice([1, 2, 3])
+        draws.append((random_c4_free(rng, n, rng.randint(n, 2 * n)),
+                      rng.choice([1, 2, 3])))
+    rng = random.Random(152)
+    for trial in range(600):
+        g = random_gnp(rng, rng.randint(12, 24), rng.uniform(0.15, 0.3))
+        draws.append((g, rng.choice([1, 2, 3])))
+    rng = random.Random(153)
+    for trial in range(100):
+        ids = rng.sample(range(MISSED_BY_GREEDY.n), MISSED_BY_GREEDY.n)
+        draws.append((Graph(MISSED_BY_GREEDY.n, [
+            (ids[u], ids[v]) for u, v in MISSED_BY_GREEDY.edges()]), 1))
+    answers = {"no": 0, "cut": 0}
+    for g, k in draws:
         vertices = set(g.vertices())
         res = balanced_clique_cut(g, k, vertices)
         if isinstance(res, NoInstance):
@@ -184,9 +214,10 @@ def test_balanced_clique_cut_says_no_only_when_the_exact_search_does():
             z, kq = res
             assert kq <= z and is_clique(g, kq) and len(z - kq) <= k
             for comp in components_within(g, vertices - z):
-                assert 4 * len(comp) <= 3 * n
+                assert 4 * len(comp) <= 3 * g.n
             answers["cut"] += 1
     assert answers["no"] >= 10 and answers["cut"] >= 10
+    assert len(oracle_answers) >= 200 and sum(oracle_answers) >= 10
 
 
 def test_decompose_chordal_graph():
@@ -209,15 +240,30 @@ def test_decompose_k0_nonchordal_is_no_instance():
     assert isinstance(decompose(cycle_graph(4), 0, set(range(4))), NoInstance)
 
 
-def test_decompose_bounds_its_steps_by_the_vertex_set():
+def test_decompose_bounds_its_steps_by_the_vertex_set(monkeypatch):
     """Ten disjoint C4s need ten cuts.  The step bound allows nine for
-    their 40 vertices, and twenty for the whole 1040-vertex graph."""
+    their 40 vertices, and twenty for the whole 1040-vertex graph.  On 25
+    disjoint C4s (n = 100, k = 1) it allows k * (floor(log_{4/3}(n/4)) + 1)
+    = 12 cuts, one more than k * log_{3/2} n, and decompose says no after
+    exactly that many."""
     g = Graph(1040, [(4 * i + j, 4 * i + (j + 1) % 4)
                      for i in range(10) for j in range(4)])
     holes = set(range(40))
     assert decompose(g, 1, holes) == NO_INSTANCE
     assert ref_decompose(g, 1, holes) == NO_INSTANCE
     assert len(decompose(g, 1, set(g.vertices())).cliques) == 10
+    cuts = []
+    cut = approx.balanced_clique_cut
+
+    def counting(*args, **kwargs):
+        cuts.append(1)
+        return cut(*args, **kwargs)
+
+    monkeypatch.setattr(approx, "balanced_clique_cut", counting)
+    g = Graph(100, [(4 * i + j, 4 * i + (j + 1) % 4)
+                    for i in range(25) for j in range(4)])
+    assert decompose(g, 1, set(g.vertices())) == NO_INSTANCE
+    assert len(cuts) == 12
 
 
 def test_decompose_never_says_no_to_a_c4_free_yes_instance():

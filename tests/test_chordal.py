@@ -124,6 +124,29 @@ def test_clique_tree_invariants_random():
         validate_clique_tree(g, t)
 
 
+def test_empty_adhesions_hang_from_the_root():
+    """Kruskal joins the parts of a disconnected chordal graph only by
+    pairs of bag 0, the root, with the bags of other parts, so every tree
+    edge with an empty adhesion hangs from the root, on the whole graph
+    and on a vertex subset alike (``kernel.component_context`` relies on
+    it)."""
+    rng = random.Random(31)
+    empty = 0
+    for trial in range(400):
+        g = random_chordal(rng, rng.randint(1, 8), rng.randint(1, 4), 1)
+        for _ in range(rng.randint(1, 3)):
+            g = _disjoint_union(g, random_chordal(
+                rng, rng.randint(1, 8), rng.randint(1, 4), 1))
+        s = [v for v in g.vertices() if trial % 2 == 0 or rng.random() < 0.8]
+        t = clique_tree_of(g, s)
+        for c in t.nodes():
+            p = t.parent[c]
+            if p is not None and not t.bags[c] & t.bags[p]:
+                assert p == t.root
+                empty += 1
+    assert empty >= 600
+
+
 def test_top_and_reroot():
     g = complete_graph(3)
     t = clique_tree_of(g)
