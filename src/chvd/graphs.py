@@ -362,7 +362,7 @@ def shortcut_walk(g: Graph, walk: Sequence[int]) -> list[int]:
 def dijkstra_vertex_weights(
     neighbors: Callable[[int], Sequence[int]],
     source: int,
-    weights: Optional[Sequence[float]],
+    weights: Sequence[float],
     allowed: Optional[Container[int]] = None,
     targets: Collection[int] = (),
     cutoff: float = math.inf,
@@ -370,47 +370,19 @@ def dijkstra_vertex_weights(
     """Shortest vertex-weighted distances from source; path cost includes
     both endpoints.
 
-    ``weights`` is a table indexed by vertex id, or None for unit
-    weights.  ``neighbors`` gives the out-neighbours of a vertex, so the
-    search runs on a Graph or a DiGraph alike.  ``allowed`` limits the
-    vertices the search may enter; the source and ``targets`` are
-    admitted even outside it.  A target gets a distance but is never
-    expanded, so no path passes through it.  The search stops early once
-    every target is settled, or when it pops a distance ``>= cutoff``.
-    Distances and predecessors of the vertices settled by then are exact;
-    any other entry of the result is an upper bound no smaller than the
-    last popped distance.
-
-    A heap pops ``(distance, id)`` pairs.  Under unit weights every
-    vertex is reached first at its final distance, so the search runs by
-    breadth-first layers instead, each sorted by vertex id: the heap's pop
-    order, which gives the same entries in the same insertion order.
+    ``weights`` is a table indexed by vertex id.  ``neighbors`` gives the
+    out-neighbours of a vertex, so the search runs on a Graph or a DiGraph
+    alike.  ``allowed`` limits the vertices the search may enter; the
+    source and ``targets`` are admitted even outside it.  A target gets a
+    distance but is never expanded, so no path passes through it.  The
+    search stops early once every target is settled, or when it pops a
+    distance ``>= cutoff``.  Distances and predecessors of the vertices
+    settled by then are exact; any other entry of the result is an upper
+    bound no smaller than the last popped distance.  A heap pops
+    ``(distance, id)`` pairs.
     """
     pending = set(targets)
     prev = {source: source}
-    if weights is None:
-        dist = {source: 1}
-        layer = [source]
-        d = 1
-        while layer and d < cutoff:
-            d += 1
-            found = []
-            for u in layer:
-                if u in pending:
-                    pending.discard(u)
-                    if not pending:
-                        return dist, prev
-                    continue
-                for w in neighbors(u):
-                    if w in dist or (allowed is not None and w not in allowed
-                                     and w not in pending):
-                        continue
-                    dist[w] = d
-                    prev[w] = u
-                    found.append(w)
-            found.sort()
-            layer = found
-        return dist, prev
     dist = {source: weights[source]}
     heap = [(dist[source], source)]
     while heap:
@@ -432,6 +404,60 @@ def dijkstra_vertex_weights(
                 dist[w] = nd
                 prev[w] = u
                 heapq.heappush(heap, (nd, w))
+    return dist, prev
+
+
+def _unit_layers(
+    neighbor_set: Callable[[int], AbstractSet[int]],
+    source: int,
+    allowed: set[int],
+    targets: Collection[int],
+    cutoff: float,
+) -> tuple[dict[int, int], dict[int, int]]:
+    """The targets of ``dijkstra_vertex_weights`` under unit weights.
+
+    The search runs by breadth-first layers, each sorted by vertex id: the
+    order in which the heap pops ``(distance, id)`` pairs, since under
+    unit weights every vertex is first reached at its final distance, from
+    the first vertex of the layer before that has it as a neighbour.  So
+    every target at a distance below ``cutoff`` gets the heap's distance
+    (an int, the source counting 1) and predecessor chain.  Returns the
+    distances of those targets and the predecessors of every vertex
+    reached.  Unlike the heap, which settles what it returns, the search
+    stops as soon as the last target is reached, and it builds no layer
+    at or beyond ``cutoff``.  Targets are never expanded; a source that
+    is a target is the only one returned.  ``neighbor_set`` gives a
+    vertex's neighbours as a set.
+    """
+    prev = {source: source}
+    if source in targets:
+        return {source: 1}, prev
+    dist: dict[int, int] = {}
+    pending = set(targets)
+    fresh = allowed - pending
+    fresh.discard(source)
+    layer = [source]
+    d = 2
+    while layer and d < cutoff:
+        found: list[int] = []
+        for u in layer:
+            around = neighbor_set(u)
+            reached = pending & around
+            if reached:
+                pending -= reached
+                for w in reached:
+                    dist[w] = d
+                    prev[w] = u
+                if not pending:
+                    return dist, prev
+            new = fresh & around
+            if new:
+                fresh -= new
+                prev.update(dict.fromkeys(new, u))
+                found.extend(new)
+        found.sort()
+        layer = found
+        d += 1
     return dist, prev
 
 
@@ -469,38 +495,48 @@ def lightest_hole_through(
     hole's weight is the sum of its vertices' weights.
 
     Every hole through v is v followed by a u1-u2 path whose inner
-    vertices avoid N[v], for nonadjacent neighbours u1, u2 of v.  For
-    each neighbour u1, one search from u1 over allowed - N[v] settles
+    vertices avoid N[v], for nonadjacent neighbours u1, u2 of v.  The
+    path has an inner vertex, so a neighbour of v with no neighbour in
+    allowed - N[v] lies on no hole through v and is dropped.  For each
+    remaining neighbour u1, one search from u1 over allowed - N[v] settles
     every later neighbour u2 not adjacent to u1 at once; these u2 are
     targets, which get a distance but are never expanded.  Since nothing
     passes through a target, the other vertices settle in the same order
     as in a search from u1 to a single u2, up to the moment u2 settles,
-    so each u2 gets the same distance and predecessor chain.
+    so each u2 gets the same distance and predecessor chain.  Under a
+    table the search is ``dijkstra_vertex_weights``; under unit weights
+    it is ``_unit_layers``, which gives each target the same entries.
 
     The targets are then walked in neighbour order; the lightest cycle so
     far is shortcut to an induced one and kept.  A search stops once a
-    popped distance plus the weight of v reaches the best weight at its
-    start (less 1e-12): a u2 settled later fails that test, and the best
-    weight only falls while the targets are walked, so the cutoff never
-    changes the result.
+    distance plus the weight of v reaches the best weight at its start
+    (less 1e-12): a u2 reached later fails that test, and the best weight
+    only falls while the targets are walked, so the cutoff never changes
+    the result.  For the same reason any ``below`` above the lightest
+    weight gives the same hole.
     """
     inner = set(allowed)
     if v not in inner:
         return None
+    around = g.neighbor_set
     nbrs = [u for u in g.neighbors(v) if u in inner]
-    inner -= g.closed_neighborhood(v)
+    inner -= around(v)
+    inner.discard(v)
+    nbrs = [u for u in nbrs if not around(u).isdisjoint(inner)]
     wv = 1 if weights is None else weights[v]
     limit = below - 1e-12
+    cutoff = _cutoff_below(limit, wv)
     best: Optional[tuple[Hole, float]] = None
     for i, u1 in enumerate(nbrs):
-        adjacent = g.neighbor_set(u1)
+        adjacent = around(u1)
         targets = [u2 for u2 in nbrs[i + 1 :] if u2 not in adjacent]
         if not targets:
             continue
-        dist, prev = dijkstra_vertex_weights(
-            g.neighbors, u1, weights, allowed=inner, targets=targets,
-            cutoff=_cutoff_below(limit, wv),
-        )
+        if weights is None:
+            dist, prev = _unit_layers(around, u1, inner, targets, cutoff)
+        else:
+            dist, prev = dijkstra_vertex_weights(
+                g.neighbors, u1, weights, inner, targets, cutoff)
         for u2 in targets:
             if u2 in dist and dist[u2] + wv < limit:
                 path = shortcut_walk(g, extract_path(prev, u2))
@@ -511,6 +547,7 @@ def lightest_hole_through(
                 if w < limit:
                     best = (hole, w)
                     limit = w - 1e-12
+                    cutoff = _cutoff_below(limit, wv)
     return best
 
 
@@ -519,52 +556,81 @@ def lightest_hole(
     weights: Optional[Sequence[float]],
     allowed: Iterable[int],
     below: float,
+    bounds: Optional[list[float]] = None,
 ) -> Optional[tuple[Hole, float]]:
     """The lightest hole of g[allowed], if it weighs < below - 1e-12.
 
-    Runs ``lightest_hole_through`` for each allowed vertex in
-    ``g.vertices()`` order, each search bounded by the best weight so far,
-    and returns the last ``(hole, weight)`` found.  ``weights`` is a table
-    indexed by vertex id, nonnegative, or None for unit weights.
+    Runs ``lightest_hole_through`` for allowed vertices, each search
+    bounded by the best weight so far, and returns the ``(hole, weight)``
+    found at the first vertex, in ``g.vertices()`` order, whose search
+    reaches the least weight.  ``weights`` is a table indexed by vertex
+    id, nonnegative, or None for unit weights.
 
-    Each hole is searched once, at its least vertex: a vertex leaves the
-    search once its own search has returned, so the search through v runs
-    in g[allowed] less every vertex before v.  This returns what searching
-    all of g[allowed] at every vertex would.  When v's turn comes, every
-    earlier vertex w has had its own search, under a bound no lower than
-    the current one, so every hole through w weighs at least
-    bound - 1e-12, and no search at v could accept one.
-    Under unit weights a shortest path is induced, so a chain through w
-    that passed the test would itself close a hole through w below the
-    bound, which is impossible; the search at v settles every chain it
-    accepts as it would with w present.  Under zero weights the shortcut
-    may drop a zero-weight w from a chain, and ties are settled by the
-    property test against the loop that drops nothing.
+    Each hole is searched once, at its least vertex: the search through v
+    runs in g[allowed] less every vertex before v.  This returns what
+    searching all of g[allowed] at every vertex would.  When v's search
+    runs, every earlier vertex w has had its own search, or been passed
+    over, under a bound no lower than the current one, so every hole
+    through w weighs at least bound - 1e-12, and no search at v could
+    accept one.  Under unit weights a shortest path is induced, so a
+    chain through w that passed the test would itself close a hole
+    through w below the bound, which is impossible; the search at v
+    settles every chain it accepts as it would with w present.  Under
+    zero weights the shortcut may drop a zero-weight w from a chain, and
+    ties are settled by the property test against the loop that drops
+    nothing.
 
-    The loop stops at a floor.  A hole has at least four vertices, so its
+    The scan visits the allowed vertices in (bound, id) order and stops
+    at the first vertex whose bound rules out a hole its search could
+    accept.  Without ``bounds`` every bound is the floor, so the scan
+    runs in id order and stops once the best weight, less 1e-12, is at
+    or below the floor.  A hole has at least four vertices, so its
     weight, summed as ``lightest_hole_through`` sums it, is at least the
     floor: four copies of the least allowed weight, added the same way
-    (rounded addition is monotone, and further terms are nonnegative).  A
-    later search accepts only a hole lighter than best - 1e-12, so once
-    that bound is at or below the floor none can replace the best, and
-    stopping returns the same hole.  Under unit weights the floor is 4;
-    when some hole weighs 0, the loop stops at the first one.
+    (rounded addition is monotone, and further terms are nonnegative).
+    Under unit weights the floor is 4; when some hole weighs 0, the loop
+    stops at the first one.
+
+    ``bounds`` is a table, indexed by vertex id, of lower bounds on the
+    length of the shortest hole through v in g[allowed] less every
+    vertex before v; it is read and written back under unit weights only
+    (anything else raises ValueError).  Deleting vertices never creates
+    a hole, so a table learned for one allowed set stays a table of lower
+    bounds for any subset of it.  The search at v is bounded by the best
+    length plus one if v precedes the best hole's vertex (it would win a
+    tie), and by the best length otherwise, so the order changes which
+    vertices are searched but not the hole returned: each vertex not
+    searched has a hole no shorter, and no earlier on a tie, than the
+    best, and the winning vertex's search gives the same hole under any
+    bound above its length.  Each search writes back what it proves, the
+    length it found or its bound (infinite when nothing bounded it).
     """
+    if bounds is not None and weights is not None:
+        raise ValueError("hole-length bounds need unit weights")
     inner = set(allowed)
+    ids = [v for v in g.vertices() if v in inner]
     low = (1 if weights is None
-           else min((weights[v] for v in inner), default=0))
+           else min((weights[v] for v in ids), default=0))
     floor = low + low + low + low
+    lower = ([floor] * len(ids) if bounds is None
+             else [max(floor, bounds[v]) for v in ids])
+    # a stable sort of ids, which ascend, breaks ties by id
+    order = (range(len(ids)) if bounds is None
+             else sorted(range(len(ids)), key=lower.__getitem__))
     best: Optional[tuple[Hole, float]] = None
-    for v in g.vertices():
-        if v not in inner:
-            continue
-        found = lightest_hole_through(g, v, weights, inner, below)
-        inner.discard(v)
+    first = -1
+    for i in order:
+        v = ids[i]
+        limit = below + 1 if v < first else below
+        if lower[i] >= limit - 1e-12:
+            break
+        found = lightest_hole_through(g, v, weights, ids[i:], limit)
+        if bounds is not None:
+            bounds[v] = limit if found is None else found[1]
         if found is not None:
             best = found
             below = found[1]
-            if below - 1e-12 <= floor:
-                break
+            first = v
     return best
 
 

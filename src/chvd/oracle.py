@@ -10,14 +10,26 @@ search, and a new search runs only when no pooled set survives the
 deletions.  A greedy packing of vertex-disjoint surviving sets is a lower
 bound that prunes, and a memo on the deleted set avoids re-exploring
 permutations of the same deletions.
+
+The ChVD hole search also learns across search nodes.  Each search fills
+a table of per-vertex lower bounds on hole lengths (see
+``graphs.lightest_hole``), and the solver keeps the table of every
+deleted set of at most two vertices that it searched.  Deleting vertices
+never creates a hole, so a search at a deleted set D starts from the
+elementwise maximum of the tables kept for the empty set and for D's
+one- and two-vertex subsets, and skips every vertex whose bound already
+rules it out.  The hole found is the one a search without tables finds.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .graphs import DiGraph, Graph, Hole, bfs_path, lightest_hole
+from .graphs import (
+    DiGraph, Graph, Hole, bfs_path, check_vertex_ids, lightest_hole,
+)
 
 
 @dataclass(frozen=True)
@@ -29,12 +41,17 @@ class ExactResult:
     nodes_explored: int
 
 
-def shortest_hole_avoiding(g: Graph, deleted: frozenset[int]) -> Optional[Hole]:
+def shortest_hole_avoiding(g: Graph, deleted: frozenset[int],
+                           bounds: Optional[list[float]] = None
+                           ) -> Optional[Hole]:
     """A shortest hole of g - deleted (vertices kept in g's ids), in
     canonical form: ``lightest_hole`` under unit weights, which stops at
-    the first hole of length 4."""
+    the first hole of length 4.  ``bounds`` is its table of per-vertex
+    hole-length lower bounds, read and written back; a table learned
+    with fewer vertices deleted is a valid start."""
     found = lightest_hole(
-        g, None, (v for v in g.vertices() if v not in deleted), math.inf)
+        g, None, (v for v in g.vertices() if v not in deleted), math.inf,
+        bounds)
     return None if found is None else found[0]
 
 
@@ -118,8 +135,24 @@ class _Search:
 def _exact_chvd(g: Graph, k: int, forced: Iterable[tuple[int, int]],
                 forbidden: Iterable[int],
                 node_budget: int) -> Optional[ExactResult]:
+    forced = list(forced)
+    forbidden = frozenset(forbidden)
+    check_vertex_ids({v for pair in forced for v in pair} | forbidden, g.n)
+    for x, y in forced:
+        if x == y:
+            raise ValueError(f"forced pair ({x},{y}) has equal endpoints")
+    # hole-length bounds learned at each searched deleted set of at most
+    # two vertices; deleting more vertices only raises them
+    tables: dict[frozenset[int], list[float]] = {}
+
     def find(deleted: frozenset[int]) -> Optional[tuple[int, ...]]:
-        hole = shortest_hole_avoiding(g, deleted)
+        subsets = [frozenset()] + [frozenset(s) for r in (1, 2)
+                                   for s in itertools.combinations(deleted, r)]
+        known = [tables[s] for s in subsets if s in tables]
+        bounds = [max(col) for col in zip(*known)] if known else [0] * g.n
+        hole = shortest_hole_avoiding(g, deleted, bounds)
+        if len(deleted) <= 2:
+            tables[deleted] = bounds
         return None if hole is None else hole.vertices
 
     return _Search(find, node_budget, forced, forbidden).minimum(k)
@@ -135,9 +168,11 @@ def exact_chvd(
     """Minimum chordal deletion set of size <= k, or None (no solution within k).
 
     Every forced pair must lose at least one endpoint, and no forbidden
-    vertex is deleted.  Optimality is certified by trying budgets 0..k in
-    order; the first success is a minimum.  Raises SearchBudgetExceeded as
-    soon as the search explores more than ``node_budget`` nodes.
+    vertex is deleted; an id outside 0..n-1, or a forced pair with equal
+    endpoints, raises ValueError.  Optimality is certified by trying
+    budgets 0..k in order; the first success is a minimum.  Raises
+    SearchBudgetExceeded as soon as the search explores more than
+    ``node_budget`` nodes.
     """
     return _exact_chvd(g, k, forced, forbidden, node_budget)
 
@@ -158,8 +193,11 @@ def exact_multicut(
     d: DiGraph, pairs: list[tuple[int, int]], k: int,
     node_budget: int = 2_000_000,
 ) -> Optional[ExactResult]:
-    """Minimum vertex multicut of size <= k (terminals deletable), or None."""
+    """Minimum vertex multicut of size <= k (terminals deletable), or None.
+
+    A terminal id outside 0..n-1 raises ValueError."""
     pairs = list(pairs)
+    check_vertex_ids({v for pair in pairs for v in pair}, d.n)
 
     def find(deleted: frozenset[int]) -> Optional[tuple[int, ...]]:
         alive = set(d.vertices()) - deleted

@@ -309,6 +309,36 @@ def test_approximate_disjoint_c4s():
     assert bf_chordal_after_delete(g, set(got))
 
 
+def disjoint_c4s(t):
+    return Graph(4 * t, [(4 * i + j, 4 * i + (j + 1) % 4)
+                         for i in range(t) for j in range(4)])
+
+
+def test_approximate_answers_no_on_the_lp_route(monkeypatch):
+    """Nine disjoint C4s at k = 4 (n = 36) take the LP route, whose
+    optimum |x*| = 9 exceeds 2k: a "no" that the oracle confirms.  Eight
+    C4s give |x*| = 8 <= 2k and a deletion set."""
+    objectives = []
+    solve = approx.solve_fractional
+
+    def spying(*args, **kwargs):
+        x = solve(*args, **kwargs)
+        objectives.append(x.objective)
+        return x
+
+    monkeypatch.setattr(approx, "solve_fractional", spying)
+    g = disjoint_c4s(9)
+    assert approximate(g, 4) == NO_INSTANCE
+    assert len(objectives) == 1 and objectives[0] == pytest.approx(9)
+    assert exact_chvd(g, 4) is None
+    objectives.clear()
+    g = disjoint_c4s(8)
+    got = approximate(g, 4)
+    assert len(objectives) == 1 and objectives[0] == pytest.approx(8)
+    assert not isinstance(got, NoInstance)
+    assert is_chordal(g, set(g.vertices()) - got)
+
+
 def test_approximate_yes_instances_never_rejected():
     ratios = []
     for seed in range(40):

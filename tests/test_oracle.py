@@ -1,5 +1,6 @@
 """Exact solvers against subset enumeration."""
 import hashlib
+import math
 import random
 
 import pytest
@@ -129,13 +130,13 @@ def test_shortest_hole_avoiding_runs_one_search_per_vertex_neighbour_pair(
                                            noise_edges=1))
     deleted = frozenset(sorted(planted)[:1])
     calls = []
-    search = graphs.dijkstra_vertex_weights
+    search = graphs._unit_layers
 
     def counting(*args, **kwargs):
         calls.append(1)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(graphs, "dijkstra_vertex_weights", counting)
+    monkeypatch.setattr(graphs, "_unit_layers", counting)
     assert shortest_hole_avoiding(g, deleted) is not None
     alive = [v for v in g.vertices() if v not in deleted]
     assert 0 < len(calls) <= sum(g.degree(v) for v in alive)
@@ -189,6 +190,80 @@ def test_shortest_hole_avoiding_stops_at_the_first_four_hole(monkeypatch):
     assert len(calls) == g.n - 1
 
 
+def least_vertex_hole_lengths(g, alive):
+    """For each alive v, the length of the shortest hole of g[alive]
+    whose least vertex is v (inf if none), by enumeration."""
+    lengths = dict.fromkeys(alive, math.inf)
+    for hole in bf_all_holes(g):
+        if hole <= alive:
+            v = min(hole)
+            lengths[v] = min(lengths[v], len(hole))
+    return lengths
+
+
+def test_hole_bounds_learned_with_fewer_deletions_keep_the_shortest_hole(
+        monkeypatch):
+    """A table learned at D, passed on to a superset D' of D, gives the
+    hole that the search without a table and the reference give, and
+    every entry it holds for an alive vertex stays a lower bound."""
+    rng = random.Random(149)
+    searched = []
+    search = graphs.lightest_hole_through
+
+    def counting(*args, **kwargs):
+        searched.append(args[1])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "lightest_hole_through", counting)
+    skipped = found = 0
+    for trial in range(150):
+        n = rng.randint(6, 13)
+        g = random_gnp(rng, n, rng.choice([0.2, 0.3, 0.45]))
+        deleted = frozenset(v for v in g.vertices() if rng.random() < 0.1)
+        more = deleted | {v for v in g.vertices() if rng.random() < 0.2}
+        table = [0] * n
+        for d in (deleted, more):
+            searched.clear()
+            without = shortest_hole_avoiding(g, d)
+            plain = len(searched)
+            searched.clear()
+            hole = shortest_hole_avoiding(g, d, table)
+            assert hole == without == ref_shortest_hole_avoiding(g, d)
+            alive = frozenset(g.vertices()) - d
+            lengths = least_vertex_hole_lengths(g, alive)
+            assert all(table[v] <= lengths[v] for v in alive)
+            if d is more:
+                skipped += len(searched) < plain
+                found += hole is not None
+    assert skipped >= 60 and found >= 40
+
+
+def test_hole_bounds_save_searches_in_the_exact_solver(monkeypatch):
+    """On the n = 44 ladder instance (generate seed 3, k = 4), the kept
+    tables cut the searches through a vertex against the same solve with
+    a fresh table at every search node."""
+    g, k = ladder_44()
+    calls = []
+    search = graphs.lightest_hole_through
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "lightest_hole_through", counting)
+    res = exact_chvd(g, k)
+    with_tables = len(calls)
+    original = oracle.shortest_hole_avoiding
+
+    def fresh_table(graph, deleted, bounds=None):
+        return original(graph, deleted, [0] * graph.n)
+
+    monkeypatch.setattr(oracle, "shortest_hole_avoiding", fresh_table)
+    calls.clear()
+    assert exact_chvd(g, k) == res
+    assert (with_tables, len(calls)) == (485, 828)
+
+
 # sha256 of (optimum, sorted solution, nodes_explored) per solve below,
 # recorded before the hole search gained its floor
 EXACT_DIGEST = (
@@ -208,6 +283,28 @@ def test_exact_chvd_outputs_are_pinned():
             results.append(None if res is None else (
                 res.optimum, sorted(res.solution), res.nodes_explored))
     assert hashlib.sha256(repr(results).encode()).hexdigest() == EXACT_DIGEST
+
+
+def test_exact_chvd_refuses_forced_ids_outside_the_graph():
+    with pytest.raises(ValueError, match="unknown vertex id 5"):
+        exact_chvd(Graph(2), 1, forced=[(5, 9)])
+    with pytest.raises(ValueError, match="unknown vertex id -1"):
+        exact_chvd_forced(Graph(3), 1, [(-1, 2)])
+
+
+def test_exact_chvd_refuses_forbidden_ids_outside_the_graph():
+    with pytest.raises(ValueError, match="unknown vertex id 4"):
+        exact_chvd(cycle_graph(4), 1, forbidden=[0, 4])
+
+
+def test_exact_chvd_refuses_a_forced_pair_with_equal_endpoints():
+    with pytest.raises(ValueError, match="equal endpoints"):
+        exact_chvd(Graph(3), 1, forced=[(0, 2), (1, 1)])
+
+
+def test_exact_multicut_refuses_terminal_ids_outside_the_graph():
+    with pytest.raises(ValueError, match="unknown vertex id 5"):
+        exact_multicut(DiGraph(3, [(0, 1), (1, 2)]), [(0, 5)], 2)
 
 
 def test_exact_multicut_trivial():
@@ -246,9 +343,9 @@ def test_node_budget_is_enforced_during_the_search(monkeypatch):
     searched = []
     original = oracle.shortest_hole_avoiding
 
-    def counting(graph, deleted):
+    def counting(graph, deleted, bounds=None):
         searched.append(deleted)
-        return original(graph, deleted)
+        return original(graph, deleted, bounds)
 
     monkeypatch.setattr(oracle, "shortest_hole_avoiding", counting)
     for solve in (lambda: exact_chvd(g, 4, node_budget=3),
@@ -390,8 +487,8 @@ def counting_hole_searches(monkeypatch):
     calls = []
     original = oracle.shortest_hole_avoiding
 
-    def counting(graph, deleted):
-        hole = original(graph, deleted)
+    def counting(graph, deleted, bounds=None):
+        hole = original(graph, deleted, bounds)
         calls.append((deleted, hole))
         return hole
 

@@ -13,10 +13,12 @@ from chvd import graphs
 from chvd.generate import random_dag, random_gnp
 from chvd.graphs import (
     DiGraph,
+    Graph,
     bfs,
     bfs_path,
     components_within,
     dijkstra_vertex_weights,
+    extract_path,
     lightest_hole,
 )
 from chvd.multicut import min_vertex_cut
@@ -225,11 +227,13 @@ def test_min_vertex_cut_does_not_depend_on_neighbour_order():
 
 
 def test_vertex_weighted_search_matches_the_heap_reference():
-    """Unit weights run by layers and tables run on the heap; both give
-    the frozen heap search's distances and predecessors, values and
-    insertion order, under any allowed set, targets and cutoff."""
+    """A weight table runs on the heap and gives the frozen heap search's
+    distances and predecessors, values and insertion order; unit weights
+    run by layers and give every target that the heap settles below the
+    cutoff its distance and path, and no other target a distance below
+    the cutoff; both under any allowed set, targets and cutoff."""
     rng = random.Random(29)
-    stopped = cut = 0
+    stopped = cut = settled = beyond = 0
     for trial in range(1200):
         n = rng.randint(1, 16)
         p = rng.choice([0.15, 0.3, 0.5])
@@ -246,19 +250,34 @@ def test_vertex_weighted_search_matches_the_heap_reference():
                              rng.randint(1, 5) + 0.5])
         table = [rng.choice([0, 0.0, 0.5, 1, rng.random()])
                  for _ in range(n)]
-        for weights, weight in ((None, lambda _: 1),
-                                (table, table.__getitem__)):
-            got = dijkstra_vertex_weights(neighbors, source, weights,
-                                          allowed, targets, cutoff)
-            want = ref_dijkstra_vertex_weights(neighbors, source, weight,
-                                               allowed, targets, cutoff)
-            assert [list(m.items()) for m in got] == \
-                [list(m.items()) for m in want]
-            full = ref_dijkstra_vertex_weights(neighbors, source, weight,
-                                               allowed)
-            stopped += targets != [] and len(got[0]) < len(full[0])
-            cut += cutoff < math.inf and len(got[0]) < len(full[0])
-    assert stopped >= 100 and cut >= 100
+        got = dijkstra_vertex_weights(neighbors, source, table,
+                                      allowed, targets, cutoff)
+        want = ref_dijkstra_vertex_weights(neighbors, source,
+                                           table.__getitem__, allowed,
+                                           targets, cutoff)
+        assert [list(m.items()) for m in got] == \
+            [list(m.items()) for m in want]
+        full = ref_dijkstra_vertex_weights(neighbors, source,
+                                           table.__getitem__, allowed)
+        stopped += targets != [] and len(got[0]) < len(full[0])
+        cut += cutoff < math.inf and len(got[0]) < len(full[0])
+
+        dist, prev = graphs._unit_layers(
+            lambda u: frozenset(neighbors(u)), source,
+            set(range(n) if allowed is None else allowed), targets, cutoff)
+        want_dist, want_prev = ref_dijkstra_vertex_weights(
+            neighbors, source, lambda _: 1, allowed, targets, cutoff)
+        reach = ref_dijkstra_vertex_weights(
+            neighbors, source, lambda _: 1, allowed, targets)[0]
+        for t in set(targets):
+            below = t in want_dist and want_dist[t] < cutoff
+            assert (t in dist and dist[t] < cutoff) == below
+            if below:
+                assert type(dist[t]) is int and dist[t] == want_dist[t]
+                assert extract_path(prev, t) == extract_path(want_prev, t)
+                settled += 1
+            beyond += t in reach and not below
+    assert stopped >= 100 and cut >= 100 and settled >= 500 and beyond >= 100
 
 
 def hole_weightings(rng, n):
@@ -292,6 +311,15 @@ def test_lightest_hole_matches_the_loop_that_drops_no_vertex():
             found += got is not None
             none += got is None
     assert found >= 3000 and none >= 3000
+
+
+def test_lightest_hole_takes_length_bounds_under_unit_weights_only():
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    with pytest.raises(ValueError, match="unit weights"):
+        lightest_hole(g, [0.25] * 4, range(4), 1.0, [0] * 4)
+    bounds = [0] * 4
+    assert lightest_hole(g, None, range(4), math.inf, bounds)[1] == 4
+    assert bounds == [4, 0, 0, 0]
 
 
 def test_lightest_hole_searches_through_v_without_earlier_vertices(
