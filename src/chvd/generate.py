@@ -29,6 +29,11 @@ class GeneratorSpec:
     noise_edges: int = 0        # extra random edges among planted vertices
     budget: int | None = None   # k; defaults to planted count
 
+    def __post_init__(self):
+        for name in ("core_vertices", "planted", "noise_edges", "budget"):
+            if (getattr(self, name) or 0) < 0:
+                raise ValueError(f"negative {name}: {getattr(self, name)}")
+
 
 def random_tree(rng: random.Random, nodes: int) -> list[int | None]:
     """Random tree as a parent array; node 0 is the root."""

@@ -50,6 +50,8 @@ class Graph:
     __slots__ = ("_adj", "_adjset", "_m")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        if n < 0:
+            raise ValueError(f"negative vertex count {n}")
         adj: list[set[int]] = [set() for _ in range(n)]
         m = 0
         for u, v in edges:
@@ -644,6 +646,8 @@ class DiGraph:
     __slots__ = ("_out", "_in", "_m")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
+        if n < 0:
+            raise ValueError(f"negative vertex count {n}")
         out: list[set[int]] = [set() for _ in range(n)]
         into: list[set[int]] = [set() for _ in range(n)]
         m = 0

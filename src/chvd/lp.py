@@ -27,7 +27,6 @@ drift cannot flip a rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Container, Optional, Sequence
 
 from .graphs import (
@@ -70,20 +69,18 @@ class FractionalSolution:
         return sum(self.values.values())
 
 
-def simplex_min_cover(
-    n: int,
-    constraint_sets: Sequence[frozenset[int]],
-    exact: bool = False,
-) -> list:
+def simplex_min_cover(n: int,
+                      constraint_sets: Sequence[frozenset[int]]) -> list:
     """Solve min sum x_v s.t. sum_{v in P} x_v >= 1 for each P, x >= 0.
 
     Works on the dual packing LP (slack basis feasible) and reads the
     primal solution off the slack reduced costs.  Bland's rule prevents
-    cycling.  With ``exact`` the tableau runs on Fractions.  This is the
-    cold, one-shot solve; ``solve_fractional`` keeps its tableau across
-    rounds and reaches the same values.
+    cycling.  It runs in floats only; the dense reference, also in exact
+    rationals, is ``ref_simplex_min_cover`` in ``tests/bruteforce.py``.
+    This is the cold, one-shot solve; ``solve_fractional`` keeps its
+    tableau across rounds and reaches the same values.
     """
-    return _Tableau(n, constraint_sets, exact).solve()
+    return _Tableau(n, constraint_sets).solve()
 
 
 def _pivot_budget(n: int, m: int) -> int:
@@ -107,20 +104,16 @@ class _Tableau:
     a - f * 0, which can flip the sign of a zero but no comparison.
     """
 
-    def __init__(self, n: int, constraint_sets: Sequence[frozenset[int]],
-                 exact: bool):
+    def __init__(self, n: int, constraint_sets: Sequence[frozenset[int]]):
         self.n = n
-        self.zero = zero = Fraction(0) if exact else 0.0
-        self.one = one = Fraction(1) if exact else 1.0
-        self.tol = Fraction(0) if exact else 1e-9
-        self.rows = [[zero] * n + [one] for _ in range(n)]
+        self.rows = [[0.0] * n + [1.0] for _ in range(n)]
         for v in range(n):
-            self.rows[v][v] = one
-        self.rows.append([zero] * (n + 1))
+            self.rows[v][v] = 1.0
+        self.rows.append([0.0] * (n + 1))
         self.basis = [_SLACK_RANK + v for v in range(n)]
         # per pivot: leaving row, whether a slack entered, the pivot
         # value and the (row, multiplier) pairs, the objective row as n
-        self.record: list[tuple[int, bool, object, list]] = []
+        self.record: list[tuple[int, bool, float, list]] = []
         for cset in constraint_sets:
             self.add(cset)
 
@@ -133,14 +126,13 @@ class _Tableau:
         have entered instead, so the paths part: refuse, and leave the
         tableau as it was.
         """
-        n, zero, tol = self.n, self.zero, self.tol
-        column = [self.one if v in cset else zero for v in range(n)]
-        column.append(self.one)
+        column = [1.0 if v in cset else 0.0 for v in range(self.n)]
+        column.append(1.0)      # the objective row's entry
         for leave, slack, piv, mults in self.record:
-            if slack and column[n] > tol:
+            if slack and column[-1] > 1e-9:
                 return False
             b = column[leave]
-            if b != zero:
+            if b != 0.0:
                 b /= piv
                 column[leave] = b
                 for i, f in mults:
@@ -155,12 +147,12 @@ class _Tableau:
         The pivot budget counts every pivot since the cold start, against
         the cold bound for the current pool.
         """
-        n, zero, tol = self.n, self.zero, self.tol
+        n, tol = self.n, 1e-9
         rows, basis, record = self.rows, self.basis, self.record
         zrow = rows[n]
         m = len(zrow) - n - 1
         if m == 0 or n == 0:
-            return [zero] * n
+            return [0.0] * n
         ys = range(n + 1, n + 1 + m)
         max_pivots = _pivot_budget(n, m)
         while True:
@@ -193,21 +185,21 @@ class _Tableau:
             check(leave >= 0, "dual packing LP is unbounded, which cannot happen")
             prow = rows[leave]
             piv = prow[enter]
-            nonzero = [k for k, b in enumerate(prow) if b != zero]
+            nonzero = [k for k, b in enumerate(prow) if b != 0.0]
             for k in nonzero:
                 prow[k] /= piv
             entries = [(k, prow[k]) for k in nonzero]
             mults = []
             for i, row in enumerate(rows):
                 f = row[enter]
-                if i != leave and f != zero:
+                if i != leave and f != 0.0:
                     mults.append((i, f))
                     for k, b in entries:
                         row[k] -= f * b
             basis[leave] = enter - n - 1 if enter > n else _SLACK_RANK + enter
             record.append((leave, enter < n, piv, mults))
         # Primal solution: x_v = -reduced cost of slack column v (shadow price).
-        return [-z if -z > zero else zero for z in zrow[:n]]
+        return [-z if -z > 0.0 else 0.0 for z in zrow[:n]]
 
 
 def separate_chvd(g: Graph, x: FractionalSolution) -> Optional[Hole]:
@@ -319,7 +311,6 @@ def check_lp_options(tolerance: float, max_iters: int) -> None:
 def solve_fractional(
     problem,
     max_iters: int = 2000,
-    exact: bool = False,
     tolerance: float = FEASIBILITY_TOL,
 ) -> FractionalSolution:
     """Cutting-plane loop: restricted LP + separation until feasible.
@@ -347,7 +338,6 @@ def solve_fractional(
                   "separation returned a constraint already in the pool")
             pool.append(cset)
         if tableau is None or not all(map(tableau.add, violated)):
-            tableau = _Tableau(n, pool, exact)
-        xs = tableau.solve()
-        x = FractionalSolution({v: float(xs[v]) for v in range(n)}, tolerance)
+            tableau = _Tableau(n, pool)
+        x = FractionalSolution(dict(enumerate(tableau.solve())), tolerance)
     raise CuttingPlaneCapExceeded(max_iters)

@@ -40,6 +40,8 @@ def test_graph_basic_invariants():
         Graph(2, [(0, 0)])
     with pytest.raises(ValueError):
         Graph(2, [(0, 5)])
+    with pytest.raises(ValueError, match="negative vertex count"):
+        Graph(-1)
     # duplicate edges collapse
     assert Graph(3, [(0, 1), (1, 0)]).m == 1
 
@@ -173,6 +175,8 @@ def test_digraph_basics_and_acyclicity():
     assert bfs_path(d.out_neighbors, [0], {2}) == [0, 1, 2]
     assert bfs_path(d.out_neighbors, [2], {0}) is None
     assert bfs_path(d.out_neighbors, [0], {2}, {0, 2}) is None
+    with pytest.raises(ValueError, match="negative vertex count"):
+        DiGraph(-1)
 
 
 def test_graph_copies_compare_and_hash_before_first_membership_query():

@@ -104,6 +104,21 @@ def test_cli_gen_solve_check_flow(tmp_path):
     assert main(["check", str(inst_path), "--solution", str(sol_path)]) == 0
 
 
+@pytest.mark.parametrize("field", ["core_vertices", "planted", "noise_edges",
+                                   "budget"])
+def test_generator_spec_rejects_a_negative_count(field):
+    with pytest.raises(ValueError, match=f"negative {field}: -1"):
+        GeneratorSpec(seed=0, **{field: -1})
+
+
+def test_cli_gen_rejects_negative_values_and_writes_no_file(tmp_path, capsys):
+    inst_path = tmp_path / "negative.chvd"
+    for flag in ("--k", "--core", "--planted", "--noise"):
+        assert main(["gen", flag, "-1", "-o", str(inst_path)]) == 2
+        assert "negative" in capsys.readouterr().err
+        assert not inst_path.exists()
+
+
 def test_cli_check_rejects_non_solution(tmp_path, capsys):
     inst_path = tmp_path / "c4.chvd"
     sol_path = tmp_path / "empty.txt"

@@ -58,15 +58,16 @@ def test_simplex_exact_matches_float():
             for _ in range(m)
         ]
         approx = simplex_min_cover(n, sets)
-        exact = simplex_min_cover(n, sets, exact=True)
+        exact = ref_simplex_min_cover(n, sets, exact=True)
         assert abs(sum(approx) - float(sum(exact, Fraction(0)))) < 1e-9
         for cset in sets:
             assert sum(exact[v] for v in cset) >= 1
+            assert sum(approx[v] for v in cset) >= 1 - 1e-9
 
 
 def test_simplex_matches_the_dense_reference():
     """The sparse pivots return every value of the dense tableau, float
-    for float and Fraction for Fraction."""
+    for float."""
     rng = random.Random(98)
     for trial in range(120):
         n = rng.randint(1, 16)
@@ -75,9 +76,8 @@ def test_simplex_matches_the_dense_reference():
             frozenset(rng.sample(range(n), rng.randint(1, min(n, 8))))
             for _ in range(m)
         ]
-        exact = trial % 4 == 0
-        got = simplex_min_cover(n, sets, exact=exact)
-        want = ref_simplex_min_cover(n, sets, exact=exact)
+        got = simplex_min_cover(n, sets)
+        want = ref_simplex_min_cover(n, sets)
         assert got == want
         assert list(map(repr, got)) == list(map(repr, want))
 
@@ -89,7 +89,6 @@ class ReferenceRounds:
     inner problem and pools every set it returns."""
 
     inner: object
-    exact: bool
     pools: list
 
     @property
@@ -99,9 +98,8 @@ class ReferenceRounds:
     def separate(self, x):
         pool = self.pools[-1] if self.pools else []
         if pool:
-            want = ref_simplex_min_cover(self.n, pool, exact=self.exact)
-            assert list(map(repr, x.values.values())) == [
-                repr(float(w)) for w in want]
+            want = ref_simplex_min_cover(self.n, pool)
+            assert list(map(repr, x.values.values())) == list(map(repr, want))
         found = self.inner.separate(x)
         if found:
             self.pools.append(pool + found)
@@ -140,19 +138,18 @@ def test_simplex_matches_the_dense_reference_every_cutting_plane_round(
         monkeypatch):
     """solve_fractional keeps one tableau across rounds and starts cold
     only when the kept one refuses a column; every round's x is still the
-    dense cold simplex's, float for float and Fraction for Fraction."""
+    dense cold simplex's, float for float."""
     outcomes = counting_adds(monkeypatch)
     pools = []
     for seed in range(4):
         g, _, _ = generate(GeneratorSpec(seed=seed, core_vertices=30,
                                          tree_nodes=10, planted=4,
                                          noise_edges=1))
-        problem = ReferenceRounds(ChvdProblem(g), seed == 0, [])
-        solve_fractional(problem, exact=problem.exact)
+        problem = ReferenceRounds(ChvdProblem(g), [])
+        solve_fractional(problem)
         pools += problem.pools
         d, _, _, pairs = random_staircase(seed, n=40, a=8, b=8, p=0.3)
-        problem = ReferenceRounds(MulticutProblem(d, tuple(pairs)), False,
-                                  [])
+        problem = ReferenceRounds(MulticutProblem(d, tuple(pairs)), [])
         solve_fractional(problem)
         pools += problem.pools
     assert len(pools) >= 50 and max(map(len, pools)) >= 12
@@ -168,13 +165,12 @@ def test_simplex_matches_the_dense_reference_every_cutting_plane_round(
 REFUSED_POOL = ({0, 1, 2}, {1, 3}, {2, 3}, {0, 1}, {0, 3})
 
 
-@pytest.mark.parametrize("exact", [False, True])
 def test_a_slack_pivot_refuses_the_column_a_cold_start_would_enter(
-        monkeypatch, exact):
+        monkeypatch):
     outcomes = counting_adds(monkeypatch)
     sets = [frozenset(s) for s in REFUSED_POOL]
-    problem = ReferenceRounds(Scripted(4, [[s] for s in sets]), exact, [])
-    x = solve_fractional(problem, exact=exact)
+    problem = ReferenceRounds(Scripted(4, [[s] for s in sets]), [])
+    x = solve_fractional(problem)
     assert outcomes == [True, True, False, True]
     assert len(problem.pools) == 5
     assert x.values == {v: 0.5 for v in range(4)}
@@ -188,35 +184,33 @@ MULTI_SET_ROUNDS = ([{0, 1, 2}], [{1, 3}], [{2, 3}], [{2}, {0, 1}, {0, 3}],
                     [{1}, {3}])
 
 
-@pytest.mark.parametrize("exact", [False, True])
-def test_a_round_starts_cold_at_its_first_refused_column(monkeypatch, exact):
+def test_a_round_starts_cold_at_its_first_refused_column(monkeypatch):
     outcomes = counting_adds(monkeypatch)
     cold_pools = []
     init = lp._Tableau.__init__
 
-    def counting_init(self, n, constraint_sets, exact):
+    def counting_init(self, n, constraint_sets):
         cold_pools.append(len(constraint_sets))
-        init(self, n, constraint_sets, exact)
+        init(self, n, constraint_sets)
 
     monkeypatch.setattr(lp._Tableau, "__init__", counting_init)
     rounds = [[frozenset(s) for s in r] for r in MULTI_SET_ROUNDS]
-    problem = ReferenceRounds(Scripted(4, rounds), exact, [])
-    x = solve_fractional(problem, exact=exact)
+    problem = ReferenceRounds(Scripted(4, rounds), [])
+    x = solve_fractional(problem)
     assert outcomes == [True, True, True, False, True, True]
     assert cold_pools == [1, 6]
     assert list(map(len, problem.pools)) == [1, 2, 3, 6, 8]
     assert x.values == {0: 0.0, 1: 1.0, 2: 1.0, 3: 1.0}
 
 
-@pytest.mark.parametrize("exact", [False, True])
-def test_the_kept_tableau_spends_the_cold_pivot_budget(monkeypatch, exact):
+def test_the_kept_tableau_spends_the_cold_pivot_budget(monkeypatch):
     """The budget counts every pivot since the cold start against the
     cold bound for the current pool, and raises where a cold solve of the
     whole pool raises."""
     sets = [frozenset(s) for s in REFUSED_POOL]
     cold = {}
     for m in range(1, len(sets) + 1):
-        tableau = lp._Tableau(4, sets[:m], exact)
+        tableau = lp._Tableau(4, sets[:m])
         tableau.solve()
         cold[m] = len(tableau.record)
     # the last round continues the fourth round's cold start, so its own
@@ -228,13 +222,13 @@ def test_the_kept_tableau_spends_the_cold_pivot_budget(monkeypatch, exact):
         problem = Scripted(4, [[s] for s in sets])
         if raises:
             with pytest.raises(graphs.InvariantError, match="pivot budget"):
-                simplex_min_cover(4, sets, exact=exact)
+                simplex_min_cover(4, sets)
             with pytest.raises(graphs.InvariantError, match="pivot budget"):
-                solve_fractional(problem, exact=exact)
+                solve_fractional(problem)
         else:
-            assert simplex_min_cover(4, sets, exact=exact) == \
-                ref_simplex_min_cover(4, sets, exact=exact)
-            assert solve_fractional(problem, exact=exact).values == {
+            assert simplex_min_cover(4, sets) == \
+                ref_simplex_min_cover(4, sets)
+            assert solve_fractional(problem).values == {
                 v: 0.5 for v in range(4)}
 
 
@@ -572,11 +566,11 @@ def test_solve_fractional_multicut_random():
 
 
 def test_solve_fractional_exact_mode_cross_check():
+    """The float loop meets C5's exact optimum, 1, and leaves no hole."""
     g = cycle_graph(5)
-    approx = solve_fractional(ChvdProblem(g))
-    exact = solve_fractional(ChvdProblem(g), exact=True)
-    assert abs(approx.objective - exact.objective) < 1e-9
-    assert separate_chvd(g, exact) is None
+    x = solve_fractional(ChvdProblem(g))
+    assert abs(x.objective - 1.0) < 1e-9
+    assert separate_chvd(g, x) is None
 
 
 @pytest.mark.parametrize("options", [
