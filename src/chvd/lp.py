@@ -16,9 +16,9 @@ constraint's column is brought in by replaying the recorded pivots on
 it, and pivoting goes on from the kept basis.  That is the path a cold
 start over the whole pool takes, with every value bit-equal, unless a
 recorded pivot entered a slack where Bland's rule would now enter the
-new column; then the tableau refuses it, the round offers none of its
-later sets, and it starts cold.  ``simplex_min_cover`` is the cold
-one-shot solve.
+new column; then the tableau rewinds to its snapshot from just before
+that pivot, and the cold path goes on from there.  ``simplex_min_cover``
+is the cold one-shot solve.
 
 Thresholds downstream (1/4, 1/8, 1/10, 1/20, 1/2) compare against these
 values; every such comparison treats ``>= t`` as ``>= t - 1e-9`` so float
@@ -93,7 +93,7 @@ _SLACK_RANK = 1 << 62       # Bland's rule ranks every slack after every y
 
 class _Tableau:
     """The dual packing tableau of a growing constraint pool, with a
-    record of every pivot made since its cold start.
+    record of the pivots a cold start over the pool has made so far.
 
     Dual: max sum y_j s.t. for each vertex v: sum_{j: v in P_j} y_j <= 1.
     Rows are the n vertex constraints, then the objective row; columns
@@ -102,6 +102,10 @@ class _Tableau:
     cold tableau over the same pool, so every value is bit-equal.  A
     pivot updates only the pivot row's nonzero columns: a skipped term is
     a - f * 0, which can flip the sign of a zero but no comparison.
+
+    Before each pivot that enters a slack, the tableau keeps a snapshot
+    of its rows, its basis and its column count; only there can a later
+    column part from the record (see ``add``).
     """
 
     def __init__(self, n: int, constraint_sets: Sequence[frozenset[int]]):
@@ -111,41 +115,76 @@ class _Tableau:
             self.rows[v][v] = 1.0
         self.rows.append([0.0] * (n + 1))
         self.basis = [_SLACK_RANK + v for v in range(n)]
+        self.sets: list[frozenset[int]] = []
         # per pivot: leaving row, whether a slack entered, the pivot
         # value and the (row, multiplier) pairs, the objective row as n
         self.record: list[tuple[int, bool, float, list]] = []
+        # per slack pivot on the record: its index, then the rows, basis
+        # and column count just before it
+        self.snapshots: list[tuple[int, list, list, int]] = []
         for cset in constraint_sets:
             self.add(cset)
 
-    def add(self, cset: frozenset[int]) -> bool:
-        """Bring in the column of one more constraint set, or refuse.
-
-        The recorded pivots are replayed on the new column.  At a pivot
-        where a slack entered, a new column whose reduced cost is already
-        above the tolerance is the one a cold start's Bland rule would
-        have entered instead, so the paths part: refuse, and leave the
-        tableau as it was.
-        """
+    def _replay(self, cset: frozenset[int]) -> tuple[list, int]:
+        """The column of cset after the recorded pivots, up to the first
+        slack pivot at which its reduced cost is above the tolerance;
+        returns it with that pivot's index, or len(record) if none."""
         column = [1.0 if v in cset else 0.0 for v in range(self.n)]
         column.append(1.0)      # the objective row's entry
-        for leave, slack, piv, mults in self.record:
+        for p, (leave, slack, piv, mults) in enumerate(self.record):
             if slack and column[-1] > 1e-9:
-                return False
+                return column, p
             b = column[leave]
             if b != 0.0:
                 b /= piv
                 column[leave] = b
                 for i, f in mults:
                     column[i] -= f * b
+        return column, len(self.record)
+
+    def add(self, cset: frozenset[int]) -> None:
+        """Bring in the column of one more constraint set.
+
+        The recorded pivots are replayed on the new column.  At a pivot p
+        where a slack entered, a new column whose reduced cost is already
+        above the tolerance is the one a cold start's Bland rule would
+        have entered instead, so the paths part there: rewind to p, and
+        the column joins the cold path's state before p.
+        """
+        column, p = self._replay(cset)
+        if p < len(self.record):
+            self._rewind(p)
+        self.sets.append(cset)
         for row, a in zip(self.rows, column):
             row.append(a)
-        return True
+
+    def _rewind(self, p: int) -> None:
+        """Go back to the state before recorded slack pivot p.
+
+        Restore the snapshot taken there, cut the record to ``record[:p]``
+        and drop every snapshot at or beyond p.  Each column added since
+        is rebuilt by replaying ``record[:p]`` on its set; it passed those
+        pivots when it was added, so none refuses.  Every column took the
+        record's pivots as a cold start over the pool takes them, so the
+        state rebuilt is the cold start's own state before pivot p.
+        """
+        snapshots = self.snapshots
+        while snapshots[-1][0] > p:
+            snapshots.pop()
+        at, rows, basis, m = snapshots.pop()
+        check(at == p, "a tableau rewinds only to a slack pivot")
+        del self.record[p:]
+        for cset in self.sets[m:]:
+            column, _ = self._replay(cset)
+            for row, a in zip(rows, column):
+                row.append(a)
+        self.rows, self.basis = rows, basis
 
     def solve(self) -> list:
         """Pivot to the optimum of the pool so far; return x.
 
-        The pivot budget counts every pivot since the cold start, against
-        the cold bound for the current pool.
+        The pivot budget counts the record, the pivots of a cold start
+        over the current pool, against the cold bound for that pool.
         """
         n, tol = self.n, 1e-9
         rows, basis, record = self.rows, self.basis, self.record
@@ -183,6 +222,9 @@ class _Tableau:
                         best = ratio
                         leave = i
             check(leave >= 0, "dual packing LP is unbounded, which cannot happen")
+            if enter < n:
+                self.snapshots.append(
+                    (len(record), [row[:] for row in rows], basis[:], m))
             prow = rows[leave]
             piv = prow[enter]
             nonzero = [k for k, b in enumerate(prow) if b != 0.0]
@@ -281,6 +323,11 @@ class MulticutProblem:
     d: DiGraph
     pairs: tuple[tuple[int, int], ...]
 
+    def __post_init__(self):
+        for s, t in self.pairs:
+            if not (0 <= s < self.d.n and 0 <= t < self.d.n):
+                raise ValueError(f"terminal pair ({s},{t}) outside the graph")
+
     @property
     def n(self) -> int:
         return self.d.n
@@ -316,9 +363,10 @@ def solve_fractional(
     """Cutting-plane loop: restricted LP + separation until feasible.
 
     ``problem.separate(x)`` returns a list of violated sets, empty when
-    x is feasible.  A round pools its sets in order and offers each to
-    the kept tableau; at the first refusal it stops offering and starts
-    cold over the whole pool, so every round's x is a cold simplex's.
+    x is feasible.  The first round builds the tableau over its sets;
+    each later round adds its sets to that tableau in order, and a set
+    that a cold start would pivot in earlier rewinds it (``_Tableau.add``),
+    so every round's x is a cold simplex's over the pool so far.
 
     Raises ValueError unless 0 <= tolerance < 1 and max_iters >= 1, and
     CuttingPlaneCapExceeded after max_iters rounds that each still found
@@ -326,7 +374,7 @@ def solve_fractional(
     """
     check_lp_options(tolerance, max_iters)
     n = problem.n
-    pool: list[frozenset[int]] = []
+    pooled: set[frozenset[int]] = set()
     tableau: Optional[_Tableau] = None
     x = FractionalSolution({v: 0.0 for v in range(n)}, tolerance)
     for _ in range(max_iters):
@@ -334,10 +382,13 @@ def solve_fractional(
         if not violated:
             return x
         for cset in violated:
-            check(cset not in pool,
+            check(cset not in pooled,
                   "separation returned a constraint already in the pool")
-            pool.append(cset)
-        if tableau is None or not all(map(tableau.add, violated)):
-            tableau = _Tableau(n, pool)
+            pooled.add(cset)
+        if tableau is None:
+            tableau = _Tableau(n, violated)
+        else:
+            for cset in violated:
+                tableau.add(cset)
         x = FractionalSolution(dict(enumerate(tableau.solve())), tolerance)
     raise CuttingPlaneCapExceeded(max_iters)

@@ -120,15 +120,23 @@ class Scripted:
 
 def counting_adds(monkeypatch):
     """Patch ``_Tableau.add`` to list, per call on a tableau that has
-    pivoted, whether the kept tableau took the column."""
+    pivoted, the recorded pivot it rewound to, or None when it kept the
+    whole record.  A rewind must keep the record before its pivot, and
+    that pivot must have entered a slack."""
     outcomes = []
     add = lp._Tableau.add
 
     def counting(self, cset):
-        took = add(self, cset)
-        if self.record:
-            outcomes.append(took)
-        return took
+        record = list(self.record)
+        add(self, cset)
+        if record:
+            p = len(self.record)
+            assert self.record == record[:p]
+            if p < len(record):
+                assert record[p][1]
+                outcomes.append(p)
+            else:
+                outcomes.append(None)
 
     monkeypatch.setattr(lp._Tableau, "add", counting)
     return outcomes
@@ -136,9 +144,9 @@ def counting_adds(monkeypatch):
 
 def test_simplex_matches_the_dense_reference_every_cutting_plane_round(
         monkeypatch):
-    """solve_fractional keeps one tableau across rounds and starts cold
-    only when the kept one refuses a column; every round's x is still the
-    dense cold simplex's, float for float."""
+    """solve_fractional keeps one tableau across rounds and rewinds it
+    when a new column parts from its record; every round's x is still
+    the dense cold simplex's, float for float."""
     outcomes = counting_adds(monkeypatch)
     pools = []
     for seed in range(4):
@@ -153,38 +161,45 @@ def test_simplex_matches_the_dense_reference_every_cutting_plane_round(
         solve_fractional(problem)
         pools += problem.pools
     assert len(pools) >= 50 and max(map(len, pools)) >= 12
-    assert outcomes.count(True) >= 10 and outcomes.count(False) >= 3
+    rewinds = len(outcomes) - outcomes.count(None)
+    assert outcomes.count(None) >= 10 and rewinds >= 3
 
 
 # Each set is violated by the x of the round that adds it.  The third
 # round ends on a pivot that entered a slack, where the fourth column
 # {0, 1} already has reduced cost 1: a cold start enters that column
-# there instead, so the kept tableau refuses it and the fourth round
-# starts cold.  The fifth column is taken again.  Taking the fourth too
-# would end at x = (0, 1, 0, 1), not the cold (1/2, 1/2, 1/2, 1/2).
+# there instead, so the kept tableau rewinds to that pivot and the
+# column joins there.  The fifth column keeps the whole record.  Taking
+# the fourth without the rewind would end at x = (0, 1, 0, 1), not the
+# cold (1/2, 1/2, 1/2, 1/2).
 REFUSED_POOL = ({0, 1, 2}, {1, 3}, {2, 3}, {0, 1}, {0, 3})
 
 
-def test_a_slack_pivot_refuses_the_column_a_cold_start_would_enter(
+def test_a_slack_pivot_rewinds_for_the_column_a_cold_start_would_enter(
         monkeypatch):
     outcomes = counting_adds(monkeypatch)
     sets = [frozenset(s) for s in REFUSED_POOL]
+    third = lp._Tableau(4, sets[:3])
+    third.solve()
+    last = len(third.record) - 1
+    assert third.record[last][1] and third.snapshots[-1][0] == last
     problem = ReferenceRounds(Scripted(4, [[s] for s in sets]), [])
     x = solve_fractional(problem)
-    assert outcomes == [True, True, False, True]
+    assert outcomes == [None, None, last, None]
     assert len(problem.pools) == 5
     assert x.values == {v: 0.5 for v in range(4)}
 
 
 # The fourth round hands out three sets, each violated by the third
-# round's x = (0, 1/2, 1/2, 1/2).  The kept tableau takes {2} and refuses
-# {0, 1}, as above; {0, 3} is not offered, and the round starts cold over
-# all six sets.  The fifth round's two sets are both taken.
+# round's x = (0, 1/2, 1/2, 1/2).  The kept tableau takes {2}, rewinds
+# for {0, 1} as above, and then takes {0, 3}: every set is offered, and
+# no second tableau is built.  The fifth round's two sets are both
+# taken.
 MULTI_SET_ROUNDS = ([{0, 1, 2}], [{1, 3}], [{2, 3}], [{2}, {0, 1}, {0, 3}],
                     [{1}, {3}])
 
 
-def test_a_round_starts_cold_at_its_first_refused_column(monkeypatch):
+def test_a_round_offers_every_set_to_the_one_tableau(monkeypatch):
     outcomes = counting_adds(monkeypatch)
     cold_pools = []
     init = lp._Tableau.__init__
@@ -197,8 +212,9 @@ def test_a_round_starts_cold_at_its_first_refused_column(monkeypatch):
     rounds = [[frozenset(s) for s in r] for r in MULTI_SET_ROUNDS]
     problem = ReferenceRounds(Scripted(4, rounds), [])
     x = solve_fractional(problem)
-    assert outcomes == [True, True, True, False, True, True]
-    assert cold_pools == [1, 6]
+    # pivot 3 is the third round's closing slack pivot, as above
+    assert outcomes == [None, None, None, 3, None, None, None]
+    assert cold_pools == [1]
     assert list(map(len, problem.pools)) == [1, 2, 3, 6, 8]
     assert x.values == {0: 0.0, 1: 1.0, 2: 1.0, 3: 1.0}
 
@@ -230,6 +246,51 @@ def test_the_kept_tableau_spends_the_cold_pivot_budget(monkeypatch):
                 ref_simplex_min_cover(4, sets)
             assert solve_fractional(problem).values == {
                 v: 0.5 for v in range(4)}
+
+
+def test_a_rewound_tableau_is_the_cold_tableau_over_its_pool(monkeypatch):
+    """Random pools on up to 8 vertices, offered in rounds of 1-4 sets:
+    after every solve the kept tableau has a cold start's x, record
+    length, basis and rows, and a snapshot at each slack pivot of its
+    record and nowhere else."""
+    rebuilt = []
+    rewind = lp._Tableau._rewind
+
+    def counting(self, p):
+        m = next(s[3] for s in self.snapshots if s[0] == p)
+        rebuilt.append(len(self.sets) - m)
+        rewind(self, p)
+
+    monkeypatch.setattr(lp._Tableau, "_rewind", counting)
+    rng = random.Random(29)
+    for trial in range(300):
+        n = rng.randint(1, 8)
+        unused = list(dict.fromkeys(
+            frozenset(rng.sample(range(n), rng.randint(1, n)))
+            for _ in range(rng.randint(16, 48))))
+        kept, x = None, [0.0] * n
+        while True:
+            # as in cutting planes, a round offers sets violated by x
+            violated = [c for c in unused if sum(x[v] for v in c) < 1 - 1e-6]
+            if not violated:
+                break
+            rnd = rng.sample(violated, min(len(violated), rng.randint(1, 4)))
+            unused = [c for c in unused if c not in rnd]
+            if kept is None:
+                kept = lp._Tableau(n, rnd)
+            else:
+                for cset in rnd:
+                    kept.add(cset)
+            x = kept.solve()
+            cold = lp._Tableau(n, kept.sets)
+            assert list(map(repr, x)) == list(map(repr, cold.solve()))
+            assert len(kept.record) == len(cold.record)
+            assert kept.basis == cold.basis
+            assert repr(kept.rows) == repr(cold.rows)
+            slack = [p for p, pivot in enumerate(kept.record) if pivot[1]]
+            assert [s[0] for s in kept.snapshots] == slack
+    # some rewinds rebuild columns added after their snapshot
+    assert len(rebuilt) >= 50 and sum(k > 0 for k in rebuilt) >= 5
 
 
 def test_simplex_value_is_lp_optimal_vs_enumeration():
@@ -551,6 +612,14 @@ def test_solve_fractional_multicut():
     x = solve_fractional(MulticutProblem(d, ((0, 4), (1, 3))))
     assert separate_multicut(d, [(0, 4), (1, 3)], x) == []
     assert x.objective <= 1.0 + 1e-6
+
+
+def test_multicut_problem_rejects_a_pair_outside_the_graph():
+    d = DiGraph(3, [(0, 1), (1, 2)])
+    for pair in ((0, 3), (-1, 2)):
+        with pytest.raises(ValueError, match="outside the graph"):
+            MulticutProblem(d, (pair,))
+    assert solve_fractional(MulticutProblem(d, ((0, 2),))).objective == 1.0
 
 
 def test_solve_fractional_multicut_random():
