@@ -2,14 +2,14 @@
 
 Given g with g - v chordal, a v-flower is a set of holes pairwise
 intersecting exactly in {v}.  A local search grows a flower until maximal
-under three improvement steps; a greedy pass over clique-tree cutpoints
-then produces a hitting set S with v not in S, g - S chordal, and
-|S| <= 12 * order(flower).  Both certificates are re-verified before
-being returned.  The search may run on an induced subgraph instead, in
-g's own ids, with the same results as on a renumbered copy.  Each
-shortest path it needs is one ``graphs.bfs_path`` search of g restricted
-to a vertex set; a shortest path has no chord, so a petal found that way
-is induced.
+under three improvement steps; a greedy pass over the clique-tree
+cutpoints of v's neighbours outside the flower then produces a hitting
+set S with v not in S, g - S chordal, and |S| <= 12 * order(flower).
+Both certificates are re-verified before being returned.  The search
+may run on an induced subgraph instead, in g's own ids, with the same
+results as on a renumbered copy.  Each shortest path it needs is one
+``graphs.bfs_path`` search of g restricted to a vertex set; a shortest
+path has no chord, so a petal found that way is induced.
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ from .graphs import (
     Hole,
     bfs_path,
     check,
+    check_vertex_ids,
     is_induced_path,
     shortcut_walk,
     verify_hole,
@@ -75,12 +76,6 @@ class Flower:
                   "petal interior touches the closed neighborhood")
 
 
-# Per vertex u of g[inside] - v, the lowest tree edge above top(u) whose
-# adhesion lies inside N(v) + flower, as a (child, parent) node pair of
-# the clique tree of g[inside] - v; None marks the NIL case.
-Cutpoints = dict[int, Optional[tuple[int, int]]]
-
-
 def two_disjoint_paths(
     g: Graph, s1: int, t1: int, s2: int, t2: int,
     allowed: Optional[Iterable[int]] = None,
@@ -91,28 +86,22 @@ def two_disjoint_paths(
     Only induced s1-t1 candidates are enumerated: whenever disjoint paths
     exist, shortcutting each within its own vertices keeps them disjoint,
     so completeness is preserved while dense regions stop branching.
-    Each candidate is closed with a BFS for the second path; branches
-    where s2 and t2 are separated, or the tip cannot reach t1, are cut.
+    A candidate that reaches t1 is closed with a BFS for the second path;
+    branches where s2 and t2 are separated, or the tip cannot reach t1,
+    are cut.
     """
     if len({s1, t1, s2, t2}) != 4:
         raise ValueError("endpoints must be four distinct vertices")
     everything = set(g.vertices() if allowed is None else allowed)
 
-    def connected_avoiding(blocked: set[int]) -> bool:
-        return bfs_path(g.neighbors, [s2], {t2},
-                        everything - blocked) is not None
+    def second_path(blocked: set[int]) -> Optional[list[int]]:
+        return bfs_path(g.neighbors, [s2], {t2}, everything - blocked)
 
     path1 = [s1]
     on_path = {s1}
 
     def extend() -> Optional[tuple[list[int], list[int]]]:
         tip = path1[-1]
-        if tip == t1:
-            rest = everything - on_path
-            path2 = bfs_path(g.neighbors, [s2], {t2}, rest)
-            if path2 is not None:
-                return list(path1), path2
-            return None
         for w in g.neighbors(tip):
             if w in on_path or w == s2 or w == t2 or w not in everything:
                 continue
@@ -121,21 +110,22 @@ def two_disjoint_paths(
                 continue
             path1.append(w)
             on_path.add(w)
-            reach_ok = w == t1 or bfs_path(
-                g.neighbors, [w], {t1},
-                (everything - on_path - {s2, t2}) | {w},
-            ) is not None
-            if reach_ok and connected_avoiding(on_path):
-                found = extend()
-                if found is not None:
-                    return found
+            if w == t1:
+                path2 = second_path(on_path)
+                if path2 is not None:
+                    return list(path1), path2
+            else:
+                tail = bfs_path(g.neighbors, [w], {t1},
+                                (everything - on_path - {s2, t2}) | {w})
+                if tail is not None and second_path(on_path) is not None:
+                    found = extend()
+                    if found is not None:
+                        return found
             path1.pop()
             on_path.remove(w)
         return None
 
-    if s2 in (s1, t1) or t2 in (s1, t1):
-        return None
-    if not connected_avoiding({s1}):
+    if second_path({s1}) is None:
         return None
     return extend()
 
@@ -149,10 +139,13 @@ class FlowerSearch:
     v, which raises ValueError when g - v is not chordal.  A caller that
     holds the tree of some S passes it as ``tree``, and its bags give S:
     ``kernel.annotate`` builds the tree of the core G - M once per pass
-    and hands it to the search of every modulator vertex.
+    and hands it to the search of every modulator vertex.  ``nbrs`` is
+    N(v) & S in neighbour order and ``far`` is S - N(v): every petal
+    path runs from one to another of ``nbrs`` through ``far``.
     """
 
     def __init__(self, g: Graph, v: int, tree: Optional[CliqueTree] = None):
+        check_vertex_ids((v,), g.n)
         self.g = g
         self.v = v
         self.tree: CliqueTree = (
@@ -162,22 +155,22 @@ class FlowerSearch:
         if v in core:
             raise ValueError(f"center {v} lies in a bag of the tree")
         self.inside = core | {v}
+        self.nbrs = [u for u in g.neighbors(v) if u in core]
+        self.far = core - set(self.nbrs)
 
 
 def _step_add_hole(search: FlowerSearch, f: Flower) -> Optional[Flower]:
     """Step I: a fresh hole through v avoiding the current flower."""
     g, v = search.g, search.v
     used = f.vertex_set()
-    candidates = [u for u in g.neighbors(v)
-                  if u in search.inside and u not in used]
-    closed = g.closed_neighborhood(v)
+    candidates = [u for u in search.nbrs if u not in used]
+    far = search.far - used
     for i, x in enumerate(candidates):
         for y in candidates[i + 1 :]:
             if g.has_edge(x, y):
                 continue
             # A shortest path has no chord, so it is already induced.
-            path = bfs_path(g.neighbors, [x], {y},
-                            (search.inside - used - closed) | {x, y})
+            path = bfs_path(g.neighbors, [x], {y}, far | {x, y})
             if path is None:
                 continue
             petal = Hole(tuple([v] + path)).canonical()
@@ -201,23 +194,19 @@ def _step_shorten(search: FlowerSearch, f: Flower) -> Optional[Flower]:
     """Step III: swap a petal endpoint for one strictly closer in the tree."""
     g, v = search.g, search.v
     used = f.vertex_set()
-    closed = g.closed_neighborhood(v)
     for idx, path in enumerate(f.paths()):
         ends = sorted((path[0], path[-1]))
-        petal_vertices = set(path)
+        far = search.far - (used - set(path))
         for s, t in (tuple(ends), tuple(reversed(ends))):
             base = search.tree.subtrees_distance(s, t)
-            for t_new in g.neighbors(v):
-                if (t_new not in search.inside or t_new in used
-                        or g.has_edge(s, t_new) or t_new == s):
+            for t_new in search.nbrs:
+                if t_new in used or g.has_edge(s, t_new):
                     continue
                 if search.tree.subtrees_distance(s, t_new) >= base:
                     continue
-                removed = ((closed - {s, t_new}) |
-                           (used - petal_vertices - {v}))
                 # A shortest path has no chord, so it is already induced.
                 new_path = bfs_path(g.neighbors, [s], {t_new},
-                                    (search.inside - removed) | {s, t_new})
+                                    far | {s, t_new})
                 if new_path is None:
                     continue
                 petal = Hole(tuple([v] + new_path)).canonical()
@@ -274,50 +263,32 @@ def improve(search: FlowerSearch, f: Flower) -> Optional[Flower]:
     return None
 
 
-def cutpoints(search: FlowerSearch, f: Flower) -> Cutpoints:
-    """The cutpoint above every vertex of g[inside] - v.
-
-    pi(u) is the first edge on the path from top(u) to the root whose
-    adhesion is contained in N(v) union the flower vertices.
-    """
-    g, v, tree = search.g, search.v, search.tree
-    cover = set(g.neighbors(v)) | f.vertex_set()
-    edges: Cutpoints = {}
-    for u in sorted(search.inside):
-        if u == v:
-            continue
-        found: Optional[tuple[int, int]] = None
-        for node in tree.path_to_root(u):
-            parent = tree.parent[node]
-            if parent is None:
-                break
-            if tree.adhesion(node) <= cover:
-                found = (node, parent)
-                break
-        edges[u] = found
-    return edges
-
-
-def hitting_set(search: FlowerSearch, f: Flower, cp: Cutpoints) -> frozenset[int]:
-    """Greedy hole-hitting set from a maximal flower and its cutpoints.
+def hitting_set(search: FlowerSearch, f: Flower) -> frozenset[int]:
+    """Greedy hole-hitting set from a maximal flower.
 
     Adds the endpoints of every petal path, plus adh(pi(u)) minus N(v)
-    for every u in N(v) outside the flower.  Verified: avoids v, stays
-    inside the flower, leaves g - S chordal, and uses at most 12 vertices
-    per petal.
+    for every u in N(v) outside the flower.  The cutpoint pi(u) is the
+    first edge on the tree path from top(u) to the root whose adhesion is
+    contained in N(v) union the flower vertices; when there is none, u
+    adds nothing.  Verified: avoids v, stays inside the flower, leaves
+    g - S chordal, and uses at most 12 vertices per petal.
     """
-    g, v = search.g, search.v
+    g, v, tree = search.g, search.v, search.tree
     s: set[int] = set()
     for path in f.paths():
         s.add(path[0])
         s.add(path[-1])
     flower_vs = f.vertex_set()
-    nv = set(g.neighbors(v)) & search.inside
+    nv = set(search.nbrs)
+    cover = set(g.neighbors(v)) | flower_vs
     for u in sorted(nv - flower_vs):
-        edge = cp[u]
-        if edge is None:
-            continue
-        s |= search.tree.adhesion(edge[0]) - nv
+        for node in tree.path_to_root(u):
+            if tree.parent[node] is None:
+                break
+            adhesion = tree.adhesion(node)
+            if adhesion <= cover:
+                s |= adhesion - nv
+                break
     result = frozenset(s)
     check(v not in result, "hitting set contains the center")
     check(result <= flower_vs - {v}, "hitting set leaves the flower")
@@ -349,8 +320,7 @@ def flower_and_cover(
         f = improved
         rounds += 1
         check(rounds <= cap, "flower local search exceeded its iteration cap")
-    cp = cutpoints(search, f)
-    s = hitting_set(search, f, cp)
+    s = hitting_set(search, f)
     f.validate(g)
     check(len(s) <= 12 * f.order, "hitting set exceeds 12 per petal overall")
     return f, s

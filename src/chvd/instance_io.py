@@ -66,7 +66,7 @@ def _ints(lineno: int, parts: list[str], count: int) -> list[int]:
 def parse(text: str) -> InstanceFile:
     header = None
     edges: list[tuple[int, int]] = []
-    modulator: list[int] = []
+    modulator: set[int] = set()
     forced: set[tuple[int, int]] = set()
     comments: list[str] = []
     seen_edges: set[tuple[int, int]] = set()
@@ -110,7 +110,7 @@ def parse(text: str) -> InstanceFile:
                 _fail(lineno, f"modulator vertex {v} outside range")
             if v in modulator:
                 _fail(lineno, f"duplicate modulator vertex {v}")
-            modulator.append(v)
+            modulator.add(v)
         elif tag == "f":
             if header is None:
                 _fail(lineno, "forced pair before header")

@@ -83,6 +83,13 @@ class AChvdInstance:
         return clique_tree_of(self.g, self.core)
 
     @cached_property
+    def nonadjacent_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The nonadjacent modulator pairs (x, y), x < y, in sorted order."""
+        ms = sorted(self.modulator)
+        return tuple((x, y) for i, x in enumerate(ms) for y in ms[i + 1 :]
+                     if not self.g.has_edge(x, y))
+
+    @cached_property
     def separator(self) -> "SeparatorSet":
         return build_separator(self)
 
@@ -195,20 +202,10 @@ def _finish(inst: AChvdInstance, event: ReductionEvent) -> tuple[
     return out, replace(event, counters=counters)
 
 
-def _modulator_pairs(inst: AChvdInstance, adjacent: bool) -> list[tuple[int, int]]:
-    ms = sorted(inst.modulator)
-    return [
-        (x, y)
-        for i, x in enumerate(ms)
-        for y in ms[i + 1 :]
-        if inst.g.has_edge(x, y) == adjacent
-    ]
-
-
 def rule1_common_neighbours(inst: AChvdInstance) -> Optional[
         tuple[AChvdInstance, ReductionEvent]]:
     """Force xy when G(x, y) holds an independent set of size k + 2."""
-    for x, y in _modulator_pairs(inst, adjacent=False):
+    for x, y in inst.nonadjacent_pairs:
         common = inst.selector(positives=[x, y])
         if len(common) < inst.k + 2:
             continue
@@ -295,7 +292,7 @@ def bottommost_good(inst: AChvdInstance,
         if tree.parent[q] is not None:
             below[tree.parent[q]] |= below[q]
     table: dict[tuple[int, int], list[int]] = {
-        pair: [] for pair in _modulator_pairs(inst, adjacent=False)}
+        pair: [] for pair in inst.nonadjacent_pairs}
     good: list[set[tuple[int, int]]] = []
     for inside in below:
         pairs: set[tuple[int, int]] = set()
@@ -461,7 +458,7 @@ def rule4_components(
                     and b - inst.modulator - inst.g.neighbor_set(y)
                 ]
                 _mark_up_to(eligible, inst.k + 1, marked)
-        for y1, y2 in _modulator_pairs(inst, adjacent=False):
+        for y1, y2 in inst.nonadjacent_pairs:
             eligible = [
                 i for i, (c, _) in enumerate(comps)
                 if (inst.g.neighbor_set(y1) & c)
@@ -493,7 +490,7 @@ def build_separator(inst: AChvdInstance) -> SeparatorSet:
     nonneighbor component boundary, closed under LCA, plus the root."""
     tree = inst.tree
     q0: set[int] = set()
-    for x, y in _modulator_pairs(inst, adjacent=False):
+    for x, y in inst.nonadjacent_pairs:
         common = inst.selector([x, y])
         # G(x, y) lies in the core, so its maximal cliques are the
         # maximal sets among the bags cut down to it

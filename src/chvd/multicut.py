@@ -75,14 +75,18 @@ class SkewInstance:
             check_vertex_ids(unique, self.base.d.n)
         iu = {u: i for i, u in enumerate(self.tu)}
         iv = {v: j for j, v in enumerate(self.tv)}
-        pairset = set(self.base.terminals)
+        rows: list[set[int]] = [set() for _ in self.tu]
         for u, v in self.base.terminals:
             if u not in iu or v not in iv:
                 raise ValueError("terminal pair endpoints outside tu x tv")
-            for i2 in range(iu[u], len(self.tu)):
-                for j2 in range(iv[v] + 1):
-                    if (self.tu[i2], self.tv[j2]) not in pairset:
-                        raise ValueError("pair family is not staircase-closed")
+            rows[iu[u]].add(iv[v])
+        # closed iff each source's targets are a prefix of tv and the
+        # prefixes never shrink down tu
+        width = 0
+        for row in rows:
+            if len(row) < width or (row and max(row) >= len(row)):
+                raise ValueError("pair family is not staircase-closed")
+            width = len(row)
 
 
 def min_vertex_cut(

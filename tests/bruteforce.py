@@ -46,6 +46,8 @@ renumbered copy of every component and of every g - K, and map the
 result back; where every greedy cut fails the cut is the deletion set
 of the library's ``exact_chvd`` on that copy, which maps back to the
 same set, plus a central bag of what it leaves.
+``ref_staircase_fault`` is ``SkewInstance``'s staircase check that
+visited, for every pair, every pair it implies.
 ``ref_induced_digraph`` is the renumbered copy of d[s] that
 ``DiGraph.induced`` built; ``ref_skew_multicut`` is the skew engine that
 built a copy digraph with the terminal copies, and ``ref_skew_on_copy``
@@ -83,7 +85,7 @@ from chvd.chordal import PEO, CliqueTree, central_bag, clique_tree_of, \
     find_any_hole, find_hole_through, is_chordal, maximal_cliques, \
     minimal_path
 from chvd.generate import GeneratorSpec, generate
-from chvd.kernel import ReductionEvent, _finish, _modulator_pairs
+from chvd.kernel import ReductionEvent, _finish
 from chvd.lp import FractionalSolution, at_least, separate_multicut
 from chvd.multicut import MulticutInstance, SkewInstance, build_downward, \
     dist_from, downward_multicut, min_vertex_cut
@@ -687,6 +689,23 @@ def ref_induced_digraph(d: DiGraph, s) -> Subgraph:
     return Subgraph(DiGraph(len(keep), arcs), tuple(keep))
 
 
+def ref_staircase_fault(tu, tv, terminals) -> str | None:
+    """The message ``SkewInstance`` raises on a pair family over tu x tv,
+    or None when the family is staircase-closed, by checking every
+    (i', j') with i' >= i and j' <= j for every pair (i, j)."""
+    iu = {u: i for i, u in enumerate(tu)}
+    iv = {v: j for j, v in enumerate(tv)}
+    pairset = set(terminals)
+    for u, v in terminals:
+        if u not in iu or v not in iv:
+            return "terminal pair endpoints outside tu x tv"
+        for i2 in range(iu[u], len(tu)):
+            for j2 in range(iv[v] + 1):
+                if (tu[i2], tv[j2]) not in pairset:
+                    return "pair family is not staircase-closed"
+    return None
+
+
 def ref_skew_multicut(inst: SkewInstance,
                       x: FractionalSolution) -> frozenset[int]:
     """Skew multicut on a copy digraph: d plus source copy n+i of tu[i]
@@ -850,7 +869,7 @@ def ref_separator_marked_nodes(inst) -> frozenset[int]:
     components of every x, with their boundaries, by its own search."""
     tree = inst.tree
     q0: set[int] = set()
-    for x, y in _modulator_pairs(inst, adjacent=False):
+    for x, y in inst.nonadjacent_pairs:
         common = inst.selector([x, y])
         if not common:
             continue

@@ -1,4 +1,4 @@
-"""Flower local search, cutpoints, and the 12k hitting set."""
+"""Flower local search and the 12k hitting set built from its cutpoints."""
 import random
 
 import pytest
@@ -8,7 +8,6 @@ from chvd.chordal import clique_tree_of, is_chordal
 from chvd.flower import (
     Flower,
     FlowerSearch,
-    cutpoints,
     flower_and_cover,
     hitting_set,
     improve,
@@ -220,29 +219,34 @@ def test_flower_requires_near_chordal():
         flower_and_cover(g, 0)
 
 
-def test_cutpoints_match_definition():
+def test_hitting_set_matches_the_cutpoint_definition():
+    """The hitting set is the petal endpoints plus adh(pi(u)) - N(v) for
+    each u in N(v) outside the flower, pi(u) walked up from top(u) as
+    defined."""
+    reached = 0
     for seed in range(20):
         g, v = random_near_chordal(seed, core_vertices=10, tree_nodes=5)
         search = FlowerSearch(g, v)
+        tree = search.tree
         f = Flower(v, ())
         while True:
             nxt = improve(search, f)
             if nxt is None:
                 break
             f = nxt
-        cp = cutpoints(search, f)
-        cover = set(g.neighbors(v)) | f.vertex_set()
-        for u in g.vertices():
-            if u == v:
-                continue
-            expected = None
-            for node in search.tree.path_to_root(u):
-                if search.tree.parent[node] is None:
+        nv = set(g.neighbors(v))
+        cover = nv | f.vertex_set()
+        expected = {u for path in f.paths() for u in (path[0], path[-1])}
+        for u in nv - f.vertex_set():
+            for node in tree.path_to_root(u):
+                if tree.parent[node] is None:
                     break
-                if search.tree.adhesion(node) <= cover:
-                    expected = (node, search.tree.parent[node])
+                if tree.adhesion(node) <= cover:
+                    reached += bool(tree.adhesion(node) - nv - expected)
+                    expected |= tree.adhesion(node) - nv
                     break
-            assert cp[u] == expected
+        assert hitting_set(search, f) == expected
+    assert reached >= 2
 
 
 def test_improve_increases_the_potential():
@@ -310,3 +314,14 @@ def test_flower_search_center_outside_the_given_tree():
     assert search.inside == {0, 1, 2, 3}
     with pytest.raises(ValueError, match="center 1 lies in a bag"):
         FlowerSearch(g, 1, clique_tree_of(g, [1, 2, 3]))
+
+
+@pytest.mark.parametrize("center", [-1, 5])
+@pytest.mark.parametrize("with_tree", [False, True])
+def test_flower_search_refuses_a_center_outside_the_graph(center, with_tree):
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    tree = clique_tree_of(g, [0, 1, 2, 3]) if with_tree else None
+    with pytest.raises(ValueError, match=f"unknown vertex id {center}"):
+        FlowerSearch(g, center, tree)
+    with pytest.raises(ValueError, match=f"unknown vertex id {center}"):
+        flower_and_cover(g, center, tree)

@@ -1,4 +1,5 @@
 """Instance files, trace serialization, and the command-line surface."""
+import io
 import json
 import random
 
@@ -66,6 +67,7 @@ def test_round_trip_fuzzed_instances():
     ("p chvd 2 0 0\nz 1\n", "unknown line tag"),
     ("p chvd 1 0 0\np chvd 1 0 0\n", "duplicate header"),
     ("p chvd 3 0 0\nf 0 2\nf 2 0\n", "line 3: duplicate forced pair (2,0)"),
+    ("p chvd 3 0 0\nm 1\nm 1\n", "line 3: duplicate modulator vertex 1"),
     ("p chvd 4 4 -1\ne 0 1\ne 1 2\ne 2 3\ne 0 3\n", "negative budget"),
 ])
 def test_parse_rejects_malformed(text, fragment):
@@ -117,6 +119,23 @@ def test_cli_gen_rejects_negative_values_and_writes_no_file(tmp_path, capsys):
         assert main(["gen", flag, "-1", "-o", str(inst_path)]) == 2
         assert "negative" in capsys.readouterr().err
         assert not inst_path.exists()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cli_kernelizes_a_pool_instance_from_stdin(tmp_path, capsys,
+                                                   monkeypatch, seed):
+    """``chvd gen --pool | chvd kernelize -`` prints what reading the
+    same text from a file prints."""
+    assert main(["gen", "--pool", "--seed", str(seed)]) == 0
+    text = capsys.readouterr().out
+    path = tmp_path / "pool.chvd"
+    path.write_text(text)
+    assert main(["kernelize", str(path), "--format", "json"]) == 0
+    from_file = capsys.readouterr().out
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["kernelize", "-", "--format", "json"]) == 0
+    assert capsys.readouterr().out == from_file
+    json.loads(from_file)
 
 
 def test_cli_check_rejects_non_solution(tmp_path, capsys):

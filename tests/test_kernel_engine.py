@@ -8,7 +8,6 @@ from chvd.chordal import clique_tree_of
 from chvd.generate import GeneratorSpec, generate, kernel_instance_pool
 from chvd.graphs import components_within, delete_vertices, induced_subgraph
 from chvd.kernel import (
-    _modulator_pairs,
     rule3_reduce_clique,
     annotate,
     apply_event,
@@ -142,8 +141,8 @@ def test_xy_good_bottommost_matches_reference_on_rerooted_trees():
         for root in base.nodes():
             ref_tree = base.reroot(root)
             good = bottommost_good(inst, inst.tree.reroot(root))
-            pairs = _modulator_pairs(inst, adjacent=False)
-            assert list(good) == pairs
+            pairs = inst.nonadjacent_pairs
+            assert tuple(good) == pairs
             for x, y in pairs:
                 got = good[(x, y)]
                 assert got == ref_xy_good_bottommost(inst, core, ref_tree,

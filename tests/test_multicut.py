@@ -29,7 +29,8 @@ from chvd.generate import (
 from chvd.lp import at_least
 from chvd.oracle import exact_multicut
 from bruteforce import bf_di_connected, bf_min_vertex_cut, \
-    ref_dijkstra_vertex_weights, ref_induced_digraph, ref_skew_on_copy
+    ref_dijkstra_vertex_weights, ref_induced_digraph, ref_skew_on_copy, \
+    ref_staircase_fault
 
 
 def test_min_vertex_cut_single_path():
@@ -100,6 +101,44 @@ def test_skew_requires_staircase_closure():
     # (tu[0], tv[1]) present without (tu[1], tv[0]) closure: invalid
     with pytest.raises(ValueError):
         SkewInstance(MulticutInstance(d, ((0, 3),)), (0, 1), (2, 3))
+
+
+def test_staircase_check_matches_the_reference():
+    """Seeded families: staircases, then pairs dropped, added inside
+    tu x tv, added with an endpoint outside it, or repeated."""
+    rng = random.Random(31)
+    d = DiGraph(10, [])
+    verdicts = {}
+    for _ in range(3000):
+        vertices = rng.sample(range(10), rng.randint(0, 10))
+        cut = rng.randint(0, len(vertices))
+        tu, tv = tuple(vertices[:cut]), tuple(vertices[cut:])
+        widths = sorted(rng.randint(0, len(tv)) for _ in tu)
+        pairs = [(u, tv[j]) for u, w in zip(tu, widths) for j in range(w)]
+        for _ in range(rng.randint(0, 2)):
+            move = rng.randrange(4)
+            if move == 0 and pairs:
+                pairs.remove(rng.choice(pairs))
+            elif move == 1 and tu and tv:
+                pairs.append((rng.choice(tu), rng.choice(tv)))
+            elif move == 2:
+                pairs.append((rng.randrange(10), rng.randrange(10)))
+            elif move == 3 and pairs:
+                pairs.append(rng.choice(pairs))
+        rng.shuffle(pairs)
+        want = ref_staircase_fault(tu, tv, pairs)
+        try:
+            SkewInstance(MulticutInstance(d, tuple(pairs)), tu, tv)
+            got = None
+        except ValueError as err:
+            got = str(err)
+        outside = any(u not in tu or v not in tv for u, v in pairs)
+        if want is None or not outside:
+            assert got == want
+        else:
+            assert got is not None
+        verdicts[want] = verdicts.get(want, 0) + 1
+    assert len(verdicts) == 3 and min(verdicts.values()) >= 200
 
 
 def test_skew_instance_rejects_a_repeated_source():
