@@ -1,7 +1,7 @@
 """Chordal vertex deletion: kernelization, approximation, exact solving."""
 
 from .graphs import DiGraph, Graph, Hole, InvariantError
-from .chordal import CliqueTree, PEO, is_chordal, recognize
+from .chordal import CliqueTree, PEO, hole_vertices, is_chordal, recognize
 from .flower import Flower, flower_and_cover, two_flower
 from .kernel import AChvdInstance, KernelResult, kernelize
 from .lp import ChvdProblem, CuttingPlaneCapExceeded, FractionalSolution, \
@@ -40,6 +40,7 @@ __all__ = [
     "exact_chvd_forced",
     "exact_multicut",
     "flower_and_cover",
+    "hole_vertices",
     "is_chordal",
     "kernelize",
     "min_vertex_cut",

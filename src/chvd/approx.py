@@ -3,9 +3,14 @@
 Stages: fractional solve, heavy-vertex deletion (x >= 1/4, which also
 makes the graph C4-free), balanced clique-plus-cut decomposition, then
 folding the cliques back one at a time through the clique-plus-chordal
-special case whose engine is the downward-oriented multicut.  Instances
-with k <= 1 or n > 2^(k log k) go to the exact solver instead: that is the
-original algorithm's guard for when its FPT running time is polynomial in n.
+special case whose engine is the downward-oriented multicut.  Each of
+these stages runs on the vertices that lie on some hole (``ChvdProblem``'s
+variables, from ``chordal.hole_vertices``), in g's own ids: the other
+vertices are on no hole, so g less a set X is chordal exactly when those
+vertices less X induce a chordal graph.  Instances with k <= 1 or
+n > 2^(k log k), for the input's n, go to the exact solver instead: that
+is the original algorithm's guard for when its FPT running time is
+polynomial in n.
 """
 from __future__ import annotations
 
@@ -278,8 +283,11 @@ def approximate(
 
     A negative budget is a no-instance.  Exact routing when k <= 1 or
     n > 2^(k log k), where the exact search runs in time polynomial in n;
-    otherwise the LP pipeline: no-instance when |x| > 2k, then the 1/4
-    threshold, the decomposition, and the clique fold-back.  Raises
+    otherwise the LP pipeline on H, the vertices that lie on some hole:
+    the empty set when H is empty; otherwise no-instance when |x| > 2k,
+    then the 1/4 threshold on H, the decomposition of what is left of H,
+    and the clique fold-back.  Every hole of g lies in H, so a set that
+    leaves g[H] chordal leaves g chordal.  Raises
     ValueError unless 0 <= tolerance < 1 and max_iters >= 1, on every
     route, and SearchBudgetExceeded when the exact search runs past its
     node budget, on the exact route or in a balanced cut of the
@@ -294,14 +302,15 @@ def approximate(
     if k <= 1 or math.log2(n) > k * math.log2(k):
         res = exact_chvd(g, k)
         return NO_INSTANCE if res is None else frozenset(res.solution)
-    x = solve_fractional(ChvdProblem(g), max_iters=max_iters,
-                         tolerance=tolerance)
+    problem = ChvdProblem(g)
+    holes = problem.vertices
+    if not holes:
+        return frozenset()
+    x = solve_fractional(problem, max_iters=max_iters, tolerance=tolerance)
     if x.objective > 2 * k + 1e-6:
         return NO_INSTANCE
-    solution: set[int] = {
-        v for v in g.vertices() if at_least(x.value(v), 0.25)
-    }
-    dec = decompose(g, k, set(g.vertices()) - solution)
+    solution: set[int] = {v for v in holes if at_least(x.value(v), 0.25)}
+    dec = decompose(g, k, set(holes) - solution)
     if isinstance(dec, NoInstance):
         return NO_INSTANCE
     solution |= dec.residue

@@ -6,7 +6,8 @@ queries used throughout the reduction and approximation pipelines: top(v),
 beta_inverse(v), adhesions, LCA, minimal connecting paths, and subtree
 distances.  Chordality checks, clique trees, independent sets, maximal
 cliques and hole searches of g[vertices] run on g itself, in its own ids,
-with no renumbered copy.
+with no renumbered copy.  ``hole_vertices`` finds the vertices that lie
+on some hole, the only ones a minimal deletion set can hold.
 """
 from __future__ import annotations
 
@@ -18,12 +19,13 @@ from typing import AbstractSet, Iterable, Optional, Sequence
 from .graphs import (
     Graph,
     Hole,
-    boundary,
+    bfs_path,
     check,
     components_within,
     is_clique,
     lightest_hole_through,
     mcs_order,
+    verify_hole,
 )
 
 
@@ -64,6 +66,100 @@ def find_any_hole(g: Graph,
         if h is not None:
             return h
     return None
+
+
+def _hole_through(g: Graph, v: int,
+                  alive: AbstractSet[int]) -> Optional[list[int]]:
+    """The vertices of a hole through v in g[alive], v first, or None.
+
+    Walks the components of g[alive] - N[v] that touch N(v) and stops at
+    the first vertex a of N(v) that one of them sees beside an earlier
+    contact b not adjacent to a.  A shortest a-b path with its inner
+    vertices outside N[v] then closes the hole with v.
+    """
+    around = g.neighbor_set
+    near = around(v) & alive
+    rest = alive - near - {v}
+    unseen = set(rest)
+    for c in near:
+        for start in around(c) & unseen:
+            if start not in unseen:
+                continue
+            unseen.discard(start)
+            contact: set[int] = set()
+            queue = [start]
+            for u in queue:
+                for a in around(u) & near:
+                    if a in contact:
+                        continue
+                    if not contact <= around(a):
+                        b = min(contact - around(a))
+                        path = bfs_path(g.neighbors, [a], {b}, rest | {a, b})
+                        return [v, *path]
+                    contact.add(a)
+                fresh = around(u) & unseen
+                unseen -= fresh
+                queue.extend(fresh)
+    return None
+
+
+def hole_vertices(g: Graph) -> frozenset[int]:
+    """The vertices of g that lie on some hole.
+
+    A vertex on no hole is in no minimal deletion set, and deleting it
+    keeps every hole of g and creates none: a hole of g - u is an induced
+    cycle of g, and a hole of g that avoids u is one of g - u.  So the
+    search keeps a vertex set ``alive``, starting from all of g, whose
+    induced graph has exactly g's holes, and deletes from it only vertices
+    that lie on no hole of g[alive].
+
+    - *Peel.*  A simplicial vertex lies on no hole, because its two
+      neighbours on a hole would be nonadjacent.  Simplicial vertices of
+      g[alive] are deleted until none is left; a deletion can make only
+      the deleted vertex's neighbours simplicial, so only they are looked
+      at again.
+    - *Test.*  Every vertex v still alive and not yet found gets the
+      component test (LB-simplicial, Berry and Bordat 1998): v lies on a
+      hole of g[alive] iff some component C of g[alive] - N[v] sees two
+      nonadjacent neighbours a, b of v.  If C does, a shortest a-b path
+      through C is induced, misses N[v] inside, and has an inner vertex,
+      so with v it closes a hole of length at least 4.  Conversely a hole
+      v, a, ..., b through v has nonadjacent neighbours a, b of v, and
+      the inner part of its a-b path avoids N[v] and is connected, so it
+      lies in one such C, which sees a and b.  When the test succeeds,
+      every vertex of the hole it closes is found; when it fails, v is
+      deleted and the peel goes on from its neighbours.
+
+    Found vertices are never deleted, so at the end every vertex of g is
+    found, or was deleted while it lay on no hole of g[alive], hence of g.
+    """
+    around = g.neighbor_set
+    alive = set(g.vertices())
+    found: set[int] = set()
+
+    def peel(queue: list[int]) -> None:
+        while queue:
+            u = queue.pop()
+            if u not in alive or u in found:
+                continue
+            near = around(u) & alive
+            if all(len(near - around(w)) == 1 for w in near):
+                alive.discard(u)
+                queue.extend(near)
+
+    peel(list(g.vertices()))
+    for v in g.vertices():
+        if v not in alive or v in found:
+            continue
+        hole = _hole_through(g, v, alive)
+        if hole is None:
+            alive.discard(v)
+            peel(list(around(v) & alive))
+        else:
+            check(verify_hole(g, Hole(tuple(hole))),
+                  "component test built a non-hole")
+            found.update(hole)
+    return frozenset(found)
 
 
 def _later_neighbours(g: Graph,
@@ -117,18 +213,11 @@ def is_chordal(g: Graph, vertices: Optional[Iterable[int]] = None) -> bool:
 def chordal_with(g: Graph, core: AbstractSet[int], v: int) -> bool:
     """Whether g[core + v] is chordal, given that g[core] is chordal.
 
-    Every hole of g[core + v] passes through v: it is v, a, P, b for
-    nonadjacent neighbours a, b of v and a path P through one component
-    C of core - N(v), with a and b in the contact N(C), which lies in
-    N(v).  Conversely a shortest a-b path through such a C closes a hole.
-    So the answer is yes exactly when every contact is a clique.
+    Every hole of g[core + v] passes through v, so the answer is yes
+    exactly when the component test of ``hole_vertices`` finds no hole
+    through v: every component of core - N[v] sees a clique of N(v).
     """
-    near = g.neighbor_set(v) & core
-    for comp in components_within(g, core - near - {v}):
-        contact = boundary(g, comp) & near
-        if not is_clique(g, contact):
-            return False
-    return True
+    return _hole_through(g, v, core | {v}) is None
 
 
 class CliqueTree:

@@ -30,9 +30,15 @@ class GeneratorSpec:
     budget: int | None = None   # k; defaults to planted count
 
     def __post_init__(self):
-        for name in ("core_vertices", "planted", "noise_edges", "budget"):
+        for name in ("core_vertices", "tree_nodes", "subtree_extra",
+                     "planted", "apex_degree_lo", "apex_degree_hi",
+                     "noise_edges", "budget"):
             if (getattr(self, name) or 0) < 0:
                 raise ValueError(f"negative {name}: {getattr(self, name)}")
+        if self.apex_degree_lo > self.apex_degree_hi:
+            raise ValueError(
+                f"apex_degree_lo {self.apex_degree_lo} exceeds"
+                f" apex_degree_hi {self.apex_degree_hi}")
 
 
 def random_tree(rng: random.Random, nodes: int) -> list[int | None]:

@@ -7,9 +7,13 @@ restricted problem.  Constraints are generated lazily by the separation
 oracles until none is violated; at that point the restricted optimum is
 feasible for the full LP and hence optimal.
 
-A problem's ``separate(x)`` returns a list of violated sets, empty when x
+A problem names its variables, ``vertices``, in ascending order, and its
+``separate(x)`` returns a list of violated sets inside them, empty when x
 is feasible: one hole for ChVD, up to ``MAX_PATHS_PER_ROUND``
-vertex-disjoint terminal paths for multicut.
+vertex-disjoint terminal paths for multicut.  ChVD's variables are the
+vertices that lie on some hole (``chordal.hole_vertices``): no hole
+meets another vertex, so its x is 0 in every optimum, and neither the
+tableau nor the hole search sees it.  Multicut keeps every vertex.
 
 The cutting-plane loop keeps one tableau across rounds.  Each new
 constraint's column is brought in by replaying the recorded pivots on
@@ -27,8 +31,10 @@ drift cannot flip a rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Optional, Sequence
+from functools import cached_property
+from typing import Container, Iterable, Optional, Sequence
 
+from .chordal import hole_vertices
 from .graphs import (
     DiGraph,
     Graph,
@@ -52,7 +58,8 @@ def at_least(value: float, threshold: float) -> bool:
 class FractionalSolution:
     """Nonnegative vertex weights satisfying every generated constraint.
 
-    ``values[v]`` defaults to 0 for vertices never assigned.
+    ``values`` holds the problem's variables; ``value(v)`` reads 0 for any
+    other vertex.
     """
 
     values: dict[int, float]
@@ -80,11 +87,11 @@ def simplex_min_cover(n: int,
     This is the cold, one-shot solve; ``solve_fractional`` keeps its
     tableau across rounds and reaches the same values.
     """
-    return _Tableau(n, constraint_sets).solve()
+    return _Tableau(range(n), constraint_sets).solve()
 
 
 def _pivot_budget(n: int, m: int) -> int:
-    """Pivots allowed to a cold solve over n vertices and m sets."""
+    """Pivots allowed to a cold solve over n rows and m sets."""
     return 8000 + 40 * (n + m) * (n + m)
 
 
@@ -96,25 +103,29 @@ class _Tableau:
     record of the pivots a cold start over the pool has made so far.
 
     Dual: max sum y_j s.t. for each vertex v: sum_{j: v in P_j} y_j <= 1.
-    Rows are the n vertex constraints, then the objective row; columns
-    are the n slacks, the right-hand side, then y_j in pool order.  Each
-    entry goes through the same operations, in the same order, as in a
-    cold tableau over the same pool, so every value is bit-equal.  A
-    pivot updates only the pivot row's nonzero columns: a skipped term is
-    a - f * 0, which can flip the sign of a zero but no comparison.
+    Rows are the n vertex constraints, one per entry of ``vertices`` in
+    its order, then the objective row; columns are the n slacks, the
+    right-hand side, then y_j in pool order.  Every set lies inside
+    ``vertices``.  Each entry goes through the same operations, in the
+    same order, as in a cold tableau over the same pool, so every value
+    is bit-equal.  A pivot updates only the pivot row's nonzero columns:
+    a skipped term is a - f * 0, which can flip the sign of a zero but no
+    comparison.
 
     Before each pivot that enters a slack, the tableau keeps a snapshot
     of its rows, its basis and its column count; only there can a later
     column part from the record (see ``add``).
     """
 
-    def __init__(self, n: int, constraint_sets: Sequence[frozenset[int]]):
-        self.n = n
+    def __init__(self, vertices: Sequence[int],
+                 constraint_sets: Sequence[frozenset[int]]):
+        self.vertices = vertices
+        self.n = n = len(vertices)
         self.rows = [[0.0] * n + [1.0] for _ in range(n)]
-        for v in range(n):
-            self.rows[v][v] = 1.0
+        for i in range(n):
+            self.rows[i][i] = 1.0
         self.rows.append([0.0] * (n + 1))
-        self.basis = [_SLACK_RANK + v for v in range(n)]
+        self.basis = [_SLACK_RANK + i for i in range(n)]
         self.sets: list[frozenset[int]] = []
         # per pivot: leaving row, whether a slack entered, the pivot
         # value and the (row, multiplier) pairs, the objective row as n
@@ -129,7 +140,7 @@ class _Tableau:
         """The column of cset after the recorded pivots, up to the first
         slack pivot at which its reduced cost is above the tolerance;
         returns it with that pivot's index, or len(record) if none."""
-        column = [1.0 if v in cset else 0.0 for v in range(self.n)]
+        column = [1.0 if v in cset else 0.0 for v in self.vertices]
         column.append(1.0)      # the objective row's entry
         for p, (leave, slack, piv, mults) in enumerate(self.record):
             if slack and column[-1] > 1e-9:
@@ -244,12 +255,16 @@ class _Tableau:
         return [-z if -z > 0.0 else 0.0 for z in zrow[:n]]
 
 
-def separate_chvd(g: Graph, x: FractionalSolution) -> Optional[Hole]:
-    """A hole of weight < 1 - tolerance, or None: ``lightest_hole`` under
-    the weights x, which stops at the first hole as light as four copies
-    of the least x."""
+def separate_chvd(g: Graph, x: FractionalSolution,
+                  allowed: Optional[Iterable[int]] = None) -> Optional[Hole]:
+    """A hole of g[allowed] (of g when allowed is None) of weight
+    < 1 - tolerance, or None: ``lightest_hole`` under the weights x,
+    which stops at the first hole as light as four copies of the least x
+    on allowed."""
     weights = [x.value(v) for v in g.vertices()]
-    found = lightest_hole(g, weights, g.vertices(), 1.0 - x.tolerance)
+    found = lightest_hole(g, weights,
+                          g.vertices() if allowed is None else allowed,
+                          1.0 - x.tolerance)
     return None if found is None else found[0]
 
 
@@ -307,14 +322,23 @@ def separate_multicut(
 
 @dataclass(frozen=True)
 class ChvdProblem:
+    """The hole-covering LP of g.  Its variables are the vertices on some
+    hole, found once per problem; every hole lies inside them, so the
+    separation searches g[vertices] and finds what a search of g finds.
+    """
+
     g: Graph
 
     @property
     def n(self) -> int:
         return self.g.n
 
+    @cached_property
+    def vertices(self) -> tuple[int, ...]:
+        return tuple(sorted(hole_vertices(self.g)))
+
     def separate(self, x: FractionalSolution) -> list[frozenset[int]]:
-        hole = separate_chvd(self.g, x)
+        hole = separate_chvd(self.g, x, self.vertices)
         return [] if hole is None else [hole.vertex_set()]
 
 
@@ -331,6 +355,10 @@ class MulticutProblem:
     @property
     def n(self) -> int:
         return self.d.n
+
+    @property
+    def vertices(self) -> range:
+        return self.d.vertices()
 
     def separate(self, x: FractionalSolution) -> list[frozenset[int]]:
         return [frozenset(path)
@@ -362,21 +390,25 @@ def solve_fractional(
 ) -> FractionalSolution:
     """Cutting-plane loop: restricted LP + separation until feasible.
 
-    ``problem.separate(x)`` returns a list of violated sets, empty when
-    x is feasible.  The first round builds the tableau over its sets;
-    each later round adds its sets to that tableau in order, and a set
-    that a cold start would pivot in earlier rewinds it (``_Tableau.add``),
-    so every round's x is a cold simplex's over the pool so far.
+    ``problem.vertices`` are the variables, ascending, one tableau row
+    each; x holds exactly them.  ``problem.separate(x)`` returns a list
+    of violated sets inside them, empty when x is feasible.  The pivot
+    budget is the cold bound for those rows.  The first round builds the
+    tableau over its sets; each later round adds its sets to that tableau
+    in order, and a set that a cold start would pivot in earlier rewinds
+    it (``_Tableau.add``), so every round's x is a cold simplex's over the
+    pool so far.
 
     Raises ValueError unless 0 <= tolerance < 1 and max_iters >= 1, and
     CuttingPlaneCapExceeded after max_iters rounds that each still found
     a violated constraint.
     """
     check_lp_options(tolerance, max_iters)
-    n = problem.n
+    vertices = problem.vertices
+    rows = frozenset(vertices)
     pooled: set[frozenset[int]] = set()
     tableau: Optional[_Tableau] = None
-    x = FractionalSolution({v: 0.0 for v in range(n)}, tolerance)
+    x = FractionalSolution(dict.fromkeys(vertices, 0.0), tolerance)
     for _ in range(max_iters):
         violated = problem.separate(x)
         if not violated:
@@ -384,11 +416,14 @@ def solve_fractional(
         for cset in violated:
             check(cset not in pooled,
                   "separation returned a constraint already in the pool")
+            check(cset <= rows,
+                  "separation returned a set outside the problem's vertices")
             pooled.add(cset)
         if tableau is None:
-            tableau = _Tableau(n, violated)
+            tableau = _Tableau(vertices, violated)
         else:
             for cset in violated:
                 tableau.add(cset)
-        x = FractionalSolution(dict(enumerate(tableau.solve())), tolerance)
+        x = FractionalSolution(dict(zip(vertices, tableau.solve())),
+                               tolerance)
     raise CuttingPlaneCapExceeded(max_iters)

@@ -58,7 +58,9 @@ maximum cardinality search; ``ref_recognize``, ``ref_is_chordal``,
 are the recognition, clique trees and independent sets built on it, which
 copy g[vertices] into a renumbered graph and compare every pair of
 candidate cliques and of bags.  They share ``find_any_hole`` with
-``chvd.chordal``.
+``chvd.chordal``.  ``ref_hole_vertices`` is the union of every induced
+cycle of length at least four, each enumerated from its least vertex as
+an induced path that closes; it reads only adjacency.
 
 The last section holds helpers that only tests call and the library does
 not need: a perfect elimination ordering check, a clique-tree invariant
@@ -123,6 +125,35 @@ def bf_all_holes(g: Graph, max_n: int = 14) -> list[frozenset[int]]:
             if bf_is_induced_cycle(g, subset):
                 holes.append(frozenset(subset))
     return holes
+
+
+def ref_hole_vertices(g: Graph, max_n: int = 16) -> frozenset[int]:
+    """The vertices that lie on some hole, by enumerating the holes.
+
+    Every hole is found from its least vertex s: an induced path
+    s, p1, ..., pj of vertices above s grows by a neighbour w of pj that
+    sees no earlier path vertex; when w sees s as well and j >= 2, the
+    path closes an induced cycle of length j + 2 >= 4.
+    """
+    assert g.n <= max_n, "hole enumeration is exponential"
+    adj = [set(g.neighbors(v)) for v in g.vertices()]
+    found: set[int] = set()
+
+    def extend(path: list[int], inside: set[int]) -> None:
+        s, last = path[0], path[-1]
+        for w in adj[last]:
+            if w <= s or w in inside:
+                continue
+            seen = (adj[w] & inside) - {last}
+            if not seen:
+                extend(path + [w], inside | {w})
+            elif seen == {s} and len(path) >= 3:
+                found.update(path)
+                found.add(w)
+
+    for s in g.vertices():
+        extend([s], {s})
+    return frozenset(found)
 
 
 def bf_is_chordal(g: Graph) -> bool:

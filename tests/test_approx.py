@@ -376,6 +376,19 @@ def test_approximate_lp_path_on_yes_instances():
     assert solved >= 20
 
 
+def test_approximate_at_n_1606_works_on_its_145_hole_vertices():
+    """At n = 1,606 the LP has one variable per hole vertex, 145 of them,
+    and the answer leaves g chordal with 8 vertices."""
+    g, k, _ = generate(GeneratorSpec(seed=11, core_vertices=1600,
+                                     tree_nodes=533, planted=6,
+                                     noise_edges=1))
+    assert (g.n, k) == (1606, 6)
+    assert len(ChvdProblem(g).vertices) == 145
+    got = approximate(g, k)
+    assert not isinstance(got, NoInstance) and len(got) == 8
+    assert is_chordal(g, set(g.vertices()) - got)
+
+
 def test_approximate_no_instance_detection():
     # many disjoint C4s, queried with a tiny budget: fractional mass
     # exceeds 2k, so the LP path must reject

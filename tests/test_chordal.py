@@ -22,13 +22,15 @@ from chvd.chordal import (
     clique_tree_of,
     find_any_hole,
     find_hole_through,
+    hole_vertices,
     is_chordal,
     maximal_cliques,
     minimal_path,
     mis_chordal,
     recognize,
 )
-from chvd.generate import random_chordal, random_gnp
+from chvd.generate import kernel_instance_pool, random_chordal, random_gnp
+from chvd.oracle import exact_chvd
 from bruteforce import (
     bf_all_holes,
     bf_all_maximal_cliques,
@@ -38,6 +40,7 @@ from bruteforce import (
     is_peo,
     path_adhesions,
     ref_clique_tree_of,
+    ref_hole_vertices,
     ref_is_chordal,
     ref_mcs_order,
     ref_mis_chordal,
@@ -48,6 +51,63 @@ from bruteforce import (
 
 def cycle_graph(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def test_hole_vertices_match_the_induced_cycle_enumeration():
+    """On 600 seeded random graphs with n <= 10 and on the kernel pool,
+    the vertices found are exactly the union of the holes."""
+    rng = random.Random(131)
+    partial = 0
+    for trial in range(600):
+        g = random_gnp(rng, rng.randint(0, 10),
+                       rng.choice([0.15, 0.25, 0.35, 0.5, 0.7]))
+        got = hole_vertices(g)
+        assert got == ref_hole_vertices(g)
+        partial += 0 < len(got) < g.n
+    for seed in range(30):
+        g, _, _ = kernel_instance_pool(seed)
+        assert hole_vertices(g) == ref_hole_vertices(g)
+    # many graphs have vertices both on and off every hole
+    assert partial >= 100
+
+
+def test_exact_optimum_is_the_optimum_on_the_hole_vertices():
+    """exact_chvd's optimum on g equals its optimum on an induced copy
+    of g on the hole vertices, on 500 seeded random graphs."""
+    rng = random.Random(137)
+    dropped = 0
+    for trial in range(500):
+        g = random_gnp(rng, rng.randint(6, 14),
+                       rng.choice([0.15, 0.25, 0.35, 0.5]))
+        keep = sorted(hole_vertices(g))
+        new_of = {v: i for i, v in enumerate(keep)}
+        h = Graph(len(keep), [(new_of[u], new_of[v]) for u, v in g.edges()
+                              if u in new_of and v in new_of])
+        assert exact_chvd(g, g.n).optimum == exact_chvd(h, h.n).optimum
+        dropped += g.n - h.n
+    assert dropped >= 500
+
+
+def test_hole_vertices_edge_cases():
+    rng = random.Random(139)
+    for _ in range(20):
+        g = random_chordal(rng, rng.randint(0, 30), rng.randint(1, 8), 2)
+        assert hole_vertices(g) == frozenset()
+    assert hole_vertices(complete_graph(5)) == frozenset()
+    for n in range(4, 12):
+        assert hole_vertices(cycle_graph(n)) == frozenset(range(n))
+    # C4 0-1-2-3 with an ear 4 on 0-1 and an ear 5 on 0-4 (4 turns
+    # simplicial once 5 is peeled), a pendant tree 6-9 at 2, and a
+    # triangle ear 10-11 on 3
+    c4 = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    ears = [(4, 0), (4, 1), (5, 4), (5, 0), (6, 2), (7, 6), (8, 6), (9, 7),
+            (10, 3), (11, 3), (10, 11)]
+    assert hole_vertices(Graph(12, c4 + ears)) == frozenset(range(4))
+    # two C4s joined through 8, which is never simplicial and lies on no
+    # hole, so only the component test drops it
+    second = [(u + 4, v + 4) for u, v in c4]
+    assert hole_vertices(Graph(9, c4 + second + [(8, 0), (8, 4)])) == \
+        frozenset(range(8))
 
 
 def complete_graph(n):

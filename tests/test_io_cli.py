@@ -107,10 +107,20 @@ def test_cli_gen_solve_check_flow(tmp_path):
 
 
 @pytest.mark.parametrize("field", ["core_vertices", "planted", "noise_edges",
-                                   "budget"])
+                                   "budget", "tree_nodes", "subtree_extra",
+                                   "apex_degree_lo", "apex_degree_hi"])
 def test_generator_spec_rejects_a_negative_count(field):
     with pytest.raises(ValueError, match=f"negative {field}: -1"):
         GeneratorSpec(seed=0, **{field: -1})
+
+
+def test_generator_spec_rejects_an_empty_apex_degree_range():
+    with pytest.raises(ValueError,
+                       match="apex_degree_lo 5 exceeds apex_degree_hi 2"):
+        GeneratorSpec(seed=0, apex_degree_lo=5, apex_degree_hi=2)
+    g, _, _ = generate(GeneratorSpec(seed=0, apex_degree_lo=2,
+                                     apex_degree_hi=2))
+    assert all(g.degree(v) == 2 for v in range(12, g.n))
 
 
 def test_cli_gen_rejects_negative_values_and_writes_no_file(tmp_path, capsys):

@@ -19,6 +19,7 @@ from chvd.lp import (
     solve_fractional,
 )
 from chvd import graphs, lp
+from chvd.chordal import hole_vertices
 from chvd.generate import GeneratorSpec, generate, random_dag, random_gnp, \
     random_staircase
 from chvd.oracle import exact_chvd
@@ -95,6 +96,11 @@ class ReferenceRounds:
     def n(self) -> int:
         return self.inner.n
 
+    @property
+    def vertices(self) -> range:
+        # the reference solves over every vertex, so the LP does too
+        return range(self.n)
+
     def separate(self, x):
         pool = self.pools[-1] if self.pools else []
         if pool:
@@ -113,6 +119,10 @@ class Scripted:
 
     n: int
     rounds: list
+
+    @property
+    def vertices(self) -> range:
+        return range(self.n)
 
     def separate(self, x):
         return self.rounds.pop(0) if self.rounds else []
@@ -179,7 +189,7 @@ def test_a_slack_pivot_rewinds_for_the_column_a_cold_start_would_enter(
         monkeypatch):
     outcomes = counting_adds(monkeypatch)
     sets = [frozenset(s) for s in REFUSED_POOL]
-    third = lp._Tableau(4, sets[:3])
+    third = lp._Tableau(range(4), sets[:3])
     third.solve()
     last = len(third.record) - 1
     assert third.record[last][1] and third.snapshots[-1][0] == last
@@ -204,9 +214,9 @@ def test_a_round_offers_every_set_to_the_one_tableau(monkeypatch):
     cold_pools = []
     init = lp._Tableau.__init__
 
-    def counting_init(self, n, constraint_sets):
+    def counting_init(self, vertices, constraint_sets):
         cold_pools.append(len(constraint_sets))
-        init(self, n, constraint_sets)
+        init(self, vertices, constraint_sets)
 
     monkeypatch.setattr(lp._Tableau, "__init__", counting_init)
     rounds = [[frozenset(s) for s in r] for r in MULTI_SET_ROUNDS]
@@ -226,7 +236,7 @@ def test_the_kept_tableau_spends_the_cold_pivot_budget(monkeypatch):
     sets = [frozenset(s) for s in REFUSED_POOL]
     cold = {}
     for m in range(1, len(sets) + 1):
-        tableau = lp._Tableau(4, sets[:m])
+        tableau = lp._Tableau(range(4), sets[:m])
         tableau.solve()
         cold[m] = len(tableau.record)
     # the last round continues the fourth round's cold start, so its own
@@ -277,12 +287,12 @@ def test_a_rewound_tableau_is_the_cold_tableau_over_its_pool(monkeypatch):
             rnd = rng.sample(violated, min(len(violated), rng.randint(1, 4)))
             unused = [c for c in unused if c not in rnd]
             if kept is None:
-                kept = lp._Tableau(n, rnd)
+                kept = lp._Tableau(range(n), rnd)
             else:
                 for cset in rnd:
                     kept.add(cset)
             x = kept.solve()
-            cold = lp._Tableau(n, kept.sets)
+            cold = lp._Tableau(range(n), kept.sets)
             assert list(map(repr, x)) == list(map(repr, cold.solve()))
             assert len(kept.record) == len(cold.record)
             assert kept.basis == cold.basis
@@ -386,8 +396,8 @@ class BothSeparators:
     rounds: list
 
     @property
-    def n(self) -> int:
-        return self.g.n
+    def vertices(self) -> range:
+        return self.g.vertices()
 
     def separate(self, x):
         hole = separate_chvd(self.g, x)
@@ -532,8 +542,8 @@ class BothMulticutSeparators:
     rounds: list
 
     @property
-    def n(self) -> int:
-        return self.d.n
+    def vertices(self) -> range:
+        return self.d.vertices()
 
     def separate(self, x):
         paths = separate_multicut(self.d, self.pairs, x)
@@ -568,6 +578,53 @@ def test_separate_multicut_runs_one_search_per_source(monkeypatch):
     zero = FractionalSolution({v: 0.0 for v in d.vertices()})
     assert separate_multicut(d, pairs, zero)
     assert 0 < len(calls) <= len(sources)
+
+
+@dataclass(frozen=True)
+class Pooled:
+    """A problem that hands on the inner problem's variables and sets,
+    and pools every set it returns."""
+
+    inner: object
+    pool: list
+
+    @property
+    def vertices(self):
+        return self.inner.vertices
+
+    def separate(self, x):
+        found = self.inner.separate(x)
+        self.pool.extend(found)
+        return found
+
+
+def test_chvd_problem_keys_x_on_the_hole_vertices():
+    """On holes with hole-free attachments, x holds exactly the vertices
+    on a hole, and equals the dense reference over all n, float for float,
+    with 0 on every other vertex."""
+    # C6 0-5 with an ear 6 on 0-1, a path 7-8 hanging from 3, a triangle
+    # 9-10 on 4, and a C4 12-15 joined to 2 through 11
+    edges = [(i, (i + 1) % 6) for i in range(6)]
+    edges += [(6, 0), (6, 1), (7, 3), (8, 7), (9, 4), (10, 4), (9, 10),
+              (11, 2), (11, 12), (12, 13), (13, 14), (14, 15), (15, 12)]
+    inputs = [Graph(16, edges), ladder_instance_n44()]
+    for seed in range(3):
+        g, _, _ = generate(GeneratorSpec(seed=seed, core_vertices=30,
+                                         tree_nodes=10, planted=4,
+                                         noise_edges=1))
+        inputs.append(g)
+    for g in inputs:
+        holes = hole_vertices(g)
+        assert 0 < len(holes) < g.n
+        problem = Pooled(ChvdProblem(g), [])
+        x = solve_fractional(problem)
+        assert set(x.values) == holes
+        assert list(x.values) == sorted(holes)
+        want = ref_simplex_min_cover(g.n, problem.pool)
+        assert repr(x.objective) == repr(sum(want))
+        got = [repr(x.value(v)) for v in g.vertices()]
+        assert got == list(map(repr, want))
+    assert hole_vertices(inputs[0]) == {0, 1, 2, 3, 4, 5, 12, 13, 14, 15}
 
 
 def test_solve_fractional_chordal_graph_is_zero():
