@@ -3,7 +3,8 @@
 Subcommands: gen, kernelize, approx, solve, check.  Same seed and flags
 produce byte-identical outputs.  Exit codes: 0 ok, 1 the result is
 a certified no-instance, 2 input validation failure, 3 internal invariant
-breach, 4 a resource cap was hit: the exact search's node budget or the
+breach or any other error (one ``error:`` line naming its type), 4 a
+resource cap was hit: the exact search's node budget or the
 cutting-plane round cap (``approx --max-iters``).
 """
 from __future__ import annotations
@@ -284,6 +285,9 @@ def main(argv=None) -> int:
     except (SearchBudgetExceeded, CuttingPlaneCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

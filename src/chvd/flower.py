@@ -5,7 +5,7 @@ intersecting exactly in {v}.  A local search grows a flower until maximal
 under three improvement steps; a greedy pass over the clique-tree
 cutpoints of v's neighbours outside the flower then produces a hitting
 set S with v not in S, g - S chordal, and |S| <= 12 * order(flower).
-Both certificates are re-verified before being returned.  The search
+Each certificate is checked once, before it is returned.  The search
 may run on an induced subgraph instead, in g's own ids, with the same
 results as on a renumbered copy.  Each shortest path it needs is one
 ``graphs.bfs_path`` search of g restricted to a vertex set; a shortest
@@ -22,7 +22,6 @@ from .graphs import (
     bfs_path,
     check,
     check_vertex_ids,
-    is_induced_path,
     shortcut_walk,
     verify_hole,
 )
@@ -57,23 +56,18 @@ class Flower:
         return out
 
     def validate(self, g: Graph) -> None:
+        """InvariantError unless each petal is a hole of g through the
+        center and no two share another vertex (one running set).  What
+        ``paths`` promises follows: a hole through v, less v, is an induced
+        path between nonadjacent neighbours of v, interior outside N[v]."""
         v = self.center
+        seen = {v}
         for petal in self.petals:
             check(v in petal.vertices, "petal misses the center")
             check(verify_hole(g, petal), "petal is not a hole")
-        for i, a in enumerate(self.petals):
-            for b in self.petals[i + 1 :]:
-                check(a.vertex_set() & b.vertex_set() == {v},
-                      "petals intersect outside the center")
-        closed = g.closed_neighborhood(v)
-        for path in self.paths():
-            check(is_induced_path(g, path), "petal minus center is not induced")
-            check(g.has_edge(v, path[0]) and g.has_edge(v, path[-1]),
-                  "petal endpoints are not neighbors of the center")
-            check(not g.has_edge(path[0], path[-1]),
-                  "petal endpoints are adjacent")
-            check(all(u not in closed for u in path[1:-1]),
-                  "petal interior touches the closed neighborhood")
+            rest = petal.vertex_set() - {v}
+            check(seen.isdisjoint(rest), "petals intersect outside the center")
+            seen |= rest
 
 
 def two_disjoint_paths(
@@ -258,7 +252,6 @@ def improve(search: FlowerSearch, f: Flower) -> Optional[Flower]:
     for step in (_step_add_hole, _step_split_petal, _step_shorten):
         improved = step(search, f)
         if improved is not None:
-            improved.validate(search.g)
             return improved
     return None
 
@@ -270,8 +263,8 @@ def hitting_set(search: FlowerSearch, f: Flower) -> frozenset[int]:
     for every u in N(v) outside the flower.  The cutpoint pi(u) is the
     first edge on the tree path from top(u) to the root whose adhesion is
     contained in N(v) union the flower vertices; when there is none, u
-    adds nothing.  Verified: avoids v, stays inside the flower, leaves
-    g - S chordal, and uses at most 12 vertices per petal.
+    adds nothing.  Verified: inside V(flower) - v and the search graph,
+    g - S chordal, and at most 12 vertices per petal (so 12 * order).
     """
     g, v, tree = search.g, search.v, search.tree
     s: set[int] = set()
@@ -290,7 +283,6 @@ def hitting_set(search: FlowerSearch, f: Flower) -> frozenset[int]:
                 s |= adhesion - nv
                 break
     result = frozenset(s)
-    check(v not in result, "hitting set contains the center")
     check(result <= flower_vs - {v}, "hitting set leaves the flower")
     for path in f.paths():
         check(len(result & set(path)) <= 12, "petal contributes more than 12 vertices")
@@ -307,7 +299,9 @@ def flower_and_cover(
     Requires g - v chordal.  Given ``tree``, the clique tree of a chordal
     g[S] with v outside S, the search runs in g[S + v] instead (see
     ``FlowerSearch``).  The improvement loop is capped at |V|^4 rounds,
-    turning the termination proof into a runtime assertion.
+    turning the termination proof into a runtime assertion.  The steps
+    return their flowers unchecked; the last is validated once, before
+    ``hitting_set`` reads its paths and checks the cover.
     """
     search = FlowerSearch(g, v, tree)
     f = Flower(v, ())
@@ -320,7 +314,5 @@ def flower_and_cover(
         f = improved
         rounds += 1
         check(rounds <= cap, "flower local search exceeded its iteration cap")
-    s = hitting_set(search, f)
     f.validate(g)
-    check(len(s) <= 12 * f.order, "hitting set exceeds 12 per petal overall")
-    return f, s
+    return f, hitting_set(search, f)

@@ -320,29 +320,20 @@ class Hole:
 
 
 def verify_hole(g: Graph, h: Hole) -> bool:
-    """True iff h is a chordless cycle of length >= 4 in g with distinct vertices."""
+    """True iff h is a chordless cycle of length >= 4 in g with distinct vertices.
+
+    The ids must be distinct, in range and at least four; each vertex must
+    see the next one, so the cycle's edges are all there, and exactly two
+    vertices of h, so there is no chord.  One pass, linear in the total
+    degree of h's vertices."""
     vs = h.vertices
-    k = len(vs)
-    if k < 4 or len(set(vs)) != k:
+    on = frozenset(vs)
+    if len(vs) < 4 or len(on) != len(vs) or min(vs) < 0 or max(vs) >= g.n:
         return False
-    if any(not (0 <= v < g.n) for v in vs):
-        return False
-    for i in range(k):
-        for j in range(i + 1, k):
-            consecutive = (j - i == 1) or (i == 0 and j == k - 1)
-            if g.has_edge(vs[i], vs[j]) != consecutive:
-                return False
-    return True
-
-
-def is_induced_path(g: Graph, path: Sequence[int]) -> bool:
-    """Consecutive vertices adjacent, all other pairs non-adjacent, no repeats."""
-    if len(set(path)) != len(path):
-        return False
-    for i in range(len(path)):
-        for j in range(i + 1, len(path)):
-            if g.has_edge(path[i], path[j]) != (j - i == 1):
-                return False
+    for u, after in zip(vs, vs[1:] + vs[:1]):
+        near = g.neighbor_set(u)
+        if after not in near or len(on & near) != 2:
+            return False
     return True
 
 

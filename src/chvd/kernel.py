@@ -36,7 +36,8 @@ from itertools import combinations, islice
 from typing import Iterable, Optional
 
 from .graphs import (
-    Graph, boundary, check, components_within, delete_vertices, is_clique,
+    Graph, boundary, check, check_vertex_ids, components_within,
+    delete_vertices, is_clique,
 )
 from .chordal import CliqueTree, chordal_with, clique_tree_of, mis_chordal
 from .flower import flower_and_cover
@@ -751,10 +752,7 @@ def annotate(
     modulator id is not a vertex of g or G - M is not chordal.
     """
     m0 = frozenset(modulator)
-    for v in sorted(m0):
-        if not 0 <= v < g.n:
-            raise ValueError(f"modulator vertex {v} is not a vertex of the "
-                             f"graph (ids 0..{g.n - 1})")
+    check_vertex_ids(m0, g.n)
     if k < 0:
         return None
     trace: list[ReductionEvent] = []

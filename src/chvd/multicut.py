@@ -357,18 +357,11 @@ def build_downward(g: Graph, tree: CliqueTree) -> DownwardInstance:
     return DownwardInstance(g, tree, tuple(order), d)
 
 
-def dist_from(
-    d: DiGraph,
-    x: FractionalSolution,
-    source: int,
-    alive: Optional[set[int]] = None,
-) -> dict[int, float]:
+def dist_from(d: DiGraph, x: FractionalSolution,
+              source: int) -> dict[int, float]:
     """Vertex-weighted distances from one source, endpoints included."""
-    if alive is not None and source not in alive:
-        return {}
     weights = [x.value(v) for v in d.vertices()]
-    return dijkstra_vertex_weights(d.out_neighbors, source, weights,
-                                   allowed=alive)[0]
+    return dijkstra_vertex_weights(d.out_neighbors, source, weights)[0]
 
 
 def downward_multicut(

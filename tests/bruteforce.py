@@ -61,12 +61,15 @@ candidate cliques and of bags.  They share ``find_any_hole`` with
 ``chvd.chordal``.  ``ref_hole_vertices`` is the union of every induced
 cycle of length at least four, each enumerated from its least vertex as
 an induced path that closes; it reads only adjacency.
+``ref_verify_hole`` is the hole check that ``verify_hole`` replaced: it
+tests every pair of the hole's vertices, so it is quadratic in the
+hole's length.
 
 The last section holds helpers that only tests call and the library does
-not need: a perfect elimination ordering check, a clique-tree invariant
-checker, an induced path through a clique tree's adhesions, whole-graph
-components, a generator of graphs with no induced C4 and a one-apex
-generator.
+not need: a perfect elimination ordering check, an induced path check,
+a clique-tree invariant checker, an induced path through a clique tree's
+adhesions, whole-graph components, a generator of graphs with no induced
+C4 and a one-apex generator.
 """
 from __future__ import annotations
 
@@ -154,6 +157,24 @@ def ref_hole_vertices(g: Graph, max_n: int = 16) -> frozenset[int]:
     for s in g.vertices():
         extend([s], {s})
     return frozenset(found)
+
+
+def ref_verify_hole(g: Graph, h: Hole) -> bool:
+    """True iff h is a chordless cycle of length >= 4 in g with distinct
+    vertices, by testing every vertex pair for the edge it must (or must
+    not) have."""
+    vs = h.vertices
+    k = len(vs)
+    if k < 4 or len(set(vs)) != k:
+        return False
+    if any(not (0 <= v < g.n) for v in vs):
+        return False
+    for i in range(k):
+        for j in range(i + 1, k):
+            consecutive = (j - i == 1) or (i == 0 and j == k - 1)
+            if g.has_edge(vs[i], vs[j]) != consecutive:
+                return False
+    return True
 
 
 def bf_is_chordal(g: Graph) -> bool:
@@ -1256,6 +1277,17 @@ def is_peo(g: Graph, ordering) -> bool:
         later = [u for u in g.neighbors(v) if pos[u] > pos[v]]
         if not is_clique(g, later):
             return False
+    return True
+
+
+def is_induced_path(g: Graph, path) -> bool:
+    """Consecutive vertices adjacent, all other pairs non-adjacent, no repeats."""
+    if len(set(path)) != len(path):
+        return False
+    for i in range(len(path)):
+        for j in range(i + 1, len(path)):
+            if g.has_edge(path[i], path[j]) != (j - i == 1):
+                return False
     return True
 
 

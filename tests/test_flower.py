@@ -3,7 +3,10 @@ import random
 
 import pytest
 
-from chvd.graphs import Graph, Hole, delete_vertices, induced_subgraph
+from chvd import kernel
+from chvd.graphs import (
+    Graph, Hole, InvariantError, delete_vertices, induced_subgraph,
+)
 from chvd.chordal import clique_tree_of, is_chordal
 from chvd.flower import (
     Flower,
@@ -14,7 +17,7 @@ from chvd.flower import (
     two_disjoint_paths,
     two_flower,
 )
-from chvd.generate import GeneratorSpec, generate
+from chvd.generate import GeneratorSpec, generate, kernel_instance_pool
 from bruteforce import bf_min_chvd, random_near_chordal
 
 
@@ -83,6 +86,50 @@ def test_two_flower_on_disjoint_c4s():
     f = two_flower(g, 0)
     assert f is not None and f.order == 2
     f.validate(g)
+
+
+def test_validate_refuses_a_petal_that_misses_the_center():
+    g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7),
+                  (7, 4)])
+    Flower(0, (Hole((0, 1, 2, 3)),)).validate(g)
+    with pytest.raises(InvariantError, match="petal misses the center"):
+        Flower(0, (Hole((0, 1, 2, 3)), Hole((4, 5, 6, 7)))).validate(g)
+
+
+def test_validate_refuses_a_petal_with_a_chord():
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)])
+    with pytest.raises(InvariantError, match="petal is not a hole"):
+        Flower(0, (Hole((0, 1, 2, 3)),)).validate(g)
+
+
+def test_validate_refuses_petals_that_share_a_vertex_besides_the_center():
+    # K_{2,4} on {0, 2} and {1, 3, 4, 5}: two holes through 0, both via 2
+    g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 2), (2, 5),
+                  (5, 0)])
+    first, second = Hole((0, 1, 2, 3)), Hole((0, 4, 2, 5))
+    Flower(0, (first,)).validate(g)
+    Flower(0, (second,)).validate(g)
+    with pytest.raises(InvariantError,
+                       match="petals intersect outside the center"):
+        Flower(0, (first, second)).validate(g)
+
+
+def test_validate_accepts_every_flower_of_the_kernel_pool(monkeypatch):
+    returned = []
+
+    def recording(g, v, tree=None):
+        f, s = flower_and_cover(g, v, tree)
+        returned.append((g, f))
+        return f, s
+
+    monkeypatch.setattr(kernel, "flower_and_cover", recording)
+    for seed in range(30):
+        g, k, modulator = kernel_instance_pool(seed)
+        kernel.annotate(g, k, modulator)
+    for g, f in returned:
+        f.validate(g)
+    # 46 flowers with 18 petals in all
+    assert len(returned) >= 40 and sum(f.order for _, f in returned) >= 15
 
 
 def test_two_flower_of_a_vertex_outside_allowed_is_none():

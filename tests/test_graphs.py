@@ -14,12 +14,12 @@ from chvd.graphs import (
     delete_vertices,
     induced_subgraph,
     is_clique,
-    is_induced_path,
     shortcut_walk,
     verify_hole,
 )
+from chvd.chordal import find_hole_through
 from chvd.generate import random_gnp
-from bruteforce import connected_components
+from bruteforce import connected_components, is_induced_path, ref_verify_hole
 
 
 def complete_graph(n):
@@ -141,6 +141,41 @@ def test_verify_hole():
     assert not verify_hole(k4, Hole((0, 1, 2, 3)))
     assert not verify_hole(c4, Hole((0, 1, 1, 3)))
     assert not verify_hole(c4, Hole((0, 2, 1, 3)))
+
+
+def test_verify_hole_agrees_with_the_pairwise_check():
+    """Random id sequences (repeats and out-of-range ids included), every
+    hole ``find_hole_through`` returns in each rotation and reflection,
+    and each such hole with one chord added."""
+    rng = random.Random(32)
+    cases = holes = 0
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        g = random_gnp(rng, n, rng.choice([0.2, 0.35, 0.5]))
+        for _ in range(3):
+            seq = Hole(tuple(rng.randint(-1, n)
+                             for _ in range(rng.randint(0, 12))))
+            assert verify_hole(g, seq) == ref_verify_hole(g, seq)
+            cases += 1
+        for v in g.vertices():
+            hole = find_hole_through(g, v)
+            if hole is None:
+                continue
+            holes += 1
+            vs = hole.vertices
+            k = len(vs)
+            for i in range(k):
+                turned = vs[i:] + vs[:i]
+                for h in (Hole(turned), Hole(turned[::-1])):
+                    assert verify_hole(g, h) and ref_verify_hole(g, h)
+                    cases += 1
+            i = rng.randrange(k)
+            j = (i + rng.randint(2, k - 2)) % k
+            chorded = g.add_edges([(vs[i], vs[j])])
+            assert not verify_hole(chorded, hole)
+            assert not ref_verify_hole(chorded, hole)
+            cases += 1
+    assert holes >= 100 and cases >= 2000
 
 
 def test_shortcut_walk_trivial():

@@ -224,6 +224,37 @@ def test_cli_no_instance_exit_code(tmp_path):
     assert main(["solve", str(inst_path), "-o", str(out_path)]) == 1
 
 
+def test_cli_exit_1_only_on_a_certified_no_instance(tmp_path, capsys):
+    """The hub instance: 0 is adjacent to 1-4, the hub 5 to 2-4, and a
+    path 1 - 6 - ... - 1205 - 5 closes long holes through 0 and 5.
+    Deleting 5 leaves it chordal, so k = 1 is a yes-instance, and no
+    failure on the way may exit 1 or escape as a traceback."""
+    n = 1206
+    edges = [(0, 1), (0, 2), (0, 3), (0, 4), (5, 2), (5, 3), (5, 4), (1, 6)]
+    edges += [(i, i + 1) for i in range(6, n - 1)] + [(n - 1, 5)]
+    inst_path = tmp_path / "hub.chvd"
+    inst_path.write_text(emit(InstanceFile.from_graph(
+        Graph(n, edges), 1, modulator=[0])))
+    status = main(["kernelize", str(inst_path), "-o",
+                   str(tmp_path / "out.chvd")])
+    assert status != 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_maps_any_other_exception_to_exit_3(tmp_path, capsys,
+                                                monkeypatch):
+    inst_path = tmp_path / "c4.chvd"
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    inst_path.write_text(emit(InstanceFile.from_graph(g, 1)))
+
+    def broken(*args, **kwargs):
+        raise KeyError(7)
+
+    monkeypatch.setattr(cli, "approximate", broken)
+    assert main(["approx", str(inst_path)]) == 3
+    assert capsys.readouterr().err == "error: KeyError: 7\n"
+
+
 def test_cli_rejects_negative_budget(tmp_path, capsys):
     inst_path = tmp_path / "negative.chvd"
     inst_path.write_text("p chvd 4 4 -1\ne 0 1\ne 1 2\ne 2 3\ne 0 3\n")

@@ -351,17 +351,9 @@ def test_dist_from_matches_the_heap_reference_on_random_dags():
         d = random_dag(rng, rng.randint(1, 16), rng.choice([0.2, 0.4]))
         x = FractionalSolution({v: rng.choice([0.0, 0.1, 0.5, rng.random()])
                                 for v in d.vertices() if rng.random() < 0.8})
-        alive = {v for v in d.vertices() if rng.random() < 0.8}
         for u in d.vertices():
             want = ref_dijkstra_vertex_weights(d.out_neighbors, u, x.value)
             assert list(dist_from(d, x, u).items()) == list(want[0].items())
-            got = dist_from(d, x, u, alive=alive)
-            if u in alive:
-                want = ref_dijkstra_vertex_weights(d.out_neighbors, u,
-                                                   x.value, allowed=alive)
-                assert list(got.items()) == list(want[0].items())
-            else:
-                assert got == {}
 
 
 def test_build_downward_single_bag():
