@@ -212,9 +212,11 @@ def is_chordal(g: Graph, vertices: Optional[Iterable[int]] = None) -> bool:
 def chordal_with(g: Graph, core: AbstractSet[int], v: int) -> bool:
     """Whether g[core + v] is chordal, given that g[core] is chordal.
 
-    Every hole of g[core + v] passes through v, so the answer is yes
-    exactly when the component test of ``hole_vertices`` finds no hole
-    through v: every component of core - N[v] sees a clique of N(v).
+    The precondition is not checked; a caller holds it as a certificate,
+    such as a clique tree whose bags cover core.  Then every hole of
+    g[core + v] passes through v, so the answer is yes exactly when the
+    component test of ``hole_vertices`` finds no hole through v: every
+    component of core - N[v] sees a clique of N(v).
     """
     return _hole_through(g, v, core | {v}) is None
 

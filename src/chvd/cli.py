@@ -63,13 +63,17 @@ def trace_text(result: KernelResult) -> str:
 
 def cmd_gen(args) -> int:
     if args.pool:
+        given = [f"--{name}" for name in ("core", "planted", "noise", "k")
+                 if getattr(args, name) is not None]
+        if given:
+            raise ValueError(f"gen --pool cannot honour {', '.join(given)}")
         g, k, modulator = kernel_instance_pool(args.seed)
     else:
         g, k, planted = generate(GeneratorSpec(
             seed=args.seed,
-            core_vertices=args.core,
-            planted=args.planted,
-            noise_edges=args.noise,
+            core_vertices=12 if args.core is None else args.core,
+            planted=2 if args.planted is None else args.planted,
+            noise_edges=1 if args.noise is None else args.noise,
             budget=args.k,
         ))
         modulator = sorted(planted)
@@ -226,10 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a random instance")
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--core", type=int, default=12)
-    p_gen.add_argument("--planted", type=int, default=2)
-    p_gen.add_argument("--noise", type=int, default=1)
-    p_gen.add_argument("--k", type=int, default=None)
+    for flag in ("--core", "--planted", "--noise", "--k"):
+        p_gen.add_argument(flag, type=int, default=None)
     p_gen.add_argument("--pool", action="store_true",
                        help="draw from the shaped kernel-test pool")
     p_gen.add_argument("-o", "--output", default="-")

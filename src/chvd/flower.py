@@ -25,7 +25,7 @@ from .graphs import (
     shortcut_walk,
     verify_hole,
 )
-from .chordal import CliqueTree, clique_tree_of, is_chordal
+from .chordal import CliqueTree, chordal_with, clique_tree_of
 
 
 @dataclass(frozen=True)
@@ -264,7 +264,8 @@ def hitting_set(search: FlowerSearch, f: Flower) -> frozenset[int]:
     first edge on the tree path from top(u) to the root whose adhesion is
     contained in N(v) union the flower vertices; when there is none, u
     adds nothing.  Verified: inside V(flower) - v and the search graph,
-    g - S chordal, and at most 12 vertices per petal (so 12 * order).
+    at most 12 vertices per petal (so 12 * order), and g - S chordal by
+    ``chordal_with``, since the tree certifies inside - v chordal.
     """
     g, v, tree = search.g, search.v, search.tree
     s: set[int] = set()
@@ -287,7 +288,8 @@ def hitting_set(search: FlowerSearch, f: Flower) -> frozenset[int]:
     for path in f.paths():
         check(len(result & set(path)) <= 12, "petal contributes more than 12 vertices")
     check(result <= search.inside, "hitting set outside the graph")
-    check(is_chordal(g, search.inside - result), "hitting set misses a hole")
+    check(chordal_with(g, search.inside - result - {v}, v),
+          "hitting set misses a hole")
     return result
 
 

@@ -397,14 +397,13 @@ def rule3_reduce_clique(
                     tree.subtree_distance(v, boundary_node[y]), v))
                 _mark_up_to(cands, k + 1, marked)
 
+    # at most omega_bound of the clique's > omega_bound vertices are marked
     check(len(marked & clique) <= params.omega_bound,
           "marking exceeded its combinatorial budget")
-    unmarked = sorted(clique - marked)
-    check(bool(unmarked), "oversized clique fully marked")
     event = ReductionEvent(
         rule="rule3",
         witness=(min(clique), len(clique)),
-        deleted=(unmarked[0],),
+        deleted=(min(clique - marked),),
     )
     return _finish(inst, event)
 
@@ -544,17 +543,14 @@ class ComponentContext:
 
 def component_context(inst: AChvdInstance,
                       comp: frozenset[int]) -> ComponentContext:
+    """The context of ``comp``, a component of the core minus the
+    separator.  Its bags form a subtree, as a connected set's do, and
+    the root bag lies in the separator, so the subtree's top has a parent."""
     tree = inst.tree
     nodes_a: set[int] = set()
     for v in comp:
         nodes_a.update(tree.beta_inverse(v))
-    # connectivity of the occupied subtree
-    inside_parent = {p for p in nodes_a if tree.parent[p] in nodes_a}
-    check(len(inside_parent) == len(nodes_a) - 1,
-          "component bags do not form a subtree")
     topmost = min(nodes_a, key=lambda p: (tree.depth(p), p))
-    check(tree.parent[topmost] is not None,
-          "component occupies the root bag")
     q_up = tree.parent[topmost]
     # topmost is the one subtree node whose parent lies outside, so the
     # nodes next to the subtree are q_up and its nodes' outside children;
@@ -749,7 +745,10 @@ def annotate(
     decrement; the hitting sets of the survivors join the modulator.
     Each pass over M builds the clique tree of the core G - M once, and
     every flower search of the pass reads it.  Raises ValueError when a
-    modulator id is not a vertex of g or G - M is not chordal.
+    modulator id is not a vertex of g or G - M is not chordal.  The
+    result is not validated again: each v of M0 sees a subgraph of
+    G[core - S_v + v], which its ``hitting_set`` certified chordal, and
+    each vertex of an S_u lies in the tree-certified core.
     """
     m0 = frozenset(modulator)
     check_vertex_ids(m0, g.n)
@@ -783,13 +782,8 @@ def annotate(
             hitting[v] = cover
         else:
             break
-    extended = set(m0)
-    for v in sorted(hitting):
-        extended |= hitting[v]
-    check(len(extended) <= len(m0) * (12 * k + 1) if m0 else not extended,
-          "tidy modulator exceeds |M0|(12k + 1)")
-    inst = AChvdInstance(g, k, frozenset(extended), frozenset())
-    inst.validate()
+    extended = m0.union(*hitting.values())
+    inst = AChvdInstance(g, k, extended)
     event = ReductionEvent(
         rule="annotate", witness=tuple(sorted(extended)))
     _, event = _finish(inst, event)

@@ -346,15 +346,13 @@ class DownwardInstance:
 
 def build_downward(g: Graph, tree: CliqueTree) -> DownwardInstance:
     """Orient g[S], S the union of the tree's bags, downward in g's ids:
-    by top-node depth, then vertex id."""
+    from lower to higher rank by top-node depth, then id, so acyclic."""
     vertices = frozenset().union(*tree.bags)
     order = sorted(vertices, key=lambda v: (tree.depth(tree.top(v)), v))
     rank = {v: i for i, v in enumerate(order)}
     arcs = [(u, v) if rank[u] < rank[v] else (v, u) for u, v in g.edges()
             if u in rank and v in rank]
-    d = DiGraph(g.n, arcs)
-    check(d.is_acyclic(), "downward orientation is not acyclic")
-    return DownwardInstance(g, tree, tuple(order), d)
+    return DownwardInstance(g, tree, tuple(order), DiGraph(g.n, arcs))
 
 
 def dist_from(d: DiGraph, x: FractionalSolution,

@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from chvd import kernel
+from chvd import flower, kernel
 from chvd.graphs import (
     Graph, Hole, InvariantError, delete_vertices, induced_subgraph,
 )
-from chvd.chordal import clique_tree_of, is_chordal
+from chvd.chordal import CliqueTree, chordal_with, clique_tree_of, is_chordal
 from chvd.flower import (
     Flower,
     FlowerSearch,
@@ -130,6 +130,56 @@ def test_validate_accepts_every_flower_of_the_kernel_pool(monkeypatch):
         f.validate(g)
     # 46 flowers with 18 petals in all
     assert len(returned) >= 40 and sum(f.order for _, f in returned) >= 15
+
+
+def test_hitting_set_certificate_agrees_with_full_chordality(monkeypatch):
+    """The tree certifies inside - v chordal, so the one-vertex component
+    test through v decides whether g[inside - S] is chordal: for the real
+    cover of every hitting set annotate builds on kernel-pool seeds 0-29,
+    and for that cover less any one of its vertices."""
+    reached = []
+    original = flower.hitting_set
+
+    def recording(search, f):
+        cover = original(search, f)
+        reached.append((search, cover))
+        return cover
+
+    monkeypatch.setattr(flower, "hitting_set", recording)
+    for seed in range(30):
+        g, k, modulator = kernel_instance_pool(seed)
+        kernel.annotate(g, k, modulator)
+    verdicts = set()
+    for search, cover in reached:
+        g, v = search.g, search.v
+        for s in [cover, *(cover - {u} for u in cover)]:
+            want = is_chordal(g, search.inside - s)
+            assert chordal_with(g, search.inside - s - {v}, v) == want
+            verdicts.add(want)
+    assert len(reached) >= 40 and verdicts == {True, False}
+
+
+def test_hitting_set_refuses_a_cover_that_skips_the_adhesions(monkeypatch):
+    """With every adhesion read as empty the greedy cover keeps only the
+    petal ends, and the certificate must refuse it on some pool
+    instance."""
+    original = flower.hitting_set
+
+    def skipping(search, f):
+        with monkeypatch.context() as m:
+            m.setattr(CliqueTree, "adhesion", lambda self, node: frozenset())
+            return original(search, f)
+
+    monkeypatch.setattr(flower, "hitting_set", skipping)
+    refused = 0
+    for seed in range(30):
+        g, k, modulator = kernel_instance_pool(seed)
+        try:
+            kernel.annotate(g, k, modulator)
+        except InvariantError as exc:
+            assert str(exc) == "hitting set misses a hole"
+            refused += 1
+    assert refused >= 1
 
 
 def test_two_flower_of_a_vertex_outside_allowed_is_none():

@@ -131,6 +131,27 @@ def test_cli_gen_rejects_negative_values_and_writes_no_file(tmp_path, capsys):
         assert not inst_path.exists()
 
 
+@pytest.mark.parametrize("flag", ["--core", "--planted", "--noise", "--k"])
+def test_cli_gen_pool_refuses_a_shape_flag_and_writes_no_file(
+        tmp_path, capsys, flag):
+    """A pool instance has a fixed shape, so a flag that would change it
+    is refused rather than dropped."""
+    inst_path = tmp_path / "pool.chvd"
+    assert main(["gen", "--pool", "--seed", "1", flag, "7",
+                 "-o", str(inst_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and flag in err[0]
+    assert not inst_path.exists()
+
+
+def test_cli_gen_defaults_are_core_12_planted_2_noise_1(capsys):
+    assert main(["gen", "--seed", "4"]) == 0
+    default = capsys.readouterr().out
+    assert main(["gen", "--seed", "4", "--core", "12", "--planted", "2",
+                 "--noise", "1"]) == 0
+    assert capsys.readouterr().out == default
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_cli_kernelizes_a_pool_instance_from_stdin(tmp_path, capsys,
                                                    monkeypatch, seed):
