@@ -26,8 +26,8 @@ from .chordal import (
     is_chordal,
     maximal_cliques,
 )
-from .lp import ChvdProblem, FractionalSolution, at_least, check_lp_options, \
-    solve_fractional
+from .lp import FEASIBILITY_TOL, ChvdProblem, FractionalSolution, at_least, \
+    check_lp_options, solve_fractional
 from .multicut import build_downward, dist_from, downward_multicut
 from .oracle import exact_chvd
 
@@ -84,7 +84,7 @@ def hit_holes_through(
     rooted at L, and 10x is a fractional solution for it.
     """
     for v in part_b:
-        check(abs(x.value(v)) <= x.tolerance, "x must vanish on the clique side")
+        check(x.value(v) <= FEASIBILITY_TOL, "x must vanish on the clique side")
     for v in part_a:
         check(x.value(v) < 0.1 + 1e-9, "x must stay below 1/10 on the chordal side")
     scope = part_a | part_b
@@ -106,8 +106,7 @@ def hit_holes_through(
             if v != u and at_least(dist.get(v, float("inf")), 0.1)
         ]
     x10 = FractionalSolution(
-        {v: 10.0 * w for v, w in x.values.items() if v in part_a},
-        x.tolerance)
+        {v: 10.0 * w for v, w in x.values.items() if v in part_a})
     result = downward_multicut(inst.with_terminals(pairs), x10)
     for w in sorted(clique_l - result):
         check(find_hole_through(g, w, scope - result) is None,
@@ -134,9 +133,7 @@ def chvd_clique_plus_chordal(
     }
     alive_a = set(part_a) - solution
     alive_b = part_b - solution
-    x2 = FractionalSolution(
-        {v: 2.0 * x.value(v) for v in alive_a}, tolerance=x.tolerance
-    )
+    x2 = FractionalSolution({v: 2.0 * x.value(v) for v in alive_a})
     rounds_per_vertex: dict[int, int] = {}
     cap = max(1.0, math.ceil(math.log2(1.0 + x2.objective) + 1e-9))
     while True:
@@ -278,7 +275,7 @@ def decompose(
 
 
 def approximate(
-    g: Graph, k: int, tolerance: float = 1e-6, max_iters: int = 2000
+    g: Graph, k: int, max_iters: int = 2000
 ) -> Union[NoInstance, frozenset[int]]:
     """Either conclude no-instance or return X with g - X chordal.
 
@@ -288,13 +285,14 @@ def approximate(
     the empty set when H is empty; otherwise no-instance when |x| > 2k,
     then the 1/4 threshold on H, the decomposition of what is left of H,
     and the clique fold-back.  Every hole of g lies in H, so a set that
-    leaves g[H] chordal leaves g chordal.  Raises
-    ValueError unless 0 <= tolerance < 1 and max_iters >= 1, on every
-    route, and SearchBudgetExceeded when the exact search runs past its
-    node budget, on the exact route or in a balanced cut of the
-    decomposition.
+    leaves g[H] chordal leaves g chordal.  The LP's x is feasible up to
+    ``lp.FEASIBILITY_TOL``, its one tolerance.  Raises ValueError unless
+    max_iters >= 1, on every route; CuttingPlaneCapExceeded when the LP
+    runs max_iters cutting-plane rounds without converging; and
+    SearchBudgetExceeded when the exact search runs past its node budget,
+    on the exact route or in a balanced cut of the decomposition.
     """
-    check_lp_options(tolerance, max_iters)
+    check_lp_options(max_iters)
     if k < 0:
         return NO_INSTANCE
     n = g.n
@@ -307,7 +305,7 @@ def approximate(
     holes = problem.vertices
     if not holes:
         return frozenset()
-    x = solve_fractional(problem, max_iters=max_iters, tolerance=tolerance)
+    x = solve_fractional(problem, max_iters=max_iters)
     if x.objective > 2 * k + 1e-6:
         return NO_INSTANCE
     solution: set[int] = {v for v in holes if at_least(x.value(v), 0.25)}

@@ -147,8 +147,7 @@ def cmd_approx(args) -> int:
     if _rejects_forced(instance, "approx"):
         return EXIT_VALIDATION
     g = instance.graph()
-    got = approximate(g, instance.k, tolerance=args.tolerance,
-                      max_iters=args.max_iters)
+    got = approximate(g, instance.k, max_iters=args.max_iters)
     if isinstance(got, NoInstance):
         if args.format == "json":
             _write(args.output, '{"status":"no-instance"}\n')
@@ -251,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_apx.add_argument("-o", "--output", default="-")
     p_apx.add_argument("--oracle", action="store_true",
                        help="also run the exact solver and report the ratio")
-    p_apx.add_argument("--tolerance", type=float, default=1e-6)
     p_apx.add_argument("--max-iters", type=int, default=2000)
     p_apx.add_argument("--format", choices=("text", "json"), default="text")
     p_apx.set_defaults(func=cmd_approx)

@@ -24,6 +24,8 @@ new column; then the tableau rewinds to its snapshot from just before
 that pivot, and the cold path goes on from there.  ``simplex_min_cover``
 is the cold one-shot solve.
 
+Both separation oracles call a set violated when it weighs less than
+``1 - FEASIBILITY_TOL``, the library's one feasibility tolerance.
 Thresholds downstream (1/4, 1/8, 1/10, 1/20, 1/2) compare against these
 values; every such comparison treats ``>= t`` as ``>= t - 1e-9`` so float
 drift cannot flip a rule.
@@ -40,6 +42,7 @@ from .graphs import (
     Graph,
     Hole,
     check,
+    check_vertex_ids,
     dijkstra_vertex_weights,
     extract_path,
     lightest_hole,
@@ -56,14 +59,19 @@ def at_least(value: float, threshold: float) -> bool:
 
 @dataclass(frozen=True)
 class FractionalSolution:
-    """Nonnegative vertex weights satisfying every generated constraint.
+    """Nonnegative vertex weights.
 
     ``values`` holds the problem's variables; ``value(v)`` reads 0 for any
-    other vertex.
+    other vertex.  A negative or NaN value raises ValueError, so every
+    engine that reads x may rely on x >= 0.
     """
 
     values: dict[int, float]
-    tolerance: float = FEASIBILITY_TOL
+
+    def __post_init__(self):
+        for v, value in self.values.items():
+            if not value >= 0:
+                raise ValueError(f"x({v}) = {value} is not >= 0")
 
     def value(self, v: int) -> float:
         return self.values.get(v, 0.0)
@@ -258,13 +266,13 @@ class _Tableau:
 def separate_chvd(g: Graph, x: FractionalSolution,
                   allowed: Optional[Iterable[int]] = None) -> Optional[Hole]:
     """A hole of g[allowed] (of g when allowed is None) of weight
-    < 1 - tolerance, or None: ``lightest_hole`` under the weights x,
+    < 1 - FEASIBILITY_TOL, or None: ``lightest_hole`` under the weights x,
     which stops at the first hole as light as four copies of the least x
     on allowed."""
     weights = [x.value(v) for v in g.vertices()]
     found = lightest_hole(g, weights,
                           g.vertices() if allowed is None else allowed,
-                          1.0 - x.tolerance)
+                          1.0 - FEASIBILITY_TOL)
     return None if found is None else found[0]
 
 
@@ -278,20 +286,21 @@ def separate_multicut(
     x: FractionalSolution,
     allowed: Optional[Container[int]] = None,
 ) -> list[list[int]]:
-    """Pairwise vertex-disjoint terminal paths of weight < 1 - tolerance,
-    at most ``MAX_PATHS_PER_ROUND``; empty when x cuts every pair.
+    """Pairwise vertex-disjoint terminal paths lighter than 1 -
+    FEASIBILITY_TOL, at most ``MAX_PATHS_PER_ROUND``; empty when x cuts
+    every pair.
 
     The first is the lightest path, from the earliest pair within 1e-12.
     The other violated pairs follow in ascending (weight, pair index),
     each kept only if its path shares no vertex with one kept before.
 
-    One search per distinct source, cut off at 1 - tolerance - 1e-12:
+    One search per distinct source, cut off at 1 - FEASIBILITY_TOL - 1e-12:
     every distance below it is exact, with the predecessors any larger
     cutoff would give, and every other entry fails the test.
     ``allowed`` goes to every search as ``dijkstra_vertex_weights`` takes
     it, so a path leaves a source only through allowed vertices.
     """
-    cutoff = 1.0 - x.tolerance - 1e-12
+    cutoff = 1.0 - FEASIBILITY_TOL - 1e-12
     weights = [x.value(v) for v in d.vertices()]
     searches: dict[int, tuple[dict[int, float], dict[int, int]]] = {}
     violated: list[tuple[float, int]] = []
@@ -329,10 +338,6 @@ class ChvdProblem:
 
     g: Graph
 
-    @property
-    def n(self) -> int:
-        return self.g.n
-
     @cached_property
     def vertices(self) -> tuple[int, ...]:
         return tuple(sorted(hole_vertices(self.g)))
@@ -348,13 +353,7 @@ class MulticutProblem:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        for s, t in self.pairs:
-            if not (0 <= s < self.d.n and 0 <= t < self.d.n):
-                raise ValueError(f"terminal pair ({s},{t}) outside the graph")
-
-    @property
-    def n(self) -> int:
-        return self.d.n
+        check_vertex_ids({v for pair in self.pairs for v in pair}, self.d.n)
 
     @property
     def vertices(self) -> range:
@@ -375,19 +374,13 @@ class CuttingPlaneCapExceeded(RuntimeError):
         self.max_iters = max_iters
 
 
-def check_lp_options(tolerance: float, max_iters: int) -> None:
-    """Raise ValueError unless 0 <= tolerance < 1 and max_iters >= 1."""
-    if not 0 <= tolerance < 1:
-        raise ValueError(f"tolerance must lie in [0, 1), got {tolerance}")
+def check_lp_options(max_iters: int) -> None:
+    """Raise ValueError unless max_iters >= 1."""
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
 
 
-def solve_fractional(
-    problem,
-    max_iters: int = 2000,
-    tolerance: float = FEASIBILITY_TOL,
-) -> FractionalSolution:
+def solve_fractional(problem, max_iters: int = 2000) -> FractionalSolution:
     """Cutting-plane loop: restricted LP + separation until feasible.
 
     ``problem.vertices`` are the variables, ascending, one tableau row
@@ -397,18 +390,17 @@ def solve_fractional(
     tableau over its sets; each later round adds its sets to that tableau
     in order, and a set that a cold start would pivot in earlier rewinds
     it (``_Tableau.add``), so every round's x is a cold simplex's over the
-    pool so far.
+    pool so far.  The x returned leaves no set below 1 - FEASIBILITY_TOL.
 
-    Raises ValueError unless 0 <= tolerance < 1 and max_iters >= 1, and
-    CuttingPlaneCapExceeded after max_iters rounds that each still found
-    a violated constraint.
+    Raises ValueError unless max_iters >= 1, and CuttingPlaneCapExceeded
+    after max_iters rounds that each still found a violated constraint.
     """
-    check_lp_options(tolerance, max_iters)
+    check_lp_options(max_iters)
     vertices = problem.vertices
     rows = frozenset(vertices)
     pooled: set[frozenset[int]] = set()
     tableau: Optional[_Tableau] = None
-    x = FractionalSolution(dict.fromkeys(vertices, 0.0), tolerance)
+    x = FractionalSolution(dict.fromkeys(vertices, 0.0))
     for _ in range(max_iters):
         violated = problem.separate(x)
         if not violated:
@@ -424,6 +416,5 @@ def solve_fractional(
         else:
             for cset in violated:
                 tableau.add(cset)
-        x = FractionalSolution(dict(zip(vertices, tableau.solve())),
-                               tolerance)
+        x = FractionalSolution(dict(zip(vertices, tableau.solve())))
     raise CuttingPlaneCapExceeded(max_iters)

@@ -19,6 +19,7 @@ from typing import AbstractSet, Iterator, Optional, Sequence
 from .graphs import (
     DiGraph,
     Graph,
+    InvariantError,
     bfs,
     bfs_path,
     check,
@@ -26,12 +27,7 @@ from .graphs import (
     dijkstra_vertex_weights,
     extract_path,
 )
-from .chordal import (
-    CliqueTree,
-    clique_cover_chordal,
-    is_chordal,
-    minimal_path,
-)
+from .chordal import CliqueTree, clique_cover_chordal, minimal_path
 from .lp import FractionalSolution, at_least, separate_multicut
 
 
@@ -43,9 +39,8 @@ class MulticutInstance:
     terminals: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        for s, t in self.terminals:
-            if not (0 <= s < self.d.n and 0 <= t < self.d.n):
-                raise ValueError(f"terminal pair ({s},{t}) outside the graph")
+        check_vertex_ids({v for pair in self.terminals for v in pair},
+                         self.d.n)
 
     def is_multicut(self, removed) -> bool:
         alive = set(self.d.vertices()) - set(removed)
@@ -247,25 +242,39 @@ def skew_multicut(
     is the one the renumbered copy of d[alive] gives, mapped back, when x
     is given on alive only; the log bound reads x's whole objective.
     Raises ValueError on an alive id outside 0..n-1, and when x is
-    infeasible on d[alive].
+    infeasible on d[alive], with a terminal path lighter than
+    1 - ``lp.FEASIBILITY_TOL``; that is the only check of x.
     """
     d = inst.base.d
-    n = d.n
-    tu, tv, pairs = inst.tu, inst.tv, list(inst.base.terminals)
+    pairs = inst.base.terminals
     if alive is not None:
-        check_vertex_ids(alive, n)
-        tu = [u for u in tu if u in alive]
-        tv = [v for v in tv if v in alive]
+        check_vertex_ids(alive, d.n)
         pairs = [(u, v) for u, v in pairs if u in alive and v in alive]
     if separate_multicut(d, pairs, x, allowed=alive):
         raise ValueError("fractional solution is infeasible for the instance")
+    return _skew_cut(inst, x, alive, pairs)
+
+
+def _skew_cut(inst: SkewInstance, x: FractionalSolution,
+              alive: Optional[AbstractSet[int]],
+              pairs: Sequence[tuple[int, int]]) -> frozenset[int]:
+    """``skew_multicut`` past its entry checks: ``pairs`` are inst's pairs
+    with both ends in alive, and the caller holds that x cuts each of them
+    (``downward_multicut`` does, by its distance split).  The cut is
+    checked as a multicut of d[alive] within the log bound.
+    """
+    d = inst.base.d
+    n = d.n
+    tu, tv = inst.tu, inst.tv
+    if alive is not None:
+        tu = [u for u in tu if u in alive]
+        tv = [v for v in tv if v in alive]
     a = len(tu)
     view = _CopyView(d, tu, tv)
     iu = {u: i for i, u in enumerate(tu)}
     iv = {v: j for j, v in enumerate(tv)}
     index_pairs = [(iu[u], iv[v]) for u, v in pairs]
     terminals = set(tu) | set(tv)
-    side_masses: list[float] = []
 
     def src_copy(i: int) -> int:
         return n + i
@@ -302,9 +311,6 @@ def skew_multicut(
         a1 = set(bfs(view.in_neighbors, sorted(tv1 & alive2), alive2)[0])
         a2 = set(bfs(view.out_neighbors, sorted(tu2 & alive2), alive2)[0])
         check(not (a1 & a2), "reachability sides intersect after the cut")
-        side_masses.append(
-            x.mass(v for v in a1 if v < n) + x.mass(v for v in a2 if v < n)
-        )
         pairs1 = [(i, j) for i, j in live if i < mid]
         pairs2 = [(i, j) for i, j in live if i > mid and j > j_max]
         return x0 | recurse(a1, pairs1) | recurse(a2, pairs2)
@@ -317,10 +323,6 @@ def skew_multicut(
           "skew solution is not a multicut")
     bound = x.objective * math.ceil(math.log2(a + 1)) if a else 0.0
     check(len(solution) <= bound + 1e-6, "skew solution exceeds the log bound")
-    total = x.mass(range(n))
-    for side in side_masses:
-        check(side <= total + 1e-6,
-              "recursion sides carry more mass than the whole instance")
     return solution
 
 
@@ -372,6 +374,9 @@ def downward_multicut(
     cliques; per clique split pairs at fractional distance 1/2 from the
     shared bag and solve one min cut plus one skew multicut.  Vertices
     outside ``inst.order`` have no arc and are never deleted.
+
+    Raises ValueError when x is infeasible, with a terminal path lighter
+    than 1 - ``lp.FEASIBILITY_TOL``; the skew stages take 2x as it is.
     """
     d = inst.digraph
     pairs = list(inst.terminals)
@@ -417,19 +422,23 @@ def downward_multicut(
         for j in range(i + 1, hn)
         if intervals[live_pairs[i]] & intervals[live_pairs[j]]
     ])
-    check(is_chordal(h), "auxiliary pair graph is not chordal")
+    try:
+        cover = clique_cover_chordal(h)
+    except ValueError:
+        raise InvariantError("auxiliary pair graph is not chordal") from None
     for i in range(hn):
         for j in range(i + 1, hn):
             if not h.has_edge(i, j):
                 check(not (cores[live_pairs[i]] & cores[live_pairs[j]]),
                       "non-adjacent pairs share shortest-path cores")
 
-    cover = clique_cover_chordal(h)
     check(len(cover) <= max(1.0, 2 * x.objective + 1e-6),
           "clique cover needs at least 2|x| parts")
-    # the skew stage's weights: 2x on the alive vertices, in id order
-    x_local = FractionalSolution(
-        {v: 2 * x.value(v) for v in sorted(alive)}, tolerance=1e-5)
+    # the skew stage's weights: 2x on the alive vertices, in id order.
+    # Each skew pair (w, v) has w in the beta_p of a down pair with target
+    # v, so its paths weigh at least 2 * dv >= 1 - 2e-6 under them (the
+    # check below): the skew stage takes them without separating again.
+    x_local = FractionalSolution({v: 2 * x.value(v) for v in sorted(alive)})
 
     for part in sorted(cover, key=sorted):
         members = [live_pairs[i] for i in sorted(part)]
@@ -481,7 +490,7 @@ def downward_multicut(
                 skew_pairs.extend((w, v) for w in beta_p)
             skew = SkewInstance(MulticutInstance(d, tuple(skew_pairs)),
                                 tuple(tu), tuple(tv))
-            solution |= skew_multicut(skew, x_local, alive)
+            solution |= _skew_cut(skew, x_local, alive, skew_pairs)
 
     check(base.is_multicut(solution), "assembled set is not a multicut")
     return frozenset(solution)

@@ -91,7 +91,8 @@ from chvd.chordal import PEO, CliqueTree, central_bag, clique_tree_of, \
     minimal_path
 from chvd.generate import GeneratorSpec, generate
 from chvd.kernel import ReductionEvent, _finish
-from chvd.lp import FractionalSolution, at_least, separate_multicut
+from chvd.lp import FEASIBILITY_TOL, FractionalSolution, at_least, \
+    separate_multicut
 from chvd.multicut import MulticutInstance, SkewInstance, build_downward, \
     dist_from, downward_multicut, min_vertex_cut
 
@@ -321,7 +322,7 @@ def ref_separate_chvd(g: Graph, x) -> Hole | None:
     an induced one.  ``x`` is a ``FractionalSolution``.
     """
     best = None
-    best_weight = 1.0 - x.tolerance
+    best_weight = 1.0 - FEASIBILITY_TOL
     for v2 in g.vertices():
         nbrs = g.neighbors(v2)
         allowed = set(g.vertices()) - g.closed_neighborhood(v2)
@@ -417,7 +418,7 @@ def ref_lightest_hole(g: Graph, weights, allowed, below):
 def ref_separate_multicut(d: DiGraph, pairs, x) -> list[int] | None:
     """Per-pair terminal path separation: one full search per (s, t)."""
     best = None
-    best_weight = 1.0 - x.tolerance
+    best_weight = 1.0 - FEASIBILITY_TOL
     for s, t in pairs:
         dist, prev = ref_dijkstra_vertex_weights(d.out_neighbors, s, x.value)
         if t in dist and dist[t] < best_weight - 1e-12:
@@ -438,7 +439,7 @@ def ref_separate_multicut_paths(d: DiGraph, pairs, x,
     violated = []
     for i, (s, t) in enumerate(pairs):
         dist, prev = ref_dijkstra_vertex_weights(d.out_neighbors, s, x.value)
-        if t in dist and dist[t] < 1.0 - x.tolerance - 1e-12:
+        if t in dist and dist[t] < 1.0 - FEASIBILITY_TOL - 1e-12:
             violated.append((dist[t], i, extract_path(prev, t)))
     paths = [first]
     for _, _, path in sorted(violated):
@@ -939,7 +940,7 @@ def ref_hit_holes_through(g: Graph, part_a, part_b, clique_l, x):
     """``approx.hit_holes_through`` on a graph that is exactly g[A + B],
     as its own compact graph."""
     for v in part_b:
-        check(abs(x.value(v)) <= x.tolerance, "x must vanish on the clique side")
+        check(x.value(v) <= FEASIBILITY_TOL, "x must vanish on the clique side")
     for v in part_a:
         check(x.value(v) < 0.1 + 1e-9, "x must stay below 1/10 on the chordal side")
     if not any(find_hole_through(g, w) is not None for w in sorted(clique_l)):
@@ -961,7 +962,7 @@ def ref_hit_holes_through(g: Graph, part_a, part_b, clique_l, x):
             if v != u and at_least(dist.get(v, float("inf")), 0.1)
         ]
     x10 = FractionalSolution(
-        {v: 10.0 * w for v, w in x_local.values.items()}, x_local.tolerance)
+        {v: 10.0 * w for v, w in x_local.values.items()})
     cut = downward_multicut(inst.with_terminals(pairs), x10)
     result = frozenset(sub.old_of[v] for v in cut)
     remaining = induced_subgraph(g, set(g.vertices()) - result)
@@ -979,9 +980,7 @@ def ref_chvd_clique_plus_chordal(g: Graph, part_a, part_b, x):
     }
     alive_a = set(part_a) - solution
     alive_b = set(part_b) - solution
-    x2 = FractionalSolution(
-        {v: 2.0 * x.value(v) for v in alive_a}, tolerance=x.tolerance
-    )
+    x2 = FractionalSolution({v: 2.0 * x.value(v) for v in alive_a})
     rounds_per_vertex: dict[int, int] = {}
     cap = max(1.0, math.ceil(math.log2(1.0 + x2.objective) + 1e-9))
     while True:
@@ -1024,8 +1023,7 @@ def _remap(x: FractionalSolution, new_of: dict[int, int]) -> FractionalSolution:
     """x on a renumbered copy: the weights of the vertices in ``new_of``,
     under their new ids, in x's order."""
     return FractionalSolution(
-        {new_of[v]: w for v, w in x.values.items() if v in new_of},
-        x.tolerance)
+        {new_of[v]: w for v, w in x.values.items() if v in new_of})
 
 
 def _ref_balanced_cut_greedy(g: Graph, limit: float, budget: int):

@@ -355,10 +355,7 @@ def test_cli_approx_cutting_plane_cap_exit_code(tmp_path, capsys):
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--tolerance", "-1"), ("--tolerance", "1"), ("--tolerance", "2"),
-    ("--max-iters", "0"),
-])
+@pytest.mark.parametrize("flag, value", [("--max-iters", "0")])
 def test_cli_approx_rejects_out_of_range_lp_options(tmp_path, capsys, flag,
                                                     value):
     inst_path = tmp_path / "inst.chvd"
@@ -371,9 +368,7 @@ def test_cli_approx_rejects_out_of_range_lp_options(tmp_path, capsys, flag,
     assert err.startswith("error:") and "internal invariant" not in err
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--tolerance", "-1"), ("--max-iters", "0"),
-])
+@pytest.mark.parametrize("flag, value", [("--max-iters", "0")])
 def test_cli_approx_rejects_out_of_range_lp_options_on_the_exact_route(
         tmp_path, capsys, flag, value):
     inst_path = tmp_path / "inst.chvd"
@@ -384,6 +379,18 @@ def test_cli_approx_rejects_out_of_range_lp_options_on_the_exact_route(
     assert main(["approx", str(inst_path), f"{flag}={value}"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "internal invariant" not in err
+
+
+def test_cli_approx_refuses_the_removed_tolerance_flag(tmp_path, capsys):
+    inst_path = tmp_path / "inst.chvd"
+    out_path = tmp_path / "tol.txt"
+    assert main(["gen", "--seed", "7", "-o", str(inst_path)]) == 0
+    with pytest.raises(SystemExit) as exit_info:
+        main(["approx", str(inst_path), "--tolerance", "1e-6",
+              "-o", str(out_path)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+    assert not out_path.exists()
 
 
 def test_cli_malformed_input_exit_code(tmp_path):
@@ -440,6 +447,6 @@ def test_cli_json_formats(tmp_path):
     record = json.loads(out.read_text())
     assert "status" in record
     assert main(["approx", str(inst_path), "--format", "json",
-                 "--tolerance", "1e-6", "--max-iters", "500",
+                 "--max-iters", "500",
                  "-o", str(out)]) in (0, 1)
     assert "status" in json.loads(out.read_text())

@@ -85,16 +85,14 @@ def test_simplex_matches_the_dense_reference():
 
 @dataclass(frozen=True)
 class ReferenceRounds:
-    """A problem whose separation first checks the round's x against the
-    dense reference over the pool so far, repr for repr, then asks the
-    inner problem and pools every set it returns."""
+    """A problem on the n vertices 0..n-1 whose separation first checks
+    the round's x against the dense reference over the pool so far, repr
+    for repr, then asks the inner problem and pools every set it
+    returns."""
 
     inner: object
+    n: int
     pools: list
-
-    @property
-    def n(self) -> int:
-        return self.inner.n
 
     @property
     def vertices(self) -> range:
@@ -163,11 +161,11 @@ def test_simplex_matches_the_dense_reference_every_cutting_plane_round(
         g, _, _ = generate(GeneratorSpec(seed=seed, core_vertices=30,
                                          tree_nodes=10, planted=4,
                                          noise_edges=1))
-        problem = ReferenceRounds(ChvdProblem(g), [])
+        problem = ReferenceRounds(ChvdProblem(g), g.n, [])
         solve_fractional(problem)
         pools += problem.pools
         d, _, _, pairs = random_staircase(seed, n=40, a=8, b=8, p=0.3)
-        problem = ReferenceRounds(MulticutProblem(d, tuple(pairs)), [])
+        problem = ReferenceRounds(MulticutProblem(d, tuple(pairs)), d.n, [])
         solve_fractional(problem)
         pools += problem.pools
     assert len(pools) >= 50 and max(map(len, pools)) >= 12
@@ -193,7 +191,7 @@ def test_a_slack_pivot_rewinds_for_the_column_a_cold_start_would_enter(
     third.solve()
     last = len(third.record) - 1
     assert third.record[last][1] and third.snapshots[-1][0] == last
-    problem = ReferenceRounds(Scripted(4, [[s] for s in sets]), [])
+    problem = ReferenceRounds(Scripted(4, [[s] for s in sets]), 4, [])
     x = solve_fractional(problem)
     assert outcomes == [None, None, last, None]
     assert len(problem.pools) == 5
@@ -220,7 +218,7 @@ def test_a_round_offers_every_set_to_the_one_tableau(monkeypatch):
 
     monkeypatch.setattr(lp._Tableau, "__init__", counting_init)
     rounds = [[frozenset(s) for s in r] for r in MULTI_SET_ROUNDS]
-    problem = ReferenceRounds(Scripted(4, rounds), [])
+    problem = ReferenceRounds(Scripted(4, rounds), 4, [])
     x = solve_fractional(problem)
     # pivot 3 is the third round's closing slack pivot, as above
     assert outcomes == [None, None, None, 3, None, None, None]
@@ -428,6 +426,30 @@ def test_separate_chvd_runs_one_search_per_vertex_neighbour_pair(monkeypatch):
     assert 0 < len(calls) <= sum(g.degree(v) for v in g.vertices())
 
 
+def test_fractional_solution_refuses_a_negative_or_nan_value():
+    for bad in (-1e-300, -5.0, float("nan"), -float("inf")):
+        with pytest.raises(ValueError, match=r"^x\(3\) = .* is not >= 0$"):
+            FractionalSolution({0: 0.5, 3: bad})
+    x = FractionalSolution({0: 0.0, 1: -0.0, 2: 0.25})
+    assert x.objective == 0.25
+
+
+def test_feasibility_tolerance_is_pinned_at_both_separation_sites():
+    """A set weighing 1 - 2e-6 is violated and one weighing 1 - 5e-7 is
+    not: the cutoff is 1 - FEASIBILITY_TOL, at 1e-6, for holes and for
+    terminal paths alike."""
+    assert lp.FEASIBILITY_TOL == 1e-6
+    g = cycle_graph(5)
+    d = DiGraph(3, [(0, 1), (1, 2)])
+    for weight, violated in ((1 - 2e-6, True), (1 - 5e-7, False)):
+        x = FractionalSolution({2: weight})
+        hole = separate_chvd(g, x)
+        assert (hole is not None) == violated
+        assert hole is None or hole.vertex_set() == set(range(5))
+        assert separate_multicut(d, [(0, 2)], x) == (
+            [[0, 1, 2]] if violated else [])
+
+
 def test_separate_multicut_basic():
     d = DiGraph(4, [(0, 1), (1, 2), (2, 3)])
     x = FractionalSolution({v: 0.0 for v in d.vertices()})
@@ -506,7 +528,7 @@ def test_separate_multicut_returns_disjoint_violated_paths_on_random_dags():
                     assert (path[0], path[-1]) in pairs
                     assert all(w in graph.out_neighbors(u)
                                for u, w in zip(path, path[1:]))
-                    assert x.mass(path) < 1 - x.tolerance
+                    assert x.mass(path) < 1 - lp.FEASIBILITY_TOL
                     assert used.isdisjoint(path)
                     used.update(path)
                 want = ref_separate_multicut(graph, pairs, x)
@@ -661,7 +683,7 @@ def test_solve_fractional_below_integral_optimum():
         assert x.objective <= res.optimum + 1e-6
         # scaling keeps feasibility
         assert separate_chvd(g, FractionalSolution(
-            {v: 1.5 * w for v, w in x.values.items()}, x.tolerance)) is None
+            {v: 1.5 * w for v, w in x.values.items()})) is None
 
 
 def test_solve_fractional_multicut():
@@ -673,8 +695,8 @@ def test_solve_fractional_multicut():
 
 def test_multicut_problem_rejects_a_pair_outside_the_graph():
     d = DiGraph(3, [(0, 1), (1, 2)])
-    for pair in ((0, 3), (-1, 2)):
-        with pytest.raises(ValueError, match="outside the graph"):
+    for pair, bad in (((0, 3), 3), ((-1, 2), -1)):
+        with pytest.raises(ValueError, match=f"unknown vertex id {bad}$"):
             MulticutProblem(d, (pair,))
     assert solve_fractional(MulticutProblem(d, ((0, 2),))).objective == 1.0
 
@@ -699,10 +721,7 @@ def test_solve_fractional_exact_mode_cross_check():
     assert separate_chvd(g, x) is None
 
 
-@pytest.mark.parametrize("options", [
-    {"tolerance": -1e-9}, {"tolerance": 1.0}, {"tolerance": 2.0},
-    {"tolerance": float("nan")}, {"max_iters": 0}, {"max_iters": -3},
-])
+@pytest.mark.parametrize("options", [{"max_iters": 0}, {"max_iters": -3}])
 def test_solve_fractional_rejects_out_of_range_options(options):
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     with pytest.raises(ValueError):

@@ -8,7 +8,8 @@ import pytest
 from chvd import multicut
 from chvd.graphs import DiGraph, Graph, bfs_path, induced_subgraph
 from chvd.chordal import PEO, clique_tree_of, recognize
-from chvd.lp import FractionalSolution, MulticutProblem, solve_fractional
+from chvd.lp import FractionalSolution, MulticutProblem, \
+    separate_multicut, solve_fractional
 from chvd.multicut import (
     DownwardInstance,
     MulticutInstance,
@@ -177,6 +178,25 @@ def test_skew_rejects_infeasible_fraction():
         skew_multicut(inst, FractionalSolution({1: 0.25}))
 
 
+def test_engines_refuse_a_negative_or_nan_x_as_an_input_error():
+    """Such an x is refused when it is built, with ValueError; the
+    engines, given it, used to fail on an internal invariant instead."""
+    nan = float("nan")
+    d, tu, tv, pairs = random_staircase(0)
+    x = solve_fractional(MulticutProblem(d, tuple(pairs)))
+    inst = SkewInstance(MulticutInstance(d, tuple(pairs)),
+                        tuple(tu), tuple(tv))
+    shifted = dict(x.values)
+    shifted[tu[0]] -= 5
+    for values in (dict.fromkeys(x.values, nan), shifted):
+        with pytest.raises(ValueError, match="is not >= 0"):
+            skew_multicut(inst, FractionalSolution(values))
+    down, y = random_diffuse_downward(0)
+    with pytest.raises(ValueError, match="is not >= 0"):
+        downward_multicut(down, FractionalSolution(
+            dict.fromkeys(y.values, nan)))
+
+
 def test_skew_random_staircases_bound_and_validity():
     solved = 0
     for seed in range(120):
@@ -247,14 +267,14 @@ def test_multicut_engines_build_no_digraph(monkeypatch):
         original_init(self, *args, **kwargs)
 
     skews = []
-    original_skew = multicut.skew_multicut
+    original_skew = multicut._skew_cut
 
     def counting_skew(*args, **kwargs):
         skews.append(args)
         return original_skew(*args, **kwargs)
 
     monkeypatch.setattr(DiGraph, "__init__", counting_init)
-    monkeypatch.setattr(multicut, "skew_multicut", counting_skew)
+    monkeypatch.setattr(multicut, "_skew_cut", counting_skew)
     for inst, x in instances:
         downward_multicut(inst, x)
     reached = len(skews)
@@ -493,6 +513,32 @@ def test_downward_multicut_diffuse_instances_reach_cover_stage():
         if live:
             reached += 1
     assert reached >= 20
+
+
+def test_downward_multicut_takes_a_down_pair_at_the_feasibility_edge():
+    """A down pair whose 2 dv lies in [1 - 2e-6, 1 - 1e-6): x is feasible,
+    and 2x leaves the skew pair (1, 11) a path below 1 - FEASIBILITY_TOL,
+    so the skew stage must not separate 2x again."""
+    # the path 8 - 10 - 6 - 4 - 2 - 0 - 1 - 3 - ... - 11, rooted at {8, 10}
+    # and oriented away from it; the pair (8, 11) shares the bag {0, 1},
+    # the least node of its interval
+    p = [8, 10, 6, 4, 2, 0, 1, 3, 5, 7, 9, 11]
+    g = Graph(len(p), list(zip(p, p[1:])))
+    tree = clique_tree_of(g)
+    inst = build_downward(g, tree.reroot(tree.first_bag_containing(
+        frozenset(p[:2])))).with_terminals([(p[0], p[-1])])
+    du, dv = 0.5 - 2e-7, 0.5 - 7e-7
+    x = FractionalSolution({**{v: du / 6 for v in p[:6]},
+                            **{v: dv / 6 for v in p[6:]}})
+    d = inst.digraph
+    assert dist_from(d, x, p[0])[p[5]] < 0.5
+    two_dv = 2 * dist_from(d, x, p[6])[p[-1]]
+    assert 1 - 2e-6 <= two_dv < 1 - 1e-6
+    x2 = FractionalSolution({v: 2 * w for v, w in x.values.items()})
+    assert separate_multicut(d, [(p[6], p[-1])], x2) != []
+    got = downward_multicut(inst, x)
+    assert MulticutInstance(d, inst.terminals).is_multicut(got)
+    assert got == {3}
 
 
 def test_downward_multicut_random_instances():
