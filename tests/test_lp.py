@@ -721,7 +721,11 @@ def test_solve_fractional_exact_mode_cross_check():
     assert separate_chvd(g, x) is None
 
 
-@pytest.mark.parametrize("options", [{"max_iters": 0}, {"max_iters": -3}])
+# options0-3 were the tolerance cases, removed with that parameter
+@pytest.mark.parametrize("options", [
+    pytest.param({"max_iters": 0}, id="options4"),
+    pytest.param({"max_iters": -3}, id="options5"),
+])
 def test_solve_fractional_rejects_out_of_range_options(options):
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     with pytest.raises(ValueError):
