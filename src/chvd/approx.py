@@ -18,17 +18,19 @@ import math
 from dataclasses import dataclass
 from typing import AbstractSet, Optional, Union
 
-from .graphs import Graph, check, components_within, is_clique
+from .graphs import Graph, check, components_within, \
+    dijkstra_vertex_weights, is_clique
 from .chordal import (
+    CliqueTree,
     central_bag,
     clique_tree_of,
     find_hole_through,
     is_chordal,
     maximal_cliques,
 )
-from .lp import FEASIBILITY_TOL, ChvdProblem, FractionalSolution, at_least, \
-    check_lp_options, solve_fractional
-from .multicut import build_downward, dist_from, downward_multicut
+from .lp import ChvdProblem, FractionalSolution, at_least, check_lp_options, \
+    solve_fractional
+from .multicut import build_downward, downward_multicut
 from .oracle import exact_chvd
 
 
@@ -71,35 +73,32 @@ class Decomposition:
 
 def hit_holes_through(
     g: Graph,
-    part_a: frozenset[int],
+    tree: CliqueTree,
     part_b: frozenset[int],
     clique_l: frozenset[int],
     x: FractionalSolution,
 ) -> frozenset[int]:
-    """A set X such that g[A + B] - X has no hole through the clique L.
+    """A set X such that g[A + B] - X has no hole through the clique L,
+    where ``tree`` is a clique tree of g[A] and A the union of its bags.
 
-    Preconditions: g[A] chordal, g[B] complete, L a maximal clique of
-    g[A], x zero on B and below 1/10 on A.  The terminal set pairs up
-    vertices at fractional distance >= 1/10 in the downward orientation
-    rooted at L, and 10x is a fractional solution for it.
+    Unchecked preconditions, which ``chvd_clique_plus_chordal`` builds:
+    g[B] complete, L a bag of the tree, x zero on B and below 1/10 on A.
+    The terminal set pairs up vertices at fractional distance >= 1/10 in
+    the downward orientation rooted at L, and 10x is a fractional
+    solution for it.
     """
-    for v in part_b:
-        check(x.value(v) <= FEASIBILITY_TOL, "x must vanish on the clique side")
-    for v in part_a:
-        check(x.value(v) < 0.1 + 1e-9, "x must stay below 1/10 on the chordal side")
+    part_a = frozenset().union(*tree.bags)
     scope = part_a | part_b
     if all(find_hole_through(g, w, scope) is None for w in sorted(clique_l)):
         return frozenset()
-    tree = clique_tree_of(g, part_a)
-    root = tree.first_bag_containing(clique_l)
-    check(root is not None and tree.bags[root] == clique_l,
-          "L is not a maximal clique of g[A]")
-    inst = build_downward(g, tree.reroot(root))
+    inst = build_downward(g, tree.reroot(tree.first_bag_containing(clique_l)))
     # the digraph has arcs only inside A, so every search stays there
+    d = inst.digraph
+    weights = [x.value(v) for v in d.vertices()]
     members = sorted(part_a)
     pairs = []
     for u in members:
-        dist = dist_from(inst.digraph, x, u)
+        dist = dijkstra_vertex_weights(d.out_neighbors, u, weights)[0]
         pairs += [
             (u, v)
             for v in members
@@ -125,8 +124,9 @@ def chvd_clique_plus_chordal(
 
     Deletes the x >= 1/20 vertices, doubles the remaining weights on A,
     then repeatedly splits the heaviest component at a weight-central
-    clique until every component is lighter than one.  The returned set
-    leaves g[A + B] chordal (verified).
+    bag L of its clique tree, built once and handed on with L to
+    ``hit_holes_through``, until every component is lighter than one.
+    The returned set leaves g[A + B] chordal (verified).
     """
     solution: set[int] = {
         v for v in part_a | part_b if at_least(x.value(v), 1.0 / 20)
@@ -147,8 +147,9 @@ def chvd_clique_plus_chordal(
             rounds_per_vertex[v] = rounds_per_vertex.get(v, 0) + 1
             check(rounds_per_vertex[v] <= cap,
                   "component halving exceeded its logarithmic budget")
-        clique_l = central_bag(g, clique_tree_of(g, heaviest), x2.values)
-        cut = hit_holes_through(g, heaviest, alive_b, clique_l, x2)
+        tree = clique_tree_of(g, heaviest)
+        clique_l = central_bag(g, tree, x2.values)
+        cut = hit_holes_through(g, tree, alive_b, clique_l, x2)
         solution |= cut
         alive_a -= cut
         alive_a -= clique_l
@@ -177,14 +178,17 @@ def balanced_clique_cut(
     """A set Z and clique K inside it with components of g[vertices] - Z
     at most 3n/4, where n = |vertices|.
 
-    A clique of size >= n/4 alone suffices; otherwise every maximal clique
-    is tried with a greedy balanced vertex cut of g[vertices] - K within
-    budget k, and the smallest cut wins.  The greedy cut can miss one, so
-    when no clique has a cut the exact oracle decides: opt > k on
-    g[vertices] is NoInstance, and otherwise its solution X and a central
-    bag K of the chordal g[vertices] - X give Z = K + X, which leaves no
-    component above (n - |X|)/2.  SearchBudgetExceeded comes only from
-    the oracle.
+    Each of its three routes proves the 3/4, which is not checked again.
+    A clique K of size >= n/4 alone suffices: it leaves <= 3n/4 vertices
+    all.  Otherwise every maximal clique K is tried with a greedy balanced
+    vertex cut of g[vertices] - K within budget k, which leaves no
+    component above 2/3 of g[vertices] - K, and the smallest cut wins.
+    The greedy cut can miss one, so when no clique has a cut the exact
+    oracle decides: opt > k on g[vertices] is NoInstance, and otherwise
+    its solution X and a central bag K of the chordal g[vertices] - X
+    give Z = K + X, which leaves no component above (n - |X|)/2
+    (``central_bag`` raises InvariantError when no bag does).
+    SearchBudgetExceeded comes only from the oracle.
     """
     n = len(vertices)
     if n == 0:
@@ -214,10 +218,7 @@ def balanced_clique_cut(
         chordal = vertices - cut
         clique = central_bag(g, clique_tree_of(g, chordal),
                              {v: 1.0 for v in chordal})
-    z = frozenset(clique) | cut
-    for comp in components_within(g, vertices - z):
-        check(4 * len(comp) <= 3 * n, "balanced cut leaves an oversized component")
-    return z, frozenset(clique)
+    return frozenset(clique) | cut, frozenset(clique)
 
 
 def decompose(
@@ -235,8 +236,8 @@ def decompose(
     i + 1, until they are cut in turn.  The targets of one generation are
     disjoint and each holds a hole, which a solution must meet, so a
     generation has at most k targets.  A generation-i target has at most
-    (3/4)^i n vertices (``balanced_clique_cut`` checks the 3/4) and a hole
-    at least 4, so i <= log_{4/3}(n/4): at most
+    (3/4)^i n vertices (``balanced_clique_cut`` proves the 3/4 on each
+    route) and a hole at least 4, so i <= log_{4/3}(n/4): at most
     k * (floor(log_{4/3}(n/4)) + 1) cuts in all.  The older bound
     k * log_{3/2} n is below it for some n >= 80 (11 against 12 cuts at
     n = 100, k = 1) and has no such proof, so ``max_steps`` takes the

@@ -34,7 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Container, Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .chordal import hole_vertices
 from .graphs import (
@@ -63,25 +64,30 @@ class FractionalSolution:
 
     ``values`` holds the problem's variables; ``value(v)`` reads 0 for any
     other vertex.  A negative or NaN value raises ValueError, so every
-    engine that reads x may rely on x >= 0.
+    engine that reads x may rely on x >= 0.  ``values`` is a read-only
+    view of a copy taken at construction.
     """
 
-    values: dict[int, float]
+    values: Mapping[int, float]
 
     def __post_init__(self):
-        for v, value in self.values.items():
+        own = dict(self.values)
+        for v, value in own.items():
             if not value >= 0:
                 raise ValueError(f"x({v}) = {value} is not >= 0")
+        # the readers below use the dict itself: a proxy's get is slower
+        object.__setattr__(self, "_own", own)
+        object.__setattr__(self, "values", MappingProxyType(own))
 
     def value(self, v: int) -> float:
-        return self.values.get(v, 0.0)
+        return self._own.get(v, 0.0)
 
     def mass(self, vertices) -> float:
-        return sum(self.values.get(v, 0.0) for v in vertices)
+        return sum(self._own.get(v, 0.0) for v in vertices)
 
     @property
     def objective(self) -> float:
-        return sum(self.values.values())
+        return sum(self._own.values())
 
 
 def simplex_min_cover(n: int,
@@ -284,7 +290,6 @@ def separate_multicut(
     d: DiGraph,
     pairs: Sequence[tuple[int, int]],
     x: FractionalSolution,
-    allowed: Optional[Container[int]] = None,
 ) -> list[list[int]]:
     """Pairwise vertex-disjoint terminal paths lighter than 1 -
     FEASIBILITY_TOL, at most ``MAX_PATHS_PER_ROUND``; empty when x cuts
@@ -297,8 +302,6 @@ def separate_multicut(
     One search per distinct source, cut off at 1 - FEASIBILITY_TOL - 1e-12:
     every distance below it is exact, with the predecessors any larger
     cutoff would give, and every other entry fails the test.
-    ``allowed`` goes to every search as ``dijkstra_vertex_weights`` takes
-    it, so a path leaves a source only through allowed vertices.
     """
     cutoff = 1.0 - FEASIBILITY_TOL - 1e-12
     weights = [x.value(v) for v in d.vertices()]
@@ -308,7 +311,7 @@ def separate_multicut(
     for i, (s, t) in enumerate(pairs):
         if s not in searches:
             searches[s] = dijkstra_vertex_weights(
-                d.out_neighbors, s, weights, allowed=allowed, cutoff=cutoff)
+                d.out_neighbors, s, weights, cutoff=cutoff)
         dist = searches[s][0]
         if t in dist and dist[t] < cutoff:
             violated.append((dist[t], i))

@@ -224,11 +224,7 @@ class _CopyView:
         self.in_neighbors = into.__getitem__
 
 
-def skew_multicut(
-    inst: SkewInstance,
-    x: FractionalSolution,
-    alive: Optional[AbstractSet[int]] = None,
-) -> frozenset[int]:
+def skew_multicut(inst: SkewInstance, x: FractionalSolution) -> frozenset[int]:
     """Integral skew multicut of size at most |x| * ceil(log2(|tu| + 1)).
 
     The copy trick wires a fresh undeletable copy into every source and
@@ -236,39 +232,29 @@ def skew_multicut(
     terminal lists themselves) stay deletable.  The copies live in a
     read-only view of d, so no digraph is built.
 
-    ``alive`` (every vertex when None) restricts the instance to d[alive],
-    in d's ids: other vertices count as removed, so terminals among them
-    drop out of tu and tv, and their pairs are cut already.  The answer
-    is the one the renumbered copy of d[alive] gives, mapped back, when x
-    is given on alive only; the log bound reads x's whole objective.
-    Raises ValueError on an alive id outside 0..n-1, and when x is
-    infeasible on d[alive], with a terminal path lighter than
-    1 - ``lp.FEASIBILITY_TOL``; that is the only check of x.
+    Raises ValueError when x is infeasible, with a terminal path lighter
+    than 1 - ``lp.FEASIBILITY_TOL``; that is the only check of x.
     """
     d = inst.base.d
     pairs = inst.base.terminals
-    if alive is not None:
-        check_vertex_ids(alive, d.n)
-        pairs = [(u, v) for u, v in pairs if u in alive and v in alive]
-    if separate_multicut(d, pairs, x, allowed=alive):
+    if separate_multicut(d, pairs, x):
         raise ValueError("fractional solution is infeasible for the instance")
-    return _skew_cut(inst, x, alive, pairs)
+    return _skew_cut(inst, x, d.vertices(), pairs)
 
 
 def _skew_cut(inst: SkewInstance, x: FractionalSolution,
-              alive: Optional[AbstractSet[int]],
+              alive: AbstractSet[int],
               pairs: Sequence[tuple[int, int]]) -> frozenset[int]:
-    """``skew_multicut`` past its entry checks: ``pairs`` are inst's pairs
-    with both ends in alive, and the caller holds that x cuts each of them
-    (``downward_multicut`` does, by its distance split).  The cut is
-    checked as a multicut of d[alive] within the log bound.
+    """``skew_multicut`` on d[alive], in d's ids, past its entry check:
+    terminals outside alive drop out, ``pairs`` are inst's pairs inside
+    alive, and the caller holds that x cuts each of them (``skew_multicut``
+    by separation, ``downward_multicut`` by its distance split).  The cut
+    is checked as a multicut of d[alive] within the log bound.
     """
     d = inst.base.d
     n = d.n
-    tu, tv = inst.tu, inst.tv
-    if alive is not None:
-        tu = [u for u in tu if u in alive]
-        tv = [v for v in tv if v in alive]
+    tu = [u for u in inst.tu if u in alive]
+    tv = [v for v in inst.tv if v in alive]
     a = len(tu)
     view = _CopyView(d, tu, tv)
     iu = {u: i for i, u in enumerate(tu)}
@@ -315,7 +301,7 @@ def _skew_cut(inst: SkewInstance, x: FractionalSolution,
         pairs2 = [(i, j) for i, j in live if i > mid and j > j_max]
         return x0 | recurse(a1, pairs1) | recurse(a2, pairs2)
 
-    kept = set(d.vertices() if alive is None else alive)
+    kept = set(alive)
     solution = recurse(kept.union(range(n, view.n)), index_pairs)
     check(solution <= kept, "skew solution leaves d[alive]")
     dead = set(d.vertices()) - kept

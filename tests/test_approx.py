@@ -46,8 +46,8 @@ def test_hit_holes_through_chordal_input_returns_empty():
     g = clique_path_graph([2, 2, 2])
     all_a = frozenset(g.vertices())
     x = FractionalSolution({v: 0.05 for v in g.vertices()})
-    got = hit_holes_through(g, all_a, frozenset(), frozenset({0, 1, 2, 3}),
-                            x)
+    got = hit_holes_through(g, clique_tree_of(g, all_a), frozenset(),
+                            frozenset({0, 1, 2, 3}), x)
     assert got == frozenset()
 
 
@@ -60,10 +60,24 @@ def test_hit_holes_through_long_hole():
     part_a = frozenset(range(1, n))
     x = FractionalSolution({v: 1.0 / 21 for v in range(1, n)})
     # L: any maximal clique of the path, say the edge {10, 11}
-    got = hit_holes_through(ring, part_a, part_b, frozenset({10, 11}), x)
+    got = hit_holes_through(ring, clique_tree_of(ring, part_a), part_b,
+                            frozenset({10, 11}), x)
     assert got
     remaining = induced_subgraph(ring, set(ring.vertices()) - got)
     assert is_chordal(remaining.graph)
+
+
+def _chordal_plus_apex(rng):
+    """A random chordal A and one apex b with 2-6 neighbours in A, at
+    random ids of a graph with up to five more, isolated, vertices;
+    returns the graph, A and {b}."""
+    core = random_chordal(rng, rng.randint(15, 35), rng.randint(8, 20), 1)
+    n = core.n + 1 + rng.randint(0, 5)
+    ids = rng.sample(range(n), core.n + 1)
+    edges = {tuple(sorted((ids[u], ids[v]))) for u, v in core.edges()}
+    edges |= {tuple(sorted((ids[-1], ids[u])))
+              for u in rng.sample(range(core.n), rng.randint(2, 6))}
+    return Graph(n, sorted(edges)), frozenset(ids[:-1]), frozenset(ids[-1:])
 
 
 def test_hit_holes_through_on_a_vertex_set_matches_the_compact_reference(
@@ -81,24 +95,52 @@ def test_hit_holes_through_on_a_vertex_set_matches_the_compact_reference(
     monkeypatch.setattr(approx, "downward_multicut", downward)
     for seed in range(200):
         rng = random.Random(seed)
-        core = random_chordal(rng, rng.randint(15, 35), rng.randint(8, 20), 1)
-        n = core.n + 1 + rng.randint(0, 5)
-        ids = rng.sample(range(n), core.n + 1)
-        edges = {tuple(sorted((ids[u], ids[v]))) for u, v in core.edges()}
-        edges |= {tuple(sorted((ids[-1], ids[u])))
-                  for u in rng.sample(range(core.n), rng.randint(2, 6))}
-        g = Graph(n, sorted(edges))
-        part_a, part_b = frozenset(ids[:-1]), frozenset(ids[-1:])
-        clique_l = rng.choice(clique_tree_of(g, part_a).bags)
+        g, part_a, part_b = _chordal_plus_apex(rng)
+        tree = clique_tree_of(g, part_a)
+        clique_l = rng.choice(tree.bags)
         x = FractionalSolution({v: rng.uniform(0, 1 / 11) for v in part_a})
         scope = induced_subgraph(g, part_a | part_b)
         want = ref_hit_holes_through(
             scope.graph, *(frozenset(scope.to_sub(s))
                            for s in (part_a, part_b, clique_l)),
             _remap(x, scope.index))
-        assert hit_holes_through(g, part_a, part_b, clique_l, x) == \
+        assert hit_holes_through(g, tree, part_b, clique_l, x) == \
             frozenset(scope.to_parent(want))
     assert sum(with_pairs) >= 40
+
+
+def test_clique_plus_chordal_matches_the_reference_across_the_threshold(
+        monkeypatch):
+    """With x up to 1/8 on A and on b, about a quarter of the vertices
+    reach the 1/20 deletion threshold and the rest, doubled, stay below
+    1/10, as hit_holes_through assumes: the fold-back in g's ids gives the
+    outcome of the reference on the renumbered g[A + b]."""
+    steps = []
+    hit = approx.hit_holes_through
+
+    def counting(*args):
+        steps.append(1)
+        return hit(*args)
+
+    monkeypatch.setattr(approx, "hit_holes_through", counting)
+    deleted = 0
+    for seed in range(120):
+        rng = random.Random(seed)
+        g, part_a, part_b = _chordal_plus_apex(rng)
+        x = FractionalSolution({
+            v: rng.uniform(1 / 20, 1 / 8) if rng.random() < 0.25
+            else rng.uniform(1 / 30, 1 / 20) for v in sorted(part_a | part_b)})
+        scope = induced_subgraph(g, part_a | part_b)
+        got = _outcome(chvd_clique_plus_chordal, g, part_a, part_b, x)
+        want = _outcome(ref_chvd_clique_plus_chordal, scope.graph,
+                        frozenset(scope.to_sub(part_a)),
+                        frozenset(scope.to_sub(part_b)),
+                        _remap(x, scope.index))
+        if not isinstance(want, str):
+            want = frozenset(scope.to_parent(want))
+        assert got == want
+        deleted += any(x.value(v) >= 1 / 20 for v in part_a | part_b)
+    assert deleted >= 100 and len(steps) >= 30, (deleted, len(steps))
 
 
 def test_chvd_clique_plus_chordal_chordal_graph():
@@ -175,19 +217,28 @@ def test_balanced_clique_cut_spends_a_budget_on_the_missed_cut(monkeypatch):
 def test_balanced_clique_cut_says_no_only_when_the_exact_search_does(
         monkeypatch):
     """Every NoInstance is confirmed by exact_chvd on g[vertices] and every
-    cut is valid.  The first family is C4-free.  In the second, sparse
-    random graphs with C4s, most greedy cuts miss and the oracle says no.
-    In the third, relabelings of MISSED_BY_GREEDY, the greedy cut misses
-    on some and the oracle's deletion set with a central bag is the cut."""
+    cut is valid, with no component above 3n/4 on each of the three
+    routes, which the cut does not check itself.  The first family is
+    C4-free.  In the second, sparse random graphs with C4s, most greedy
+    cuts miss and the oracle says no, and some have a clique of n/4.  In
+    the third, relabelings of MISSED_BY_GREEDY, the greedy cut misses on
+    some and the oracle's deletion set with a central bag is the cut."""
     oracle_answers = []
+    greedy_calls = []
     oracle = approx.exact_chvd
+    greedy = approx._balanced_cut_greedy
 
     def recording(*args, **kwargs):
         res = oracle(*args, **kwargs)
         oracle_answers.append(res is not None)
         return res
 
+    def recording_greedy(*args):
+        greedy_calls.append(1)
+        return greedy(*args)
+
     monkeypatch.setattr(approx, "exact_chvd", recording)
+    monkeypatch.setattr(approx, "_balanced_cut_greedy", recording_greedy)
     rng = random.Random(151)
     draws = []
     for trial in range(150):
@@ -204,8 +255,10 @@ def test_balanced_clique_cut_says_no_only_when_the_exact_search_does(
         draws.append((Graph(MISSED_BY_GREEDY.n, [
             (ids[u], ids[v]) for u, v in MISSED_BY_GREEDY.edges()]), 1))
     answers = {"no": 0, "cut": 0}
+    cut_routes = {"big": 0, "greedy": 0, "oracle": 0}
     for g, k in draws:
         vertices = set(g.vertices())
+        before = len(oracle_answers), len(greedy_calls)
         res = balanced_clique_cut(g, k, vertices)
         if isinstance(res, NoInstance):
             assert exact_chvd(g, k) is None
@@ -216,8 +269,12 @@ def test_balanced_clique_cut_says_no_only_when_the_exact_search_does(
             for comp in components_within(g, vertices - z):
                 assert 4 * len(comp) <= 3 * g.n
             answers["cut"] += 1
+            cut_routes["oracle" if len(oracle_answers) > before[0] else
+                       "greedy" if len(greedy_calls) > before[1] else
+                       "big"] += 1
     assert answers["no"] >= 10 and answers["cut"] >= 10
     assert len(oracle_answers) >= 200 and sum(oracle_answers) >= 10
+    assert min(cut_routes.values()) >= 10, cut_routes
 
 
 def test_decompose_chordal_graph():
@@ -423,6 +480,41 @@ def _outcome(fn, *args):
         return f"InvariantError: {exc}"
 
 
+def _fold_back_inputs():
+    """The fold-back harness's 80 inputs (g, k, x): subdivided grids and
+    planted instances, each under two diffuse x, with k above |x| / 2 and
+    on the LP route."""
+    for seed in range(20):
+        rng = random.Random(seed)
+        grid = subdivided_grid(rng.randint(3, 5), rng.randint(4, 7))
+        planted, _, _ = generate(GeneratorSpec(
+            seed=seed, core_vertices=rng.randint(20, 40),
+            planted=rng.randint(2, 4), noise_edges=1))
+        for g in (grid, planted):
+            for diffuse in ({v: 1 / 24 for v in g.vertices()},
+                            {v: rng.uniform(0, 1 / 21) for v in g.vertices()}):
+                x = FractionalSolution(diffuse)
+                k = max(3, math.ceil(x.objective / 2))
+                while math.log2(g.n) > k * math.log2(k):
+                    k += 1
+                yield g, k, x
+
+
+def _run_fold_back(monkeypatch) -> int:
+    """approximate() on every harness input with its x injected as the
+    LP's; returns the number of runs."""
+    runs = 0
+    for g, k, x in _fold_back_inputs():
+        monkeypatch.setattr(approx, "solve_fractional",
+                            lambda *args, **kwargs: x)
+        try:
+            approximate(g, k)
+        except InvariantError:
+            pass
+        runs += 1
+    return runs
+
+
 def test_fold_back_matches_the_compact_reference(monkeypatch):
     """Every fold-back call approximate() makes under an injected diffuse x
     gives the set (or the InvariantError) of the reference that works on
@@ -435,10 +527,13 @@ def test_fold_back_matches_the_compact_reference(monkeypatch):
             "hit": ref_hit_holes_through}
 
     def compared(stage):
-        def call(g, part_a, part_b, *rest):
+        def call(g, first, part_b, *rest):
             reach[stage] += 1
             *cliques, x = rest
-            got = _outcome(originals[stage], g, part_a, part_b, *rest)
+            got = _outcome(originals[stage], g, first, part_b, *rest)
+            # hit_holes_through takes a clique tree of g[A], A its bags
+            part_a = first if stage == "fold" else \
+                frozenset().union(*first.bags)
             scope = induced_subgraph(g, part_a | part_b)
             want = _outcome(refs[stage], scope.graph,
                             *(frozenset(scope.to_sub(s))
@@ -459,31 +554,41 @@ def test_fold_back_matches_the_compact_reference(monkeypatch):
     monkeypatch.setattr(approx, "chvd_clique_plus_chordal", compared("fold"))
     monkeypatch.setattr(approx, "hit_holes_through", compared("hit"))
     monkeypatch.setattr(approx, "downward_multicut", downward)
-    runs = 0
-    for seed in range(20):
-        rng = random.Random(seed)
-        grid = subdivided_grid(rng.randint(3, 5), rng.randint(4, 7))
-        planted, _, _ = generate(GeneratorSpec(
-            seed=seed, core_vertices=rng.randint(20, 40),
-            planted=rng.randint(2, 4), noise_edges=1))
-        for g in (grid, planted):
-            for diffuse in ({v: 1 / 24 for v in g.vertices()},
-                            {v: rng.uniform(0, 1 / 21) for v in g.vertices()}):
-                x = FractionalSolution(diffuse)
-                # budget: above |x| / 2 and on the LP route
-                k = max(3, math.ceil(x.objective / 2))
-                while math.log2(g.n) > k * math.log2(k):
-                    k += 1
-                monkeypatch.setattr(approx, "solve_fractional",
-                                    lambda *args, **kwargs: x)
-                try:
-                    approximate(g, k)
-                except InvariantError:
-                    pass
-                runs += 1
-    assert runs == 80
+    assert _run_fold_back(monkeypatch) == 80
     assert reach["fold"] >= 40 and reach["hit"] >= 10
     assert reach["downward"] >= 2
+
+
+def test_fold_back_builds_one_clique_tree_per_halving_step(monkeypatch):
+    """Over the harness inputs, chvd_clique_plus_chordal builds one clique
+    tree per halving step and hands it to hit_holes_through, which
+    builds none of its own."""
+    counts = {"trees": 0, "steps": 0}
+    folding = [False]
+    fold = approx.chvd_clique_plus_chordal
+    tree_of = approx.clique_tree_of
+    hit = approx.hit_holes_through
+
+    def counting_fold(*args):
+        folding[0] = True
+        try:
+            return fold(*args)
+        finally:
+            folding[0] = False
+
+    def counting_tree(*args):
+        counts["trees"] += folding[0]
+        return tree_of(*args)
+
+    def counting_hit(*args):
+        counts["steps"] += 1
+        return hit(*args)
+
+    monkeypatch.setattr(approx, "chvd_clique_plus_chordal", counting_fold)
+    monkeypatch.setattr(approx, "clique_tree_of", counting_tree)
+    monkeypatch.setattr(approx, "hit_holes_through", counting_hit)
+    assert _run_fold_back(monkeypatch) == 80
+    assert counts["trees"] == counts["steps"] >= 10, counts
 
 
 def _embedded(rng, base):
