@@ -83,9 +83,10 @@ def hit_holes_through(
 
     Unchecked preconditions, which ``chvd_clique_plus_chordal`` builds:
     g[B] complete, L a bag of the tree, x zero on B and below 1/10 on A.
-    The terminal set pairs up vertices at fractional distance >= 1/10 in
-    the downward orientation rooted at L, and 10x is a fractional
-    solution for it.
+    The terminal set pairs u with each v that u reaches at fractional
+    distance >= 1/10 in the downward orientation rooted at L, and 10x is
+    a fractional solution for it.  A v that u does not reach would make a
+    pair that no set needs to cut, so it is left out.
     """
     part_a = frozenset().union(*tree.bags)
     scope = part_a | part_b
@@ -95,15 +96,11 @@ def hit_holes_through(
     # the digraph has arcs only inside A, so every search stays there
     d = inst.digraph
     weights = [x.value(v) for v in d.vertices()]
-    members = sorted(part_a)
     pairs = []
-    for u in members:
+    for u in sorted(part_a):
         dist = dijkstra_vertex_weights(d.out_neighbors, u, weights)[0]
-        pairs += [
-            (u, v)
-            for v in members
-            if v != u and at_least(dist.get(v, float("inf")), 0.1)
-        ]
+        pairs += [(u, v) for v in sorted(dist)
+                  if v != u and at_least(dist[v], 0.1)]
     x10 = FractionalSolution(
         {v: 10.0 * w for v, w in x.values.items() if v in part_a})
     result = downward_multicut(inst.with_terminals(pairs), x10)

@@ -19,7 +19,6 @@ from .approx import NoInstance, approximate
 from .generate import GeneratorSpec, generate, kernel_instance_pool
 from .instance_io import (
     InstanceFile,
-    InstanceFormatError,
     emit,
     emit_solution,
     parse,
@@ -273,9 +272,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InstanceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -15,6 +15,10 @@ from .graphs import Graph, DiGraph, check
 from .chordal import clique_tree_of, is_chordal
 
 
+# the most extra tree nodes a vertex subtree of ``generate``'s core takes
+SUBTREE_EXTRA = 2
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Parameters for one seeded instance."""
@@ -22,7 +26,6 @@ class GeneratorSpec:
     seed: int
     core_vertices: int = 12
     tree_nodes: int = 6
-    subtree_extra: int = 2      # expected extra nodes per vertex subtree
     planted: int = 1            # apex vertices whose removal restores chordality
     apex_degree_lo: int = 3
     apex_degree_hi: int = 6
@@ -30,9 +33,9 @@ class GeneratorSpec:
     budget: int | None = None   # k; defaults to planted count
 
     def __post_init__(self):
-        for name in ("core_vertices", "tree_nodes", "subtree_extra",
-                     "planted", "apex_degree_lo", "apex_degree_hi",
-                     "noise_edges", "budget"):
+        for name in ("core_vertices", "tree_nodes", "planted",
+                     "apex_degree_lo", "apex_degree_hi", "noise_edges",
+                     "budget"):
             if (getattr(self, name) or 0) < 0:
                 raise ValueError(f"negative {name}: {getattr(self, name)}")
         if self.apex_degree_lo > self.apex_degree_hi:
@@ -92,7 +95,7 @@ def generate(spec: GeneratorSpec) -> tuple[Graph, int, frozenset[int]]:
     """
     rng = random.Random(spec.seed)
     core = random_chordal(rng, spec.core_vertices, spec.tree_nodes,
-                          spec.subtree_extra)
+                          SUBTREE_EXTRA)
     n_core = core.n
     edges = list(core.edges())
     planted = []

@@ -33,7 +33,7 @@ drift cannot flip a rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -42,6 +42,7 @@ from .graphs import (
     DiGraph,
     Graph,
     Hole,
+    bfs,
     check,
     check_vertex_ids,
     dijkstra_vertex_weights,
@@ -351,12 +352,17 @@ class ChvdProblem:
 
 
 @dataclass(frozen=True)
-class MulticutProblem:
+class MulticutInstance:
+    """Directed graph plus ordered terminal pairs, and its multicut LP:
+    every vertex is a variable, and ``separate`` returns the terminal
+    paths of ``separate_multicut``."""
+
     d: DiGraph
-    pairs: tuple[tuple[int, int], ...]
+    terminals: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        check_vertex_ids({v for pair in self.pairs for v in pair}, self.d.n)
+        check_vertex_ids({v for pair in self.terminals for v in pair},
+                         self.d.n)
 
     @property
     def vertices(self) -> range:
@@ -364,7 +370,16 @@ class MulticutProblem:
 
     def separate(self, x: FractionalSolution) -> list[frozenset[int]]:
         return [frozenset(path)
-                for path in separate_multicut(self.d, self.pairs, x)]
+                for path in separate_multicut(self.d, self.terminals, x)]
+
+    def is_multicut(self, removed) -> bool:
+        alive = set(self.d.vertices()) - set(removed)
+        reach = cache(lambda s: bfs(self.d.out_neighbors, [s], alive)[0])
+        return all(t not in reach(s) for s, t in self.terminals)
+
+
+# the name perfbench constructs the LP under
+MulticutProblem = MulticutInstance
 
 
 class CuttingPlaneCapExceeded(RuntimeError):

@@ -19,7 +19,6 @@ from typing import AbstractSet, Iterator, Optional, Sequence
 from .graphs import (
     DiGraph,
     Graph,
-    InvariantError,
     bfs,
     bfs_path,
     check,
@@ -28,25 +27,7 @@ from .graphs import (
     extract_path,
 )
 from .chordal import CliqueTree, clique_cover_chordal, minimal_path
-from .lp import FractionalSolution, at_least, separate_multicut
-
-
-@dataclass(frozen=True)
-class MulticutInstance:
-    """Directed graph plus ordered terminal pairs."""
-
-    d: DiGraph
-    terminals: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        check_vertex_ids({v for pair in self.terminals for v in pair},
-                         self.d.n)
-
-    def is_multicut(self, removed) -> bool:
-        alive = set(self.d.vertices()) - set(removed)
-        reach = functools.cache(
-            lambda s: bfs(self.d.out_neighbors, [s], alive)[0])
-        return all(t not in reach(s) for s, t in self.terminals)
+from .lp import FractionalSolution, MulticutInstance, at_least
 
 
 @dataclass(frozen=True)
@@ -233,23 +214,21 @@ def skew_multicut(inst: SkewInstance, x: FractionalSolution) -> frozenset[int]:
     read-only view of d, so no digraph is built.
 
     Raises ValueError when x is infeasible, with a terminal path lighter
-    than 1 - ``lp.FEASIBILITY_TOL``; that is the only check of x.
+    than 1 - ``lp.FEASIBILITY_TOL`` (``inst.base.separate``); that is the
+    only check of x.
     """
-    d = inst.base.d
-    pairs = inst.base.terminals
-    if separate_multicut(d, pairs, x):
+    if inst.base.separate(x):
         raise ValueError("fractional solution is infeasible for the instance")
-    return _skew_cut(inst, x, d.vertices(), pairs)
+    return _skew_cut(inst, x, inst.base.d.vertices())
 
 
 def _skew_cut(inst: SkewInstance, x: FractionalSolution,
-              alive: AbstractSet[int],
-              pairs: Sequence[tuple[int, int]]) -> frozenset[int]:
+              alive: AbstractSet[int]) -> frozenset[int]:
     """``skew_multicut`` on d[alive], in d's ids, past its entry check:
-    terminals outside alive drop out, ``pairs`` are inst's pairs inside
-    alive, and the caller holds that x cuts each of them (``skew_multicut``
-    by separation, ``downward_multicut`` by its distance split).  The cut
-    is checked as a multicut of d[alive] within the log bound.
+    terminals outside alive drop out with their pairs, and the caller
+    holds that x cuts each pair inside alive (``skew_multicut`` by
+    separation, ``downward_multicut`` by its distance split).  The cut is
+    checked as a multicut of d[alive] within the log bound.
     """
     d = inst.base.d
     n = d.n
@@ -259,7 +238,8 @@ def _skew_cut(inst: SkewInstance, x: FractionalSolution,
     view = _CopyView(d, tu, tv)
     iu = {u: i for i, u in enumerate(tu)}
     iv = {v: j for j, v in enumerate(tv)}
-    index_pairs = [(iu[u], iv[v]) for u, v in pairs]
+    index_pairs = [(iu[u], iv[v]) for u, v in inst.base.terminals
+                   if u in iu and v in iv]
     terminals = set(tu) | set(tv)
 
     def src_copy(i: int) -> int:
@@ -363,10 +343,28 @@ def downward_multicut(
 
     Raises ValueError when x is infeasible, with a terminal path lighter
     than 1 - ``lp.FEASIBILITY_TOL``; the skew stages take 2x as it is.
+
+    The entry check and the construction imply these facts, which are
+    not checked again.  A live pair (u, v) has a u -> v path of alive
+    vertices, each with x < 1/8, and ranks rise along it.
+    - Its interval, the nodes strictly inside its minimal tree path, is
+      not empty: else u and v share a bag, or the path's two nodes are
+      adjacent and the live path crosses their adhesion at some w.  The
+      path u -> v or u -> w -> v then weighs under 3/8, which the entry
+      check refuses.
+    - H is chordal, as an intersection graph of subtrees of a tree
+      (Gavril 1974), and the pairs of each of its cliques share a tree
+      node (the Helly property of subtrees).
+    - That node lies inside each member's interval, so its bag separates
+      u from v and holds neither: the live path crosses it at an alive w
+      with rank[w] > rank[u], and beta_p is not empty.
+    Kept are the lemma's checks: disjoint cores for pairs not adjacent in
+    H, at most 2|x| cliques, the distance split, the down pairs' distance
+    from the bag, the min cut's 2|x| bound and the multicut certificate.
     """
     d = inst.digraph
-    pairs = list(inst.terminals)
-    if separate_multicut(d, pairs, x):
+    base = MulticutInstance(d, inst.terminals)
+    if base.separate(x):
         raise ValueError("fractional solution is infeasible for the instance")
     rank = inst.rank()
     weights = [x.value(v) for v in d.vertices()]
@@ -380,10 +378,9 @@ def downward_multicut(
     # are exact, and every other entry, or a missing one, is at least 1.
     dist = functools.cache(lambda source: dijkstra_vertex_weights(
         d.out_neighbors, source, weights, allowed=alive, cutoff=1.0)[0])
-    base = MulticutInstance(d, inst.terminals)
     live_pairs = []
     cores: dict[tuple[int, int], frozenset[int]] = {}
-    for u, v in pairs:
+    for u, v in base.terminals:
         path = bfs_path(d.out_neighbors, [u], {v}, alive)
         if path is not None:
             live_pairs.append((u, v))
@@ -393,14 +390,8 @@ def downward_multicut(
         return frozenset(solution)
 
     tree = inst.tree
-    intervals: dict[tuple[int, int], frozenset[int]] = {}
-    for u, v in live_pairs:
-        check(not inst.g.has_edge(u, v),
-              "adjacent terminal pair survived the threshold deletion")
-        nodes = minimal_path(tree, u, v)
-        inner = frozenset(nodes[1:-1])
-        check(len(inner) > 0, "terminal pair with no internal tree nodes")
-        intervals[(u, v)] = inner
+    intervals = {(u, v): frozenset(minimal_path(tree, u, v)[1:-1])
+                 for u, v in live_pairs}
     hn = len(live_pairs)
     h = Graph(hn, [
         (i, j)
@@ -408,10 +399,7 @@ def downward_multicut(
         for j in range(i + 1, hn)
         if intervals[live_pairs[i]] & intervals[live_pairs[j]]
     ])
-    try:
-        cover = clique_cover_chordal(h)
-    except ValueError:
-        raise InvariantError("auxiliary pair graph is not chordal") from None
+    cover = clique_cover_chordal(h)
     for i in range(hn):
         for j in range(i + 1, hn):
             if not h.has_edge(i, j):
@@ -428,16 +416,11 @@ def downward_multicut(
 
     for part in sorted(cover, key=sorted):
         members = [live_pairs[i] for i in sorted(part)]
-        common = frozenset.intersection(*(intervals[p] for p in members))
-        check(len(common) > 0, "clique in H has no common tree node")
-        s_node = min(common)
-        bag = tree.bags[s_node]
-        bag_alive = sorted(w for w in bag if w in alive)
-        check(bool(bag_alive), "shared bag fully deleted under live pairs")
+        s_node = min(frozenset.intersection(*(intervals[p] for p in members)))
+        bag_alive = sorted(w for w in tree.bags[s_node] if w in alive)
         up: list[tuple[int, int]] = []
         down: list[tuple[int, int, list[int]]] = []
         for u, v in members:
-            check(u not in bag and v not in bag, "terminal inside the shared bag")
             du_map = dist(u)
             du = min((du_map.get(w, float("inf")) for w in bag_alive),
                      default=float("inf"))
@@ -445,7 +428,6 @@ def downward_multicut(
                 (w for w in bag_alive if rank[u] <= rank[w]),
                 key=lambda w: rank[w],
             )
-            check(bool(beta_p), "live pair with an empty bag suffix")
             dv = float("inf")
             for w in beta_p:
                 dv = min(dv, dist(w).get(v, float("inf")))
@@ -476,7 +458,7 @@ def downward_multicut(
                 skew_pairs.extend((w, v) for w in beta_p)
             skew = SkewInstance(MulticutInstance(d, tuple(skew_pairs)),
                                 tuple(tu), tuple(tv))
-            solution |= _skew_cut(skew, x_local, alive, skew_pairs)
+            solution |= _skew_cut(skew, x_local, alive)
 
     check(base.is_multicut(solution), "assembled set is not a multicut")
     return frozenset(solution)

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from chvd import approx
-from chvd.graphs import Graph, InvariantError, components_within, \
-    induced_subgraph, is_clique
+from chvd.graphs import Graph, InvariantError, bfs_path, \
+    components_within, induced_subgraph, is_clique
 from chvd.chordal import clique_tree_of, is_chordal
 from chvd.lp import ChvdProblem, FractionalSolution, solve_fractional
 from chvd.approx import (
@@ -589,6 +589,38 @@ def test_fold_back_builds_one_clique_tree_per_halving_step(monkeypatch):
     monkeypatch.setattr(approx, "hit_holes_through", counting_hit)
     assert _run_fold_back(monkeypatch) == 80
     assert counts["trees"] == counts["steps"] >= 10, counts
+
+
+def test_fold_back_passes_only_pairs_with_a_path(monkeypatch):
+    """Over the harness inputs, every terminal pair that hit_holes_through
+    hands to downward_multicut has a u -> v path, and adding back each
+    pair (u, v) with no path, where the pairing used to put it, gives the
+    same cut."""
+    counts = {"calls": 0, "pairs": 0, "unreachable": 0}
+    engine = approx.downward_multicut
+
+    def checked(inst, x):
+        got = engine(inst, x)
+        d = inst.digraph
+        kept = set(inst.terminals)
+        assert len(kept) == len(inst.terminals)
+        assert all(bfs_path(d.out_neighbors, [u], {v}) is not None
+                   for u, v in kept)
+        members = sorted(inst.order)
+        full = [(u, v) for u in members for v in members
+                if (u, v) in kept or (
+                    v != u and bfs_path(d.out_neighbors, [u], {v}) is None)]
+        assert [p for p in full if p in kept] == list(inst.terminals)
+        assert engine(inst.with_terminals(full), x) == got
+        counts["calls"] += 1
+        counts["pairs"] += len(kept)
+        counts["unreachable"] += len(full) - len(kept)
+        return got
+
+    monkeypatch.setattr(approx, "downward_multicut", checked)
+    assert _run_fold_back(monkeypatch) == 80
+    # 730 pairs with a path in 6 calls; 993 more had none
+    assert counts["calls"] >= 2 and counts["unreachable"] >= counts["pairs"]
 
 
 def _embedded(rng, base):

@@ -107,8 +107,8 @@ def test_cli_gen_solve_check_flow(tmp_path):
 
 
 @pytest.mark.parametrize("field", ["core_vertices", "planted", "noise_edges",
-                                   "budget", "tree_nodes", "subtree_extra",
-                                   "apex_degree_lo", "apex_degree_hi"])
+                                   "budget", "tree_nodes", "apex_degree_lo",
+                                   "apex_degree_hi"])
 def test_generator_spec_rejects_a_negative_count(field):
     with pytest.raises(ValueError, match=f"negative {field}: -1"):
         GeneratorSpec(seed=0, **{field: -1})

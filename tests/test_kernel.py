@@ -172,6 +172,55 @@ def test_rule3_deletes_unmarked_clique_vertex():
     assert instance_answer(out) == before
 
 
+def rerooted_rule2_instance(k):
+    """M = {0, 1} and k + 2 triangles {a, b, c}, each hanging off its own
+    vertex c of a core clique one above the clique-size bound; 0 sees a
+    and c, 1 sees b and c.  Rooted at a triangle's bag, as the core's
+    clique tree is, the xy-good nodes in that triangle are ancestors of
+    the clique, so only k + 1 are bottommost and rule 2 stays silent;
+    rooted at the clique, all k + 2 are."""
+    n = 2 + 2 * (k + 2)
+    clique = range(n, n + KernelParams(k, 2).omega_bound + 1)
+    edges = [(u, v) for u in clique for v in clique if u < v]
+    for i in range(k + 2):
+        a, b, c = 2 + 2 * i, 3 + 2 * i, clique[i]
+        edges += [(a, b), (a, c), (b, c), (0, a), (0, c), (1, b), (1, c)]
+    return AChvdInstance(Graph(clique.stop, edges), k, frozenset({0, 1}))
+
+
+@pytest.mark.parametrize("k, answer", [(0, False), (1, True)])
+def test_rule3_forces_the_pair_that_its_rerooted_tree_makes_good(k, answer):
+    inst = rerooted_rule2_instance(k)
+    inst.validate()
+    assert len(inst.tree.bags[inst.tree.root]) == 3
+    assert rule1_common_neighbours(inst) is None
+    assert rule2_xy_good(inst) is None
+    assert instance_answer(inst) is answer
+    fired = rule3_reduce_clique(inst)
+    assert fired is not None
+    out, event = fired
+    assert event.rule == "rule2" and event.forced_pair == (0, 1)
+    assert event.witness == (0, 1, k + 2)
+    out.validate()
+    assert instance_answer(out) is answer
+
+
+def test_rule3_marks_from_the_clique_when_a_vertex_sees_all_of_it():
+    # 0 sees the whole K6, so no nonneighbour component of 0 meets the
+    # clique, and the marks for 0 are measured from the clique's own node
+    edges = [(u, v) for u in range(1, 7) for v in range(u + 1, 7)]
+    edges += [(0, v) for v in range(1, 7)]
+    inst = AChvdInstance(Graph(7, edges), 0, frozenset({0}))
+    inst.validate()
+    assert list(inst.nonneighbor_components(0)) == []
+    fired = rule3_reduce_clique(inst)
+    assert fired is not None
+    out, event = fired
+    assert event.rule == "rule3" and event.deleted == (1,)
+    out.validate()
+    assert instance_answer(out) is instance_answer(inst) is True
+
+
 def test_rule3_requires_oversized_clique():
     edges = [(u, v) for u in range(1, 4) for v in range(u + 1, 4)]
     inst = AChvdInstance(Graph(4, edges), 0, frozenset({0}))

@@ -8,8 +8,7 @@ import pytest
 from chvd import multicut
 from chvd.graphs import DiGraph, Graph, bfs_path, induced_subgraph
 from chvd.chordal import PEO, clique_tree_of, recognize
-from chvd.lp import FractionalSolution, MulticutProblem, \
-    separate_multicut, solve_fractional
+from chvd.lp import FractionalSolution, separate_multicut, solve_fractional
 from chvd.multicut import (
     DownwardInstance,
     MulticutInstance,
@@ -169,14 +168,30 @@ def test_skew_rejects_infeasible_fraction():
         skew_multicut(inst, FractionalSolution({1: 0.25}))
 
 
+def test_downward_rejects_infeasible_fraction():
+    """An adjacent pair, and a pair two arcs apart whose tree interval is
+    empty, under an x that leaves both alive: the entry check refuses x,
+    so the later stages never meet such a pair."""
+    g = Graph(3, [(0, 1), (1, 2)])
+    inst = build_downward(g, clique_tree_of(g))
+    u, w, v = inst.order
+    assert w == 1
+    light = FractionalSolution(dict.fromkeys(g.vertices(), 0.1))
+    for pair in ((u, w), (u, v)):
+        with pytest.raises(ValueError, match="infeasible"):
+            downward_multicut(inst.with_terminals([pair]), light)
+    assert downward_multicut(inst.with_terminals([(u, v)]),
+                             FractionalSolution({w: 1.0})) == {w}
+
+
 def test_engines_refuse_a_negative_or_nan_x_as_an_input_error():
     """Such an x is refused when it is built, with ValueError; the
     engines, given it, used to fail on an internal invariant instead."""
     nan = float("nan")
     d, tu, tv, pairs = random_staircase(0)
-    x = solve_fractional(MulticutProblem(d, tuple(pairs)))
-    inst = SkewInstance(MulticutInstance(d, tuple(pairs)),
-                        tuple(tu), tuple(tv))
+    base = MulticutInstance(d, tuple(pairs))
+    x = solve_fractional(base)
+    inst = SkewInstance(base, tuple(tu), tuple(tv))
     shifted = dict(x.values)
     shifted[tu[0]] -= 5
     for values in (dict.fromkeys(x.values, nan), shifted):
@@ -194,9 +209,9 @@ def test_skew_random_staircases_bound_and_validity():
         d, tu, tv, pairs = random_staircase(seed, n=11, a=3, b=3)
         if not pairs:
             continue
-        x = solve_fractional(MulticutProblem(d, tuple(pairs)))
-        inst = SkewInstance(MulticutInstance(d, tuple(pairs)),
-                            tuple(tu), tuple(tv))
+        base = MulticutInstance(d, tuple(pairs))
+        x = solve_fractional(base)
+        inst = SkewInstance(base, tuple(tu), tuple(tv))
         got = skew_multicut(inst, x)
         assert inst.base.is_multicut(got)
         bound = x.objective * math.ceil(math.log2(len(tu) + 1))
@@ -223,14 +238,13 @@ def test_skew_on_alive_matches_the_copy_digraph_on_a_renumbered_copy():
         sub = ref_induced_digraph(d, alive)
         m = sub.index
         local = tuple((m[u], m[v]) for u, v in pairs if u in m and v in m)
-        x_sub = solve_fractional(MulticutProblem(sub.graph, local))
+        x_sub = solve_fractional(MulticutInstance(sub.graph, local))
         x = FractionalSolution({sub.old_of[v]: w
                                 for v, w in x_sub.values.items()})
         inst = SkewInstance(MulticutInstance(d, tuple(pairs)),
                             tuple(tu), tuple(tv))
         want = ref_skew_on_copy(inst, x, alive)
-        got = multicut._skew_cut(inst, x, alive, [
-            (u, v) for u, v in pairs if u in alive and v in alive])
+        got = multicut._skew_cut(inst, x, alive)
         assert got == want, trial
         assert sorted(got) == sorted(want)
         cut += bool(got)
@@ -241,7 +255,7 @@ def test_multicut_engines_build_no_digraph(monkeypatch):
     instances = [out for seed in range(30)
                  if (out := random_diffuse_downward(seed)) is not None]
     staircases = [random_staircase(seed, n=24, a=6, b=6) for seed in range(10)]
-    xs = [solve_fractional(MulticutProblem(d, tuple(pairs)))
+    xs = [solve_fractional(MulticutInstance(d, tuple(pairs)))
           for d, _, _, pairs in staircases]
     builds = []
     original_init = DiGraph.__init__
@@ -280,9 +294,9 @@ def test_staircase_lp_and_skew_outputs_are_pinned():
     h = hashlib.sha256()
     for seed in range(6):
         d, tu, tv, pairs = random_staircase(seed, n=72, a=12, b=12, p=0.25)
-        x = solve_fractional(MulticutProblem(d, tuple(pairs)))
-        inst = SkewInstance(MulticutInstance(d, tuple(pairs)),
-                            tuple(tu), tuple(tv))
+        base = MulticutInstance(d, tuple(pairs))
+        x = solve_fractional(base)
+        inst = SkewInstance(base, tuple(tu), tuple(tv))
         cut = skew_multicut(inst, x)
         h.update(f"{seed} {x.objective!r} {sorted(cut)}\n".encode())
     assert h.hexdigest() == STAIRCASE_DIGEST
@@ -300,9 +314,9 @@ def test_skew_outputs_of_more_staircases_are_pinned():
     h = hashlib.sha256()
     for seed in range(56, 80):
         d, tu, tv, pairs = random_staircase(seed, n=72, a=12, b=12, p=0.25)
-        x = solve_fractional(MulticutProblem(d, tuple(pairs)))
-        inst = SkewInstance(MulticutInstance(d, tuple(pairs)),
-                            tuple(tu), tuple(tv))
+        base = MulticutInstance(d, tuple(pairs))
+        x = solve_fractional(base)
+        inst = SkewInstance(base, tuple(tu), tuple(tv))
         h.update(f"{seed} {sorted(skew_multicut(inst, x))}\n".encode())
     assert h.hexdigest() == SKEW_DIGEST
 
@@ -323,6 +337,78 @@ def test_diffuse_downward_outputs_are_pinned():
         cut = downward_multicut(inst, x)
         h.update(f"{seed} {list(inst.terminals)} {sorted(cut)}\n".encode())
     assert h.hexdigest() == DOWNWARD_DIGEST
+
+
+def _branching_downward(seed):
+    """A diffuse downward instance on a branching clique tree: two or
+    three paths of cliques hang off one centre clique, the tree is rooted
+    at a bag holding the centre, and x is uniform below 1/8.  Pairs in
+    different branches have disjoint tree intervals, so the auxiliary
+    graph H is not complete and its clique cover has several parts."""
+    rng = random.Random(seed)
+    centre = list(range(rng.randint(1, 3)))
+    edges = [(u, v) for u in centre for v in centre if u < v]
+    n = len(centre)
+    for _ in range(rng.randint(2, 3)):
+        prev = centre
+        for _ in range(rng.randint(8, 11)):
+            block = list(range(n, n + rng.randint(1, 2)))
+            n += len(block)
+            edges += [(u, v) for u in block for v in block if u < v]
+            edges += [(u, v) for u in prev for v in block]
+            prev = block
+    g = Graph(n, edges)
+    tree = clique_tree_of(g)
+    base = build_downward(
+        g, tree.reroot(tree.first_bag_containing(frozenset(centre))))
+    x = FractionalSolution(dict.fromkeys(g.vertices(),
+                                         1.0 / rng.randint(9, 12)))
+    candidates = []
+    for u in g.vertices():
+        dist = dist_from(base.digraph, x, u)
+        candidates += [(u, v) for v, cost in sorted(dist.items())
+                       if cost >= 1.0 and not g.has_edge(u, v)]
+    if not candidates:
+        return None
+    pairs = sorted(set(rng.sample(candidates,
+                                  min(len(candidates), rng.randint(2, 6)))))
+    return base.with_terminals(pairs), x
+
+
+# Recorded before the checks that the construction implies were deleted
+# from downward_multicut: the terminals and sorted output of each
+# branching instance.
+BRANCHING_DIGEST = (
+    "31f1d42172a7ca07fe75fa8808ca4296306507e323bf81d06fb76476ae90ee65")
+
+
+def test_downward_multicut_covers_a_branching_tree_by_several_cliques(
+        monkeypatch):
+    """On branching clique trees H has several cover parts (the path of
+    cliques of the diffuse instances never gives more than one), and the
+    cut is a multicut between the optimum and 2|x|."""
+    parts = []
+    cover = multicut.clique_cover_chordal
+
+    def recording_cover(h):
+        found = cover(h)
+        parts.append(len(found))
+        return found
+
+    monkeypatch.setattr(multicut, "clique_cover_chordal", recording_cover)
+    h = hashlib.sha256()
+    for seed in range(40):
+        out = _branching_downward(seed)
+        if out is None:
+            continue
+        inst, x = out
+        cut = downward_multicut(inst, x)
+        assert MulticutInstance(inst.digraph, inst.terminals).is_multicut(cut)
+        opt = exact_multicut(inst.digraph, list(inst.terminals), inst.g.n)
+        assert opt.optimum <= len(cut) <= 2 * x.objective
+        h.update(f"{seed} {list(inst.terminals)} {sorted(cut)}\n".encode())
+    assert sum(p >= 2 for p in parts) >= 10, parts
+    assert h.hexdigest() == BRANCHING_DIGEST
 
 
 def test_downward_searches_cut_off_at_one_change_no_output(monkeypatch):
@@ -531,7 +617,7 @@ def test_downward_multicut_random_instances():
         inst = _random_downward_instance(seed)
         if inst is None:
             continue
-        x = solve_fractional(MulticutProblem(inst.digraph, inst.terminals))
+        x = solve_fractional(MulticutInstance(inst.digraph, inst.terminals))
         got = downward_multicut(inst, x)
         assert all(
             bfs_path(inst.digraph.out_neighbors, [s], {t},

@@ -15,6 +15,13 @@ def test_every_export_resolves():
     assert len(set(chvd.__all__)) == len(chvd.__all__)
 
 
+def test_multicut_has_one_instance_type():
+    """The multicut LP and the instance the engines cut are one class;
+    MulticutProblem is a second name for it."""
+    assert chvd.MulticutProblem is chvd.MulticutInstance
+    assert chvd.lp.MulticutProblem is chvd.multicut.MulticutInstance
+
+
 def test_only_kernel_events_renumber_vertices():
     """Renumbered copies and their id maps live in graphs.py, and only
     kernel.py, which applies reduction events, uses them; every other
