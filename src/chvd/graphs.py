@@ -1,7 +1,8 @@
 """Core graph types: undirected graphs, directed graphs, and holes, with
 the graph queries shared by every layer: the boundary N(S) - S of a
 vertex set, the clique test, one breadth-first search and one path
-search over any neighbours function, one vertex-weighted search, maximum
+search over any neighbours function, the same search over the residual
+network of a vertex-split flow, one vertex-weighted search, maximum
 cardinality search, and the lightest hole, through a vertex or in the
 whole graph.
 
@@ -297,6 +298,72 @@ def bfs_path(
     return None if t is None else extract_path(prev, t)
 
 
+def split_residual_bfs(
+    out_neighbors: Callable[[int], Iterable[int]],
+    alive: Container[int],
+    capacity: dict[int, int],
+    unbounded: int,
+    through: dict[int, int],
+    carried: dict[int, dict[int, int]],
+    starts: Iterable[int],
+    ends: Container[int],
+) -> tuple[dict[int, int], Optional[int]]:
+    """``bfs`` over the residual network of a vertex-split flow, read off
+    its flow tables instead of a neighbours function.
+
+    Node 2v is v_in and 2v+1 is v_out.  Each alive v has its split arc
+    v_in -> v_out, of capacity ``capacity.get(v, unbounded)``, and each
+    arc v -> w of ``out_neighbors`` between alive vertices is an
+    unbounded arc v_out -> w_in.  ``through[v]`` is the flow on v's split
+    arc and ``carried[w][v]`` the flow on arc v -> w while positive;
+    absent entries are 0.  The residual arcs of a node, in the order the
+    search takes them: out of v_out, the arcs of d to alive w, then back
+    along v's split arc if it carries flow; out of v_in, along v's split
+    arc if it has room, then back along each arc u -> v that carries
+    flow, in ``carried[v]`` order.
+
+    ``starts`` are in-nodes and ``ends`` out-nodes, and no flow leaves
+    an end: a flow pushed along the paths this search returns stops at
+    the first end it meets.  So an end is reached along its split arc
+    only, and only there is it looked for.  Returns what ``bfs`` returns:
+    the predecessor map, in discovery order, with every start its own
+    predecessor, and the first end discovered, or None.  The search stops
+    at that end.
+    """
+    prev: dict[int, int] = {}
+    queue: deque[int] = deque()
+    for a in starts:
+        if a not in prev:
+            prev[a] = a
+            queue.append(a)
+    pop, push = queue.popleft, queue.append
+    while queue:
+        a = pop()
+        v = a >> 1
+        if a & 1:
+            for w in out_neighbors(v):
+                b = 2 * w
+                if b not in prev and w in alive:
+                    prev[b] = a
+                    push(b)
+            if through.get(v) and a - 1 not in prev:
+                prev[a - 1] = a
+                push(a - 1)
+        else:
+            if (a + 1 not in prev
+                    and through.get(v, 0) < capacity.get(v, unbounded)):
+                prev[a + 1] = a
+                if a + 1 in ends:
+                    return prev, a + 1
+                push(a + 1)
+            for u in carried.get(v, ()):
+                b = 2 * u + 1
+                if b not in prev:
+                    prev[b] = a
+                    push(b)
+    return prev, None
+
+
 @dataclass(frozen=True)
 class Hole:
     """An induced cycle of length at least four, stored as a cyclic sequence."""
@@ -363,25 +430,32 @@ def dijkstra_vertex_weights(
     """Shortest vertex-weighted distances from source; path cost includes
     both endpoints.
 
-    ``weights`` is a table indexed by vertex id.  ``neighbors`` gives the
-    out-neighbours of a vertex, so the search runs on a Graph or a DiGraph
-    alike.  ``allowed`` limits the vertices the search may enter; the
-    source and ``targets`` are admitted even outside it.  A target gets a
-    distance but is never expanded, so no path passes through it.  The
-    search stops early once every target is settled, or when it pops a
-    distance ``>= cutoff``.  Distances and predecessors of the vertices
-    settled by then are exact; any other entry of the result is an upper
-    bound no smaller than the last popped distance.  A heap pops
-    ``(distance, id)`` pairs.
+    ``weights`` is a table indexed by vertex id, nonnegative and finite.
+    ``neighbors`` gives the out-neighbours of a vertex, so the search runs
+    on a Graph or a DiGraph alike.  ``allowed`` limits the vertices the
+    search may enter; the source and ``targets`` are admitted even
+    outside it.  A target gets a distance but is never expanded, so no
+    path passes through it.  The search stops early once every target is
+    settled, or when it pops a distance ``>= cutoff``.  Distances and
+    predecessors of the vertices settled by then are exact; any other
+    entry of the result is an upper bound no smaller than the last popped
+    distance.  A heap pops ``(distance, id)`` pairs.
+
+    A vertex settles on first touch.  Every push is a popped distance
+    plus a nonnegative weight, so the heap pops distances in ascending
+    order, and w is first reached from the in-neighbour popped first.
+    A later in-neighbour pops a distance no smaller, and rounded addition
+    is monotone, so it cannot offer w less: w's first distance and
+    predecessor are final, w enters the heap once, and no entry is ever
+    stale.
     """
+    heappop, heappush = heapq.heappop, heapq.heappush
     pending = set(targets)
     prev = {source: source}
     dist = {source: weights[source]}
     heap = [(dist[source], source)]
     while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist.get(u, math.inf):
-            continue
+        d, u = heappop(heap)
         if d >= cutoff:
             break
         if u in pending:
@@ -390,13 +464,13 @@ def dijkstra_vertex_weights(
                 break
             continue
         for w in neighbors(u):
-            if allowed is not None and w not in allowed and w not in pending:
+            if w in dist or (allowed is not None and w not in allowed
+                             and w not in pending):
                 continue
             nd = d + weights[w]
-            if nd < dist.get(w, math.inf) - 1e-15:
-                dist[w] = nd
-                prev[w] = u
-                heapq.heappush(heap, (nd, w))
+            dist[w] = nd
+            prev[w] = u
+            heappush(heap, (nd, w))
     return dist, prev
 
 
@@ -557,7 +631,8 @@ def lightest_hole(
     bounded by the best weight so far, and returns the ``(hole, weight)``
     found at the first vertex, in ``g.vertices()`` order, whose search
     reaches the least weight.  ``weights`` is a table indexed by vertex
-    id, nonnegative, or None for unit weights.
+    id, nonnegative, or None for unit weights; a negative weight on an
+    allowed vertex raises ValueError.
 
     Each hole is searched once, at its least vertex: the search through v
     runs in g[allowed] less every vertex before v.  This returns what
@@ -604,6 +679,9 @@ def lightest_hole(
     ids = [v for v in g.vertices() if v in inner]
     low = (1 if weights is None
            else min((weights[v] for v in ids), default=0))
+    if low < 0:
+        bad = min(v for v in ids if weights[v] < 0)
+        raise ValueError(f"negative weight {weights[bad]} at vertex {bad}")
     floor = low + low + low + low
     lower = ([floor] * len(ids) if bounds is None
              else [max(floor, bounds[v]) for v in ids])

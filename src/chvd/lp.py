@@ -373,7 +373,11 @@ class MulticutInstance:
                 for path in separate_multicut(self.d, self.terminals, x)]
 
     def is_multicut(self, removed) -> bool:
-        alive = set(self.d.vertices()) - set(removed)
+        """True iff deleting ``removed`` leaves no terminal pair
+        connected.  Raises ValueError on an id outside 0..n-1."""
+        removed = set(removed)
+        check_vertex_ids(removed, self.d.n)
+        alive = set(self.d.vertices()) - removed
         reach = cache(lambda s: bfs(self.d.out_neighbors, [s], alive)[0])
         return all(t not in reach(s) for s, t in self.terminals)
 

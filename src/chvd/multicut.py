@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import AbstractSet, Iterator, Optional, Sequence
+from typing import AbstractSet, Optional, Sequence
 
 from .graphs import (
     DiGraph,
@@ -25,6 +25,7 @@ from .graphs import (
     check_vertex_ids,
     dijkstra_vertex_weights,
     extract_path,
+    split_residual_bfs,
 )
 from .chordal import CliqueTree, clique_cover_chordal, minimal_path
 from .lp import FractionalSolution, MulticutInstance, at_least
@@ -92,8 +93,9 @@ def min_vertex_cut(
     ValueError on an alive id outside 0..n-1.
 
     No network is built.  The flow through each split arc and the flow on
-    each used arc of d are the only tables, and the search reads the
-    residual arcs off ``d.out_neighbors`` and those tables.  Which
+    each used arc of d are the only tables, and ``split_residual_bfs``
+    reads the residual arcs off ``d.out_neighbors`` and those tables
+    directly, with no neighbours function between them.  Which
     augmenting paths it takes does not matter: after any maximum flow,
     the nodes reachable from the source in the residual network are the
     same set, the intersection of the source sides of all minimum cuts.
@@ -111,31 +113,16 @@ def min_vertex_cut(
     inf = unit * (len(alive) + 1)
     avoid_set = set(prefer_avoiding)
     capacity = {v: unit + 1 if v in avoid_set else unit for v in deletable}
-    out_neighbors = d.out_neighbors
     # node 2v is v_in, 2v+1 is v_out.  through[v] is the flow on v's split
     # arc; carried[w][v] is the flow on arc v -> w of d while positive.
     through: dict[int, int] = {}
     carried: dict[int, dict[int, int]] = {}
-
-    def residual(a: int) -> Iterator[int]:
-        v = a >> 1
-        if a & 1:
-            for w in out_neighbors(v):
-                if w in alive:
-                    yield 2 * w
-            if through.get(v):
-                yield a - 1
-        else:
-            if through.get(v, 0) < capacity.get(v, inf):
-                yield a + 1
-            for u in carried.get(v, ()):
-                yield 2 * u + 1
-
     starts = [2 * s for s in set(sources).intersection(alive)]
     ends = {2 * t + 1 for t in set(sinks).intersection(alive)}
     flow = 0
     while True:
-        prev, end = bfs(residual, starts, targets=ends)
+        prev, end = split_residual_bfs(d.out_neighbors, alive, capacity,
+                                       inf, through, carried, starts, ends)
         if end is None:
             break
         path = extract_path(prev, end)

@@ -48,6 +48,9 @@ of the library's ``exact_chvd`` on that copy, which maps back to the
 same set, plus a central bag of what it leaves.
 ``ref_staircase_fault`` is ``SkewInstance``'s staircase check that
 visited, for every pair, every pair it implies.
+``ref_split_residual`` is the residual neighbours generator that
+``min_vertex_cut`` fed to ``bfs`` before ``split_residual_bfs`` read its
+flow tables directly.
 ``ref_induced_digraph`` is the renumbered copy of d[s] that
 ``DiGraph.induced`` built; ``ref_skew_multicut`` is the skew engine that
 built a copy digraph with the terminal copies, and ``ref_skew_on_copy``
@@ -728,6 +731,27 @@ def ref_min_vertex_cut(d: DiGraph, sources, sinks, deletable,
     return frozenset(
         v for v in range(n) if 2 * v in reach and 2 * v + 1 not in reach
     )
+
+
+def ref_split_residual(out_neighbors, alive, capacity, unbounded, through,
+                       carried):
+    """The residual neighbours of a vertex-split flow as a generator over
+    node ids (2v is v_in, 2v+1 is v_out), for ``bfs``: the tables are
+    those of ``split_residual_bfs``."""
+    def residual(a):
+        v = a >> 1
+        if a & 1:
+            for w in out_neighbors(v):
+                if w in alive:
+                    yield 2 * w
+            if through.get(v):
+                yield a - 1
+        else:
+            if through.get(v, 0) < capacity.get(v, unbounded):
+                yield a + 1
+            for u in carried.get(v, ()):
+                yield 2 * u + 1
+    return residual
 
 
 def ref_induced_digraph(d: DiGraph, s) -> Subgraph:

@@ -153,6 +153,15 @@ def test_skew_instance_rejects_a_repeated_target():
         SkewInstance(MulticutInstance(d, ((0, 3),)), (0,), (3, 3))
 
 
+def test_is_multicut_rejects_an_unknown_id():
+    inst = MulticutInstance(DiGraph(3, [(0, 1), (1, 2)]), ((0, 2),))
+    assert inst.is_multicut({1}) and not inst.is_multicut(set())
+    with pytest.raises(ValueError, match="unknown vertex id 99"):
+        inst.is_multicut({99})
+    with pytest.raises(ValueError, match="unknown vertex id -1"):
+        inst.is_multicut([-1, 1])
+
+
 def test_min_vertex_cut_rejects_an_unknown_alive_id():
     d = DiGraph(4, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(ValueError, match="unknown vertex id 9"):

@@ -32,6 +32,7 @@ from bruteforce import (
     ref_induced_digraph,
     ref_lightest_hole,
     ref_min_vertex_cut,
+    ref_split_residual,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "chvd"
@@ -226,6 +227,102 @@ def test_min_vertex_cut_does_not_depend_on_neighbour_order():
     assert refused >= 25 and cut >= 100 and avoided >= 40
 
 
+def push_one(path, through, carried):
+    """One more unit of flow along a residual path of split nodes."""
+    for a, b in zip(path, path[1:]):
+        v, w = a >> 1, b >> 1
+        if v == w:
+            through[v] = through.get(v, 0) + (1 if b > a else -1)
+        elif a & 1:
+            into = carried.setdefault(w, {})
+            into[v] = into.get(v, 0) + 1
+        else:
+            carried[v][w] -= 1
+            if not carried[v][w]:
+                del carried[v][w]
+
+
+def random_residual_path(rng, residual, starts, ends):
+    """A path from a start to an end by a depth-first search that takes
+    residual arcs in random order, or None: longer than a breadth-first
+    one, so the flow pushed along it leaves arcs to cancel."""
+    seen = set()
+    stack = [[a] for a in rng.sample(starts, len(starts))]
+    while stack:
+        path = stack.pop()
+        if path[-1] in seen:
+            continue
+        seen.add(path[-1])
+        if path[-1] in ends:
+            return path
+        nxt = list(residual(path[-1]))
+        rng.shuffle(nxt)
+        stack.extend(path + [b] for b in nxt if b not in seen)
+    return None
+
+
+def test_split_residual_search_matches_bfs_over_the_residual_generator():
+    """On random DAGs, alive sets and flow states built by a few
+    augmentations, the residual search reads the flow tables as bfs
+    over the residual generator does: it takes the residual arcs in the
+    generator's order, so both give the same predecessors, in the same
+    order, and the same end; with no path to an end both reach the same
+    nodes, and otherwise the path takes residual arcs only."""
+    rng = random.Random(41)
+    blocked = found = back_split = back_arc = 0
+    for _ in range(1000):
+        # layers of two to four vertices, arcs from each layer to the
+        # next: flows between the first and last layer cross often
+        width, depth = rng.randint(2, 4), rng.randint(2, 5)
+        n = width * depth
+        p = rng.uniform(0.4, 0.8)
+        d = DiGraph(n, [(u, v) for u in range(n - width)
+                        for v in range((u // width + 1) * width,
+                                       (u // width + 2) * width)
+                        if rng.random() < p])
+        alive = (range(n) if rng.random() < 0.3
+                 else some(rng, n, rng.uniform(0.7, 1.0)))
+        sources = rng.sample(range(width), rng.randint(1, 2))
+        sinks = rng.sample(range(n - width, n), rng.randint(1, 2))
+        starts = [2 * s for s in sources if s in alive]
+        ends = {2 * t + 1 for t in sinks if t in alive}
+        # terminals are mostly unbounded, so the flow often takes
+        # several paths, and the inner vertices are mostly unit
+        capacity = {v: rng.choice([1, 1, 2])
+                    for v in some(rng, n, rng.uniform(0.5, 1.0))
+                    if v not in sources + sinks or rng.random() < 0.2}
+        unbounded = rng.choice([3, 100])
+        through: dict = {}
+        carried: dict = {}
+        residual = ref_split_residual(d.out_neighbors, alive, capacity,
+                                      unbounded, through, carried)
+        for _ in range(rng.randint(1, 8)):
+            got_prev, got_end = graphs.split_residual_bfs(
+                d.out_neighbors, alive, capacity, unbounded, through,
+                carried, starts, ends)
+            want_prev, want_end = bfs(residual, starts, targets=ends)
+            assert got_end == want_end
+            assert list(got_prev.items()) == list(want_prev.items())
+            # nodes the search reached backward along a split arc, or
+            # along an arc of d
+            back_split += any(b < a and a >> 1 == b >> 1
+                              for b, a in got_prev.items())
+            back_arc += any(a >> 1 != b >> 1 and not a & 1
+                            for b, a in got_prev.items())
+            if got_end is None:
+                blocked += 1
+                break
+            assert got_end in ends
+            path = extract_path(got_prev, got_end)
+            assert path[0] in starts
+            assert all(b in residual(a) for a, b in zip(path, path[1:]))
+            found += 1
+            push_one(random_residual_path(rng, residual, starts, ends),
+                     through, carried)
+    assert blocked >= 500 and found >= 1000
+    assert back_split >= 20 and back_arc >= 200
+
+
 def test_vertex_weighted_search_matches_the_heap_reference():
     """A weight table runs on the heap and gives the frozen heap search's
     distances and predecessors, values and insertion order; unit weights
@@ -320,6 +417,19 @@ def test_lightest_hole_takes_length_bounds_under_unit_weights_only():
     bounds = [0] * 4
     assert lightest_hole(g, None, range(4), math.inf, bounds)[1] == 4
     assert bounds == [4, 0, 0, 0]
+
+
+def test_lightest_hole_refuses_a_negative_allowed_weight():
+    """The floor and the weighted search both rest on weights >= 0: a
+    negative weight on an allowed vertex is refused, one outside the
+    allowed set is never read."""
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
+    weights = [0.5, -1, 0.5, 0.5, 0.0]
+    with pytest.raises(ValueError, match="negative weight -1 at vertex 1"):
+        lightest_hole(g, weights, range(5), math.inf)
+    assert lightest_hole(g, weights, [0, 2, 3, 4], math.inf) is None
+    assert lightest_hole(g, [0.5, 0.25, 0.5, 0.5, -1], range(4),
+                         math.inf)[1] == 1.75
 
 
 def test_lightest_hole_searches_through_v_without_earlier_vertices(
