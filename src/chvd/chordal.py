@@ -19,6 +19,7 @@ from typing import AbstractSet, Iterable, Optional, Sequence
 from .graphs import (
     Graph,
     Hole,
+    InvariantError,
     bfs_path,
     check,
     components_within,
@@ -499,8 +500,8 @@ def central_bag(g: Graph, t: CliqueTree, weights: dict[int, float]) -> frozenset
                 break
         if ok:
             return bag
-    check(False, "no bag halves the weight, contradicting the balance guarantee")
-    raise AssertionError  # unreachable
+    raise InvariantError(
+        "no bag halves the weight, contradicting the balance guarantee")
 
 
 def maximal_cliques(g: Graph, vertices: Optional[Iterable[int]] = None

@@ -1,10 +1,9 @@
 """Core graph types: undirected graphs, directed graphs, and holes, with
 the graph queries shared by every layer: the boundary N(S) - S of a
 vertex set, the clique test, one breadth-first search and one path
-search over any neighbours function, the same search over the residual
-network of a vertex-split flow, one vertex-weighted search, maximum
-cardinality search, and the lightest hole, through a vertex or in the
-whole graph.
+search over any neighbours function, one vertex-weighted search,
+maximum cardinality search, and the lightest hole, through a vertex or
+in the whole graph.
 
 Vertices are dense integers 0..n-1.  Graphs are immutable after
 construction; every mutating operation (vertex deletion, edge addition,
@@ -219,8 +218,8 @@ def bfs(
     """Breadth-first search from sources, taken in the order given.
 
     ``neighbors`` gives the out-neighbours of a vertex, as for
-    ``dijkstra_vertex_weights``, so the search runs on a Graph, a DiGraph,
-    its reverse or a residual network.  Unlike there, ``allowed`` (every
+    ``dijkstra_vertex_weights``, so the search runs on a Graph, a DiGraph
+    or its reverse.  Unlike there, ``allowed`` (every
     vertex when None) binds sources and targets too.  Returns the
     predecessor map, in discovery order, with every source its own
     predecessor, and the first target discovered, or None.  The search
@@ -296,72 +295,6 @@ def bfs_path(
     """
     prev, t = bfs(neighbors, sources, allowed, targets)
     return None if t is None else extract_path(prev, t)
-
-
-def split_residual_bfs(
-    out_neighbors: Callable[[int], Iterable[int]],
-    alive: Container[int],
-    capacity: dict[int, int],
-    unbounded: int,
-    through: dict[int, int],
-    carried: dict[int, dict[int, int]],
-    starts: Iterable[int],
-    ends: Container[int],
-) -> tuple[dict[int, int], Optional[int]]:
-    """``bfs`` over the residual network of a vertex-split flow, read off
-    its flow tables instead of a neighbours function.
-
-    Node 2v is v_in and 2v+1 is v_out.  Each alive v has its split arc
-    v_in -> v_out, of capacity ``capacity.get(v, unbounded)``, and each
-    arc v -> w of ``out_neighbors`` between alive vertices is an
-    unbounded arc v_out -> w_in.  ``through[v]`` is the flow on v's split
-    arc and ``carried[w][v]`` the flow on arc v -> w while positive;
-    absent entries are 0.  The residual arcs of a node, in the order the
-    search takes them: out of v_out, the arcs of d to alive w, then back
-    along v's split arc if it carries flow; out of v_in, along v's split
-    arc if it has room, then back along each arc u -> v that carries
-    flow, in ``carried[v]`` order.
-
-    ``starts`` are in-nodes and ``ends`` out-nodes, and no flow leaves
-    an end: a flow pushed along the paths this search returns stops at
-    the first end it meets.  So an end is reached along its split arc
-    only, and only there is it looked for.  Returns what ``bfs`` returns:
-    the predecessor map, in discovery order, with every start its own
-    predecessor, and the first end discovered, or None.  The search stops
-    at that end.
-    """
-    prev: dict[int, int] = {}
-    queue: deque[int] = deque()
-    for a in starts:
-        if a not in prev:
-            prev[a] = a
-            queue.append(a)
-    pop, push = queue.popleft, queue.append
-    while queue:
-        a = pop()
-        v = a >> 1
-        if a & 1:
-            for w in out_neighbors(v):
-                b = 2 * w
-                if b not in prev and w in alive:
-                    prev[b] = a
-                    push(b)
-            if through.get(v) and a - 1 not in prev:
-                prev[a - 1] = a
-                push(a - 1)
-        else:
-            if (a + 1 not in prev
-                    and through.get(v, 0) < capacity.get(v, unbounded)):
-                prev[a + 1] = a
-                if a + 1 in ends:
-                    return prev, a + 1
-                push(a + 1)
-            for u in carried.get(v, ()):
-                b = 2 * u + 1
-                if b not in prev:
-                    prev[b] = a
-                    push(b)
-    return prev, None
 
 
 @dataclass(frozen=True)

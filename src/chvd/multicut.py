@@ -4,17 +4,22 @@ Three layers: a minimum vertex cut (vertex-split max-flow), Skew Multicut
 (recursive halving over the source order, cost |x| * ceil(log2(a+1))),
 and Multicut in downward-oriented chordal graphs (threshold deletion,
 chordal auxiliary graph, clique cover, then one min cut plus one skew
-instance per clique).  Every layer works in the caller's vertex ids and
-builds no digraph; the min cut builds no flow network either, only flow
-tables, and its cut does not depend on the order of the search.  Every
-returned set is re-verified as a multicut.
+instance per clique).  Every layer works in the caller's vertex ids on
+the caller's digraph, restricted to a set of alive vertices, and builds
+no digraph; every alive vertex is deletable, terminals included.  The
+min cut builds no flow network either, only flow tables, which its
+residual search reads, and its cut does not depend on the order of the
+search.  Every returned set is re-verified as a multicut.
 """
 from __future__ import annotations
 
 import functools
 import math
+from collections import deque
 from dataclasses import dataclass
-from typing import AbstractSet, Optional, Sequence
+from typing import (
+    AbstractSet, Callable, Container, Iterable, Optional, Sequence,
+)
 
 from .graphs import (
     DiGraph,
@@ -25,7 +30,6 @@ from .graphs import (
     check_vertex_ids,
     dijkstra_vertex_weights,
     extract_path,
-    split_residual_bfs,
 )
 from .chordal import CliqueTree, clique_cover_chordal, minimal_path
 from .lp import FractionalSolution, MulticutInstance, at_least
@@ -70,49 +74,43 @@ def min_vertex_cut(
     d: DiGraph,
     sources: Sequence[int],
     sinks: Sequence[int],
-    deletable: Sequence[int],
+    alive: AbstractSet[int],
     prefer_avoiding: Sequence[int] = (),
-    alive: Optional[AbstractSet[int]] = None,
 ) -> frozenset[int]:
-    """Minimum-cardinality deletable vertex set disconnecting sources from sinks.
+    """Minimum-cardinality set of alive vertices disconnecting sources
+    from sinks in d[alive].
 
-    Vertex-split max-flow: v becomes v_in -> v_out with capacity
-    ``unit`` = |alive| + 2 when deletable and ``inf`` = unit * (|alive| + 1),
-    more than any deletable cut costs, otherwise.  The arcs of d, into
-    the sources and out of the sinks are unbounded: no minimum cut
-    crosses them, so a bound of ``inf`` on them would change no cut.
-    Raises ValueError when no deletable cut exists (an all-undeletable
-    path).
+    Vertex-split max-flow: each alive v becomes v_in -> v_out with
+    capacity ``unit`` = |alive| + 2.  Other vertices, and terminals among
+    them, are ignored.  A cut may take a terminal: every path from a
+    source starts on its split arc and every path to a sink ends on its
+    split arc.  The arcs of d, into the sources and out of the sinks are
+    unbounded, so a cut is a set of split arcs.  Raises ValueError on an
+    alive id outside 0..n-1.
 
     ``prefer_avoiding`` is a soft secondary objective: among minimum
-    cuts, one using the fewest listed vertices is returned (their
-    capacity is unit + 1, so cardinality stays the primary criterion).
-
-    ``alive`` (every vertex when None) restricts the problem to d[alive]:
-    other vertices, and terminals among them, are ignored.  Raises
-    ValueError on an alive id outside 0..n-1.
+    cuts, one using the fewest listed vertices is returned.  Their
+    capacity is unit + 1; a cut of k vertices, a of them listed, costs
+    k * unit + a, and a <= k <= |alive| < unit, so cardinality stays the
+    primary criterion.
 
     No network is built.  The flow through each split arc and the flow on
-    each used arc of d are the only tables, and ``split_residual_bfs``
+    each used arc of d are the only tables, and ``_split_residual_bfs``
     reads the residual arcs off ``d.out_neighbors`` and those tables
     directly, with no neighbours function between them.  Which
     augmenting paths it takes does not matter: after any maximum flow,
     the nodes reachable from the source in the residual network are the
     same set, the intersection of the source sides of all minimum cuts.
-    So the cut, the flow value and the refusal are those of any other
-    order of search, and the last search, which fails, visits exactly
-    that set.  The cut iterates in ``alive`` order.
+    So the cut and the flow value are those of any other order of
+    search, and the last search, which fails, visits exactly that set.
+    The cut iterates in ``alive`` order.
 
     d is a DiGraph or anything else with ``n`` and ``out_neighbors``.
     """
-    if alive is None:
-        alive = range(d.n)
-    else:
-        check_vertex_ids(alive, d.n)
+    check_vertex_ids(alive, d.n)
     unit = len(alive) + 2
-    inf = unit * (len(alive) + 1)
     avoid_set = set(prefer_avoiding)
-    capacity = {v: unit + 1 if v in avoid_set else unit for v in deletable}
+    capacity = {v: unit + 1 if v in avoid_set else unit for v in alive}
     # node 2v is v_in, 2v+1 is v_out.  through[v] is the flow on v's split
     # arc; carried[w][v] is the flow on arc v -> w of d while positive.
     through: dict[int, int] = {}
@@ -121,22 +119,23 @@ def min_vertex_cut(
     ends = {2 * t + 1 for t in set(sinks).intersection(alive)}
     flow = 0
     while True:
-        prev, end = split_residual_bfs(d.out_neighbors, alive, capacity,
-                                       inf, through, carried, starts, ends)
+        prev, end = _split_residual_bfs(d.out_neighbors, capacity, through,
+                                        carried, starts, ends)
         if end is None:
             break
         path = extract_path(prev, end)
         steps = list(zip(path, path[1:]))
-        # the least residual capacity of the split arcs and backward arcs
-        bottleneck = inf
+        # the least residual capacity of the split arcs and backward arcs;
+        # the path ends along the end's split arc
+        t = end >> 1
+        bottleneck = capacity[t] - through.get(t, 0)
         for a, b in steps:
             v, w = a >> 1, b >> 1
             if v != w:
                 if not a & 1:           # arc w -> v of d, backward
                     bottleneck = min(bottleneck, carried[v][w])
             elif b > a:                 # v's split arc, forward
-                bottleneck = min(bottleneck,
-                                 capacity.get(v, inf) - through.get(v, 0))
+                bottleneck = min(bottleneck, capacity[v] - through.get(v, 0))
             else:                       # v's split arc, backward
                 bottleneck = min(bottleneck, through[v])
         for a, b in steps:
@@ -155,50 +154,82 @@ def min_vertex_cut(
             else:
                 through[v] -= bottleneck
         flow += bottleneck
-        if flow >= inf:
-            raise ValueError(
-                "sources and sinks cannot be separated by deletable vertices"
-            )
     cut = frozenset(
         v for v in alive if 2 * v in prev and 2 * v + 1 not in prev
     )
-    cost = sum(capacity.get(v, inf) for v in cut)
-    check(cost == flow, "max-flow / min-cut mismatch")
+    check(sum(capacity[v] for v in cut) == flow, "max-flow / min-cut mismatch")
     return cut
 
 
-class _CopyView:
-    """d plus an undeletable copy of every terminal, read-only.
+def _split_residual_bfs(
+    out_neighbors: Callable[[int], Iterable[int]],
+    capacity: dict[int, int],
+    through: dict[int, int],
+    carried: dict[int, dict[int, int]],
+    starts: Iterable[int],
+    ends: Container[int],
+) -> tuple[dict[int, int], Optional[int]]:
+    """``bfs`` over the residual network of ``min_vertex_cut``'s flow,
+    read off its flow tables instead of a neighbours function.
 
-    Copy n+i points into tu[i], and tv[j] points into copy n+a+j.  Copy
-    ids are all >= n, so appending one to a neighbour tuple keeps it
-    sorted, as a DiGraph would.
+    Node 2v is v_in and 2v+1 is v_out.  The alive vertices are the keys
+    of ``capacity``: each alive v has its split arc v_in -> v_out, of
+    capacity ``capacity[v]``, and each arc v -> w of ``out_neighbors``
+    between alive vertices is an unbounded arc v_out -> w_in.
+    ``through[v]`` is the flow on v's split arc and ``carried[w][v]`` the
+    flow on arc v -> w while positive; absent entries are 0.  The
+    residual arcs of a node, in the order the search takes them: out of
+    v_out, the arcs of d to alive w, then back along v's split arc if it
+    carries flow; out of v_in, along v's split arc if it has room, then
+    back along each arc u -> v that carries flow, in ``carried[v]``
+    order.
+
+    ``starts`` are in-nodes and ``ends`` out-nodes, and no flow leaves
+    an end: a flow pushed along the paths this search returns stops at
+    the first end it meets.  So an end is reached along its split arc
+    only, and only there is it looked for.  Returns what ``bfs`` returns:
+    the predecessor map, in discovery order, with every start its own
+    predecessor, and the first end discovered, or None.  The search stops
+    at that end.
     """
-
-    __slots__ = ("n", "out_neighbors", "in_neighbors")
-
-    def __init__(self, d: DiGraph, tu: Sequence[int], tv: Sequence[int]):
-        n, a = d.n, len(tu)
-        out = [d.out_neighbors(v) for v in d.vertices()]
-        into = [d.in_neighbors(v) for v in d.vertices()]
-        for j, v in enumerate(tv):
-            out[v] += (n + a + j,)
-        for i, u in enumerate(tu):
-            into[u] += (n + i,)
-        out += [(u,) for u in tu] + [()] * len(tv)
-        into += [()] * a + [(v,) for v in tv]
-        self.n = len(out)
-        self.out_neighbors = out.__getitem__
-        self.in_neighbors = into.__getitem__
+    prev: dict[int, int] = {}
+    queue: deque[int] = deque()
+    for a in starts:
+        if a not in prev:
+            prev[a] = a
+            queue.append(a)
+    pop, push = queue.popleft, queue.append
+    while queue:
+        a = pop()
+        v = a >> 1
+        if a & 1:
+            for w in out_neighbors(v):
+                b = 2 * w
+                if b not in prev and w in capacity:
+                    prev[b] = a
+                    push(b)
+            if through.get(v) and a - 1 not in prev:
+                prev[a - 1] = a
+                push(a - 1)
+        else:
+            if a + 1 not in prev and through.get(v, 0) < capacity[v]:
+                prev[a + 1] = a
+                if a + 1 in ends:
+                    return prev, a + 1
+                push(a + 1)
+            for u in carried.get(v, ()):
+                b = 2 * u + 1
+                if b not in prev:
+                    prev[b] = a
+                    push(b)
+    return prev, None
 
 
 def skew_multicut(inst: SkewInstance, x: FractionalSolution) -> frozenset[int]:
     """Integral skew multicut of size at most |x| * ceil(log2(|tu| + 1)).
 
-    The copy trick wires a fresh undeletable copy into every source and
-    out of every target, so a cut always exists; originals (including the
-    terminal lists themselves) stay deletable.  The copies live in a
-    read-only view of d, so no digraph is built.
+    Every vertex stays deletable, the terminal lists too.  Among the
+    minimum cuts of each step, one with the fewest terminals is taken.
 
     Raises ValueError when x is infeasible, with a terminal path lighter
     than 1 - ``lp.FEASIBILITY_TOL`` (``inst.base.separate``); that is the
@@ -216,64 +247,61 @@ def _skew_cut(inst: SkewInstance, x: FractionalSolution,
     holds that x cuts each pair inside alive (``skew_multicut`` by
     separation, ``downward_multicut`` by its distance split).  The cut is
     checked as a multicut of d[alive] within the log bound.
+
+    Each step cuts d itself, from sources tu[i] to targets tv[j], and a
+    cut may take a terminal.  This is the cut of the copy trick, which
+    wires an undeletable copy into every source and out of every target:
+    a terminal's split arc lies on every path from or to it, so it costs
+    ``unit`` to cut, as the copy's only neighbour did.  The costs of the
+    cuts are the same, so is the order ``prefer_avoiding`` puts on them
+    (fewest vertices, then fewest terminals), and the minimum cut with
+    the least source side is the same set.
     """
     d = inst.base.d
-    n = d.n
     tu = [u for u in inst.tu if u in alive]
     tv = [v for v in inst.tv if v in alive]
-    a = len(tu)
-    view = _CopyView(d, tu, tv)
     iu = {u: i for i, u in enumerate(tu)}
     iv = {v: j for j, v in enumerate(tv)}
     index_pairs = [(iu[u], iv[v]) for u, v in inst.base.terminals
                    if u in iu and v in iv]
     terminals = set(tu) | set(tv)
 
-    def src_copy(i: int) -> int:
-        return n + i
-
-    def dst_copy(j: int) -> int:
-        return n + a + j
-
     def recurse(alive: set[int], active: list[tuple[int, int]]) -> frozenset[int]:
-        # one search per source copy: a pair is live iff its target copy
-        # is reached
+        # one search per source: a pair is live iff its target is reached
         reach = functools.cache(
-            lambda i: bfs(view.out_neighbors, [src_copy(i)], alive)[0])
-        live = [(i, j) for i, j in active if dst_copy(j) in reach(i)]
+            lambda i: bfs(d.out_neighbors, [tu[i]], alive)[0])
+        live = [(i, j) for i, j in active if tv[j] in reach(i)]
         if not live:
             return frozenset()
         sources = sorted({i for i, _ in live})
-        originals = [v for v in alive if v < n]
         terminal_members = terminals & alive
         if len(sources) == 1:
-            i = sources[0]
-            sinks = {dst_copy(j) for _, j in live}
-            return min_vertex_cut(view, [src_copy(i)], sinks, originals,
-                                  terminal_members, alive=alive)
+            sinks = {tv[j] for _, j in live}
+            return min_vertex_cut(d, [tu[sources[0]]], sinks, alive,
+                                  terminal_members)
         mid = sources[len(sources) // 2]
         # largest target index over live pairs with source index <= mid:
         # staircase closure then pairs (i >= mid, j <= j_max) with the whole
         # original family, which is what the cut's LP bound needs
         j_max = max(j for i, j in live if i <= mid)
-        tv1 = {dst_copy(j) for _, j in live if j <= j_max}
-        tu2 = {src_copy(i) for i in sources if i >= mid}
-        x0 = min_vertex_cut(view, tu2, tv1, originals, terminal_members,
-                            alive=alive)
+        tv1 = {tv[j] for _, j in live if j <= j_max}
+        tu2 = {tu[i] for i in sources if i >= mid}
+        x0 = min_vertex_cut(d, tu2, tv1, alive, terminal_members)
         alive2 = alive - x0
-        a1 = set(bfs(view.in_neighbors, sorted(tv1 & alive2), alive2)[0])
-        a2 = set(bfs(view.out_neighbors, sorted(tu2 & alive2), alive2)[0])
+        a1 = set(bfs(d.in_neighbors, sorted(tv1 & alive2), alive2)[0])
+        a2 = set(bfs(d.out_neighbors, sorted(tu2 & alive2), alive2)[0])
         check(not (a1 & a2), "reachability sides intersect after the cut")
         pairs1 = [(i, j) for i, j in live if i < mid]
         pairs2 = [(i, j) for i, j in live if i > mid and j > j_max]
         return x0 | recurse(a1, pairs1) | recurse(a2, pairs2)
 
     kept = set(alive)
-    solution = recurse(kept.union(range(n, view.n)), index_pairs)
+    solution = recurse(kept, index_pairs)
     check(solution <= kept, "skew solution leaves d[alive]")
     dead = set(d.vertices()) - kept
     check(inst.base.is_multicut(solution | dead),
           "skew solution is not a multicut")
+    a = len(tu)
     bound = x.objective * math.ceil(math.log2(a + 1)) if a else 0.0
     check(len(solution) <= bound + 1e-6, "skew solution exceeds the log bound")
     return solution
@@ -426,8 +454,7 @@ def downward_multicut(
                 check(dv >= 0.5 - 1e-6, "downward pair too close to its bag")
                 down.append((u, v, beta_p))
         if up:
-            cut = min_vertex_cut(d, [u for u, _ in up], bag_alive, alive,
-                                 alive=alive)
+            cut = min_vertex_cut(d, [u for u, _ in up], bag_alive, alive)
             check(len(cut) <= 2 * x.objective + 1e-6,
                   "upward min cut exceeds twice the fractional mass")
             solution |= cut

@@ -31,7 +31,9 @@ queue loops that one breadth-first search in ``chvd.graphs`` replaced;
 ``ref_min_vertex_cut`` also builds its split network over every vertex
 and scans each node's heads in sorted order, so the ``alive`` restriction
 is checked against it on an induced copy, and a search in any other
-order must still reach its cut.
+order must still reach its cut.  It keeps the ``deletable`` set, with
+vertices outside it of unbounded capacity, which only the copy trick
+below needs.
 ``ref_exact_chvd`` and ``ref_exact_multicut`` are the exact searches without
 a pool of found sets: a fresh hole (or terminal-path) search at every node.
 They call ``oracle.shortest_hole_avoiding`` by name, so a test can count
@@ -49,12 +51,15 @@ same set, plus a central bag of what it leaves.
 ``ref_staircase_fault`` is ``SkewInstance``'s staircase check that
 visited, for every pair, every pair it implies.
 ``ref_split_residual`` is the residual neighbours generator that
-``min_vertex_cut`` fed to ``bfs`` before ``split_residual_bfs`` read its
-flow tables directly.
+``min_vertex_cut`` fed to ``bfs`` before its ``_split_residual_bfs``
+read the flow tables directly.
 ``ref_induced_digraph`` is the renumbered copy of d[s] that
 ``DiGraph.induced`` built; ``ref_skew_multicut`` is the skew engine that
-built a copy digraph with the terminal copies, and ``ref_skew_on_copy``
-runs it on the renumbered copy of d[alive], as downward multicut did.
+built a copy digraph with an undeletable copy of every terminal and cut
+it with ``ref_min_vertex_cut`` on the renumbered copy of each alive set,
+where the library cuts d itself and lets a cut take a terminal; and
+``ref_skew_on_copy`` runs it on the renumbered copy of d[alive], as
+downward multicut did.
 ``ref_mcs_order`` is the O(n^2) scan that picks each next vertex of a
 maximum cardinality search; ``ref_recognize``, ``ref_is_chordal``,
 ``ref_build_clique_tree``, ``ref_clique_tree_of`` and ``ref_mis_chordal``
@@ -97,7 +102,7 @@ from chvd.kernel import ReductionEvent, _finish
 from chvd.lp import FEASIBILITY_TOL, FractionalSolution, at_least, \
     separate_multicut
 from chvd.multicut import MulticutInstance, SkewInstance, build_downward, \
-    dist_from, downward_multicut, min_vertex_cut
+    dist_from, downward_multicut
 
 
 def bf_is_induced_cycle(g: Graph, subset: tuple[int, ...]) -> bool:
@@ -733,11 +738,11 @@ def ref_min_vertex_cut(d: DiGraph, sources, sinks, deletable,
     )
 
 
-def ref_split_residual(out_neighbors, alive, capacity, unbounded, through,
-                       carried):
+def ref_split_residual(out_neighbors, alive, capacity, through, carried):
     """The residual neighbours of a vertex-split flow as a generator over
     node ids (2v is v_in, 2v+1 is v_out), for ``bfs``: the tables are
-    those of ``split_residual_bfs``."""
+    those of ``multicut._split_residual_bfs``, and ``alive`` is the set
+    of its capacity keys."""
     def residual(a):
         v = a >> 1
         if a & 1:
@@ -747,7 +752,7 @@ def ref_split_residual(out_neighbors, alive, capacity, unbounded, through,
             if through.get(v):
                 yield a - 1
         else:
-            if through.get(v, 0) < capacity.get(v, unbounded):
+            if through.get(v, 0) < capacity[v]:
                 yield a + 1
             for u in carried.get(v, ()):
                 yield 2 * u + 1
@@ -800,6 +805,19 @@ def ref_skew_multicut(inst: SkewInstance,
     iv = {v: j for j, v in enumerate(inst.tv)}
     index_pairs = [(iu[u], iv[v]) for u, v in pairs]
 
+    def cut(sources, sinks, alive: set[int]) -> frozenset[int]:
+        # the originals of dd[alive] are deletable, the copies are not
+        sub = ref_induced_digraph(dd, alive)
+        m = sub.index
+        terminal_members = (set(inst.tu) | set(inst.tv)) & alive
+
+        def local(vs):
+            return [m[v] for v in vs if v in m]
+
+        return frozenset(sub.to_parent(ref_min_vertex_cut(
+            sub.graph, local(sources), local(sinks),
+            local(v for v in alive if v < n), local(terminal_members))))
+
     def recurse(alive: set[int], active: list[tuple[int, int]]) -> frozenset[int]:
         reach = functools.cache(
             lambda i: bfs(dd.out_neighbors, [n + i], alive)[0])
@@ -807,18 +825,14 @@ def ref_skew_multicut(inst: SkewInstance,
         if not live:
             return frozenset()
         sources = sorted({i for i, _ in live})
-        originals = [v for v in alive if v < n]
-        terminal_members = (set(inst.tu) | set(inst.tv)) & alive
         if len(sources) == 1:
             sinks = {n + a + j for _, j in live}
-            return min_vertex_cut(dd, [n + sources[0]], sinks, originals,
-                                  terminal_members, alive=alive)
+            return cut([n + sources[0]], sinks, alive)
         mid = sources[len(sources) // 2]
         j_max = max(j for i, j in live if i <= mid)
         tv1 = {n + a + j for _, j in live if j <= j_max}
         tu2 = {n + i for i in sources if i >= mid}
-        x0 = min_vertex_cut(dd, tu2, tv1, originals, terminal_members,
-                            alive=alive)
+        x0 = cut(tu2, tv1, alive)
         alive2 = alive - x0
         a1 = set(bfs(dd.in_neighbors, sorted(tv1 & alive2), alive2)[0])
         a2 = set(bfs(dd.out_neighbors, sorted(tu2 & alive2), alive2)[0])

@@ -69,6 +69,13 @@ def test_round_trip_fuzzed_instances():
     ("p chvd 3 0 0\nf 0 2\nf 2 0\n", "line 3: duplicate forced pair (2,0)"),
     ("p chvd 3 0 0\nm 1\nm 1\n", "line 3: duplicate modulator vertex 1"),
     ("p chvd 4 4 -1\ne 0 1\ne 1 2\ne 2 3\ne 0 3\n", "negative budget"),
+    ("p chvd 2 1 0\ne 0 1 1\n", "line 2: expected 2 integer fields, got 3"),
+    ("p cnf 2 0 0\n", "line 1: header must read"),
+    ("p chvd -1 0 0\n", "line 1: negative size in header"),
+    ("m 0\np chvd 1 0 0\n", "line 1: modulator line before header"),
+    ("f 0 1\np chvd 2 0 0\n", "line 1: forced pair before header"),
+    ("p chvd 2 0 0\nf 1 1\n", "line 2: bad forced pair (1,1)"),
+    ("c only\nc comments\n", "missing 'p chvd' header"),
 ])
 def test_parse_rejects_malformed(text, fragment):
     with pytest.raises(InstanceFormatError) as err:
@@ -184,6 +191,10 @@ def test_cli_check_rejects_non_solution(tmp_path, capsys):
     ("c note\ns chvd 1\nv 1\ns chvd 1\n", "line 4: duplicate solution header"),
     ("s chvd 1\nv 1\ncorrupt 5\nchvd 3\n", "line 3: unknown tag 'corrupt'"),
     ("c\ns chvd 1\nv 1\nchvd 3\n", "line 4: unknown tag 'chvd'"),
+    ("s cnf 1\nv 1\n", "line 1: bad solution header"),
+    ("s chvd 1\nv 1 2\n", "line 2: bad vertex line"),
+    ("s chvd 1\nv 7\n", "invalid: solution uses unknown vertex ids"),
+    ("s chvd 2\nv 0\nv 2\n", "invalid: solution size 2 exceeds budget 1"),
 ])
 def test_cli_check_rejects_a_malformed_solution_with_its_line(
         tmp_path, capsys, solution, fragment):
@@ -450,3 +461,14 @@ def test_cli_json_formats(tmp_path):
                  "--max-iters", "500",
                  "-o", str(out)]) in (0, 1)
     assert "status" in json.loads(out.read_text())
+
+    # a C4 with budget 0: approx certifies a no-instance and solve finds
+    # no solution, each with exit 1 and a one-line status record
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    inst_path.write_text(emit(InstanceFile.from_graph(g, 0)))
+    assert main(["approx", str(inst_path), "--format", "json",
+                 "-o", str(out)]) == 1
+    assert out.read_text() == '{"status":"no-instance"}\n'
+    assert main(["solve", str(inst_path), "--format", "json",
+                 "-o", str(out)]) == 1
+    assert out.read_text() == '{"status":"no-solution"}\n'

@@ -463,7 +463,7 @@ def test_validate_tests_tidiness_one_vertex_at_a_time():
         if rng.random() < 0.15 and n >= 4:
             # move a core vertex into the modulator's place: the core may
             # now hold a hole
-            modulator = frozenset(range(n + 1, n + m)) | {n}
+            modulator = frozenset(range(n + 1, n + m)) | {n - 1}
         everything = set(g.vertices())
         inst = AChvdInstance(g, 1, modulator)
         if not is_chordal(g, everything - modulator):
@@ -479,6 +479,7 @@ def test_validate_tests_tidiness_one_vertex_at_a_time():
             with pytest.raises(InvariantError, match="not tidy"):
                 inst.validate()
     assert verdicts["tidy"] >= 50 and verdicts["not tidy"] >= 50, verdicts
+    assert verdicts["core hole"] >= 3, verdicts
 
 
 def test_annotate_builds_one_core_tree_per_pass(monkeypatch):

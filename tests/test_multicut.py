@@ -34,19 +34,19 @@ from bruteforce import bf_di_connected, bf_min_vertex_cut, \
 
 
 def test_min_vertex_cut_single_path():
+    """Every alive vertex is deletable, terminals too: the least source
+    side takes the source, unless the terminals are to be avoided; a
+    dead vertex is ignored, and a dead path needs no cut."""
     d = DiGraph(3, [(0, 1), (1, 2)])
-    assert min_vertex_cut(d, [0], [2], [1]) == frozenset({1})
+    assert min_vertex_cut(d, [0], [2], range(3)) == frozenset({0})
+    assert min_vertex_cut(d, [0], [2], range(3), [0, 2]) == frozenset({1})
+    assert min_vertex_cut(d, [0], [2], {0, 2}) == frozenset()
+    assert min_vertex_cut(d, [0], [2], {0, 1}) == frozenset()
 
 
 def test_min_vertex_cut_disconnected():
     d = DiGraph(4, [(0, 1), (2, 3)])
     assert min_vertex_cut(d, [0], [3], range(4)) == frozenset()
-
-
-def test_min_vertex_cut_infeasible_when_undeletable():
-    d = DiGraph(2, [(0, 1)])
-    with pytest.raises(ValueError):
-        min_vertex_cut(d, [0], [1], [])
 
 
 def test_min_vertex_cut_matches_bruteforce():
@@ -165,9 +165,9 @@ def test_is_multicut_rejects_an_unknown_id():
 def test_min_vertex_cut_rejects_an_unknown_alive_id():
     d = DiGraph(4, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(ValueError, match="unknown vertex id 9"):
-        min_vertex_cut(d, [0], [3], [1, 2], alive={0, 1, 2, 3, 9})
+        min_vertex_cut(d, [0], [3], {0, 1, 2, 3, 9})
     with pytest.raises(ValueError, match="unknown vertex id -1"):
-        min_vertex_cut(d, [0], [3], [1, 2], alive={-1, 0, 1, 2, 3})
+        min_vertex_cut(d, [0], [3], {-1, 0, 1, 2, 3})
 
 
 def test_skew_rejects_infeasible_fraction():
@@ -291,6 +291,42 @@ def test_multicut_engines_build_no_digraph(monkeypatch):
         multicut.skew_multicut(skew, x)
     assert builds == []
     assert reached >= 20
+
+
+def test_skew_cuts_run_on_the_instance_digraph(monkeypatch):
+    """Every min cut of the skew harness, from skew_multicut and from
+    downward_multicut, runs on the instance's own digraph, with every
+    source, sink and alive id below its n: no terminal copies."""
+    instances = [out for seed in range(30)
+                 if (out := random_diffuse_downward(seed)) is not None]
+    staircases = [random_staircase(seed, n=24, a=6, b=6) for seed in range(10)]
+    cuts = []
+    original_cut = multicut.min_vertex_cut
+
+    def recording_cut(d, *args, **kwargs):
+        # sources, sinks, alive and the vertices to avoid
+        cuts.append((d, set().union(*args, *kwargs.values())))
+        return original_cut(d, *args, **kwargs)
+
+    def checked_cuts(d):
+        for got, ids in cuts:
+            assert got is d
+            assert all(0 <= v < d.n for v in ids)
+        count = len(cuts)
+        cuts.clear()
+        return count
+
+    monkeypatch.setattr(multicut, "min_vertex_cut", recording_cut)
+    seen = 0
+    for inst, x in instances:
+        downward_multicut(inst, x)
+        seen += checked_cuts(inst.digraph)
+    for d, tu, tv, pairs in staircases:
+        base = MulticutInstance(d, tuple(pairs))
+        skew_multicut(SkewInstance(base, tuple(tu), tuple(tv)),
+                      solve_fractional(base))
+        seen += checked_cuts(d)
+    assert seen >= 40, seen
 
 
 # Recorded with the per-pair terminal path separator (one full search per
