@@ -297,7 +297,6 @@ def _skew_cut(inst: SkewInstance, x: FractionalSolution,
 
     kept = set(alive)
     solution = recurse(kept, index_pairs)
-    check(solution <= kept, "skew solution leaves d[alive]")
     dead = set(d.vertices()) - kept
     check(inst.base.is_multicut(solution | dead),
           "skew solution is not a multicut")
