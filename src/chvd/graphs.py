@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from collections import deque
+from collections import Counter, deque
 from functools import cached_property
 from typing import (
     AbstractSet, Callable, Collection, Container, Iterable, Iterator,
@@ -218,9 +218,9 @@ def bfs(
     """Breadth-first search from sources, taken in the order given.
 
     ``neighbors`` gives the out-neighbours of a vertex, as for
-    ``dijkstra_vertex_weights``, so the search runs on a Graph, a DiGraph
-    or its reverse.  Unlike there, ``allowed`` (every
-    vertex when None) binds sources and targets too.  Returns the
+    ``dijkstra_vertex_weights``, so the search runs on a Graph or a
+    DiGraph, forward.  Unlike there, ``allowed`` (every vertex when None)
+    binds sources and targets too.  Returns the
     predecessor map, in discovery order, with every source its own
     predecessor, and the first target discovered, or None.  The search
     stops at that target; a source that is a target stops it at once.
@@ -639,33 +639,28 @@ def lightest_hole(
 
 
 class DiGraph:
-    """Directed graph on vertex ids 0..n-1 with out- and in-neighbor sets.
+    """Directed graph on vertex ids 0..n-1 with one out-neighbour table:
+    every search of the library walks arcs forward.
 
-    Arcs are ordered pairs; no self-loops.  Acyclicity is not an invariant
-    of the type and is checked by callers where required.
+    Arcs are ordered pairs; no self-loops, and a repeated arc counts once.
+    Acyclicity is not an invariant of the type and is checked by callers
+    where required.
     """
 
-    __slots__ = ("_out", "_in", "_m")
+    __slots__ = ("_out", "_m")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError(f"negative vertex count {n}")
         out: list[set[int]] = [set() for _ in range(n)]
-        into: list[set[int]] = [set() for _ in range(n)]
-        m = 0
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u},{v}) outside vertex range 0..{n - 1}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if v in out[u]:
-                continue
             out[u].add(v)
-            into[v].add(u)
-            m += 1
         self._out = tuple(tuple(sorted(s)) for s in out)
-        self._in = tuple(tuple(sorted(s)) for s in into)
-        self._m = m
+        self._m = sum(map(len, out))
 
     @property
     def n(self) -> int:
@@ -681,16 +676,13 @@ class DiGraph:
     def out_neighbors(self, v: int) -> tuple[int, ...]:
         return self._out[v]
 
-    def in_neighbors(self, v: int) -> tuple[int, ...]:
-        return self._in[v]
-
     def arcs(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
             for v in self._out[u]:
                 yield (u, v)
 
     def is_acyclic(self) -> bool:
-        indeg = [len(self._in[v]) for v in range(self.n)]
+        indeg = Counter(v for _, v in self.arcs())
         queue = deque(v for v in range(self.n) if indeg[v] == 0)
         seen = 0
         while queue:

@@ -256,6 +256,21 @@ def _skew_cut(inst: SkewInstance, x: FractionalSolution,
     cuts are the same, so is the order ``prefer_avoiding`` puts on them
     (fewest vertices, then fewest terminals), and the minimum cut with
     the least source side is the same set.
+
+    Both halves recurse on alive - x0, where the paper confines the
+    first to a1, the vertices that reach tv1, and the second to a2, those
+    reached from tu2; the cuts are the same.  A half's active pairs are
+    the staircase pairs of an index box live at every step above it, so
+    (closure, and alive only shrinks) a path between its sources and
+    sinks is a path of an active pair: it ends in tv1 (first half) or
+    starts in tu2 (second), so it lies in a1 (a2).  On alive - x0 a half
+    sees the same live pairs, split, sources and sinks, and the same R,
+    the vertices reached from its sources that reach its sinks.  A vertex
+    outside R is never in a ``min_vertex_cut`` cut: dropping it leaves a
+    cheaper cut.  ``unit`` = |alive| + 2 only rescales the order (cut
+    size, avoided terminals) while it exceeds |R|, and a cut's source
+    side, restricted to R, is the same on both alive sets: the minimum
+    cut with the least source side is the same set, at every depth.
     """
     d = inst.base.d
     tu = [u for u in inst.tu if u in alive]
@@ -274,11 +289,10 @@ def _skew_cut(inst: SkewInstance, x: FractionalSolution,
         if not live:
             return frozenset()
         sources = sorted({i for i, _ in live})
-        terminal_members = terminals & alive
         if len(sources) == 1:
             sinks = {tv[j] for _, j in live}
             return min_vertex_cut(d, [tu[sources[0]]], sinks, alive,
-                                  terminal_members)
+                                  terminals)
         mid = sources[len(sources) // 2]
         # largest target index over live pairs with source index <= mid:
         # staircase closure then pairs (i >= mid, j <= j_max) with the whole
@@ -286,18 +300,14 @@ def _skew_cut(inst: SkewInstance, x: FractionalSolution,
         j_max = max(j for i, j in live if i <= mid)
         tv1 = {tv[j] for _, j in live if j <= j_max}
         tu2 = {tu[i] for i in sources if i >= mid}
-        x0 = min_vertex_cut(d, tu2, tv1, alive, terminal_members)
+        x0 = min_vertex_cut(d, tu2, tv1, alive, terminals)
         alive2 = alive - x0
-        a1 = set(bfs(d.in_neighbors, sorted(tv1 & alive2), alive2)[0])
-        a2 = set(bfs(d.out_neighbors, sorted(tu2 & alive2), alive2)[0])
-        check(not (a1 & a2), "reachability sides intersect after the cut")
         pairs1 = [(i, j) for i, j in live if i < mid]
         pairs2 = [(i, j) for i, j in live if i > mid and j > j_max]
-        return x0 | recurse(a1, pairs1) | recurse(a2, pairs2)
+        return x0 | recurse(alive2, pairs1) | recurse(alive2, pairs2)
 
-    kept = set(alive)
-    solution = recurse(kept, index_pairs)
-    dead = set(d.vertices()) - kept
+    solution = recurse(set(alive), index_pairs)
+    dead = set(d.vertices()).difference(alive)
     check(inst.base.is_multicut(solution | dead),
           "skew solution is not a multicut")
     a = len(tu)
@@ -399,9 +409,6 @@ def downward_multicut(
         if path is not None:
             live_pairs.append((u, v))
             cores[(u, v)] = frozenset(path[2:-2])
-    if not live_pairs:
-        check(base.is_multicut(solution), "threshold deletion missed a pair")
-        return frozenset(solution)
 
     tree = inst.tree
     intervals = {(u, v): frozenset(minimal_path(tree, u, v)[1:-1])

@@ -55,11 +55,15 @@ visited, for every pair, every pair it implies.
 read the flow tables directly.
 ``ref_induced_digraph`` is the renumbered copy of d[s] that
 ``DiGraph.induced`` built; ``ref_skew_multicut`` is the skew engine that
-built a copy digraph with an undeletable copy of every terminal and cut
-it with ``ref_min_vertex_cut`` on the renumbered copy of each alive set,
-where the library cuts d itself and lets a cut take a terminal; and
-``ref_skew_on_copy`` runs it on the renumbered copy of d[alive], as
-downward multicut did.
+built a copy digraph with an undeletable copy of every terminal, cut it
+with ``ref_min_vertex_cut`` on the renumbered copy of each alive set and
+confined each half of the recursion to its side of the cut, where the
+library cuts d itself, lets a cut take a terminal and recurses on the
+alive set minus the cut; and ``ref_skew_on_copy`` runs it on the
+renumbered copy of d[alive], as downward multicut did.
+``ref_reverse_adjacency`` builds the in-neighbour lists that
+``DiGraph`` no longer keeps, from its arcs, for the reverse searches
+of ``ref_di_reachable`` and ``ref_skew_multicut``.
 ``ref_mcs_order`` is the O(n^2) scan that picks each next vertex of a
 maximum cardinality search; ``ref_recognize``, ``ref_is_chordal``,
 ``ref_build_clique_tree``, ``ref_clique_tree_of`` and ``ref_mis_chordal``
@@ -72,6 +76,9 @@ an induced path that closes; it reads only adjacency.
 ``ref_verify_hole`` is the hole check that ``verify_hole`` replaced: it
 tests every pair of the hole's vertices, so it is quadratic in the
 hole's length.
+
+``cycle_graph`` and ``complete_graph`` build the cycle C_n and the
+complete graph K_n that many test modules use.
 
 The last section holds helpers that only tests call and the library does
 not need: a perfect elimination ordering check, an induced path check,
@@ -103,6 +110,14 @@ from chvd.lp import FEASIBILITY_TOL, FractionalSolution, at_least, \
     separate_multicut
 from chvd.multicut import MulticutInstance, SkewInstance, build_downward, \
     dist_from, downward_multicut
+
+
+def cycle_graph(n: int) -> Graph:
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def bf_is_induced_cycle(g: Graph, subset: tuple[int, ...]) -> bool:
@@ -212,18 +227,6 @@ def bf_min_chvd(g: Graph, forbidden: set[int] = frozenset(),
     return None
 
 
-def bf_min_chvd_set(g: Graph, budget: int,
-                    forced_pairs: list[tuple[int, int]] = ()) -> set[int] | None:
-    for size in range(budget + 1):
-        for subset in combinations(range(g.n), size):
-            chosen = set(subset)
-            if any(x not in chosen and y not in chosen for x, y in forced_pairs):
-                continue
-            if bf_chordal_after_delete(g, chosen):
-                return chosen
-    return None
-
-
 def bf_all_maximal_cliques(g: Graph) -> list[frozenset[int]]:
     cliques = []
     for size in range(1, g.n + 1):
@@ -282,24 +285,6 @@ def bf_min_vertex_cut(d: DiGraph, sources: set[int], sinks: set[int],
             if all(not bf_di_connected(d, s, t, removed) for s, t in pairs):
                 return size
     return None
-
-
-def bf_all_simple_di_paths(d: DiGraph, s: int, t: int) -> list[list[int]]:
-    out: list[list[int]] = []
-
-    def extend(path: list[int]) -> None:
-        u = path[-1]
-        if u == t:
-            out.append(list(path))
-            return
-        for w in d.out_neighbors(u):
-            if w not in path:
-                path.append(w)
-                extend(path)
-                path.pop()
-
-    extend([s])
-    return out
 
 
 def _ref_dijkstra(g: Graph, source: int, weight, allowed: set[int]):
@@ -653,9 +638,19 @@ def ref_di_bfs_path(d: DiGraph, sources, targets, removed=()):
     return None
 
 
+def ref_reverse_adjacency(d: DiGraph) -> list[list[int]]:
+    """The in-neighbours of each vertex of d, in increasing id order,
+    read off ``d.arcs()``."""
+    into: list[list[int]] = [[] for _ in d.vertices()]
+    for u, v in d.arcs():
+        into[v].append(u)
+    return into
+
+
 def ref_di_reachable(d: DiGraph, sources, removed=(), reverse=False) -> set[int]:
     """Vertices reachable from sources (or reaching them when reverse=True)."""
     removed_set = set(removed)
+    into = ref_reverse_adjacency(d) if reverse else None
     seen = set()
     queue: deque[int] = deque()
     for s in sorted(set(sources)):
@@ -664,7 +659,7 @@ def ref_di_reachable(d: DiGraph, sources, removed=(), reverse=False) -> set[int]
             queue.append(s)
     while queue:
         u = queue.popleft()
-        nbrs = d.in_neighbors(u) if reverse else d.out_neighbors(u)
+        nbrs = into[u] if reverse else d.out_neighbors(u)
         for w in nbrs:
             if w not in seen and w not in removed_set:
                 seen.add(w)
@@ -791,7 +786,10 @@ def ref_staircase_fault(tu, tv, terminals) -> str | None:
 def ref_skew_multicut(inst: SkewInstance,
                       x: FractionalSolution) -> frozenset[int]:
     """Skew multicut on a copy digraph: d plus source copy n+i of tu[i]
-    and target copy n+a+j of tv[j]."""
+    and target copy n+a+j of tv[j].  After each cut x0 the halves recurse
+    on the paper's two sides of dd[alive - x0]: the vertices that reach
+    tv1, found over a reverse adjacency of dd, and the vertices reached
+    from tu2."""
     d, pairs = inst.base.d, list(inst.base.terminals)
     if separate_multicut(d, pairs, x):
         raise ValueError("fractional solution is infeasible for the instance")
@@ -801,6 +799,7 @@ def ref_skew_multicut(inst: SkewInstance,
     arcs += [(n + i, u) for i, u in enumerate(inst.tu)]
     arcs += [(v, n + a + j) for j, v in enumerate(inst.tv)]
     dd = DiGraph(n + a + b, arcs)
+    into = ref_reverse_adjacency(dd)
     iu = {u: i for i, u in enumerate(inst.tu)}
     iv = {v: j for j, v in enumerate(inst.tv)}
     index_pairs = [(iu[u], iv[v]) for u, v in pairs]
@@ -834,7 +833,7 @@ def ref_skew_multicut(inst: SkewInstance,
         tu2 = {n + i for i in sources if i >= mid}
         x0 = cut(tu2, tv1, alive)
         alive2 = alive - x0
-        a1 = set(bfs(dd.in_neighbors, sorted(tv1 & alive2), alive2)[0])
+        a1 = set(bfs(into.__getitem__, sorted(tv1 & alive2), alive2)[0])
         a2 = set(bfs(dd.out_neighbors, sorted(tu2 & alive2), alive2)[0])
         pairs1 = [(i, j) for i, j in live if i < mid]
         pairs2 = [(i, j) for i, j in live if i > mid and j > j_max]

@@ -26,20 +26,14 @@ from chvd.oracle import SearchBudgetExceeded, exact_chvd
 from bruteforce import (
     _remap,
     bf_chordal_after_delete,
+    complete_graph,
+    cycle_graph,
     random_c4_free,
     ref_balanced_clique_cut,
     ref_chvd_clique_plus_chordal,
     ref_decompose,
     ref_hit_holes_through,
 )
-
-
-def cycle_graph(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete_graph(n):
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def test_hit_holes_through_chordal_input_returns_empty():

@@ -36,6 +36,8 @@ from bruteforce import (
     bf_all_maximal_cliques,
     bf_is_chordal,
     bf_max_independent_set,
+    complete_graph,
+    cycle_graph,
     induced_path_avoiding,
     is_peo,
     path_adhesions,
@@ -47,10 +49,6 @@ from bruteforce import (
     ref_recognize,
     validate_clique_tree,
 )
-
-
-def cycle_graph(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def test_hole_vertices_match_the_induced_cycle_enumeration():
@@ -108,10 +106,6 @@ def test_hole_vertices_edge_cases():
     second = [(u + 4, v + 4) for u, v in c4]
     assert hole_vertices(Graph(9, c4 + second + [(8, 0), (8, 4)])) == \
         frozenset(range(8))
-
-
-def complete_graph(n):
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def path_graph(n):

@@ -18,16 +18,9 @@ from chvd.graphs import (
     verify_hole,
 )
 from chvd.chordal import find_hole_through
-from chvd.generate import random_gnp
-from bruteforce import connected_components, is_induced_path, ref_verify_hole
-
-
-def complete_graph(n):
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
-def cycle_graph(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+from chvd.generate import random_dag, random_gnp
+from bruteforce import complete_graph, connected_components, cycle_graph, \
+    is_induced_path, ref_verify_hole
 
 
 def test_graph_basic_invariants():
@@ -212,6 +205,44 @@ def test_digraph_basics_and_acyclicity():
     assert bfs_path(d.out_neighbors, [0], {2}, {0, 2}) is None
     with pytest.raises(ValueError, match="negative vertex count"):
         DiGraph(-1)
+
+
+def test_digraph_refuses_bad_arcs_and_counts_a_repeated_arc_once():
+    for arc, message in (((0, 3), "outside vertex range"),
+                         ((-1, 0), "outside vertex range"),
+                         ((2, 2), "self-loop at vertex 2")):
+        with pytest.raises(ValueError, match=message):
+            DiGraph(3, [(0, 1), arc])
+    d = DiGraph(3, [(0, 1), (1, 2), (0, 1), (2, 1), (1, 2)])
+    assert d.m == 3 and list(d.arcs()) == [(0, 1), (1, 2), (2, 1)]
+    assert d.out_neighbors(1) == (2,) and d.out_neighbors(2) == (1,)
+    same = DiGraph(3, [(2, 1), (1, 2), (0, 1)])
+    assert d == same and hash(d) == hash(same)
+    assert d != DiGraph(3, [(0, 1), (1, 2)])
+    assert d != DiGraph(4, [(0, 1), (1, 2), (2, 1)])
+    assert d != Graph(3, [(0, 1), (1, 2)])
+    assert repr(d) == "DiGraph(n=3, m=3)"
+
+
+def test_digraph_acyclicity_on_cycles_and_dags():
+    for n in range(2, 7):
+        cycle = [(i, (i + 1) % n) for i in range(n)]
+        assert not DiGraph(n, cycle).is_acyclic()
+        # the path alone, with its arcs repeated, has no cycle
+        assert DiGraph(n, cycle[:-1] * 2).is_acyclic()
+    rng = random.Random(17)
+    closed = 0
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        d = random_dag(rng, n, rng.uniform(0.1, 0.5))
+        assert d.is_acyclic()
+        # an arc back from a vertex to one that reaches it closes a cycle
+        for u, v in d.arcs():
+            for w in d.out_neighbors(v):
+                assert not DiGraph(n, [*d.arcs(), (w, u)]).is_acyclic()
+                closed += 1
+    assert DiGraph(0).is_acyclic()
+    assert closed >= 200, closed
 
 
 def test_graph_copies_compare_and_hash_before_first_membership_query():

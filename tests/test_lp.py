@@ -23,13 +23,9 @@ from chvd.chordal import hole_vertices
 from chvd.generate import GeneratorSpec, generate, random_dag, random_gnp, \
     random_staircase
 from chvd.oracle import exact_chvd
-from bruteforce import bf_all_holes, ref_dijkstra_vertex_weights, \
-    ref_separate_chvd, ref_separate_multicut, ref_separate_multicut_paths, \
-    ref_simplex_min_cover
-
-
-def cycle_graph(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+from bruteforce import bf_all_holes, cycle_graph, \
+    ref_dijkstra_vertex_weights, ref_separate_chvd, ref_separate_multicut, \
+    ref_separate_multicut_paths, ref_simplex_min_cover
 
 
 def test_simplex_single_constraint():

@@ -16,14 +16,11 @@ from bruteforce import (
     bf_di_connected,
     bf_min_chvd,
     bf_min_multicut,
+    cycle_graph,
     ref_exact_chvd,
     ref_exact_multicut,
     ref_shortest_hole_avoiding,
 )
-
-
-def cycle_graph(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def test_exact_chvd_trivial():

@@ -32,6 +32,7 @@ from bruteforce import (
     ref_induced_digraph,
     ref_lightest_hole,
     ref_min_vertex_cut,
+    ref_reverse_adjacency,
     ref_split_residual,
 )
 
@@ -95,8 +96,9 @@ def test_di_bfs_path_and_reach_match_reference():
         assert (bfs_path(d.out_neighbors, sorted(set(sources)), set(targets),
                          alive)
                 == ref_di_bfs_path(d, sources, targets, removed=removed))
+        into = ref_reverse_adjacency(d)
         for reverse in (False, True):
-            nbrs = d.in_neighbors if reverse else d.out_neighbors
+            nbrs = into.__getitem__ if reverse else d.out_neighbors
             assert (set(bfs(nbrs, sorted(set(sources)), alive)[0])
                     == ref_di_reachable(d, sources, removed, reverse=reverse))
 
@@ -162,15 +164,69 @@ def test_min_vertex_cut_on_alive_matches_the_induced_copy():
     assert cut >= 50, cut
 
 
+def test_min_vertex_cut_keeps_only_the_vertices_between_its_terminals():
+    """Restricting alive to R, the alive vertices that are reached from
+    the sources and reach the sinks in d[alive], leaves the cut as it
+    is: no vertex outside R is in a minimum cut, and ``unit`` only
+    rescales the order of the cuts.  The skew recursion rests on this."""
+    rng = random.Random(47)
+    shrunk = cut = avoided = 0
+    for trial in range(600):
+        n = rng.randint(2, 24)
+        p = rng.uniform(0.05, 0.3)
+        d = random_dag(rng, n, p) if trial % 2 else random_digraph(rng, n, p)
+        alive = some(rng, n, rng.uniform(0.3, 1.0))
+        sources = rng.sample(range(n), rng.randint(1, min(4, n)))
+        sinks = rng.sample(range(n), rng.randint(1, min(4, n)))
+        avoid = some(rng, n, rng.uniform(0.2, 0.6))
+        dead = set(range(n)) - alive
+        between = (ref_di_reachable(d, sources, dead)
+                   & ref_di_reachable(d, sinks, dead, reverse=True))
+        got = min_vertex_cut(d, sources, sinks, alive, avoid)
+        assert got == min_vertex_cut(d, sources, sinks, between, avoid)
+        assert got <= between
+        shrunk += len(between) < len(alive)
+        cut += bool(got)
+        avoided += bool(got & avoid)
+    assert shrunk >= 450 and cut >= 250 and avoided >= 90, (
+        shrunk, cut, avoided)
+
+
+def test_min_vertex_cut_takes_fewer_vertices_before_fewer_avoided_ones():
+    """k avoided sources, each with an arc to each of k + 1 sinks: the k
+    sources are the one cut of k vertices, and the k + 1 sinks a cut that
+    avoids them all.  The fewer vertices win on every alive set between
+    the terminals and the whole digraph, whatever hangs off the sources
+    or leads into the sinks outside R: ``unit`` exceeds the number of
+    avoided vertices in any cut."""
+    rng = random.Random(53)
+    for k in range(2, 8):
+        sources, sinks = range(k), range(k, 2 * k + 1)
+        for pad in (0, 3, 12, 40):
+            n = 2 * k + 1 + pad
+            arcs = [(s, t) for s in sources for t in sinks]
+            for v in range(2 * k + 1, n):
+                # a dead end off a source, a vertex into a sink, or neither
+                side = rng.randrange(3)
+                if side == 0:
+                    arcs.append((rng.choice(sources), v))
+                elif side == 1:
+                    arcs.append((v, rng.choice(sinks)))
+            d = DiGraph(n, arcs)
+            between = set(range(2 * k + 1))
+            for alive in (between, set(range(n)),
+                          between | some(rng, n, 0.5)):
+                assert min_vertex_cut(d, sources, sinks, alive,
+                                      sources) == frozenset(sources)
+
+
 class ReorderedView:
-    """d, read-only, with every out- and in-neighbour tuple reordered."""
+    """d, read-only, with every out-neighbour tuple reordered."""
 
     def __init__(self, d, reorder):
         self.n = d.n
         out = [reorder(d.out_neighbors(v)) for v in d.vertices()]
-        into = [reorder(d.in_neighbors(v)) for v in d.vertices()]
         self.out_neighbors = out.__getitem__
-        self.in_neighbors = into.__getitem__
 
 
 def test_min_vertex_cut_does_not_depend_on_neighbour_order():
