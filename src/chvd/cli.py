@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Subcommands: gen, kernelize, approx, solve, check.  Same seed and flags
-produce byte-identical outputs.  Exit codes: 0 ok, 1 the result is
-a certified no-instance, 2 input validation failure, 3 internal invariant
-breach or any other error (one ``error:`` line naming its type), 4 a
-resource cap was hit: the exact search's node budget or the
-cutting-plane round cap (``approx --max-iters``).
+produce byte-identical outputs.  Every refusal raises, and ``main`` alone
+prints it as one stderr line and picks the exit code: 0 ok, 1 a certified
+no-instance, 2 input validation failure (``invalid:`` when ``check``
+refuses a solution), 3 an internal invariant breach, or any other error
+(``error: <Type>:``), 4 a resource cap: the exact search's node budget
+or the cutting-plane round cap (``approx --max-iters``).
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .graphs import Graph, InvariantError
+from .graphs import Graph, InvariantError, check
 from .chordal import find_any_hole, is_chordal
 from .approx import NoInstance, approximate
 from .generate import GeneratorSpec, generate, kernel_instance_pool
@@ -33,6 +34,11 @@ EXIT_NO_INSTANCE = 1
 EXIT_VALIDATION = 2
 EXIT_INTERNAL = 3
 EXIT_BUDGET = 4
+
+
+class InvalidSolution(ValueError):
+    """A claimed solution that ``check`` refuses; reported as one
+    ``invalid:`` line with exit 2."""
 
 
 def _write(path: str | None, text: str) -> None:
@@ -93,121 +99,97 @@ def _greedy_modulator(g: Graph) -> list[int]:
         removed.update(hole.vertices)
 
 
-def _rejects_forced(instance: InstanceFile, command: str) -> bool:
-    """Report and refuse forced pairs, which ``command`` cannot honour."""
-    if not instance.forced:
-        return False
-    print(f"error: {command} cannot honour forced pairs ('f' lines); "
-          "use 'chvd solve' for instances with forced pairs",
-          file=sys.stderr)
-    return True
+def _load(path: str, refuse_forced: str = "") -> InstanceFile:
+    """Parse the instance file at ``path`` ("-" reads stdin); the
+    subcommand named by ``refuse_forced`` cannot honour forced pairs, so
+    an instance with ``f`` lines is refused with ValueError."""
+    instance = parse(_read(path))
+    if refuse_forced and instance.forced:
+        raise ValueError(f"{refuse_forced} cannot honour forced pairs "
+                         "('f' lines); use 'chvd solve' for instances with "
+                         "forced pairs")
+    return instance
+
+
+def _report(args, record: dict, text: str) -> None:
+    """Write ``record`` as a JSON line under ``--format json``, else text."""
+    if args.format == "json":
+        text = json.dumps(record, separators=(",", ":")) + "\n"
+    _write(args.output, text)
 
 
 def cmd_kernelize(args) -> int:
-    instance = parse(_read(args.input))
-    if _rejects_forced(instance, "kernelize"):
-        return EXIT_VALIDATION
+    instance = _load(args.input, refuse_forced="kernelize")
     g = instance.graph()
     modulator = list(instance.modulator)
     if not modulator and not is_chordal(g):
         if not args.auto_modulator:
-            print("error: instance has no modulator lines; "
-                  "pass --auto-modulator to compute one greedily",
-                  file=sys.stderr)
-            return EXIT_VALIDATION
+            raise ValueError("instance has no modulator lines; "
+                             "pass --auto-modulator to compute one greedily")
         modulator = _greedy_modulator(g)
     result = kernelize(g, instance.k, modulator)
-    replayed_graph, replayed_k = replay_trace(g, instance.k, result.trace)
-    if replayed_graph != result.graph or replayed_k != result.k:
-        print("internal invariant breached: trace replay mismatch",
-              file=sys.stderr)
-        return EXIT_INTERNAL
-    if args.format == "json":
-        _write(args.output, json.dumps({
-            "verdict": result.verdict,
-            "n": result.graph.n,
-            "k": result.k,
-            "edges": sorted([u, v] for u, v in result.graph.edges()),
-            "events": len(result.trace),
-        }, separators=(",", ":")) + "\n")
-    else:
-        out = InstanceFile.from_graph(
-            result.graph, result.k,
-            comments=[f"kernel verdict {result.verdict}"],
-        )
-        _write(args.output, emit(out))
+    check(replay_trace(g, instance.k, result.trace)
+          == (result.graph, result.k), "trace replay mismatch")
+    _report(args, {
+        "verdict": result.verdict,
+        "n": result.graph.n,
+        "k": result.k,
+        "edges": sorted([u, v] for u, v in result.graph.edges()),
+        "events": len(result.trace),
+    }, emit(InstanceFile.from_graph(
+        result.graph, result.k,
+        comments=[f"kernel verdict {result.verdict}"])))
     if args.trace:
         _write(args.trace, trace_text(result))
     return EXIT_NO_INSTANCE if result.verdict == "no" else EXIT_OK
 
 
 def cmd_approx(args) -> int:
-    instance = parse(_read(args.input))
-    if _rejects_forced(instance, "approx"):
-        return EXIT_VALIDATION
+    instance = _load(args.input, refuse_forced="approx")
     g = instance.graph()
     got = approximate(g, instance.k, max_iters=args.max_iters)
     if isinstance(got, NoInstance):
-        if args.format == "json":
-            _write(args.output, '{"status":"no-instance"}\n')
-        else:
-            _write(args.output, "c no-instance\n")
+        _report(args, {"status": "no-instance"}, "c no-instance\n")
         return EXIT_NO_INSTANCE
+    record = {"status": "ok", "size": len(got), "vertices": sorted(got)}
     report = f"approx size {len(got)}"
     if args.oracle:
-        res = exact_chvd(g, g.n)
-        if res.optimum:
-            ratio = len(got) / res.optimum
-        else:
-            ratio = 1.0 if not got else float(len(got))
-        report += f"; optimum {res.optimum}; ratio {ratio:.3f}"
-    if args.format == "json":
-        record = {"status": "ok", "size": len(got), "vertices": sorted(got)}
-        if args.oracle:
-            record["optimum"] = res.optimum
-        _write(args.output, json.dumps(record, separators=(",", ":")) + "\n")
-    else:
-        _write(args.output, emit_solution(got, comment=report))
+        record["optimum"] = optimum = exact_chvd(g, g.n).optimum
+        # an optimum of 0 means g is chordal, and approximate then
+        # returns the empty set
+        ratio = len(got) / optimum if optimum else 1.0
+        report += f"; optimum {optimum}; ratio {ratio:.3f}"
+    _report(args, record, emit_solution(got, comment=report))
     return EXIT_OK
 
 
 def cmd_solve(args) -> int:
-    instance = parse(_read(args.input))
+    instance = _load(args.input)
     res = exact_chvd(instance.graph(), instance.k, instance.forced)
     if res is None:
-        if args.format == "json":
-            _write(args.output, '{"status":"no-solution"}\n')
-        else:
-            _write(args.output, "c no solution within budget\n")
+        _report(args, {"status": "no-solution"},
+                "c no solution within budget\n")
         return EXIT_NO_INSTANCE
-    if args.format == "json":
-        _write(args.output, json.dumps(
-            {"status": "ok", "optimum": res.optimum,
-             "vertices": sorted(res.solution)}, separators=(",", ":")) + "\n")
-    else:
-        _write(args.output,
-               emit_solution(res.solution, comment=f"optimum {res.optimum}"))
+    _report(args, {"status": "ok", "optimum": res.optimum,
+                   "vertices": sorted(res.solution)},
+            emit_solution(res.solution, comment=f"optimum {res.optimum}"))
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
-    instance = parse(_read(args.input))
+    instance = _load(args.input)
     solution = parse_solution(_read(args.solution))
     g = instance.graph()
     if any(v < 0 or v >= g.n for v in solution):
-        print("invalid: solution uses unknown vertex ids", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise InvalidSolution("solution uses unknown vertex ids")
     if len(solution) > instance.k:
-        print(f"invalid: solution size {len(solution)} exceeds budget "
-              f"{instance.k}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise InvalidSolution(f"solution size {len(solution)} exceeds "
+                              f"budget {instance.k}")
     for x, y in instance.forced:
         if x not in solution and y not in solution:
-            print(f"invalid: forced pair ({x},{y}) not hit", file=sys.stderr)
-            return EXIT_VALIDATION
+            raise InvalidSolution(f"forced pair ({x},{y}) not hit")
     if not is_chordal(g, set(g.vertices()) - set(solution)):
-        print("invalid: residual graph is not chordal", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise InvalidSolution("residual graph is not chordal")
     print("valid")
     return EXIT_OK
 
@@ -272,6 +254,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InvalidSolution as exc:
+        print(f"invalid: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

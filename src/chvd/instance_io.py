@@ -176,7 +176,10 @@ def parse_solution(text: str) -> frozenset[int]:
         elif tag == "v":
             if len(rest) != 1:
                 _fail(lineno, "bad vertex line")
-            vertices.update(_ints(lineno, rest, 1))
+            (v,) = _ints(lineno, rest, 1)
+            if v in vertices:
+                _fail(lineno, f"duplicate solution vertex {v}")
+            vertices.add(v)
         else:
             _fail(lineno, f"unknown tag {tag!r}")
     if size is not None and size != len(vertices):

@@ -339,6 +339,15 @@ def test_decompose_never_says_no_to_a_c4_free_yes_instance():
 def test_approximate_chordal():
     g = clique_path_graph([3, 2, 3])
     assert approximate(g, 2) == frozenset()
+    # at n <= 1 the threshold's log2(n) is not taken
+    assert approximate(Graph(0), 3) == frozenset()
+    assert approximate(Graph(1), 2) == frozenset()
+
+
+def test_no_instance_repr_and_hash():
+    """The output digests hash this repr."""
+    assert repr(NO_INSTANCE) == "NoInstance"
+    assert hash(NO_INSTANCE) == hash(approx.NoInstance())
 
 
 def test_approximate_answers_no_to_a_negative_budget():

@@ -201,6 +201,14 @@ def test_empty_adhesions_hang_from_the_root():
     assert empty >= 600
 
 
+def test_adhesion_of_the_root_is_refused():
+    t = clique_tree_of(Graph(3, [(0, 1), (1, 2)]))
+    child = next(c for c in t.nodes() if t.parent[c] is not None)
+    assert t.adhesion(child) == frozenset({1})
+    with pytest.raises(ValueError, match="root has no parent edge"):
+        t.adhesion(t.root)
+
+
 def test_top_and_reroot():
     g = complete_graph(3)
     t = clique_tree_of(g)

@@ -238,6 +238,9 @@ def test_two_disjoint_paths_direct():
     # forcing both paths through a single cut vertex is impossible
     h = Graph(5, [(0, 2), (2, 1), (3, 2), (2, 4)])
     assert two_disjoint_paths(h, 0, 1, 3, 4) is None
+    for ends in ((0, 0, 3, 5), (0, 2, 2, 5), (0, 2, 3, 0)):
+        with pytest.raises(ValueError, match="four distinct vertices"):
+            two_disjoint_paths(g, *ends)
 
 
 def test_step1_fires_on_plain_hole():

@@ -176,6 +176,12 @@ def test_shortcut_walk_trivial():
     assert shortcut_walk(g, [0, 1, 0, 1, 2]) == [0, 1, 2]
     g2 = Graph(3, [(0, 1), (1, 2), (0, 2)])
     assert shortcut_walk(g2, [0, 1, 2]) == [0, 2]
+    with pytest.raises(ValueError, match="empty walk"):
+        shortcut_walk(g, [])
+
+
+def test_graph_repr_names_its_order_and_size():
+    assert repr(Graph(3, [(0, 1)])) == "Graph(n=3, m=1)"
 
 
 def test_shortcut_walk_random_output_is_induced():

@@ -83,6 +83,12 @@ def test_parse_rejects_malformed(text, fragment):
     assert fragment in str(err.value)
 
 
+def test_parse_skips_blank_lines():
+    assert parse("\np chvd 2 1 0\n\ne 0 1\n  \n") == \
+        parse("p chvd 2 1 0\ne 0 1\n")
+    assert parse_solution("\ns chvd 1\n\nv 1\n  \n") == frozenset({1})
+
+
 def test_from_graph_merges_duplicate_forced_pairs():
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     inst = InstanceFile.from_graph(g, 1, modulator=[0, 2, 0],
@@ -193,6 +199,7 @@ def test_cli_check_rejects_non_solution(tmp_path, capsys):
     ("c\ns chvd 1\nv 1\nchvd 3\n", "line 4: unknown tag 'chvd'"),
     ("s cnf 1\nv 1\n", "line 1: bad solution header"),
     ("s chvd 1\nv 1 2\n", "line 2: bad vertex line"),
+    ("s chvd 1\nv 1\nv 1\n", "line 3: duplicate solution vertex 1"),
     ("s chvd 1\nv 7\n", "invalid: solution uses unknown vertex ids"),
     ("s chvd 2\nv 0\nv 2\n", "invalid: solution size 2 exceeds budget 1"),
 ])
@@ -472,3 +479,101 @@ def test_cli_json_formats(tmp_path):
     assert main(["solve", str(inst_path), "--format", "json",
                  "-o", str(out)]) == 1
     assert out.read_text() == '{"status":"no-solution"}\n'
+
+
+C4_K1 = "p chvd 4 4 1\ne 0 1\ne 0 3\ne 1 2\ne 2 3\n"
+C4_K0 = C4_K1.replace("p chvd 4 4 1", "p chvd 4 4 0")
+P4_K1 = "p chvd 4 3 1\ne 0 1\ne 1 2\ne 2 3\n"
+FORCED_REFUSAL = ("cannot honour forced pairs ('f' lines); "
+                  "use 'chvd solve' for instances with forced pairs\n")
+
+# (instance text, argv after the subcommand's input, solution text or None,
+#  replace replay_trace by a broken one, exit code, stdout, stderr);
+# {out} and {trace} name files that a refusal must not write
+EXIT_PATHS = {
+    "kernelize-forced": (
+        FORCED_P3, ["kernelize", "-o", "{out}", "--trace", "{trace}"], None,
+        False, 2, "", "error: kernelize " + FORCED_REFUSAL),
+    "approx-forced": (
+        FORCED_P3, ["approx", "-o", "{out}"], None,
+        False, 2, "", "error: approx " + FORCED_REFUSAL),
+    "kernelize-no-modulator": (
+        C4_K1, ["kernelize", "-o", "{out}", "--trace", "{trace}"], None,
+        False, 2, "", "error: instance has no modulator lines; "
+        "pass --auto-modulator to compute one greedily\n"),
+    "kernelize-replay-mismatch": (
+        C4_K1 + "m 0\n", ["kernelize", "-o", "{out}", "--trace", "{trace}"],
+        None, True, 3, "",
+        "internal invariant breached: trace replay mismatch\n"),
+    "approx-no-instance-text": (
+        C4_K0, ["approx"], None, False, 1, "c no-instance\n", ""),
+    "approx-no-instance-json": (
+        C4_K0, ["approx", "--format", "json"], None,
+        False, 1, '{"status":"no-instance"}\n', ""),
+    "solve-no-solution-text": (
+        C4_K0, ["solve"], None, False, 1, "c no solution within budget\n", ""),
+    "solve-no-solution-json": (
+        C4_K0, ["solve", "--format", "json"], None,
+        False, 1, '{"status":"no-solution"}\n', ""),
+    "solve-text": (
+        C4_K1, ["solve"], None, False, 0, "c optimum 1\ns chvd 1\nv 0\n", ""),
+    "solve-json": (
+        C4_K1, ["solve", "--format", "json"], None,
+        False, 0, '{"status":"ok","optimum":1,"vertices":[0]}\n', ""),
+    "approx-oracle-c4-text": (
+        C4_K1, ["approx", "--oracle"], None, False, 0,
+        "c approx size 1; optimum 1; ratio 1.000\ns chvd 1\nv 0\n", ""),
+    "approx-oracle-c4-json": (
+        C4_K1, ["approx", "--oracle", "--format", "json"], None, False, 0,
+        '{"status":"ok","size":1,"vertices":[0],"optimum":1}\n', ""),
+    "approx-oracle-p4-text": (
+        P4_K1, ["approx", "--oracle"], None, False, 0,
+        "c approx size 0; optimum 0; ratio 1.000\ns chvd 0\n", ""),
+    "approx-oracle-p4-json": (
+        P4_K1, ["approx", "--oracle", "--format", "json"], None, False, 0,
+        '{"status":"ok","size":0,"vertices":[],"optimum":0}\n', ""),
+    "check-unknown-ids": (
+        C4_K1, ["check"], "s chvd 1\nv 7\n", False, 2, "",
+        "invalid: solution uses unknown vertex ids\n"),
+    "check-over-budget": (
+        C4_K1, ["check"], "s chvd 2\nv 0\nv 2\n", False, 2, "",
+        "invalid: solution size 2 exceeds budget 1\n"),
+    "check-forced-pair-not-hit": (
+        C4_K1 + "f 0 2\n", ["check"], "s chvd 1\nv 1\n", False, 2, "",
+        "invalid: forced pair (0,2) not hit\n"),
+    "check-residual-not-chordal": (
+        C4_K1, ["check"], "s chvd 0\n", False, 2, "",
+        "invalid: residual graph is not chordal\n"),
+    "check-valid": (
+        C4_K1, ["check"], "s chvd 1\nv 0\n", False, 0, "valid\n", ""),
+    "kernelize-auto-modulator-text": (
+        C4_K1, ["kernelize", "--auto-modulator"], None, False, 0,
+        "c kernel verdict reduced\n" + C4_K1, ""),
+    "kernelize-auto-modulator-json": (
+        C4_K1, ["kernelize", "--auto-modulator", "--format", "json"], None,
+        False, 0, '{"verdict":"reduced","n":4,"k":1,'
+        '"edges":[[0,1],[0,3],[1,2],[2,3]],"events":2}\n', ""),
+}
+
+
+@pytest.mark.parametrize("path", EXIT_PATHS)
+def test_cli_exit_paths_print_exactly_their_report(tmp_path, capsys,
+                                                   monkeypatch, path):
+    """Each exit path of the subcommands: its code and its exact stdout
+    and stderr; a refusal (exit 2, 3 or 4) writes no output file."""
+    text, argv, solution, broken_replay, code, stdout, stderr = \
+        EXIT_PATHS[path]
+    inst_path = tmp_path / "instance.chvd"
+    inst_path.write_text(text)
+    files = {"out": tmp_path / "out.txt", "trace": tmp_path / "trace.jsonl"}
+    argv = [argv[0], str(inst_path)] + [a.format(**files) for a in argv[1:]]
+    if solution is not None:
+        sol_path = tmp_path / "solution.txt"
+        sol_path.write_text(solution)
+        argv += ["--solution", str(sol_path)]
+    if broken_replay:
+        monkeypatch.setattr(cli, "replay_trace", lambda *a: (Graph(0), 0))
+    assert main(argv) == code
+    assert capsys.readouterr() == (stdout, stderr)
+    if code >= 2:
+        assert not any(f.exists() for f in files.values())

@@ -437,6 +437,21 @@ def test_annotate_builds_tidy_instance():
         assert instance_answer(inst) == (exact_chvd(g, k) is not None)
 
 
+def test_replay_of_an_annotate_trace_ends_at_the_annotated_instance():
+    """``annotate``'s trace has no closing event, so the replay runs off
+    its end and returns the instance it has built."""
+    replayed = 0
+    for seed in range(10):
+        g, k, planted = generate(GeneratorSpec(seed=seed, core_vertices=10,
+                                               planted=2, noise_edges=1))
+        res = annotate(g, k, sorted(planted))
+        if res is not None:
+            inst, trace = res
+            assert kernel.replay_trace(g, k, trace) == (inst.g, inst.k)
+            replayed += 1
+    assert replayed >= 5
+
+
 def test_annotate_names_a_modulator_id_outside_the_graph():
     g = Graph(9, [(i, i + 1) for i in range(8)])
     for bad in (99, 9, -1):
